@@ -14,6 +14,14 @@ The config file is INI-style with [detector], [source], [measurement],
 comment. Every run writes a metadata.json with the fully resolved
 configuration, constants and seeds, sufficient to reproduce the outputs
 byte for byte. All CSV floats use shortest round-trip formatting.
+
+The integration window of a source (signal time) is resolved once, when
+the config is parsed, and recorded as [source] window_start/window_end:
+given keys win; otherwise `dynamics.default_window` applies, which is the
+resonance-crossing window for a chirp, the file's support for a sampled
+strain, and (0, duration - gw_start) for a monochromatic wave. Every
+subcommand, `mass = optimal` included, uses that one window; an empty or
+reversed window is a config error.
 """
 
 from __future__ import annotations
@@ -49,28 +57,17 @@ from .dynamics import (
     chi_monochromatic,
     chi_quadrature,
     chi_stationary_phase,
-    displacement_beta,
+    default_window,
     excitation_probability,
     optimal_mass,
 )
-from .lattice import (
-    ChainSpec,
-    completeness_residual,
-    continuum_coupling,
-    coupling_coefficient,
-    effective_mode_mass,
-    evolve_chain,
-    mode_coherent_amplitude,
-    normal_mode_frequencies,
-)
+from .lattice import continuum_checks
 from .measurement import MeasurementConfig, detect_jump, run_trajectory
 from .sensitivity import characteristic_strain, sensitivity_curve
 from .waveform import (
     ChirpSource,
     MonochromaticWave,
-    SampledStrain,
     StrainSignal,
-    chirp_window,
     load_strain_series,
 )
 
@@ -184,7 +181,6 @@ class RunConfig:
     window: tuple[float, float] | None
     n_traj: int
     out_dir: str
-    source_type: str | None
     source_h0: float | None
     mass_resolved_optimal: bool
     sensitivity_grid: np.ndarray
@@ -225,15 +221,10 @@ def _signal_chi(signal, window, omega) -> float:
     if isinstance(signal, ChirpSource):
         return chi_chirp_analytic(signal.h0, signal.k, omega).value
     if isinstance(signal, MonochromaticWave):
-        if window is None:
-            raise ConfigError(
-                "mass = optimal with a monochromatic source needs "
-                "[source] window_start/window_end"
-            )
         return chi_monochromatic(
             signal.h0, signal.nu, omega, window[1] - window[0]
         ).value
-    return chi_quadrature(signal, omega, (signal.t0, signal.t_end)).value
+    return chi_quadrature(signal, omega, window).value
 
 
 def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
@@ -303,15 +294,17 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
 
     omega = mode_index * math.pi * material.sound_speed / length
 
+    meas = section("measurement")
+    t_meas = meas.floatv("t_meas", default=40.0)
+    duration = meas.floatv("duration", default=t_meas)
+
     src = section("source")
     signal = None
-    source_type = None
     source_h0 = None
     gw_start = 0.0
     window = None
     if parser.has_section("source"):
         signal = _build_signal(src, omega)
-        source_type = src.resolved.get("type")
         source_h0 = getattr(signal, "h0", None)
         gw_start = src.floatv("gw_start", default=0.0)
         w0 = src.floatv("window_start", default=None)
@@ -320,35 +313,26 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
             raise ConfigError(
                 "[source] window_start and window_end must be given together"
             )
-        if w0 is not None:
-            window = (w0, w1)
-        elif isinstance(signal, ChirpSource):
-            window = chirp_window(signal, omega)
-            src.record("window_start", window[0])
-            src.record("window_end", window[1])
+        if w0 is None:
+            w0, w1 = default_window(signal, omega, duration - gw_start)
+            src.record("window_start", w0)
+            src.record("window_end", w1)
+        if not w1 > w0:
+            raise ConfigError(
+                f"[source] window_end = {w1!r} s must exceed "
+                f"window_start = {w0!r} s"
+            )
+        window = (w0, w1)
 
     mass_raw = det.raw("mass")
-    mass_resolved_optimal = False
-    if mass_raw is None or mass_raw == "":
-        spec = DetectorSpec(
-            material=material, length=length, radius=radius,
-            mode_index=mode_index, quality=quality, temperature=temperature,
-        )
-        det.record("mass", spec.mass)
-    elif mass_raw == "optimal":
+    mass_resolved_optimal = mass_raw == "optimal"
+    mass = None  # from the geometry
+    if mass_resolved_optimal:
         if signal is None:
             raise ConfigError("[detector] mass = optimal requires a [source]")
-        chi = _signal_chi(signal, window, omega)
-        mass = optimal_mass(material, chi, omega)
-        mass_resolved_optimal = True
-        det.record("mass", mass)
+        mass = optimal_mass(material, _signal_chi(signal, window, omega), omega)
         det.record("mass_resolution", "optimal")
-        spec = DetectorSpec(
-            material=material, length=length, radius=radius, mass=mass,
-            mode_index=mode_index, quality=quality, temperature=temperature,
-            geometry_mass_check=False,
-        )
-    else:
+    elif mass_raw:
         try:
             mass = float(mass_raw)
         except ValueError:
@@ -356,14 +340,13 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
                 f"[detector] mass = {mass_raw!r} must be a number in kg "
                 "or 'optimal'"
             ) from None
-        det.record("mass", mass)
-        spec = DetectorSpec(
-            material=material, length=length, radius=radius, mass=mass,
-            mode_index=mode_index, quality=quality, temperature=temperature,
-            geometry_mass_check=False,
-        )
+    spec = DetectorSpec(
+        material=material, length=length, radius=radius, mass=mass,
+        mode_index=mode_index, quality=quality, temperature=temperature,
+        geometry_mass_check=False,
+    )
+    det.record("mass", spec.mass)
 
-    meas = section("measurement")
     out = section("output")
     thermal = meas.strv("thermal", default="off", choices={"on", "off"})
     thermal_rate = gamma_thermal(spec) if thermal == "on" else 0.0
@@ -371,7 +354,7 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     cfg = MeasurementConfig(
         dt=meas.floatv("dt", default=1e-3),
         t_m=meas.floatv("t_m", default=2.0),
-        t_meas=meas.floatv("t_meas", default=40.0),
+        t_meas=t_meas,
         dim=meas.intv("dim", default=30),
         kappa=meas.floatv("kappa", default=0.0),
         kappa_scaling=meas.strv(
@@ -381,8 +364,9 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         seed=meas.intv("seed", default=0),
         record_stride=out.intv("stride", default=3),
     )
-    duration = meas.floatv("duration", default=cfg.t_meas)
     n_traj = meas.intv("n_traj", default=1)
+    if n_traj < 1:
+        raise ConfigError(f"[measurement] n_traj = {n_traj} must be >= 1")
     out_dir = out.strv("directory", default="out")
 
     sens = section("sensitivity")
@@ -412,7 +396,6 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         window=window,
         n_traj=n_traj,
         out_dir=out_dir,
-        source_type=source_type,
         source_h0=source_h0,
         mass_resolved_optimal=mass_resolved_optimal,
         sensitivity_grid=grid,
@@ -484,11 +467,6 @@ def _chi_methods(run: RunConfig, omega: float):
     if signal is None:
         raise ConfigError("chi requires a [source] section")
     window = run.window
-    if window is None:
-        if isinstance(signal, MonochromaticWave):
-            window = (0.0, run.duration - run.gw_start)
-        elif isinstance(signal, SampledStrain):
-            window = (signal.t0, signal.t_end)
     results = [chi_quadrature(signal, omega, window)]
     if isinstance(signal, MonochromaticWave):
         results.append(
@@ -528,11 +506,7 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
         raise ConfigError("optimal-mass requires a [source] section")
     chi = _signal_chi(run.signal, run.window, omega)
     mass = optimal_mass(spec.material, chi, omega)
-    tuned = DetectorSpec(
-        material=spec.material, length=spec.length, radius=spec.radius,
-        mass=mass, mode_index=spec.mode_index, quality=spec.quality,
-        temperature=spec.temperature, geometry_mass_check=False,
-    )
+    tuned = dataclasses.replace(spec, mass=mass, geometry_mass_check=False)
     beta = beta_prefactor(tuned, omega) * chi
     with outputs.open("optimal_mass.csv") as fh:
         fh.write("quantity,value\n")
@@ -617,76 +591,19 @@ def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) 
     return 0
 
 
-def _lattice_checks(n_values: tuple[int, ...]):
-    """Run the chain-vs-continuum verification suite.
-
-    Returns (name, measured, bound, passed) rows.
-    """
-    from .detector import DetectorSpec as _Spec
-
-    material = Material("reference", density=1000.0, sound_speed=10.0)
-    spec = _Spec.from_frequency(material, 2 * math.pi, radius=0.1)
-
-    rows = []
-    disp_errors, coup_errors = [], []
-    for n in n_values:
-        chain = ChainSpec.from_detector(spec, n)
-        omega1 = float(normal_mode_frequencies(chain)[1])
-        continuum = math.pi * chain.sound_speed / chain.length
-        disp_errors.append(abs(omega1 - continuum) / omega1)
-        c1 = coupling_coefficient(chain, 1)
-        coup_errors.append(abs(c1 - continuum_coupling(chain, 1)) / abs(
-            continuum_coupling(chain, 1)
-        ))
-    logn = np.log(np.asarray(n_values, dtype=float))
-    disp_order = -float(np.polyfit(logn, np.log(disp_errors), 1)[0])
-    coup_order = -float(np.polyfit(logn, np.log(coup_errors), 1)[0])
-    rows.append(("dispersion_error_max", max(disp_errors),
-                 5.0 / min(n_values) ** 2, max(disp_errors) <= 5.0 / min(n_values) ** 2))
-    rows.append(("dispersion_order", disp_order, 1.0, disp_order >= 1.0))
-    rows.append(("coupling_order", coup_order, 1.0, coup_order >= 1.0))
-
-    chain = ChainSpec.from_detector(spec, max(n_values))
-    mass_err = abs(
-        effective_mode_mass(chain) - chain.total_mass / 2.0
-    ) / (chain.total_mass / 2.0)
-    rows.append(("effective_mass_error", mass_err, 1e-10, mass_err < 1e-10))
-    residual = completeness_residual(chain)
-    rows.append(("completeness_residual", residual, 1e-10, residual < 1e-10))
-
-    chain = ChainSpec.from_detector(spec, 199)
-    omega = mode_frequency(spec)
-    t_end = 40 * 2 * math.pi / omega
-    wave = MonochromaticWave(h0=1e-3, nu=omega)
-    traj = evolve_chain(chain, wave, (0.0, t_end), record_stride=100)
-    alpha = abs(
-        mode_coherent_amplitude(chain, 1, traj.chi[1][-1], traj.chi_dot[1][-1])
-    )
-    beta = displacement_beta(spec, wave, (0.0, t_end)).magnitude
-    beta_err = abs(alpha - beta) / beta
-    rows.append(("driven_beta_error", beta_err, 0.05, beta_err < 0.05))
-    return rows
-
-
 def cmd_lattice_verify(run: RunConfig | None, outputs: _OutputSet) -> int:
     n_values = run.lattice_n_values if run is not None else (19, 39, 79, 159)
-    rows = _lattice_checks(n_values)
+    rows = continuum_checks(n_values)
     with outputs.open("lattice_verify.csv") as fh:
         fh.write("check,measured,bound,status\n")
         for name, measured, bound, ok in rows:
-            fh.write(
-                f"{name},{_fmt(measured)},{_fmt(bound)},"
-                f"{'pass' if ok else 'FAIL'}\n"
-            )
-    all_ok = True
-    for name, measured, bound, ok in rows:
-        status = "pass" if ok else "FAIL"
-        print(f"{status:>4}  {name:<24} measured = {measured:.3e}  "
-              f"bound = {bound:.3e}")
-        all_ok = all_ok and ok
+            status = "pass" if ok else "FAIL"
+            fh.write(f"{name},{_fmt(measured)},{_fmt(bound)},{status}\n")
+            print(f"{status:>4}  {name:<24} measured = {measured:.3e}  "
+                  f"bound = {bound:.3e}")
     if run is not None:
         _write_metadata(outputs, run, "lattice-verify")
-    return 0 if all_ok else 1
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,6 +654,8 @@ def main(argv=None) -> int:
                 )
                 run.resolved["measurement"]["seed"] = args.seed
             if getattr(args, "n_traj", None) is not None:
+                if args.n_traj < 1:
+                    raise ConfigError(f"--n-traj {args.n_traj} must be >= 1")
                 run.n_traj = args.n_traj
                 run.resolved["measurement"]["n_traj"] = args.n_traj
         elif args.command != "lattice-verify":

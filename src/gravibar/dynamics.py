@@ -211,7 +211,7 @@ def chi_stationary_phase(
     k = chirp.k
     s_star = resonance_time(chirp.nu0, k, omega)
     if window is None:
-        window = chirp_window(chirp, omega)
+        window = default_window(chirp, omega)
     if not (window[0] <= s_star <= window[1]):
         raise ChirpDomainError(
             f"resonance crossing at s* = {s_star:.6g} s lies outside the "
@@ -266,21 +266,27 @@ class BetaAmplitude:
 
 
 def default_window(
-    signal: StrainSignal, omega: float
+    signal: StrainSignal, omega: float, span: float | None = None
 ) -> tuple[float, float]:
-    """Natural integration window of a signal at drive frequency omega.
+    """Integration window (signal time) of a signal at drive frequency omega.
 
-    Chirps use the resonance-crossing window; sampled strain uses its
-    support. Monochromatic waves have no natural end, so a window must be
-    given explicitly for them.
+    The one rule by which every caller defaults a window:
+
+    - chirp: the resonance-crossing window `chirp_window`;
+    - sampled strain: its support (t0, t_end);
+    - monochromatic wave: (0, span), where `span` is how long the wave
+      drives the detector (a run's duration - gw_start); a monochromatic
+      wave has no natural end, so it raises ValueError without a span.
     """
     if isinstance(signal, ChirpSource):
         return chirp_window(signal, omega)
     if isinstance(signal, SampledStrain):
         return (signal.t0, signal.t_end)
-    raise ValueError(
-        "a monochromatic wave has no natural window; pass one explicitly"
-    )
+    if span is None:
+        raise ValueError(
+            "a monochromatic wave has no natural window; pass a window or a span"
+        )
+    return (0.0, span)
 
 
 def displacement_beta(

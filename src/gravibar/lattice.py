@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .detector import DetectorSpec
-from .waveform import StrainSignal, strain_samples
+from .detector import DetectorSpec, Material, mode_frequency
+from .dynamics import displacement_beta
+from .waveform import MonochromaticWave, StrainSignal, strain_samples
 
 
 class ChainConfigError(ValueError):
@@ -281,11 +282,62 @@ def mode_coherent_amplitude(
     return scale * complex(chi, chi_dot / omega_l)
 
 
+def continuum_checks(n_values) -> list[tuple[str, float, float, bool]]:
+    """Chain-vs-continuum verification rows (name, measured, bound, passed).
+
+    On a 1 Hz reference bar, chains of every N in `n_values` check the
+    mode-1 dispersion error (largest, and its convergence order in N), the
+    order of the drive-coupling convergence, and the largest effective-mass
+    error and completeness residual; a resonantly driven N = 199 chain
+    checks the coherent amplitude against the displacement |beta|.
+    """
+    material = Material("reference", density=1000.0, sound_speed=10.0)
+    spec = DetectorSpec.from_frequency(material, 2 * math.pi, radius=0.1)
+
+    disp_errors, coup_errors, mass_errors, residuals = [], [], [], []
+    for n in n_values:
+        chain = ChainSpec.from_detector(spec, n)
+        omega1 = float(normal_mode_frequencies(chain)[1])
+        continuum = math.pi * chain.sound_speed / chain.length
+        disp_errors.append(abs(omega1 - continuum) / omega1)
+        c1, target = coupling_coefficient(chain, 1), continuum_coupling(chain, 1)
+        coup_errors.append(abs(c1 - target) / abs(target))
+        half = chain.total_mass / 2.0
+        mass_errors.append(abs(effective_mode_mass(chain) - half) / half)
+        residuals.append(completeness_residual(chain))
+    logn = np.log(np.asarray(n_values, dtype=float))
+    disp_order = -float(np.polyfit(logn, np.log(disp_errors), 1)[0])
+    coup_order = -float(np.polyfit(logn, np.log(coup_errors), 1)[0])
+    disp_bound = 5.0 / min(n_values) ** 2
+
+    chain = ChainSpec.from_detector(spec, 199)
+    omega = mode_frequency(spec)
+    t_end = 40 * 2 * math.pi / omega
+    wave = MonochromaticWave(h0=1e-3, nu=omega)
+    traj = evolve_chain(chain, wave, (0.0, t_end), record_stride=100)
+    alpha = abs(
+        mode_coherent_amplitude(chain, 1, traj.chi[1][-1], traj.chi_dot[1][-1])
+    )
+    beta = displacement_beta(spec, wave, (0.0, t_end)).magnitude
+    beta_err = abs(alpha - beta) / beta
+
+    return [
+        ("dispersion_error_max", max(disp_errors), disp_bound,
+         max(disp_errors) <= disp_bound),
+        ("dispersion_order", disp_order, 1.0, disp_order >= 1.0),
+        ("coupling_order", coup_order, 1.0, coup_order >= 1.0),
+        ("effective_mass_error", max(mass_errors), 1e-10, max(mass_errors) < 1e-10),
+        ("completeness_residual", max(residuals), 1e-10, max(residuals) < 1e-10),
+        ("driven_beta_error", beta_err, 0.05, beta_err < 0.05),
+    ]
+
+
 __all__ = [
     "ChainConfigError",
     "ChainSpec",
     "ChainTrajectory",
     "completeness_residual",
+    "continuum_checks",
     "continuum_coupling",
     "coupling_coefficient",
     "effective_mode_mass",

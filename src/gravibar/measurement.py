@@ -22,12 +22,13 @@ import numpy as np
 from .detector import DetectorSpec, mode_frequency
 from .dynamics import beta_prefactor, default_window
 from .fock import (
+    TRACE_UNDERFLOW,
     DisplacementCache,
     QuantumState,
     TraceUnderflowError,
     creation,
 )
-from .waveform import MonochromaticWave, StrainSignal, strain_samples
+from .waveform import StrainSignal, strain_samples
 
 
 @dataclass(frozen=True)
@@ -169,17 +170,69 @@ def sample_readout(
     return mean + math.sqrt(t_m / dt) * rng.standard_normal()
 
 
-def _apply_measurement(rhos: np.ndarray, rs: np.ndarray, coef: float, nvec: np.ndarray):
-    """In place: conjugate each stacked rho by the diagonal operator for its r.
+def _update(
+    rhos: np.ndarray,
+    cfg: MeasurementConfig,
+    cache: DisplacementCache,
+    xi: np.ndarray,
+    dbeta: complex,
+    gamma_xi: np.ndarray | None,
+    thermal_u: np.ndarray | None,
+    symmetrize: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a (n, dim, dim) stack of density matrices by one timestep.
 
-    coef = -dt/(4 t_m); normalization constants cancel against the trace.
-    Returns the per-trajectory traces before renormalization.
+    In order: the Gaussian number measurement with readouts
+    r = tr(N rho) + sqrt(t_m/dt) * xi; the drive displacement D(dbeta),
+    shared by the stack; per-state noise displacements D(gamma_sigma *
+    (xi_0 + i xi_1)) from the (n, 2) normals `gamma_xi`; a thermal
+    creation jump wherever `thermal_u` < thermal_rate * dt. Each update is
+    renormalized; `gamma_xi` and `thermal_u` are None when their process
+    is off. With `symmetrize` the states are re-symmetrized to cap
+    roundoff drift. Returns the updated stack and the readouts.
     """
-    w = np.exp(coef * (rs[:, None] - nvec) ** 2)
+    nvec = np.arange(cfg.dim, dtype=float)
+    rs = np.einsum("nii->ni", rhos).real @ nvec + cfg.readout_sigma * xi
+    # M(r) is diagonal; its normalization cancels against the trace
+    w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
     rhos *= w[:, :, None]
     rhos *= w[:, None, :]
     traces = np.einsum("nii->n", rhos).real
-    return traces
+    if not np.all(np.isfinite(traces)) or np.any(traces <= TRACE_UNDERFLOW):
+        bad = int(np.argmin(traces))
+        raise TraceUnderflowError(
+            f"trajectory {bad}: measurement update trace "
+            f"{traces[bad]:.3e} underflowed"
+        )
+    rhos /= traces[:, None, None]
+
+    if dbeta != 0.0:
+        d = cache.matrix(dbeta)
+        rhos = d @ rhos @ d.conj().T
+        rhos /= np.einsum("nii->n", rhos).real[:, None, None]
+
+    if gamma_xi is not None:
+        xs = cfg.gamma_sigma * gamma_xi
+        for j in range(len(rhos)):
+            d = cache.matrix(complex(xs[j, 0], xs[j, 1]))
+            rhos[j] = d @ rhos[j] @ d.conj().T
+            rhos[j] /= rhos[j].diagonal().real.sum()
+
+    if thermal_u is not None:
+        for j in np.nonzero(thermal_u < cfg.thermal_rate * cfg.dt)[0]:
+            bdag = creation(cfg.dim)
+            new = bdag @ rhos[j] @ bdag.conj().T
+            tr = new.diagonal().real.sum()
+            if tr <= TRACE_UNDERFLOW:
+                raise TraceUnderflowError(
+                    f"trajectory {j}: thermal jump from the top Fock level"
+                )
+            rhos[j] = new / tr
+
+    if symmetrize:
+        rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+        rhos /= np.einsum("nii->n", rhos).real[:, None, None]
+    return rhos, rs
 
 
 def step(
@@ -194,46 +247,20 @@ def step(
 
     Order per update rule: rho -> D(dbeta) M(r) rho M(r)^dag D(dbeta)^dag,
     normalized; then the optional noise displacement D(gamma) and thermal
-    creation jump. Returns the new state and the readout r.
+    creation jump. Draws the readout normal, then (with kappa > 0) two
+    noise normals, then (with a thermal rate) one uniform from `rng`.
+    Returns the new state and the readout r.
     """
     if cache is None:
         cache = DisplacementCache(cfg.dim)
-    rho = state.rho[None, :, :].copy()
-    nvec = np.arange(cfg.dim, dtype=float)
-
-    mean = rho[0].diagonal().real @ nvec
-    r = float(mean + cfg.readout_sigma * rng.standard_normal())
-    traces = _apply_measurement(rho, np.array([r]), -cfg.dt / (4.0 * cfg.t_m), nvec)
-    if not np.isfinite(traces[0]) or traces[0] <= 1e-300:
-        raise TraceUnderflowError(
-            f"measurement update trace {traces[0]:.3e} underflowed"
-        )
-    rho /= traces[:, None, None]
-
-    if dbeta != 0.0:
-        d = cache.matrix(dbeta)
-        rho = d @ rho @ d.conj().T
-        rho /= np.einsum("nii->n", rho).real[:, None, None]
-
-    if cfg.kappa > 0.0:
-        xi = rng.standard_normal(2)
-        gamma = cfg.gamma_sigma * complex(xi[0], xi[1])
-        d = cache.matrix(gamma)
-        rho = d @ rho @ d.conj().T
-        rho /= np.einsum("nii->n", rho).real[:, None, None]
-
-    if cfg.thermal_rate > 0.0:
-        if rng.random() < cfg.thermal_rate * cfg.dt:
-            bdag = creation(cfg.dim)
-            rho = bdag @ rho @ bdag.conj().T
-            tr = np.einsum("nii->n", rho).real
-            if tr[0] <= 1e-300:
-                raise TraceUnderflowError("thermal jump from the top Fock level")
-            rho /= tr[:, None, None]
-
-    out = 0.5 * (rho[0] + rho[0].conj().T)
-    out /= out.diagonal().real.sum()
-    return QuantumState(cfg.dim, out), r
+    xi = np.array([rng.standard_normal()])
+    gamma_xi = rng.standard_normal(2)[None, :] if cfg.kappa > 0.0 else None
+    thermal_u = np.array([rng.random()]) if cfg.thermal_rate > 0.0 else None
+    rhos, rs = _update(
+        state.rho[None, :, :].copy(), cfg, cache, xi, dbeta, gamma_xi,
+        thermal_u, symmetrize=True,
+    )
+    return QuantumState(cfg.dim, rhos[0]), float(rs[0])
 
 
 def _drive_increments(
@@ -319,10 +346,7 @@ def _run_batch(
     omega = mode_frequency(spec)
     if signal is not None:
         if window is None:
-            if isinstance(signal, MonochromaticWave):
-                window = (0.0, duration - gw_start)
-            else:
-                window = default_window(signal, omega)
+            window = default_window(signal, omega, duration - gw_start)
         dbeta, drive_lo, drive_hi = _drive_increments(
             spec, signal, cfg, n_steps, gw_start, window, omega
         )
@@ -352,60 +376,28 @@ def _run_batch(
     if purity_threshold is not None:
         purity_crossing = np.full(n, np.nan)
 
-    nvec = np.arange(dim, dtype=float)
-    coef = -cfg.dt / (4.0 * cfg.t_m)
-    sigma = cfg.readout_sigma
     cache = DisplacementCache(dim)
-    bdag = creation(dim)
     rec = 0
 
     for i in range(1, n_steps + 1):
-        diags = np.einsum("nii->ni", rhos).real
-        rs = diags @ nvec + sigma * readout_noise[i - 1]
-        traces = _apply_measurement(rhos, rs, coef, nvec)
-        if not np.all(np.isfinite(traces)) or np.any(traces <= 1e-300):
-            bad = int(np.argmin(traces))
-            raise TraceUnderflowError(
-                f"trajectory {bad}: measurement update trace "
-                f"{traces[bad]:.3e} underflowed at t = {i * cfg.dt:.6g} s"
+        z = dbeta[i - drive_lo] if drive_lo <= i < drive_hi else 0.0
+        recorded = i % cfg.record_stride == 0
+        try:
+            rhos, rs = _update(
+                rhos, cfg, cache, readout_noise[i - 1], z,
+                None if gamma_noise is None else gamma_noise[i - 1],
+                None if thermal_u is None else thermal_u[i - 1],
+                recorded,
             )
-        rhos /= traces[:, None, None]
-
-        if drive_lo <= i < drive_hi:
-            z = dbeta[i - drive_lo]
-            if z != 0.0:
-                d = cache.matrix(z)
-                rhos = d @ rhos @ d.conj().T
-                rhos /= np.einsum("nii->n", rhos).real[:, None, None]
-
-        if gamma_noise is not None:
-            xs = cfg.gamma_sigma * gamma_noise[i - 1]
-            for j in range(n):
-                g = complex(xs[j, 0], xs[j, 1])
-                d = cache.matrix(g)
-                rhos[j] = d @ rhos[j] @ d.conj().T
-                rhos[j] /= rhos[j].diagonal().real.sum()
-
-        if thermal_u is not None:
-            hits = np.nonzero(thermal_u[i - 1] < cfg.thermal_rate * cfg.dt)[0]
-            for j in hits:
-                new = bdag @ rhos[j] @ bdag.conj().T
-                tr = new.diagonal().real.sum()
-                if tr <= 1e-300:
-                    raise TraceUnderflowError(
-                        f"trajectory {j}: thermal jump from the top Fock level"
-                    )
-                rhos[j] = new / tr
+        except TraceUnderflowError as exc:
+            raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
         if i % steps_per_reinit == 0 and i < n_steps:
             rhos[:] = 0.0
             rhos[:, 0, 0] = 1.0
             events.append((i * cfg.dt, "reinit"))
 
-        if i % cfg.record_stride == 0:
-            # re-symmetrize at record points to cap roundoff drift
-            rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-            rhos /= np.einsum("nii->n", rhos).real[:, None, None]
+        if recorded:
             readouts[rec] = rs
             d3 = np.einsum("nii->ni", rhos).real
             pops[rec, 0] = d3[:, 0]
@@ -471,6 +463,10 @@ def _jump_starts(
     times: np.ndarray, series: np.ndarray, threshold: float, hold: int
 ) -> list[float]:
     """Times where `series` first sustains >= threshold for `hold` points."""
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if hold < 1:
+        raise ValueError(f"hold must be >= 1, got {hold}")
     above = series >= threshold
     out: list[float] = []
     run = 0
@@ -496,10 +492,6 @@ def detect_jump(
     rho11 stays at or above `threshold` for at least `hold` consecutive
     recorded points; the event time is the first point of the excursion.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if hold < 1:
-        raise ValueError(f"hold must be >= 1, got {hold}")
     return [
         (t, "jump_detected")
         for t in _jump_starts(record.times, record.rho11, threshold, hold)
@@ -534,6 +526,9 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    _jump_starts(np.empty(0), np.empty(0), threshold, hold)  # fail before running
     if duration is None:
         duration = cfg.t_meas
     if base_seed is None:

@@ -248,23 +248,8 @@ def strain_sample(signal: StrainSignal, t: float) -> StrainSample:
     locally-monochromatic form hddot = -nu(t)^2 h(t); `second_derivative`
     offers a finite-difference cross-check.
     """
-    if isinstance(signal, MonochromaticWave):
-        h = signal.h0 * math.sin(signal.nu * t + signal.phi0)
-        return StrainSample(h, -signal.nu**2 * h, True)
-    if isinstance(signal, ChirpSource):
-        if t < 0.0 or t >= signal.coalescence:
-            return StrainSample(0.0, 0.0, False)
-        nu = chirp_frequency(signal.nu0, signal.k, t)
-        h = signal.amplitude(t) * math.sin(chirp_phase(signal.nu0, signal.k, t))
-        return StrainSample(h, -(nu**2) * h, True)
-    if isinstance(signal, SampledStrain):
-        if t < signal.t0 or t > signal.t_end:
-            return StrainSample(0.0, 0.0, False)
-        times = signal.times
-        h = float(np.interp(t, times, signal.h))
-        hddot = float(np.interp(t, times, signal.hddot_samples))
-        return StrainSample(h, hddot, True)
-    raise TypeError(f"not a strain signal: {signal!r}")
+    h, hddot, ok = strain_samples(signal, np.array([t], dtype=float))
+    return StrainSample(float(h[0]), float(hddot[0]), bool(ok[0]))
 
 
 def strain_samples(signal: StrainSignal, ts: np.ndarray):

@@ -34,16 +34,7 @@ from gravibar.dynamics import (
     optimal_mass_chirp,
 )
 from gravibar.fock import QuantumState, coherent_state
-from gravibar.lattice import (
-    ChainSpec,
-    completeness_residual,
-    continuum_coupling,
-    coupling_coefficient,
-    effective_mode_mass,
-    evolve_chain,
-    mode_coherent_amplitude,
-    normal_mode_frequencies,
-)
+from gravibar.lattice import continuum_checks
 from gravibar.measurement import MeasurementConfig, run_ensemble, step
 from gravibar.sensitivity import (
     classical_timedelay,
@@ -300,38 +291,15 @@ def test_criterion_9_purification_time(qnd_ensemble):
 
 def test_criterion_10_lattice_oracle():
     with criterion(10, "chain dispersion/coupling/mass converge (order >= 1/N); driven beta within 5%"):
-        material = Material("reference", density=1000.0, sound_speed=10.0)
-        spec = DetectorSpec.from_frequency(material, 2 * math.pi, radius=0.1)
-
-        ns = (19, 39, 79, 159)
-        disp_err, coup_err = [], []
-        for n in ns:
-            chain = ChainSpec.from_detector(spec, n)
-            omega1 = float(normal_mode_frequencies(chain)[1])
-            continuum = math.pi * chain.sound_speed / chain.length
-            disp_err.append(abs(omega1 - continuum) / omega1)
-            c1 = coupling_coefficient(chain, 1)
-            target = continuum_coupling(chain, 1)
-            coup_err.append(abs(c1 - target) / abs(target))
-            mass_err = abs(
-                effective_mode_mass(chain) - chain.total_mass / 2.0
-            ) / (chain.total_mass / 2.0)
-            assert mass_err < 1e-10
-            assert completeness_residual(chain) < 1e-10
-        logn = np.log(np.asarray(ns, dtype=float))
-        assert np.polyfit(logn, np.log(disp_err), 1)[0] <= -1.0
-        assert np.polyfit(logn, np.log(coup_err), 1)[0] <= -1.0
-
-        chain = ChainSpec.from_detector(spec, 199)
-        omega = mode_frequency(spec)
-        t_end = 40 * 2 * math.pi / omega
-        wave = MonochromaticWave(h0=1e-3, nu=omega)
-        traj = evolve_chain(chain, wave, (0.0, t_end), record_stride=100)
-        alpha = abs(
-            mode_coherent_amplitude(chain, 1, traj.chi[1][-1], traj.chi_dot[1][-1])
-        )
-        beta = displacement_beta(spec, wave, (0.0, t_end)).magnitude
-        assert abs(alpha - beta) <= 0.05 * beta
+        # bounds are the criterion's own; the rows' pass flags are not used
+        measured = {
+            name: value for name, value, _, _ in continuum_checks((19, 39, 79, 159))
+        }
+        assert measured["effective_mass_error"] < 1e-10
+        assert measured["completeness_residual"] < 1e-10
+        assert measured["dispersion_order"] >= 1.0
+        assert measured["coupling_order"] >= 1.0
+        assert measured["driven_beta_error"] <= 0.05
 
 
 def test_criterion_11_classical_timedelay():

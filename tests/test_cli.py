@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from gravibar.cli import ConfigError, main, parse_config
+from gravibar.detector import mode_frequency
+from gravibar.dynamics import chi_quadrature, optimal_mass
+from gravibar.waveform import SampledStrain, save_strain_series
 
 MONO_CONFIG = """\
 [detector]
@@ -115,6 +118,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="window"):
             parse_config(write_config(tmp_path, text))
 
+    def test_empty_or_reversed_window_rejected(self, tmp_path, capsys):
+        for w0, w1 in (("1.0", "1.0"), ("1.5", "0.5")):
+            text = MONO_CONFIG.replace(
+                "frequency_hz = 2500",
+                f"frequency_hz = 2500\nwindow_start = {w0}\nwindow_end = {w1}",
+            )
+            path = write_config(tmp_path, text)
+            with pytest.raises(ConfigError, match="window_end.*window_start"):
+                parse_config(path)
+            assert main(["chi", "--config", path]) == 2
+            assert "window_start" in capsys.readouterr().err
+
+    def test_n_traj_must_be_positive(self, tmp_path):
+        text = MONO_CONFIG.replace("n_traj = 2", "n_traj = 0")
+        with pytest.raises(ConfigError, match="n_traj"):
+            parse_config(write_config(tmp_path, text, "zero.ini"))
+        assert main(["simulate", "--config", str(tmp_path / "zero.ini")]) == 2
+        path = write_config(tmp_path, MONO_CONFIG)
+        for n in ("0", "-1"):
+            assert main(["simulate", "--config", path, "--n-traj", n]) == 2
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/run.ini")
@@ -164,6 +188,44 @@ class TestOptimalMass:
         table = read_csv(tmp_path / "out" / "optimal_mass.csv")
         assert 10.0 < table["optimal_mass_kg"] < 20.0
         assert table["beta_mag"] == pytest.approx(1.0, rel=1e-9)
+
+
+    def test_windowless_monochromatic_uses_run_span(self, tmp_path):
+        # mass = optimal, optimal-mass and chi share one window, (0, duration)
+        text = MONO_CONFIG.replace("radius = 0.5", "radius = 0.5\nmass = optimal")
+        path = write_config(tmp_path, text)
+        assert main(["chi", "--config", path, "--out", str(tmp_path / "chi")]) == 0
+        chi = read_csv(tmp_path / "chi" / "chi.csv")["monochromatic_closed_form"]
+        assert main(["optimal-mass", "--config", path]) == 0
+        table = read_csv(tmp_path / "out" / "optimal_mass.csv")
+        cfg = parse_config(path)
+        omega = mode_frequency(cfg.detector)
+        expected = optimal_mass(cfg.detector.material, chi, omega)
+        assert table["chi"] == chi
+        assert table["optimal_mass_kg"] == pytest.approx(expected, rel=1e-12)
+        assert cfg.detector.mass == pytest.approx(expected, rel=1e-12)
+        assert cfg.window == (0.0, 2.0)
+        source = cfg.resolved["source"]
+        assert (source["window_start"], source["window_end"]) == (0.0, 2.0)
+
+    def test_file_source_mass_honours_window(self, tmp_path):
+        ts = 1e-4 * np.arange(20001)  # 2 s of a resonant 100 Hz wave
+        strain = str(tmp_path / "strain.txt")
+        h = 1e-21 * np.sin(2 * math.pi * 100.0 * ts)
+        save_strain_series(strain, SampledStrain(t0=0.0, dt=1e-4, h=h))
+        chirp = "type = chirp\nh0 = 2e-22\nchirp_mass_msun = 1.19\nnu0_hz = 30"
+        masses = []
+        for keys in ("", "\nwindow_start = 0.0\nwindow_end = 1.0"):
+            text = CHIRP_CONFIG.replace(chirp, f"type = file\npath = {strain}{keys}")
+            cfg = parse_config(write_config(tmp_path, text))
+            omega = mode_frequency(cfg.detector)
+            window = (0.0, 1.0) if keys else (cfg.signal.t0, cfg.signal.t_end)
+            chi = chi_quadrature(cfg.signal, omega, window)
+            assert cfg.detector.mass == pytest.approx(
+                optimal_mass(cfg.detector.material, chi, omega), rel=1e-12
+            )
+            masses.append(cfg.detector.mass)
+        assert masses[1] > 2.0 * masses[0]  # half the drive, ~4x the mass
 
 
 class TestSimulate:

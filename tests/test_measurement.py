@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 from diagonal_oracle import posterior, simulate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from gravibar.detector import DetectorSpec, Material, mode_frequency
-from gravibar.dynamics import displacement_beta
-from gravibar.fock import QuantumState, apply_normalized, coherent_state
+from gravibar.dynamics import beta_prefactor, displacement_beta
+from gravibar.fock import (
+    DisplacementCache,
+    QuantumState,
+    TraceUnderflowError,
+    apply_normalized,
+    coherent_state,
+)
 from gravibar.measurement import (
     MeasurementConfig,
     TrajectoryRecord,
@@ -18,7 +26,7 @@ from gravibar.measurement import (
     sample_readout,
     step,
 )
-from gravibar.waveform import MonochromaticWave
+from gravibar.waveform import MonochromaticWave, strain_sample
 
 
 class ZeroNoise:
@@ -40,8 +48,6 @@ def resonant_drive_for_beta(
     spec: DetectorSpec, target_beta: float, duration: float
 ) -> MonochromaticWave:
     """Monochromatic wave sized so the accumulated |beta| is ~target."""
-    from gravibar.dynamics import beta_prefactor
-
     omega = mode_frequency(spec)
     chi_per_h0 = omega**2 * duration / 2.0
     h0 = target_beta / (beta_prefactor(spec) * chi_per_h0)
@@ -138,6 +144,41 @@ class TestStep:
             state, _ = step(state, cfg, 0.01 + 0.005j, rng)
         state.validate()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 16),
+        rank=st.integers(1, 16),
+        dt=st.floats(1e-4, 1e-2),
+        t_m=st.floats(0.1, 10.0),
+        dbeta=st.complex_numbers(max_magnitude=0.5),
+        kappa=st.floats(0.0, 1e-3),
+        thermal_rate=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariants_hold_across_configurations(
+        self, dim, rank, dt, t_m, dbeta, kappa, thermal_rate, seed
+    ):
+        cfg = MeasurementConfig(
+            dt=dt, t_m=t_m, t_meas=1.0, dim=dim, kappa=kappa,
+            thermal_rate=thermal_rate,
+        )
+        rng = np.random.default_rng(seed)
+        # pure start for rank 1, mixed otherwise
+        rank = min(rank, dim)
+        a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = a @ a.conj().T
+        state = QuantumState(dim, rho / np.trace(rho).real)
+        cache = DisplacementCache(dim)
+        for _ in range(20):
+            try:
+                state, r = step(state, cfg, dbeta, rng, cache=cache)
+            except TraceUnderflowError:
+                # only a thermal jump out of the top Fock level is impossible
+                assert state.populations()[-1] > 1.0 - 1e-9
+                break
+            assert np.isfinite(r)
+            state.validate()
+
     def test_kappa_noise_scalings(self):
         literal = self.cfg(kappa=1e-4)
         assert literal.gamma_sigma == pytest.approx(1e-4 / math.sqrt(1e-3))
@@ -146,8 +187,6 @@ class TestStep:
 
     def test_kappa_noise_applies_displacement(self):
         # with known normals the noise displacement is D(gamma) exactly
-        from gravibar.fock import DisplacementCache
-
         class FixedNoise:
             def __init__(self):
                 self.calls = 0
@@ -241,48 +280,48 @@ class TestRunTrajectory:
         assert rec.rho22[-1] == pytest.approx(target[2], abs=1e-4)
 
     def test_step_iteration_matches_engine(self):
+        # replay the engine's pre-drawn noise through the public step():
+        # readout normals, then noise normals, then thermal uniforms
         spec = toy_detector()
         duration = 1.0
         wave = resonant_drive_for_beta(spec, 0.7, duration)
-        cfg = MeasurementConfig(
-            dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42, record_stride=1
-        )
-        rec = run_trajectory(
-            spec, wave, cfg, duration=duration, window=(0.0, duration)
-        )
-
-        # replay manually with the public step(), pre-drawing noise the same way
-        from gravibar.dynamics import beta_prefactor
-
-        rng = np.random.default_rng(cfg.seed)
-        n_steps = int(round(duration / cfg.dt))
-        noise = rng.standard_normal(n_steps)
         omega = mode_frequency(spec)
         pref = beta_prefactor(spec, omega)
-        state = QuantumState.ground(cfg.dim)
-
-        class Replay:
-            def __init__(self):
-                self.i = 0
-
-            def standard_normal(self, size=None):
-                v = noise[self.i]
-                self.i += 1
-                return v
-
-        replay = Replay()
-        rho11 = []
-        from gravibar.waveform import strain_sample
-
-        for i in range(1, n_steps + 1):
-            s_mid = (i - 0.5) * cfg.dt
-            samp = strain_sample(wave, s_mid)
-            dbeta = (
-                -1j * pref * samp.hddot * np.exp(1j * omega * s_mid) * cfg.dt
+        n_steps = 100
+        for kappa, thermal_rate in ((0.0, 0.0), (2e-3, 3.0)):
+            cfg = MeasurementConfig(
+                dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42, record_stride=1,
+                kappa=kappa, thermal_rate=thermal_rate,
             )
-            state, _ = step(state, cfg, dbeta, replay)
-            rho11.append(state.populations()[1])
-        np.testing.assert_allclose(rho11, rec.rho11, atol=1e-10)
+            rec = run_trajectory(
+                spec, wave, cfg, duration=duration, window=(0.0, duration)
+            )
+            rng = np.random.default_rng(cfg.seed)
+            readout = iter(rng.standard_normal(n_steps))
+            gamma = iter(rng.standard_normal((n_steps, 2)) if kappa else ())
+            uniform = rng.random(n_steps) if thermal_rate else np.ones(0)
+            assert np.any(uniform < thermal_rate * cfg.dt) == (thermal_rate > 0)
+            uniforms = iter(uniform)
+
+            class Replay:
+                def standard_normal(self, size=None):
+                    return next(readout) if size is None else next(gamma)
+
+                def random(self, size=None):
+                    return next(uniforms)
+
+            replay = Replay()
+            state = QuantumState.ground(cfg.dim)
+            rho11 = []
+            for i in range(1, n_steps + 1):
+                s_mid = (i - 0.5) * cfg.dt
+                samp = strain_sample(wave, s_mid)
+                dbeta = (
+                    -1j * pref * samp.hddot * np.exp(1j * omega * s_mid) * cfg.dt
+                )
+                state, _ = step(state, cfg, dbeta, replay)
+                rho11.append(state.populations()[1])
+            np.testing.assert_allclose(rho11, rec.rho11, atol=1e-10)
 
 
 class TestDiagonalOracle:
@@ -368,6 +407,11 @@ class TestDetectJump:
             detect_jump(rec, threshold=1.5)
         with pytest.raises(ValueError):
             detect_jump(rec, hold=0)
+        # the ensemble reduction shares the check
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+        for bad in (dict(threshold=1.5), dict(threshold=0.0), dict(hold=0)):
+            with pytest.raises(ValueError):
+                run_ensemble(toy_detector(), None, cfg, n_traj=1, **bad)
 
 
 class TestRunEnsemble:
@@ -393,6 +437,12 @@ class TestRunEnsemble:
         b = run_ensemble(spec, None, cfg, n_traj=7, base_seed=5, chunk_size=7)
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
         assert a.n_detected == b.n_detected
+
+    def test_chunk_size_validation(self):
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+        for chunk_size in (0, -1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                run_ensemble(toy_detector(), None, cfg, n_traj=2, chunk_size=chunk_size)
 
     def test_qnd_martingale_small(self):
         # measurement only: ensemble-mean populations are conserved
