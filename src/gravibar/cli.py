@@ -383,6 +383,10 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         n_values = tuple(int(v) for v in raw_ns.split(","))
     except ValueError:
         raise _type_error("lattice", "n_values", raw_ns) from None
+    if any(n < 3 or n % 2 == 0 for n in n_values) or len(set(n_values)) < 2:
+        raise ConfigError(
+            f"[lattice] n_values = {raw_ns!r} needs two or more distinct odd N >= 3"
+        )
     lat.record("n_values", list(n_values))
 
     resolved["constants"] = dataclasses.asdict(CONSTANTS)

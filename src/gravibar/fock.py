@@ -2,7 +2,8 @@
 
 Dense complex matrices throughout; the measurement protocol works at
 dimension ~30 where dense linear algebra is both simple and fast. States
-are density matrices with explicit trace/Hermiticity/positivity checks.
+are density matrices with explicit trace/Hermiticity/positivity checks;
+the measurement engine carries them as factors A with rho = A A^dag.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ class QuantumState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.rho)[0])
+
+    def factor(self) -> np.ndarray:
+        """dim x dim factor A with rho = A A^dag, from the eigendecomposition.
+
+        Roundoff eigenvalues in [POSITIVITY_TOL, 0) are clipped to zero; a
+        more negative one raises StateInvariantError.
+        """
+        lam, vec = np.linalg.eigh(self.rho)
+        if lam[0] < POSITIVITY_TOL:
+            raise StateInvariantError(f"negative eigenvalue {lam[0]:.3e}")
+        return vec * np.sqrt(np.clip(lam, 0.0, None))
 
     def validate(
         self,
@@ -163,31 +175,14 @@ def apply_normalized(state: QuantumState, kraus: np.ndarray) -> QuantumState:
     return QuantumState(state.dim, new)
 
 
-def enforce_positivity(
-    state: QuantumState, *, tol: float = POSITIVITY_TOL, strict: bool = False
-) -> QuantumState:
-    """Clip eigenvalues below `tol` and renormalize (recovery mode).
-
-    With ``strict=True`` a violation raises instead of being repaired.
-    """
-    lam, vec = np.linalg.eigh(state.rho)
-    if lam[0] >= tol:
-        return state
-    if strict:
-        raise StateInvariantError(f"negative eigenvalue {lam[0]:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    rho = (vec * lam) @ vec.conj().T
-    rho /= rho.diagonal().real.sum()
-    return QuantumState(state.dim, rho)
-
-
 class DisplacementCache:
     """Spectral factorization of b^dag - b for fast displacement matrices.
 
     D(z) = R(theta) V e^{-i|z| mu} V^dag R(theta)^dag with z = |z| e^{i theta},
     R(theta) = diag(e^{i n theta}) and (i(b^dag - b)) = V mu V^dag. This is
     the same matrix exponential as `displacement_operator`, evaluated
-    through one fixed eigenbasis so repeated drive steps are cheap.
+    through one fixed eigenbasis so repeated drive steps are cheap. An
+    array of z gives the stack of matrices, one per z.
     """
 
     def __init__(self, dim: int):
@@ -198,14 +193,14 @@ class DisplacementCache:
         self._vec = vec
         self._ns = np.arange(dim)
 
-    def matrix(self, z: complex) -> np.ndarray:
-        r = abs(z)
-        if r == 0.0:
+    def matrix(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 0 and z == 0.0:
             return np.eye(self.dim, dtype=complex)
-        theta = np.angle(z)
-        phases = np.exp(1j * theta * self._ns)
-        vp = phases[:, None] * self._vec
-        return (vp * np.exp(-1j * r * self._mu)) @ vp.conj().T
+        r, theta = np.abs(z)[..., None], np.angle(z)[..., None]
+        vp = np.exp(1j * theta * self._ns)[..., :, None] * self._vec
+        rot = np.exp(-1j * r * self._mu)[..., None, :]
+        return (vp * rot) @ vp.conj().swapaxes(-1, -2)
 
 
 __all__ = [
@@ -218,6 +213,5 @@ __all__ = [
     "coherent_state",
     "creation",
     "displacement_operator",
-    "enforce_positivity",
     "number_operator",
 ]

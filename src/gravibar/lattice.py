@@ -289,8 +289,11 @@ def continuum_checks(n_values) -> list[tuple[str, float, float, bool]]:
     mode-1 dispersion error (largest, and its convergence order in N), the
     order of the drive-coupling convergence, and the largest effective-mass
     error and completeness residual; a resonantly driven N = 199 chain
-    checks the coherent amplitude against the displacement |beta|.
+    checks the coherent amplitude against the displacement |beta|. The
+    orders are fits in log N, so fewer than two distinct N raise ValueError.
     """
+    if len(set(n_values)) < 2:
+        raise ValueError(f"need two or more distinct N, got {tuple(n_values)}")
     material = Material("reference", density=1000.0, sound_speed=10.0)
     spec = DetectorSpec.from_frequency(material, 2 * math.pi, radius=0.1)
 

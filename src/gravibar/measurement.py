@@ -170,69 +170,67 @@ def sample_readout(
     return mean + math.sqrt(t_m / dt) * rng.standard_normal()
 
 
+def _populations(amps: np.ndarray) -> np.ndarray:
+    """Number-basis populations (n, dim) of a factor stack, sum_r |A|^2."""
+    parts = amps.view(float).reshape(*amps.shape[:2], -1)
+    return np.einsum("nij,nij->ni", parts, parts)
+
+
+def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
+    """Raise TraceUnderflowError at the first NaN or underflowed trace."""
+    if not np.all(traces > TRACE_UNDERFLOW):
+        bad = int(np.argmin(traces))
+        raise TraceUnderflowError(
+            f"trajectory {first + bad}: {what} trace {traces[bad]:.3e} underflowed"
+        )
+
+
 def _update(
-    rhos: np.ndarray,
+    amps: np.ndarray,
     cfg: MeasurementConfig,
     cache: DisplacementCache,
     xi: np.ndarray,
     dbeta: complex,
     gamma_xi: np.ndarray | None,
     thermal_u: np.ndarray | None,
-    symmetrize: bool,
+    first: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a (n, dim, dim) stack of density matrices by one timestep.
+    """Advance a (n, dim, rank) stack of factors A (rho = A A^dag) one step.
 
     In order: the Gaussian number measurement with readouts
-    r = tr(N rho) + sqrt(t_m/dt) * xi; the drive displacement D(dbeta),
-    shared by the stack; per-state noise displacements D(gamma_sigma *
-    (xi_0 + i xi_1)) from the (n, 2) normals `gamma_xi`; a thermal
-    creation jump wherever `thermal_u` < thermal_rate * dt. Each update is
-    renormalized; `gamma_xi` and `thermal_u` are None when their process
-    is off. With `symmetrize` the states are re-symmetrized to cap
-    roundoff drift. Returns the updated stack and the readouts.
+    r = tr(N rho) + sqrt(t_m/dt) * xi, which scales the rows of A by the
+    diagonal w of M(r) over sqrt(tr M rho M^dag); the drive displacement
+    D(dbeta), shared by the stack; per-state noise displacements
+    D(gamma_sigma * (xi_0 + i xi_1)) from the (n, 2) normals `gamma_xi`; a
+    thermal creation jump wherever `thermal_u` < thermal_rate * dt; then one
+    renormalization. `gamma_xi` and `thermal_u` are None when their process
+    is off. Underflow errors name trajectory `first` + stack index. Returns
+    the updated stack and the readouts.
     """
     nvec = np.arange(cfg.dim, dtype=float)
-    rs = np.einsum("nii->ni", rhos).real @ nvec + cfg.readout_sigma * xi
+    pops = _populations(amps)
+    rs = pops @ nvec + cfg.readout_sigma * xi
     # M(r) is diagonal; its normalization cancels against the trace
     w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
-    rhos *= w[:, :, None]
-    rhos *= w[:, None, :]
-    traces = np.einsum("nii->n", rhos).real
-    if not np.all(np.isfinite(traces)) or np.any(traces <= TRACE_UNDERFLOW):
-        bad = int(np.argmin(traces))
-        raise TraceUnderflowError(
-            f"trajectory {bad}: measurement update trace "
-            f"{traces[bad]:.3e} underflowed"
-        )
-    rhos /= traces[:, None, None]
+    traces = (pops * w**2).sum(axis=1)
+    _check_traces(traces, "measurement update", first)
+    amps = amps * (w / np.sqrt(traces)[:, None])[:, :, None]
 
     if dbeta != 0.0:
-        d = cache.matrix(dbeta)
-        rhos = d @ rhos @ d.conj().T
-        rhos /= np.einsum("nii->n", rhos).real[:, None, None]
-
+        amps = cache.matrix(dbeta) @ amps
     if gamma_xi is not None:
         xs = cfg.gamma_sigma * gamma_xi
-        for j in range(len(rhos)):
-            d = cache.matrix(complex(xs[j, 0], xs[j, 1]))
-            rhos[j] = d @ rhos[j] @ d.conj().T
-            rhos[j] /= rhos[j].diagonal().real.sum()
-
+        amps = cache.matrix(xs[:, 0] + 1j * xs[:, 1]) @ amps
     if thermal_u is not None:
-        for j in np.nonzero(thermal_u < cfg.thermal_rate * cfg.dt)[0]:
-            bdag = creation(cfg.dim)
-            new = bdag @ rhos[j] @ bdag.conj().T
-            tr = new.diagonal().real.sum()
-            if tr <= TRACE_UNDERFLOW:
-                raise TraceUnderflowError(
-                    f"trajectory {j}: thermal jump from the top Fock level"
-                )
-            rhos[j] = new / tr
+        jumped = thermal_u < cfg.thermal_rate * cfg.dt
+        if jumped.any():
+            amps[jumped] = creation(cfg.dim) @ amps[jumped]
 
-    if symmetrize:
-        rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-        rhos /= np.einsum("nii->n", rhos).real[:, None, None]
-    return rhos, rs
+    # a thermal jump out of the top Fock level leaves a zero factor
+    norms = _populations(amps).sum(axis=1)
+    _check_traces(norms, "update", first)
+    amps *= (1.0 / np.sqrt(norms))[:, None, None]
+    return amps, rs
 
 
 def step(
@@ -256,11 +254,10 @@ def step(
     xi = np.array([rng.standard_normal()])
     gamma_xi = rng.standard_normal(2)[None, :] if cfg.kappa > 0.0 else None
     thermal_u = np.array([rng.random()]) if cfg.thermal_rate > 0.0 else None
-    rhos, rs = _update(
-        state.rho[None, :, :].copy(), cfg, cache, xi, dbeta, gamma_xi,
-        thermal_u, symmetrize=True,
+    amps, rs = _update(
+        state.factor()[None], cfg, cache, xi, dbeta, gamma_xi, thermal_u
     )
-    return QuantumState(cfg.dim, rhos[0]), float(rs[0])
+    return QuantumState(cfg.dim, amps[0] @ amps[0].conj().T), float(rs[0])
 
 
 def _drive_increments(
@@ -315,13 +312,17 @@ def _run_batch(
     window: tuple[float, float] | None,
     initials: list[QuantumState] | None = None,
     purity_threshold: float | None = None,
+    first: int = 0,
 ) -> _BatchResult:
-    """Run a batch of trajectories in lockstep over stacked density matrices.
+    """Run a batch of trajectories in lockstep over a stack of factors.
 
-    Noise per trajectory is pre-drawn from its own generator in a fixed
-    order (readout normals, then displacement-noise normals, then thermal
-    uniforms), so results do not depend on batch composition. Trajectories
-    start in the ground state unless `initials` provides one state each.
+    Each state is carried as a factor A with rho = A A^dag: rank 1 for
+    ground-state starts; with `initials` (one validated state each) rank
+    dim, from each state's eigendecomposition. Noise per trajectory is
+    pre-drawn from its own generator in a fixed order (readout normals,
+    then displacement-noise normals, then thermal uniforms), so results do
+    not depend on batch composition. Errors name a trajectory by `first`
+    plus its index in the batch.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -329,6 +330,16 @@ def _run_batch(
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
+
+    if initials is None:
+        amps = np.zeros((n, dim, 1), dtype=complex)
+        amps[:, 0, 0] = 1.0
+    else:
+        for state in initials:
+            if state.dim != dim:
+                raise ValueError(f"initial state dim {state.dim} != config dim {dim}")
+            state.validate()
+        amps = np.stack([state.factor() for state in initials])
 
     readout_noise = np.column_stack([g.standard_normal(n_steps) for g in rngs])
     gamma_noise = None
@@ -354,23 +365,10 @@ def _run_batch(
             events.append((gw_start + window[0], "gw_window_start"))
             events.append((min(gw_start + window[1], duration), "gw_window_end"))
 
-    rhos = np.zeros((n, dim, dim), dtype=complex)
-    if initials is None:
-        rhos[:, 0, 0] = 1.0
-    else:
-        if len(initials) != n:
-            raise ValueError("need one initial state per trajectory")
-        for j, state in enumerate(initials):
-            if state.dim != dim:
-                raise ValueError(
-                    f"initial state dim {state.dim} != config dim {dim}"
-                )
-            rhos[j] = state.rho
-
     n_rec = n_steps // cfg.record_stride
     times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
     readouts = np.empty((n_rec, n))
-    pops = np.empty((n_rec, 3, n))
+    pops = np.zeros((n_rec, 3, n))
     diag_sums = np.zeros((n_rec, dim))
     purity_crossing = None
     if purity_threshold is not None:
@@ -381,28 +379,25 @@ def _run_batch(
 
     for i in range(1, n_steps + 1):
         z = dbeta[i - drive_lo] if drive_lo <= i < drive_hi else 0.0
-        recorded = i % cfg.record_stride == 0
         try:
-            rhos, rs = _update(
-                rhos, cfg, cache, readout_noise[i - 1], z,
+            amps, rs = _update(
+                amps, cfg, cache, readout_noise[i - 1], z,
                 None if gamma_noise is None else gamma_noise[i - 1],
                 None if thermal_u is None else thermal_u[i - 1],
-                recorded,
+                first,
             )
         except TraceUnderflowError as exc:
             raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
         if i % steps_per_reinit == 0 and i < n_steps:
-            rhos[:] = 0.0
-            rhos[:, 0, 0] = 1.0
+            amps[:] = 0.0
+            amps[:, 0, 0] = 1.0
             events.append((i * cfg.dt, "reinit"))
 
-        if recorded:
+        if i % cfg.record_stride == 0:
             readouts[rec] = rs
-            d3 = np.einsum("nii->ni", rhos).real
-            pops[rec, 0] = d3[:, 0]
-            pops[rec, 1] = d3[:, 1]
-            pops[rec, 2] = d3[:, 2] if dim > 2 else 0.0
+            d3 = _populations(amps)
+            pops[rec, : min(dim, 3)] = d3[:, :3].T
             diag_sums[rec] = d3.sum(axis=0)
             if purity_crossing is not None:
                 crossed = d3.max(axis=1) >= purity_threshold
@@ -537,13 +532,9 @@ def run_ensemble(
         raise ValueError("need one initial state per trajectory")
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
 
-    sums = None
-    diag_sums = None
-    times = None
-    events: list[tuple[float, str]] = []
+    sums = diag_sums = 0.0
     jump_times: list[list[float]] = []
     crossings: list[np.ndarray] = []
-    n_detected = 0
     for lo in range(0, n_traj, chunk_size):
         hi = min(lo + chunk_size, n_traj)
         rngs = [np.random.default_rng(s) for s in children[lo:hi]]
@@ -552,23 +543,18 @@ def run_ensemble(
         )
         batch = _run_batch(
             spec, signal, cfg, rngs, duration, gw_start, window,
-            initials, purity_threshold,
+            initials, purity_threshold, first=lo,
         )
         times, events = batch.times, batch.events
-        if sums is None:
-            sums = batch.pops.sum(axis=2)
-            diag_sums = batch.diag_sums.copy()
-        else:
-            sums += batch.pops.sum(axis=2)
-            diag_sums += batch.diag_sums
+        sums = sums + batch.pops.sum(axis=2)
+        diag_sums = diag_sums + batch.diag_sums
         if batch.purity_crossing is not None:
             crossings.append(batch.purity_crossing)
-        for j in range(hi - lo):
-            jumps = _jump_starts(times, batch.pops[:, 1, j], threshold, hold)
-            jump_times.append(jumps)
-            if jumps:
-                n_detected += 1
+        jump_times += [
+            _jump_starts(times, rho11, threshold, hold) for rho11 in batch.pops[:, 1].T
+        ]
 
+    n_detected = sum(1 for jumps in jump_times if jumps)
     return EnsembleSummary(
         n_traj=n_traj,
         n_detected=n_detected,

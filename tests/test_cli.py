@@ -139,6 +139,16 @@ class TestParseConfig:
         for n in ("0", "-1"):
             assert main(["simulate", "--config", path, "--n-traj", n]) == 2
 
+    def test_lattice_n_values_checked(self, tmp_path, capsys):
+        for raw in ("19", "19,19", "19,20", "1,19"):
+            path = write_config(tmp_path, MONO_CONFIG + f"\n[lattice]\nn_values = {raw}\n")
+            with pytest.raises(ConfigError, match=r"\[lattice\] n_values"):
+                parse_config(path)
+            assert main(["lattice-verify", "--config", path]) == 2
+            assert "n_values" in capsys.readouterr().err
+        path = write_config(tmp_path, MONO_CONFIG + "\n[lattice]\nn_values = 39,19\n")
+        assert parse_config(path).lattice_n_values == (39, 19)
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/run.ini")

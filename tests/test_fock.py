@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravibar.dynamics import excitation_probability
 from gravibar.fock import (
@@ -14,7 +17,6 @@ from gravibar.fock import (
     coherent_state,
     creation,
     displacement_operator,
-    enforce_positivity,
     number_operator,
 )
 from gravibar.measurement import measurement_operator
@@ -82,6 +84,22 @@ class TestDisplacementOperator:
             np.testing.assert_allclose(
                 cache.matrix(z), displacement_operator(z, 24), atol=5e-13
             )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 30),
+        zs=st.lists(st.complex_numbers(max_magnitude=1.5), min_size=1, max_size=5),
+    )
+    def test_cache_matches_expm_and_stacks(self, dim, zs):
+        cache = DisplacementCache(dim)
+        b = annihilation(dim)
+        stack = cache.matrix(np.array(zs))
+        assert stack.shape == (len(zs), dim, dim)
+        for z, d in zip(zs, stack):
+            single = cache.matrix(z)
+            expm = scipy.linalg.expm(z * b.conj().T - np.conj(z) * b)
+            np.testing.assert_allclose(single, expm, atol=1e-12)
+            np.testing.assert_allclose(d, single, atol=1e-14)
 
 
 class TestCoherentState:
@@ -179,16 +197,41 @@ class TestStateInvariants:
         with pytest.raises(StateInvariantError, match="eigenvalue"):
             QuantumState(4, rho).validate()
 
-    def test_enforce_positivity_clips(self):
-        rho = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0]).astype(complex)
-        state = enforce_positivity(QuantumState(4, rho))
-        assert state.min_eigenvalue() >= 0.0
-        assert state.trace() == pytest.approx(1.0, abs=1e-14)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 24),
+        rank=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_reconstructs_state(self, dim, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim)
+        a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = a @ a.conj().T
+        state = QuantumState(dim, rho / np.trace(rho).real)
+        f = state.factor()
+        assert f.shape == (dim, dim)
+        np.testing.assert_allclose(f @ f.conj().T, state.rho, rtol=0, atol=1e-12)
 
-    def test_enforce_positivity_strict(self):
-        rho = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0]).astype(complex)
-        with pytest.raises(StateInvariantError):
-            enforce_positivity(QuantumState(4, rho), strict=True)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_factor_clips_roundoff_and_rejects_negative(self, dim, seed):
+        u, _ = np.linalg.qr(
+            np.random.default_rng(seed).standard_normal((dim, dim))
+        )
+        lam = np.full(dim, 1.0 / (dim - 1))
+        for neg, clipped in ((-1e-12, True), (-1e-6, False)):
+            lam[0] = neg
+            state = QuantumState(dim, (u * lam) @ u.T)
+            if clipped:
+                f = state.factor()
+                assert np.all(f[:, 0] == 0.0)  # the negative direction is dropped
+                np.testing.assert_allclose(
+                    f @ f.conj().T, state.rho, rtol=0, atol=1e-11
+                )
+            else:
+                with pytest.raises(StateInvariantError, match="eigenvalue"):
+                    state.factor()
 
     def test_diagonal_constructor(self):
         state = QuantumState.from_diagonal([0.25, 0.25, 0.5])

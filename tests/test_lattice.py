@@ -9,6 +9,7 @@ from gravibar.lattice import (
     ChainConfigError,
     ChainSpec,
     completeness_residual,
+    continuum_checks,
     continuum_coupling,
     coupling_coefficient,
     effective_mode_mass,
@@ -229,3 +230,11 @@ class TestEvolveChain:
         )
         beta = displacement_beta(spec, wave, (0.0, t_end))
         assert alpha_end == pytest.approx(beta.magnitude, rel=0.05)
+
+
+class TestContinuumChecks:
+    def test_needs_two_distinct_n(self):
+        # a convergence order is a fit in log N: one point cannot give it
+        for n_values in ((19,), (19, 19)):
+            with pytest.raises(ValueError, match="two or more distinct N"):
+                continuum_checks(n_values)

@@ -12,9 +12,12 @@ from gravibar.dynamics import beta_prefactor, displacement_beta
 from gravibar.fock import (
     DisplacementCache,
     QuantumState,
+    StateInvariantError,
     TraceUnderflowError,
     apply_normalized,
     coherent_state,
+    creation,
+    displacement_operator,
 )
 from gravibar.measurement import (
     MeasurementConfig,
@@ -178,6 +181,36 @@ class TestStep:
                 break
             assert np.isfinite(r)
             state.validate()
+
+    def test_matches_reference_operators(self):
+        # the factored update equals successive K rho K^dag / tr(...) with
+        # the reference operators M(r), D(dbeta), D(gamma) and b^dag
+        cfg = self.cfg(dim=8, kappa=5e-3, thermal_rate=1.0)
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        state = QuantumState(8, a @ a.conj().T / np.sum(np.abs(a) ** 2))
+        dbeta = 0.03 - 0.02j
+        gamma = cfg.gamma_sigma * complex(1.5, -0.7)
+        for u, jumped in ((0.0, True), (0.99, False)):
+
+            class Fixed:
+                def standard_normal(self, size=None):
+                    return 0.4 if size is None else np.array([1.5, -0.7])
+
+                def random(self, size=None):
+                    return u
+
+            new, r = step(state, cfg, dbeta, Fixed())
+            assert r == pytest.approx(
+                state.expect_number() + cfg.readout_sigma * 0.4, rel=1e-12
+            )
+            ref = apply_normalized(
+                state, measurement_operator(r, cfg.dt, cfg.t_m, cfg.dim)
+            )
+            ops = [displacement_operator(dbeta, 8), displacement_operator(gamma, 8)]
+            for k in ops + [creation(8)] * jumped:
+                ref = apply_normalized(ref, k)
+            np.testing.assert_allclose(new.rho, ref.rho, rtol=0, atol=1e-12)
 
     def test_kappa_noise_scalings(self):
         literal = self.cfg(kappa=1e-4)
@@ -443,6 +476,40 @@ class TestRunEnsemble:
         for chunk_size in (0, -1):
             with pytest.raises(ValueError, match="chunk_size"):
                 run_ensemble(toy_detector(), None, cfg, n_traj=2, chunk_size=chunk_size)
+
+    def test_underflow_names_ensemble_trajectory(self):
+        # a jump every step: trajectory 10 starts in the top level, so its
+        # first thermal jump leaves nothing
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=1e6, t_meas=1.0, dim=8, thermal_rate=1.0 / 1e-2
+        )
+        initials = [QuantumState.ground(8) for _ in range(12)]
+        initials[10] = QuantumState.from_diagonal(np.eye(8)[7])
+        for chunk_size in (4, 64):
+            with pytest.raises(TraceUnderflowError, match=r"trajectory 10\b"):
+                run_ensemble(
+                    toy_detector(), None, cfg, n_traj=12, duration=2e-2,
+                    chunk_size=chunk_size, initial_states=initials,
+                )
+
+    def test_invalid_initial_states_rejected(self):
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+        non_hermitian = np.eye(4, dtype=complex) / 4.0
+        non_hermitian[0, 1] = 0.1
+        bad = {
+            "eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+            "trace": np.diag([1.0, 1.0, 0.0, 0.0]),
+            "Hermiticity": non_hermitian,
+        }
+        for match, rho in bad.items():
+            state = QuantumState(4, rho)
+            with pytest.raises(StateInvariantError, match=match):
+                run_trajectory(toy_detector(), None, cfg, initial_state=state)
+            with pytest.raises(StateInvariantError, match=match):
+                run_ensemble(
+                    toy_detector(), None, cfg, n_traj=3,
+                    initial_states=[QuantumState.ground(4), QuantumState.ground(4), state],
+                )
 
     def test_qnd_martingale_small(self):
         # measurement only: ensemble-mean populations are conserved
