@@ -197,6 +197,17 @@ class TestStateInvariants:
         with pytest.raises(StateInvariantError, match="eigenvalue"):
             QuantumState(4, rho).validate()
 
+    def test_enforce_positivity_clips(self):
+        rho = np.diag([1.0 + 1e-12, -1e-12, 0.0, 0.0]).astype(complex)
+        f = QuantumState(4, rho).factor()
+        assert np.all(f[:, 0] == 0.0)
+        np.testing.assert_allclose(f @ f.conj().T, np.diag([1.0 + 1e-12, 0, 0, 0]))
+
+    def test_enforce_positivity_strict(self):
+        rho = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0]).astype(complex)
+        with pytest.raises(StateInvariantError, match="eigenvalue"):
+            QuantumState(4, rho).factor()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         dim=st.integers(2, 24),
