@@ -25,6 +25,7 @@ from .fock import (
     TRACE_UNDERFLOW,
     DisplacementCache,
     QuantumState,
+    StateInvariantError,
     TraceUnderflowError,
     creation,
 )
@@ -310,15 +311,15 @@ def _run_batch(
     duration: float,
     gw_start: float,
     window: tuple[float, float] | None,
-    initials: list[QuantumState] | None = None,
+    starts: np.ndarray | None = None,
     purity_threshold: float | None = None,
     first: int = 0,
 ) -> _BatchResult:
     """Run a batch of trajectories in lockstep over a stack of factors.
 
     Each state is carried as a factor A with rho = A A^dag: rank 1 for
-    ground-state starts; with `initials` (one validated state each) rank
-    dim, from each state's eigendecomposition. Noise per trajectory is
+    ground-state starts, else the stack `starts` from `_start_factors`
+    (one factor per trajectory). Noise per trajectory is
     pre-drawn from its own generator in a fixed order (readout normals,
     then displacement-noise normals, then thermal uniforms), so results do
     not depend on batch composition. Errors name a trajectory by `first`
@@ -331,15 +332,10 @@ def _run_batch(
         raise ValueError("duration must cover at least one step")
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
 
-    if initials is None:
+    amps = starts
+    if amps is None:
         amps = np.zeros((n, dim, 1), dtype=complex)
         amps[:, 0, 0] = 1.0
-    else:
-        for state in initials:
-            if state.dim != dim:
-                raise ValueError(f"initial state dim {state.dim} != config dim {dim}")
-            state.validate()
-        amps = np.stack([state.factor() for state in initials])
 
     readout_noise = np.column_stack([g.standard_normal(n_steps) for g in rngs])
     gamma_noise = None
@@ -416,6 +412,25 @@ def _run_batch(
     )
 
 
+def _start_factors(states: list[QuantumState], dim: int) -> np.ndarray:
+    """Validate every start and stack their factors (n, dim, dim).
+
+    Errors name the trajectory by its index in `states`.
+    """
+    factors = []
+    for k, state in enumerate(states):
+        if state.dim != dim:
+            raise ValueError(
+                f"trajectory {k}: initial state dim {state.dim} != config dim {dim}"
+            )
+        try:
+            state.validate()
+            factors.append(state.factor())
+        except StateInvariantError as exc:
+            raise StateInvariantError(f"trajectory {k}: {exc}") from None
+    return np.stack(factors)
+
+
 def run_trajectory(
     spec: DetectorSpec,
     signal: StrainSignal | None,
@@ -440,10 +455,10 @@ def run_trajectory(
         duration = cfg.t_meas
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    initials = [initial_state] if initial_state is not None else None
-    batch = _run_batch(
-        spec, signal, cfg, [rng], duration, gw_start, window, initials
-    )
+    starts = None
+    if initial_state is not None:
+        starts = _start_factors([initial_state], cfg.dim)
+    batch = _run_batch(spec, signal, cfg, [rng], duration, gw_start, window, starts)
     return TrajectoryRecord(
         times=batch.times,
         readout=batch.readouts[:, 0],
@@ -528,8 +543,11 @@ def run_ensemble(
         duration = cfg.t_meas
     if base_seed is None:
         base_seed = cfg.seed
-    if initial_states is not None and len(initial_states) != n_traj:
-        raise ValueError("need one initial state per trajectory")
+    starts = None
+    if initial_states is not None:
+        if len(initial_states) != n_traj:
+            raise ValueError("need one initial state per trajectory")
+        starts = _start_factors(initial_states, cfg.dim)  # fail before running
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
 
     sums = diag_sums = 0.0
@@ -538,12 +556,9 @@ def run_ensemble(
     for lo in range(0, n_traj, chunk_size):
         hi = min(lo + chunk_size, n_traj)
         rngs = [np.random.default_rng(s) for s in children[lo:hi]]
-        initials = (
-            initial_states[lo:hi] if initial_states is not None else None
-        )
         batch = _run_batch(
             spec, signal, cfg, rngs, duration, gw_start, window,
-            initials, purity_threshold, first=lo,
+            None if starts is None else starts[lo:hi], purity_threshold, first=lo,
         )
         times, events = batch.times, batch.events
         sums = sums + batch.pops.sum(axis=2)

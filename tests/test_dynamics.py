@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gravibar import dynamics
 from gravibar.constants import HBAR, SOLAR_MASS
 from gravibar.detector import DetectorSpec, MATERIALS, mode_frequency
 from gravibar.dynamics import (
@@ -26,6 +27,7 @@ from gravibar.waveform import (
     MonochromaticWave,
     chirp_window,
     resonance_crossing_time,
+    strain_samples,
 )
 
 OMEGA = 2 * math.pi * 100.0
@@ -59,6 +61,35 @@ class TestChiQuadrature:
     def test_empty_window(self):
         wave = MonochromaticWave(h0=1.0, nu=1.0)
         assert chi_quadrature(wave, 1.0, (5.0, 5.0)).value == 0.0
+
+    def test_refinement_evaluates_each_node_once(self, ns_merger_chirp, monkeypatch):
+        # nested doubling: the calls together cover the final grid exactly
+        # once, and the value is plain composite Simpson on that grid
+        seen = []
+
+        def counting(signal, ts):
+            seen.append(np.array(ts))
+            return strain_samples(signal, ts)
+
+        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        window = chirp_window(ns_merger_chirp, OMEGA)
+        value = oscillatory_integral(ns_merger_chirp, OMEGA, window)
+        n = 2 * seen[-1].size  # the last call evaluates the n/2 new midpoints
+        assert len(seen) >= 3
+        assert sum(ts.size for ts in seen) == n + 1
+        grid = np.linspace(*window, n + 1)
+        np.testing.assert_allclose(
+            np.sort(np.concatenate(seen)), grid, rtol=1e-15, atol=0.0
+        )
+
+        _, hddot, _ = strain_samples(ns_merger_chirp, grid)
+        weights = np.ones(n + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        full = (window[1] - window[0]) / n / 3.0 * np.dot(
+            weights, hddot * np.exp(1j * OMEGA * grid)
+        )
+        assert abs(value - full) <= 1e-12 * abs(full)
 
 
 class TestChiMonochromatic:

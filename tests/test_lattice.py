@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from chain_oracle import evolve_atoms, free_ends_stencil
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravibar.detector import DetectorSpec, Material, mode_frequency
 from gravibar.dynamics import displacement_beta
@@ -17,9 +20,10 @@ from gravibar.lattice import (
     kinetic_cross_term,
     max_stable_timestep,
     mode_coherent_amplitude,
+    mode_profile,
     normal_mode_frequencies,
 )
-from gravibar.waveform import MonochromaticWave
+from gravibar.waveform import ChirpSource, MonochromaticWave
 
 
 def toy_chain(n_param: int = 39) -> ChainSpec:
@@ -156,6 +160,57 @@ class TestEffectiveMass:
 
 
 class TestEvolveChain:
+    def test_mode_profiles_are_stencil_eigenvectors(self):
+        # the identity the modal integrator rests on: the free-ends stencil
+        # maps s_l to 2 (1 - cos(l pi/(N+1))) s_l, for every l
+        for n_param in (3, 5, 19, 61, 199):
+            chain = toy_chain(n_param)
+            for l in range(n_param + 1):
+                prof = mode_profile(chain, l)
+                lam = 2.0 * (1.0 - math.cos(l * math.pi / chain.n_atoms))
+                np.testing.assert_allclose(
+                    free_ends_stencil(prof), lam * prof, rtol=0.0, atol=1e-12
+                )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        half_n=st.integers(1, 30),
+        extra_modes=st.lists(st.integers(0, 61), max_size=4),
+        stride=st.integers(1, 40),
+        offset=st.floats(0.0, 0.4),
+        span=st.floats(0.02, 0.25),
+        detune=st.floats(0.5, 3.0),
+        chirp_mass=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    )
+    def test_matches_atom_stepping(
+        self, half_n, extra_modes, stride, offset, span, detune, chirp_mass
+    ):
+        # oracle: velocity-Verlet on every atom, projected onto the modes
+        chain = toy_chain(2 * half_n + 1)
+        omega1 = float(normal_mode_frequencies(chain)[1])
+        modes = tuple(sorted({1, *(l % (chain.n_param + 1) for l in extra_modes)}))
+        if chirp_mass is None:
+            signal = MonochromaticWave(h0=1e-3, nu=detune * omega1, phi0=0.3)
+        else:
+            signal = ChirpSource.from_solar_masses(
+                chirp_mass, h0=1e-3, nu0=detune * omega1
+            )
+            t_c = signal.coalescence
+            offset, span = min(offset, 0.5 * t_c), min(span, 0.45 * t_c)
+        window = (offset, offset + span)
+        got = evolve_chain(chain, signal, window, modes=modes, record_stride=stride)
+        ref = evolve_atoms(chain, signal, window, modes=modes, record_stride=stride)
+        np.testing.assert_array_equal(got.times, ref.times)
+        # even modes have no drive coupling: both sides hold roundoff, so
+        # errors are measured against the chain's largest mode amplitude
+        for field in ("chi", "chi_dot"):
+            g, r = getattr(got, field), getattr(ref, field)
+            assert set(g) == set(modes)
+            scale = max(np.abs(r[l]).max() for l in modes)
+            assert scale > 0.0
+            for l in modes:
+                assert np.abs(g[l] - r[l]).max() <= 1e-9 * scale, (field, l)
+
     def test_quiescent_without_drive(self):
         chain = toy_chain(19)
         silent = MonochromaticWave(h0=0.0, nu=1.0)

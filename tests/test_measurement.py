@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from gravibar import measurement
 from gravibar.detector import DetectorSpec, Material, mode_frequency
 from gravibar.dynamics import beta_prefactor, displacement_beta
 from gravibar.fock import (
@@ -510,6 +511,25 @@ class TestRunEnsemble:
                     toy_detector(), None, cfg, n_traj=3,
                     initial_states=[QuantumState.ground(4), QuantumState.ground(4), state],
                 )
+
+    def test_invalid_start_rejected_before_any_step(self, monkeypatch):
+        # every start is checked before the first chunk runs, and the error
+        # names the ensemble trajectory
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(1)
+            raise AssertionError("_update called before the starts were checked")
+
+        monkeypatch.setattr(measurement, "_update", never)
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+        starts = [QuantumState.ground(4) for _ in range(200)]
+        starts[150] = QuantumState(4, np.diag([1.5, -0.5, 0.0, 0.0]))
+        with pytest.raises(
+            StateInvariantError, match=r"trajectory 150: negative eigenvalue"
+        ):
+            run_ensemble(toy_detector(), None, cfg, n_traj=200, initial_states=starts)
+        assert calls == []
 
     def test_qnd_martingale_small(self):
         # measurement only: ensemble-mean populations are conserved

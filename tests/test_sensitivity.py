@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravibar.constants import HBAR, K_B
 from gravibar.detector import (
@@ -139,6 +141,29 @@ class TestMinStrainMonochromatic:
             assert characteristic_strain(spec) == pytest.approx(
                 2 * math.pi * h0 * math.sqrt(n_c), rel=1e-12
             )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        material=st.sampled_from(sorted(MATERIALS)),
+        length=st.floats(0.1, 10.0),
+        radius=st.floats(0.01, 2.0),
+        quality=st.floats(1e5, 1e12),
+        temperature=st.floats(1e-4, 300.0),
+        n_c=st.floats(1.0, 1e8),
+    )
+    def test_characteristic_strain_identity_property(
+        self, material, length, radius, quality, temperature, n_c
+    ):
+        # the wavepacket strain floor h_c and the monochromatic floor h0
+        # over N_c cycles obey h_c = 2 pi h0 sqrt(N_c)
+        spec = DetectorSpec(
+            MATERIALS[material], length=length, radius=radius,
+            quality=quality, temperature=temperature,
+        )
+        h0 = min_strain_monochromatic(spec, n_c)
+        assert characteristic_strain(spec) == pytest.approx(
+            2 * math.pi * h0 * math.sqrt(n_c), rel=1e-12
+        )
 
     def test_cycle_scaling(self):
         spec = self.spec()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -127,6 +129,26 @@ class TestChirpPhase:
                 2 * dt
             )
             assert fd == pytest.approx(chirp_frequency(nu0, k, t), rel=1e-6)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        chirp_mass_msun=st.floats(0.5, 30.0),
+        nu0_hz=st.floats(5.0, 200.0),
+        frac=st.floats(0.0, 0.999),
+    )
+    def test_phase_derivative_is_frequency_up_to_coalescence(
+        self, chirp_mass_msun, nu0_hz, frac
+    ):
+        # central difference with a step that shrinks with the time left to
+        # coalescence, where nu(t) ~ (t_c - t)^(-3/8) steepens
+        nu0 = 2 * math.pi * nu0_hz
+        k = chirp_rate_k(chirp_mass_msun * SOLAR_MASS)
+        t_c = coalescence_time(nu0, k)
+        t = frac * t_c
+        h = 1e-4 * (t_c - t)
+        t_hi, t_lo = t + h, t - h
+        fd = (chirp_phase(nu0, k, t_hi) - chirp_phase(nu0, k, t_lo)) / (t_hi - t_lo)
+        assert fd == pytest.approx(chirp_frequency(nu0, k, t), rel=1e-6)
 
 
 class TestResonanceCrossing:
