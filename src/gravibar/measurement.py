@@ -455,9 +455,7 @@ def run_trajectory(
         duration = cfg.t_meas
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    starts = None
-    if initial_state is not None:
-        starts = _start_factors([initial_state], cfg.dim)
+    starts = None if initial_state is None else _start_factors([initial_state], cfg.dim)
     batch = _run_batch(spec, signal, cfg, [rng], duration, gw_start, window, starts)
     return TrajectoryRecord(
         times=batch.times,

@@ -17,7 +17,12 @@ import math
 
 import numpy as np
 
-from gravibar.lattice import ChainSpec, ChainTrajectory, max_stable_timestep, mode_profile
+from gravibar.lattice import (
+    ChainSpec,
+    ChainTrajectory,
+    max_stable_timestep,
+    mode_profile,
+)
 from gravibar.waveform import StrainSignal, strain_samples
 
 
