@@ -182,7 +182,8 @@ class DisplacementCache:
     R(theta) = diag(e^{i n theta}) and (i(b^dag - b)) = V mu V^dag. This is
     the same matrix exponential as `displacement_operator`, evaluated
     through one fixed eigenbasis so repeated drive steps are cheap. An
-    array of z gives the stack of matrices, one per z.
+    array of z gives the stack of matrices, one per z; `apply` displaces a
+    stack of factors without forming the matrices.
     """
 
     def __init__(self, dim: int):
@@ -201,6 +202,19 @@ class DisplacementCache:
         vp = np.exp(1j * theta * self._ns)[..., :, None] * self._vec
         rot = np.exp(-1j * r * self._mu)[..., None, :]
         return (vp * rot) @ vp.conj().swapaxes(-1, -2)
+
+    def apply(self, z, amps: np.ndarray) -> np.ndarray:
+        """D(z_k) @ A_k for each z_k of `z` (n,) and factor A_k of `amps`.
+
+        Applies R(theta)^dag, V^dag, the phases e^{-i|z| mu}, V and R(theta)
+        to the (n, dim, rank) stack in turn: O(dim^2 rank) per factor where
+        `matrix(z) @ amps` costs O(dim^3).
+        """
+        z = np.asarray(z, dtype=complex)
+        phase = np.exp(1j * np.angle(z)[:, None] * self._ns)[:, :, None]
+        rot = np.exp(-1j * np.abs(z)[:, None] * self._mu)[:, :, None]
+        x = self._vec.conj().T @ (phase.conj() * amps)
+        return phase * (self._vec @ (rot * x))
 
 
 __all__ = [

@@ -10,6 +10,22 @@ monitored populations signals a single absorbed energy quantum.
 The drive enters purely as interaction-picture displacement increments
 d(beta) = -i g(s) e^{i omega s} ds, so free evolution never has to be
 tracked; number-basis populations are invariant under it.
+
+A run carries only the state each stretch of it needs:
+
+- ground stretch: the ground state with no displacement on the step. It is
+  an exact fixed point of the measurement, so no state is carried and the
+  readout is sqrt(t_m/dt) * xi;
+- factor stretch: from the first displacing step of a reinit period (drive,
+  displacement noise or thermal jumps) to its last one, each state is a
+  factor A with rho = A A^dag;
+- population stretch: after the last displacing step of a period M(r) is
+  diagonal and nothing follows that reads the coherences, so the
+  populations evolve on their own as p <- p w^2 / sum(p w^2), w the
+  diagonal of M(r) (the number measurement of Jacobs & Steck,
+  arXiv:quant-ph/0611067).
+
+A reinit returns the run to a ground stretch.
 """
 
 from __future__ import annotations
@@ -179,11 +195,30 @@ def _populations(amps: np.ndarray) -> np.ndarray:
 
 def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
     """Raise TraceUnderflowError at the first NaN or underflowed trace."""
-    if not np.all(traces > TRACE_UNDERFLOW):
+    if not traces.min() > TRACE_UNDERFLOW:  # a NaN minimum fails too
         bad = int(np.argmin(traces))
         raise TraceUnderflowError(
             f"trajectory {first + bad}: {what} trace {traces[bad]:.3e} underflowed"
         )
+
+
+def _measure(
+    pops: np.ndarray, cfg: MeasurementConfig, xi: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian number measurement of a batch with populations `pops` (n, dim).
+
+    Returns the readouts r = tr(N rho) + sqrt(t_m/dt) * xi and the row
+    scales w / sqrt(tr M rho M^dag), w the diagonal of M(r) (its
+    normalization cancels): scaling the rows of a factor by them, or the
+    populations by their squares, is the normalized update. Underflow
+    errors name trajectory `first` + stack index.
+    """
+    nvec = np.arange(cfg.dim, dtype=float)
+    rs = pops @ nvec + cfg.readout_sigma * xi
+    w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
+    traces = (pops * w**2).sum(axis=1)
+    _check_traces(traces, "measurement update", first)
+    return rs, w / np.sqrt(traces)[:, None]
 
 
 def _update(
@@ -198,30 +233,23 @@ def _update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a (n, dim, rank) stack of factors A (rho = A A^dag) one step.
 
-    In order: the Gaussian number measurement with readouts
-    r = tr(N rho) + sqrt(t_m/dt) * xi, which scales the rows of A by the
-    diagonal w of M(r) over sqrt(tr M rho M^dag); the drive displacement
-    D(dbeta), shared by the stack; per-state noise displacements
+    In order: the Gaussian number measurement (`_measure`) with readouts
+    r = tr(N rho) + sqrt(t_m/dt) * xi; the drive displacement D(dbeta),
+    shared by the stack; per-state noise displacements
     D(gamma_sigma * (xi_0 + i xi_1)) from the (n, 2) normals `gamma_xi`; a
     thermal creation jump wherever `thermal_u` < thermal_rate * dt; then one
     renormalization. `gamma_xi` and `thermal_u` are None when their process
     is off. Underflow errors name trajectory `first` + stack index. Returns
     the updated stack and the readouts.
     """
-    nvec = np.arange(cfg.dim, dtype=float)
-    pops = _populations(amps)
-    rs = pops @ nvec + cfg.readout_sigma * xi
-    # M(r) is diagonal; its normalization cancels against the trace
-    w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
-    traces = (pops * w**2).sum(axis=1)
-    _check_traces(traces, "measurement update", first)
-    amps = amps * (w / np.sqrt(traces)[:, None])[:, :, None]
+    rs, scale = _measure(_populations(amps), cfg, xi, first)
+    amps = amps * scale[:, :, None]
 
     if dbeta != 0.0:
         amps = cache.matrix(dbeta) @ amps
     if gamma_xi is not None:
         xs = cfg.gamma_sigma * gamma_xi
-        amps = cache.matrix(xs[:, 0] + 1j * xs[:, 1]) @ amps
+        amps = cache.apply(xs[:, 0] + 1j * xs[:, 1], amps)
     if thermal_u is not None:
         jumped = thermal_u < cfg.thermal_rate * cfg.dt
         if jumped.any():
@@ -293,14 +321,82 @@ def _drive_increments(
     return dbeta.astype(complex), i_start, i_stop + 1
 
 
-@dataclass
+_GROUND, _FACTOR, _POPULATIONS = range(3)
+
+
+def _stretch_kinds(
+    displacing: np.ndarray, steps_per_reinit: int, ground_start: bool
+) -> list[int]:
+    """Stretch kind of each step 1..n_steps of a run (entry 0 is unused).
+
+    `displacing` (n_steps + 1,) flags the steps that displace the state.
+    Each reinit period runs ground steps (from a ground state) up to its
+    first displacing step, factor steps up to its last one, then
+    population steps; a non-ground start makes step 1 a factor step if
+    its period displaces, else a population step.
+    """
+    n_steps = displacing.size - 1
+    kinds = np.full(n_steps + 1, _POPULATIONS)
+    for lo in range(1, n_steps + 1, steps_per_reinit):
+        hi = min(lo + steps_per_reinit, n_steps + 1)
+        hits = lo + np.flatnonzero(displacing[lo:hi])
+        start = hi if hits.size == 0 else hits[0]
+        if lo == 1 and not ground_start:
+            start = lo
+        kinds[lo:start] = _GROUND
+        if hits.size:
+            kinds[start : hits[-1] + 1] = _FACTOR
+    return kinds.tolist()
+
+
 class _BatchResult:
-    times: np.ndarray
-    readouts: np.ndarray
-    pops: np.ndarray  # (n_rec, 3, n): rho00, rho11, rho22
-    diag_sums: np.ndarray  # (n_rec, dim): populations summed over the batch
-    events: list[tuple[float, str]]
-    purity_crossing: np.ndarray | None
+    """Records of a batch: times (n_rec,), readouts (n_rec, n), rho00..rho22
+    as pops (n_rec, 3, n), populations summed over the batch as diag_sums
+    (n_rec, dim), events and, with a purity threshold, each trajectory's
+    first recorded time its largest population reached it.
+
+    `add` takes the readouts and populations of one record point in turn;
+    they are reduced a block of records at a time.
+    """
+
+    block = 64
+
+    def __init__(
+        self, times: np.ndarray, n: int, dim: int, purity_threshold: float | None
+    ):
+        self.times = times
+        self.readouts = np.empty((times.size, n))
+        self.pops = np.zeros((times.size, 3, n))
+        self.diag_sums = np.zeros((times.size, dim))
+        self.events: list[tuple[float, str]] = []
+        self.purity_threshold = purity_threshold
+        self.purity_crossing = None
+        if purity_threshold is not None:
+            self.purity_crossing = np.full(n, np.nan)
+        self._held = np.empty((min(self.block, times.size), n, dim))
+        self._done = self._next = 0
+
+    def add(self, rs: np.ndarray, populations: np.ndarray) -> None:
+        self.readouts[self._next] = rs
+        self._held[self._next - self._done] = populations
+        self._next += 1
+        if self._next - self._done == len(self._held):
+            self.flush()
+
+    def flush(self) -> None:
+        lo, hi = self._done, self._next
+        if hi == lo:
+            return
+        held = self._held[: hi - lo]
+        top = held[:, :, :3]
+        self.pops[lo:hi, : top.shape[2]] = top.transpose(0, 2, 1)
+        self.diag_sums[lo:hi] = held.sum(axis=1)
+        if self.purity_crossing is not None:
+            crossed = held.max(axis=2) >= self.purity_threshold
+            fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
+            first = lo + crossed.argmax(axis=0)
+            self.purity_crossing[fresh] = self.times[first[fresh]]
+        self._done = hi
 
 
 def _run_batch(
@@ -315,15 +411,19 @@ def _run_batch(
     purity_threshold: float | None = None,
     first: int = 0,
 ) -> _BatchResult:
-    """Run a batch of trajectories in lockstep over a stack of factors.
+    """Run a batch of trajectories in lockstep, stretch by stretch.
 
-    Each state is carried as a factor A with rho = A A^dag: rank 1 for
-    ground-state starts, else the stack `starts` from `_start_factors`
-    (one factor per trajectory). Noise per trajectory is
-    pre-drawn from its own generator in a fixed order (readout normals,
-    then displacement-noise normals, then thermal uniforms), so results do
-    not depend on batch composition. Errors name a trajectory by `first`
-    plus its index in the batch.
+    The batch starts in the ground state, or from the factor stack `starts`
+    of `_start_factors` (one factor per trajectory), and is reinitialized
+    to the ground state every t_meas. Each step is a ground, factor or
+    population step (see the module docstring), chosen by `_stretch_kinds`
+    from the config, the drive's nonzero increments, the reinit boundaries
+    and the kind of start; the stretch kinds differ only in what they
+    carry, not in the numbers. Noise per trajectory is pre-drawn from its
+    own generator in a fixed order (readout normals, then
+    displacement-noise normals, then thermal uniforms), so results do not
+    depend on batch composition. Errors name a trajectory by `first` plus
+    its index in the batch.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -331,11 +431,6 @@ def _run_batch(
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
-
-    amps = starts
-    if amps is None:
-        amps = np.zeros((n, dim, 1), dtype=complex)
-        amps[:, 0, 0] = 1.0
 
     readout_noise = np.column_stack([g.standard_normal(n_steps) for g in rngs])
     gamma_noise = None
@@ -347,7 +442,10 @@ def _run_batch(
     if cfg.thermal_rate > 0.0:
         thermal_u = np.column_stack([g.random(n_steps) for g in rngs])
 
-    events: list[tuple[float, str]] = []
+    n_rec = n_steps // cfg.record_stride
+    times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
+    result = _BatchResult(times, n, dim, purity_threshold)
+    events = result.events
     dbeta = np.zeros(0, dtype=complex)
     drive_lo = drive_hi = 1
     omega = mode_frequency(spec)
@@ -361,55 +459,53 @@ def _run_batch(
             events.append((gw_start + window[0], "gw_window_start"))
             events.append((min(gw_start + window[1], duration), "gw_window_end"))
 
-    n_rec = n_steps // cfg.record_stride
-    times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
-    readouts = np.empty((n_rec, n))
-    pops = np.zeros((n_rec, 3, n))
-    diag_sums = np.zeros((n_rec, dim))
-    purity_crossing = None
-    if purity_threshold is not None:
-        purity_crossing = np.full(n, np.nan)
+    displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
+    displacing[drive_lo:drive_hi] |= dbeta != 0.0
+    kinds = _stretch_kinds(displacing, steps_per_reinit, starts is None)
 
+    ground = np.zeros((n, dim))
+    ground[:, 0] = 1.0
+    state = starts  # None while in the ground state
     cache = DisplacementCache(dim)
-    rec = 0
 
     for i in range(1, n_steps + 1):
-        z = dbeta[i - drive_lo] if drive_lo <= i < drive_hi else 0.0
+        xi = readout_noise[i - 1]
+        kind = kinds[i]
         try:
-            amps, rs = _update(
-                amps, cfg, cache, readout_noise[i - 1], z,
-                None if gamma_noise is None else gamma_noise[i - 1],
-                None if thermal_u is None else thermal_u[i - 1],
-                first,
-            )
+            if kind == _GROUND:
+                rs = cfg.readout_sigma * xi
+            elif kind == _FACTOR:
+                if state is None:
+                    state = np.zeros((n, dim, 1), dtype=complex)
+                    state[:, 0, 0] = 1.0
+                z = dbeta[i - drive_lo] if drive_lo <= i < drive_hi else 0.0
+                state, rs = _update(
+                    state, cfg, cache, xi, z,
+                    None if gamma_noise is None else gamma_noise[i - 1],
+                    None if thermal_u is None else thermal_u[i - 1],
+                    first,
+                )
+            else:
+                if state.ndim == 3:
+                    state = _populations(state)
+                rs, scale = _measure(state, cfg, xi, first)
+                state = state * scale**2
         except TraceUnderflowError as exc:
             raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
         if i % steps_per_reinit == 0 and i < n_steps:
-            amps[:] = 0.0
-            amps[:, 0, 0] = 1.0
+            state = None
             events.append((i * cfg.dt, "reinit"))
 
         if i % cfg.record_stride == 0:
-            readouts[rec] = rs
-            d3 = _populations(amps)
-            pops[rec, : min(dim, 3)] = d3[:, :3].T
-            diag_sums[rec] = d3.sum(axis=0)
-            if purity_crossing is not None:
-                crossed = d3.max(axis=1) >= purity_threshold
-                fresh = crossed & np.isnan(purity_crossing)
-                purity_crossing[fresh] = times[rec]
-            rec += 1
+            if state is None:
+                result.add(rs, ground)
+            else:
+                result.add(rs, state if state.ndim == 2 else _populations(state))
 
+    result.flush()
     events.sort(key=lambda ev: ev[0])
-    return _BatchResult(
-        times=times,
-        readouts=readouts,
-        pops=pops,
-        diag_sums=diag_sums,
-        events=events,
-        purity_crossing=purity_crossing,
-    )
+    return result
 
 
 def _start_factors(states: list[QuantumState], dim: int) -> np.ndarray:
@@ -469,26 +565,24 @@ def run_trajectory(
 
 def _jump_starts(
     times: np.ndarray, series: np.ndarray, threshold: float, hold: int
-) -> list[float]:
-    """Times where `series` first sustains >= threshold for `hold` points."""
+) -> list[list[float]]:
+    """Per column of `series` (n_rec, n), the times where it first sustains
+    >= threshold for `hold` points: one time per excursion, the first of it.
+    """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if hold < 1:
         raise ValueError(f"hold must be >= 1, got {hold}")
-    above = series >= threshold
-    out: list[float] = []
-    run = 0
-    emitted = False
-    for idx, flag in enumerate(above):
-        if flag:
-            run += 1
-            if run >= hold and not emitted:
-                out.append(float(times[idx - run + 1]))
-                emitted = True
-        else:
-            run = 0
-            emitted = False
-    return out
+    n_rec, n = series.shape
+    above = np.zeros((n, n_rec + 2), dtype=np.int8)
+    above[:, 1:-1] = (series >= threshold).T
+    edges = np.diff(above, axis=1)
+    cols, lo = np.nonzero(edges == 1)
+    _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
+    keep = hi - lo >= hold
+    counts = np.bincount(cols[keep], minlength=n)
+    starts = np.split(np.asarray(times)[lo[keep]], np.cumsum(counts)[:-1])
+    return [s.tolist() for s in starts]
 
 
 def detect_jump(
@@ -502,7 +596,7 @@ def detect_jump(
     """
     return [
         (t, "jump_detected")
-        for t in _jump_starts(record.times, record.rho11, threshold, hold)
+        for t in _jump_starts(record.times, record.rho11[:, None], threshold, hold)[0]
     ]
 
 
@@ -536,7 +630,7 @@ def run_ensemble(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    _jump_starts(np.empty(0), np.empty(0), threshold, hold)  # fail before running
+    _jump_starts(np.empty(0), np.empty((0, 0)), threshold, hold)  # fail before running
     if duration is None:
         duration = cfg.t_meas
     if base_seed is None:
@@ -563,9 +657,7 @@ def run_ensemble(
         diag_sums = diag_sums + batch.diag_sums
         if batch.purity_crossing is not None:
             crossings.append(batch.purity_crossing)
-        jump_times += [
-            _jump_starts(times, rho11, threshold, hold) for rho11 in batch.pops[:, 1].T
-        ]
+        jump_times += _jump_starts(times, batch.pops[:, 1], threshold, hold)
 
     n_detected = sum(1 for jumps in jump_times if jumps)
     return EnsembleSummary(

@@ -245,8 +245,8 @@ def strain_sample(signal: StrainSignal, t: float) -> StrainSample:
 
     Outside the signal's support the sample is (0, 0) with
     ``in_support=False``. For the chirp the second derivative uses the
-    locally-monochromatic form hddot = -nu(t)^2 h(t); `second_derivative`
-    offers a finite-difference cross-check.
+    locally-monochromatic form hddot = -nu(t)^2 h(t); the tests check it
+    against a finite-difference derivative (`tests/strain_oracle.py`).
     """
     h, hddot, ok = strain_samples(signal, np.array([t], dtype=float))
     return StrainSample(float(h[0]), float(hddot[0]), bool(ok[0]))
@@ -281,17 +281,6 @@ def strain_samples(signal: StrainSignal, ts: np.ndarray):
         hddot = np.where(ok, np.interp(ts, times, signal.hddot_samples), 0.0)
         return h, hddot, ok
     raise TypeError(f"not a strain signal: {signal!r}")
-
-
-def second_derivative(signal: StrainSignal, t: float, dt: float) -> float:
-    """Finite-difference second derivative of h at `t` (5-point stencil).
-
-    Cross-check for the analytic hddot returned by `strain_sample`.
-    """
-    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * dt
-    coef = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dt**2)
-    vals = [strain_sample(signal, t + o).h for o in offs]
-    return float(np.dot(coef, vals))
 
 
 def chirp_window(
@@ -380,7 +369,6 @@ __all__ = [
     "resonance_crossing_time",
     "resonance_time",
     "save_strain_series",
-    "second_derivative",
     "strain_sample",
     "strain_samples",
 ]

@@ -101,6 +101,25 @@ class TestDisplacementOperator:
             np.testing.assert_allclose(single, expm, atol=1e-12)
             np.testing.assert_allclose(d, single, atol=1e-14)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 30),
+        rank=st.integers(1, 30),
+        zs=st.lists(st.complex_numbers(max_magnitude=1.5), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_matches_matrix(self, dim, rank, zs, seed):
+        # the matrix-free displacement of a factor stack equals matrix(z) @ A
+        rng = np.random.default_rng(seed)
+        shape = (len(zs), dim, min(rank, dim))
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cache = DisplacementCache(dim)
+        np.testing.assert_allclose(
+            cache.apply(np.array(zs), amps),
+            cache.matrix(np.array(zs)) @ amps,
+            rtol=0, atol=1e-13 * np.abs(amps).max(),
+        )
+
 
 class TestCoherentState:
     def test_vacuum(self):

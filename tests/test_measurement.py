@@ -5,6 +5,7 @@ import pytest
 from diagonal_oracle import posterior, simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jump_oracle import jump_starts
 from numpy.polynomial.hermite import hermgauss
 
 from gravibar import measurement
@@ -69,10 +70,17 @@ class TestMeasurementOperator:
         assert np.all(np.diff(entries[2:]) < 0.0)
         assert np.all(np.diff(entries[:3]) > 0.0)
 
-    def test_povm_completeness(self):
-        # Gauss-Hermite quadrature of M^dag M over r: every diagonal entry
-        # of the integrated POVM equals 1
-        dt, t_m, dim = 1e-3, 2.0, 10
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 30),
+        dt=st.floats(1e-5, 1e-1),
+        t_m=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_povm_completeness(self, dim, dt, t_m, seed):
+        # Gauss-Hermite quadrature of M^dag M over r, with the nodes centred
+        # on each level n in turn: every diagonal entry of the integrated
+        # POVM equals 1
         x, w = hermgauss(41)
         sigma = math.sqrt(2.0 * t_m / dt)
         for n in range(dim):
@@ -85,7 +93,23 @@ class TestMeasurementOperator:
             )
             # undo the substitution weight exp(-x^2)
             integral = float(np.sum(w * vals * np.exp(x**2))) * sigma
-            assert integral == pytest.approx(1.0, abs=1e-8)
+            assert integral == pytest.approx(1.0, abs=1e-10)
+
+        # the readout density tr(M rho M^dag) is the Born-rule mixture of
+        # Gaussians of variance t_m/dt centred on the levels
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+        p = rho.diagonal().real
+        var = t_m / dt
+        ns = np.arange(dim)
+        for r in rng.uniform(-2.0, dim + 1.0, 5):
+            m = measurement_operator(float(r), dt, t_m, dim)
+            density = np.trace(m @ rho @ m.conj().T).real
+            born = p @ np.exp(-((r - ns) ** 2) / (2.0 * var)) / math.sqrt(
+                2.0 * math.pi * var
+            )
+            assert density == pytest.approx(born, rel=1e-12, abs=1e-300)
 
     def test_weak_limit_leaves_state_unchanged(self):
         dim = 6
@@ -314,48 +338,141 @@ class TestRunTrajectory:
         assert rec.rho22[-1] == pytest.approx(target[2], abs=1e-4)
 
     def test_step_iteration_matches_engine(self):
-        # replay the engine's pre-drawn noise through the public step():
-        # readout normals, then noise normals, then thermal uniforms
+        # replay the engine's pre-drawn noise through the public step() on
+        # a drive over the whole run, with and without noise, and on a run
+        # that crosses all three stretch kinds: ground steps up to the
+        # window, factor steps in it, population steps up to the reinit at
+        # 0.6 s, ground steps after it
         spec = toy_detector()
-        duration = 1.0
-        wave = resonant_drive_for_beta(spec, 0.7, duration)
-        omega = mode_frequency(spec)
-        pref = beta_prefactor(spec, omega)
-        n_steps = 100
-        for kappa, thermal_rate in ((0.0, 0.0), (2e-3, 3.0)):
+        wave = resonant_drive_for_beta(spec, 0.7, 1.0)
+        cases = [
+            (dict(), 0.0, (0.0, 1.0)),
+            (dict(kappa=2e-3, thermal_rate=3.0), 0.0, (0.0, 1.0)),
+            (dict(t_meas=0.6), 0.1, (0.0, 0.3)),
+        ]
+        for extra, gw_start, window in cases:
             cfg = MeasurementConfig(
-                dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42, record_stride=1,
-                kappa=kappa, thermal_rate=thermal_rate,
+                **{**dict(dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42,
+                          record_stride=1), **extra}
             )
             rec = run_trajectory(
-                spec, wave, cfg, duration=duration, window=(0.0, duration)
+                spec, wave, cfg, duration=1.0, gw_start=gw_start, window=window
             )
-            rng = np.random.default_rng(cfg.seed)
-            readout = iter(rng.standard_normal(n_steps))
-            gamma = iter(rng.standard_normal((n_steps, 2)) if kappa else ())
-            uniform = rng.random(n_steps) if thermal_rate else np.ones(0)
-            assert np.any(uniform < thermal_rate * cfg.dt) == (thermal_rate > 0)
-            uniforms = iter(uniform)
+            replay = replay_with_step(spec, wave, cfg, 1.0, gw_start, window)
+            np.testing.assert_allclose(replay.rho11, rec.rho11, atol=1e-12)
+            assert rec.events == replay.events
+        # the noisy case has thermal jumps, and the last one a reinit
+        rng = np.random.default_rng(42)
+        rng.standard_normal(100), rng.standard_normal((100, 2))
+        assert np.any(rng.random(100) < 3.0 * 1e-2)
+        assert (0.6, "reinit") in rec.events
 
-            class Replay:
-                def standard_normal(self, size=None):
-                    return next(readout) if size is None else next(gamma)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        placement=st.sampled_from(["before", "straddle", "after", "first", "last"]),
+        reinit=st.integers(20, 90),
+        width=st.integers(2, 15),
+        t_m=st.floats(0.05, 2.0),
+        start=st.sampled_from(["ground", "diagonal", "coherent"]),
+        kappa=st.booleans(),
+        thermal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stretches_match_step_replay(
+        self, placement, reinit, width, t_m, start, kappa, thermal, seed
+    ):
+        # the engine's ground, factor and population stretches against a
+        # plain step() replay, for drive windows before, across and after a
+        # reinit and touching the first and last step of the run
+        spec = toy_detector()
+        wave = resonant_drive_for_beta(spec, 0.7, 1.0)
+        n_steps = 120
+        lo, hi = {
+            "before": (reinit - width - 3, reinit - 3),
+            "straddle": (reinit - width // 2 - 1, reinit + width // 2 + 1),
+            "after": (reinit + 2, reinit + 2 + width),
+            "first": (0, width),
+            "last": (n_steps - width, n_steps),
+        }[placement]
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=t_m, t_meas=reinit * 1e-2, dim=12, seed=seed,
+            record_stride=1, kappa=2e-3 * kappa, thermal_rate=2.0 * thermal,
+        )
+        gw_start = 0.25
+        window = (max(lo, 0) * cfg.dt - gw_start, hi * cfg.dt - gw_start)
+        initial = {
+            "ground": None,
+            "diagonal": QuantumState.from_diagonal(
+                np.random.default_rng(seed).dirichlet(np.ones(cfg.dim))
+            ),
+            "coherent": coherent_state(0.6, cfg.dim),
+        }[start]
+        duration = n_steps * cfg.dt
+        rec = run_trajectory(
+            spec, wave, cfg, duration=duration, gw_start=gw_start,
+            window=window, initial_state=initial,
+        )
+        replay = replay_with_step(
+            spec, wave, cfg, duration, gw_start, window, initial
+        )
+        for name in ("readout", "rho00", "rho11", "rho22"):
+            np.testing.assert_allclose(
+                getattr(rec, name), getattr(replay, name), rtol=0, atol=1e-12
+            )
+        assert rec.events == replay.events
+        assert detect_jump(rec, threshold=0.5, hold=2) == [
+            (t, "jump_detected")
+            for t in jump_starts(rec.times, replay.rho11, 0.5, 2)
+        ]
 
-                def random(self, size=None):
-                    return next(uniforms)
 
-            replay = Replay()
+def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
+    """Replay `run_trajectory`'s noise through the public step().
+
+    Draws the noise from the default generator of `cfg.seed` the way the
+    engine does (readout normals, then noise normals, then thermal
+    uniforms), drives with midpoint increments restricted to `window`, and
+    reinitializes every t_meas. Returns the record and its events.
+    """
+    omega = mode_frequency(spec)
+    pref = beta_prefactor(spec, omega)
+    n_steps = int(round(duration / cfg.dt))
+    steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
+    rng = np.random.default_rng(cfg.seed)
+    readout = iter(rng.standard_normal(n_steps))
+    gamma = iter(rng.standard_normal((n_steps, 2)) if cfg.kappa else ())
+    uniforms = iter(rng.random(n_steps) if cfg.thermal_rate else ())
+
+    class Replay:
+        def standard_normal(self, size=None):
+            return next(readout) if size is None else next(gamma)
+
+        def random(self, size=None):
+            return next(uniforms)
+
+    replay = Replay()
+    state = initial if initial is not None else QuantumState.ground(cfg.dim)
+    events = [
+        (gw_start + window[0], "gw_window_start"),
+        (min(gw_start + window[1], duration), "gw_window_end"),
+    ]
+    rows = []
+    for i in range(1, n_steps + 1):
+        s_mid = (i - 0.5) * cfg.dt - gw_start
+        dbeta = 0.0
+        if window[0] <= s_mid <= window[1]:
+            hddot = strain_sample(wave, s_mid).hddot
+            dbeta = -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt
+        state, r = step(state, cfg, dbeta, replay)
+        if i % steps_per_reinit == 0 and i < n_steps:
             state = QuantumState.ground(cfg.dim)
-            rho11 = []
-            for i in range(1, n_steps + 1):
-                s_mid = (i - 0.5) * cfg.dt
-                samp = strain_sample(wave, s_mid)
-                dbeta = (
-                    -1j * pref * samp.hddot * np.exp(1j * omega * s_mid) * cfg.dt
-                )
-                state, _ = step(state, cfg, dbeta, replay)
-                rho11.append(state.populations()[1])
-            np.testing.assert_allclose(rho11, rec.rho11, atol=1e-10)
+            events.append((i * cfg.dt, "reinit"))
+        if i % cfg.record_stride == 0:
+            rows.append([i * cfg.dt, r, *state.populations()[:3]])
+    times, readouts, rho00, rho11, rho22 = np.array(rows).T
+    return TrajectoryRecord(
+        times, readouts, rho00, rho11, rho22, sorted(events, key=lambda ev: ev[0])
+    )
 
 
 class TestDiagonalOracle:
@@ -387,6 +504,27 @@ class TestDiagonalOracle:
             posterior(p0, np.array(rs.sum() * self.dt), rs.size * self.dt, self.t_m),
             p,
             rtol=1e-9, atol=1e-15,
+        )
+
+    def test_engine_matches_posterior_of_its_record(self):
+        # a diagonal start without drive or noise runs as one population
+        # stretch, whose populations are exactly the Bayes posterior of the
+        # recorded readouts: p_n(k dt) from S = sum(r) dt over k steps
+        p0 = np.random.default_rng(7).dirichlet(np.ones(3))
+        cfg = MeasurementConfig(
+            dt=self.dt, t_m=self.t_m, t_meas=10.0, dim=3, seed=8, record_stride=1
+        )
+        rec = run_trajectory(
+            toy_detector(), None, cfg, duration=4.0 * self.t_m,
+            initial_state=QuantumState.from_diagonal(p0),
+        )
+        k = np.arange(1, rec.times.size + 1)
+        expected = posterior(
+            p0, np.cumsum(rec.readout) * cfg.dt, (k * cfg.dt)[:, None], cfg.t_m
+        )
+        np.testing.assert_allclose(
+            np.column_stack([rec.rho00, rec.rho11, rec.rho22]), expected,
+            rtol=1e-9, atol=0.0,
         )
 
     def test_mean_posterior_is_martingale(self):
@@ -435,6 +573,41 @@ class TestDetectJump:
         events = detect_jump(self.record_from(series), hold=3)
         assert len(events) == 2
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_rec=st.integers(1, 60),
+        n=st.integers(1, 5),
+        threshold=st.floats(0.05, 0.95),
+        hold=st.integers(1, 6),
+        stay=st.floats(0.3, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_record_by_record_oracle(
+        self, n_rec, n, threshold, hold, stay, seed
+    ):
+        # runs above the threshold of random lengths, values exactly at the
+        # threshold among them, and runs touching the first record (column
+        # 0) and the last (last column)
+        rng = np.random.default_rng(seed)
+        above = np.empty((n_rec, n), dtype=bool)
+        above[0] = rng.random(n) < 0.5
+        for k in range(1, n_rec):
+            above[k] = above[k - 1] ^ (rng.random(n) > stay)
+        above[0, 0] = above[-1, -1] = True
+        series = np.where(
+            above, rng.uniform(threshold, 1.0, (n_rec, n)),
+            rng.uniform(0.0, threshold, (n_rec, n)),
+        )
+        series[above & (rng.random((n_rec, n)) < 0.2)] = threshold
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_rec))
+        expected = [jump_starts(times, col, threshold, hold) for col in series.T]
+        assert measurement._jump_starts(times, series, threshold, hold) == expected
+        rec = TrajectoryRecord(times, series[:, 0], series[:, 0], series[:, 0],
+                               series[:, 0])
+        assert detect_jump(rec, threshold, hold) == [
+            (t, "jump_detected") for t in expected[0]
+        ]
+
     def test_parameter_validation(self):
         rec = self.record_from(np.zeros(5))
         with pytest.raises(ValueError):
@@ -471,6 +644,31 @@ class TestRunEnsemble:
         b = run_ensemble(spec, None, cfg, n_traj=7, base_seed=5, chunk_size=7)
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
         assert a.n_detected == b.n_detected
+
+    @pytest.mark.parametrize("n_rec", [1, 63, 64, 65, 128, 130])
+    def test_purity_crossing_is_first_record_over_threshold(self, n_rec):
+        # records are reduced in blocks; a crossing is still the first
+        # recorded time the largest population reaches the threshold
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=0.05, t_meas=10.0, dim=3, seed=3, record_stride=2
+        )
+        starts = [QuantumState.from_diagonal([0.4, 0.35, 0.25])] * 4
+        summary = run_ensemble(
+            toy_detector(), None, cfg, n_traj=4, duration=n_rec * 2e-2,
+            initial_states=starts, purity_threshold=0.95, chunk_size=1,
+        )
+        assert summary.times.size == n_rec
+        for k, crossing in enumerate(summary.purity_first_crossing):
+            child = np.random.SeedSequence(cfg.seed).spawn(4)[k]
+            rec = run_trajectory(
+                toy_detector(), None, cfg, duration=n_rec * 2e-2,
+                rng=np.random.default_rng(child), initial_state=starts[k],
+            )
+            # rho00..rho22 are the whole diagonal at dim 3
+            top = np.max([rec.rho00, rec.rho11, rec.rho22], axis=0)
+            hit = np.flatnonzero(top >= 0.95)
+            expected = rec.times[hit[0]] if hit.size else np.nan
+            np.testing.assert_equal(crossing, expected)
 
     def test_chunk_size_validation(self):
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
@@ -519,9 +717,10 @@ class TestRunEnsemble:
 
         def never(*args, **kwargs):
             calls.append(1)
-            raise AssertionError("_update called before the starts were checked")
+            raise AssertionError("_measure called before the starts were checked")
 
-        monkeypatch.setattr(measurement, "_update", never)
+        # every stretch that carries a state measures through _measure
+        monkeypatch.setattr(measurement, "_measure", never)
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
         starts = [QuantumState.ground(4) for _ in range(200)]
         starts[150] = QuantumState(4, np.diag([1.5, -0.5, 0.0, 0.0]))

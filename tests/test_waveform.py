@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from strain_oracle import second_derivative
 
 from gravibar.constants import G, C_LIGHT, SOLAR_MASS
 from gravibar.waveform import (
@@ -23,7 +24,6 @@ from gravibar.waveform import (
     resonance_crossing_time,
     resonance_time,
     save_strain_series,
-    second_derivative,
     strain_sample,
     strain_samples,
 )
