@@ -418,8 +418,8 @@ def _run_batch(
     to the ground state every t_meas. Each step is a ground, factor or
     population step (see the module docstring), chosen by `_stretch_kinds`
     from the config, the drive's nonzero increments, the reinit boundaries
-    and the kind of start; the stretch kinds differ only in what they
-    carry, not in the numbers. Noise per trajectory is pre-drawn from its
+    and the kind of start; the kinds differ in what they carry, and their
+    numbers agree to roundoff. Noise per trajectory is pre-drawn from its
     own generator in a fixed order (readout normals, then
     displacement-noise normals, then thermal uniforms), so results do not
     depend on batch composition. Errors name a trajectory by `first` plus

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -350,11 +351,11 @@ class TestRunTrajectory:
             (dict(kappa=2e-3, thermal_rate=3.0), 0.0, (0.0, 1.0)),
             (dict(t_meas=0.6), 0.1, (0.0, 0.3)),
         ]
+        base = MeasurementConfig(
+            dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42, record_stride=1
+        )
         for extra, gw_start, window in cases:
-            cfg = MeasurementConfig(
-                **{**dict(dt=1e-2, t_m=0.5, t_meas=5.0, dim=10, seed=42,
-                          record_stride=1), **extra}
-            )
+            cfg = dataclasses.replace(base, **extra)
             rec = run_trajectory(
                 spec, wave, cfg, duration=1.0, gw_start=gw_start, window=window
             )
