@@ -415,15 +415,22 @@ def _run_batch(
 
     The batch starts in the ground state, or from the factor stack `starts`
     of `_start_factors` (one factor per trajectory), and is reinitialized
-    to the ground state every t_meas. Each step is a ground, factor or
-    population step (see the module docstring), chosen by `_stretch_kinds`
+    to the ground state every t_meas. `_stretch_kinds` makes each step,
     from the config, the drive's nonzero increments, the reinit boundaries
-    and the kind of start; the kinds differ in what they carry, and their
-    numbers agree to roundoff. Noise per trajectory is pre-drawn from its
-    own generator in a fixed order (readout normals, then
-    displacement-noise normals, then thermal uniforms), so results do not
-    depend on batch composition. Errors name a trajectory by `first` plus
-    its index in the batch.
+    and the kind of start, one of (see the module docstring):
+
+    - a ground step: no state is carried, the readout is
+      sqrt(t_m/dt) * xi and the record holds rho00 = 1;
+    - a factor step: `_update` on the (n, dim, rank) factor stack, from
+      the first displacing step of a reinit period to its last;
+    - a population step: after that, the stack collapses to its (n, dim)
+      populations, which `_measure` updates until the reinit or the end.
+
+    The kinds differ in what they carry; their numbers agree to
+    roundoff. Noise per trajectory is pre-drawn from its own generator in
+    a fixed order (readout normals, then displacement-noise normals, then
+    thermal uniforms), so results do not depend on batch composition.
+    Errors name a trajectory by `first` plus its index in the batch.
     """
     n = len(rngs)
     dim = cfg.dim
