@@ -15,6 +15,9 @@ comment. Every run writes a metadata.json with the fully resolved
 configuration, constants and seeds, sufficient to reproduce the outputs
 byte for byte. All CSV floats use shortest round-trip formatting.
 
+`simulate` runs its trajectories through `measurement.run_ensemble`'s chunk
+stream and reduction, writing each trajectory's CSV from its chunk.
+
 The integration window of a source (signal time) is resolved once, when
 the config is parsed, and recorded as [source] window_start/window_end:
 given keys win; otherwise `dynamics.default_window` applies, which is the
@@ -62,7 +65,7 @@ from .dynamics import (
     optimal_mass,
 )
 from .lattice import continuum_checks
-from .measurement import MeasurementConfig, detect_jump, run_trajectory
+from .measurement import MeasurementConfig, _ensemble_chunks, _summarize
 from .sensitivity import characteristic_strain, sensitivity_curve
 from .waveform import (
     ChirpSource,
@@ -102,10 +105,6 @@ _UNITS = {
     "dt": "s", "t_m": "s", "t_meas": "s", "kappa": "1", "duration": "s",
     "f_min_hz": "Hz", "f_max_hz": "Hz",
 }
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _type_error(section: str, key: str, raw: str) -> ConfigError:
@@ -429,6 +428,15 @@ class _OutputSet:
                 pass
 
 
+def _write_csv(outputs: _OutputSet, name: str, header: str, rows) -> None:
+    """Write `header`, then one line per row of strings and numbers."""
+    with outputs.open(name) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (v if isinstance(v, str) else repr(float(v)) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
 def _write_metadata(outputs: _OutputSet, run: RunConfig, command: str, **extra):
     payload = {
         "command": command,
@@ -455,10 +463,7 @@ def cmd_rates(run: RunConfig, outputs: _OutputSet) -> int:
     ]
     if run.source_h0 is not None:
         rows.insert(2, ("gamma_stimulated_hz", gamma_stimulated(spec, run.source_h0)))
-    with outputs.open("rates.csv") as fh:
-        fh.write("quantity,value\n")
-        for name, value in rows:
-            fh.write(f"{name},{_fmt(value)}\n")
+    _write_csv(outputs, "rates.csv", "quantity,value", rows)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6g}")
@@ -486,19 +491,13 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
     spec = run.detector
     omega = mode_frequency(spec)
     pref = beta_prefactor(spec, omega)
-    results = _chi_methods(run, omega)
-    with outputs.open("chi.csv") as fh:
-        fh.write("method,chi,beta_mag,p0,p1,p2,p3\n")
-        for res in results:
-            beta = pref * res.value
-            probs = [excitation_probability(beta, n) for n in range(4)]
-            fh.write(
-                f"{res.method},{_fmt(res.value)},{_fmt(beta)},"
-                + ",".join(_fmt(p) for p in probs) + "\n"
-            )
-            print(
-                f"{res.method:<28} chi = {res.value:.6g}  |beta| = {beta:.6g}"
-            )
+    rows = []
+    for res in _chi_methods(run, omega):
+        beta = pref * res.value
+        probs = [excitation_probability(beta, n) for n in range(4)]
+        rows.append((res.method, res.value, beta, *probs))
+        print(f"{res.method:<28} chi = {res.value:.6g}  |beta| = {beta:.6g}")
+    _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", rows)
     _write_metadata(outputs, run, "chi")
     return 0
 
@@ -512,70 +511,52 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
     mass = optimal_mass(spec.material, chi, omega)
     tuned = dataclasses.replace(spec, mass=mass, geometry_mass_check=False)
     beta = beta_prefactor(tuned, omega) * chi
-    with outputs.open("optimal_mass.csv") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"optimal_mass_kg,{_fmt(mass)}\n")
-        fh.write(f"chi,{_fmt(chi)}\n")
-        fh.write(f"beta_mag,{_fmt(beta)}\n")
+    _write_csv(
+        outputs, "optimal_mass.csv", "quantity,value",
+        [("optimal_mass_kg", mass), ("chi", chi), ("beta_mag", beta)],
+    )
     print(f"optimal mass = {mass:.6g} kg  (|beta| = {beta:.6g})")
     _write_metadata(outputs, run, "optimal-mass")
     return 0
 
 
 def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
-    spec = run.detector
-    children = np.random.SeedSequence(run.measurement.seed).spawn(run.n_traj)
-    sums = None
-    times = None
-    n_detected = 0
-    for k, child in enumerate(children):
-        record = run_trajectory(
-            spec, run.signal, run.measurement,
-            duration=run.duration, gw_start=run.gw_start, window=run.window,
-            rng=np.random.default_rng(child),
-        )
-        jumps = detect_jump(record)
-        if jumps:
-            n_detected += 1
-        with outputs.open(f"trajectory_{k}.csv") as fh:
-            fh.write("time,r,rho00,rho11,rho22\n")
-            for row in zip(
-                record.times, record.readout, record.rho00, record.rho11,
-                record.rho22,
-            ):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        with outputs.open(f"events_{k}.csv") as fh:
-            fh.write("time,kind\n")
-            for t, kind in sorted(record.events + jumps):
-                fh.write(f"{_fmt(t)},{kind}\n")
-        stack = np.vstack([record.rho00, record.rho11, record.rho22])
-        sums = stack if sums is None else sums + stack
-        times = record.times
-    with outputs.open("summary.csv") as fh:
-        fh.write("time,mean_rho00,mean_rho11,mean_rho22\n")
-        for i, t in enumerate(times):
-            fh.write(
-                f"{_fmt(t)},"
-                + ",".join(_fmt(v / run.n_traj) for v in sums[:, i]) + "\n"
-            )
-    fraction = n_detected / run.n_traj
-    print(
-        f"{run.n_traj} trajectories, {n_detected} detected jump(s) "
-        f"(fraction {fraction:.3g})"
+    def written_chunks():
+        for lo, batch in _ensemble_chunks(
+            run.detector, run.signal, run.measurement, run.n_traj,
+            run.measurement.seed, run.duration, run.gw_start, run.window,
+        ):
+            for j in range(batch.readouts.shape[1]):
+                rec = batch.record(j)
+                _write_csv(
+                    outputs, f"trajectory_{lo + j}.csv", "time,r,rho00,rho11,rho22",
+                    zip(rec.times, rec.readout, rec.rho00, rec.rho11, rec.rho22),
+                )
+            yield lo, batch
+
+    summary = _summarize(written_chunks(), run.n_traj)
+    _write_csv(
+        outputs, "summary.csv", "time,mean_rho00,mean_rho11,mean_rho22",
+        zip(summary.times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22),
     )
+    for k, jumps in enumerate(summary.jump_times):
+        events = summary.events + [(t, "jump_detected") for t in jumps]
+        _write_csv(outputs, f"events_{k}.csv", "time,kind", sorted(events))
+    print(f"{run.n_traj} trajectories, {summary.n_detected} detected jump(s) "
+          f"(fraction {summary.detection_fraction:.3g})")
     _write_metadata(
-        outputs, run, "simulate",
-        n_traj=run.n_traj, n_detected=n_detected, detection_fraction=fraction,
+        outputs, run, "simulate", n_traj=run.n_traj, n_detected=summary.n_detected,
+        detection_fraction=summary.detection_fraction,
     )
     return 0
 
 
 def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) -> int:
     points = sensitivity_curve(run.detector, run.sensitivity_grid)
-    with outputs.open("sensitivity.csv") as fh:
-        fh.write("frequency_hz,h_c\n")
-        for p in points:
-            fh.write(f"{_fmt(p.frequency)},{_fmt(p.h_c)}\n")
+    _write_csv(
+        outputs, "sensitivity.csv", "frequency_hz,h_c",
+        [(p.frequency, p.h_c) for p in points],
+    )
     if reference is not None:
         table = np.loadtxt(reference, ndmin=2)
         if table.shape[1] < 2:
@@ -583,10 +564,7 @@ def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) 
                 f"reference table {reference} needs two columns "
                 "(frequency_hz, h_c)"
             )
-        with outputs.open("reference.csv") as fh:
-            fh.write("frequency_hz,h_c\n")
-            for row in table:
-                fh.write(f"{_fmt(row[0])},{_fmt(row[1])}\n")
+        _write_csv(outputs, "reference.csv", "frequency_hz,h_c", table[:, :2])
     print(
         f"sensitivity curve with {len(points)} points for "
         f"{run.detector.material.name}"
@@ -597,17 +575,17 @@ def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) 
 
 def cmd_lattice_verify(run: RunConfig | None, outputs: _OutputSet) -> int:
     n_values = run.lattice_n_values if run is not None else (19, 39, 79, 159)
-    rows = continuum_checks(n_values)
-    with outputs.open("lattice_verify.csv") as fh:
-        fh.write("check,measured,bound,status\n")
-        for name, measured, bound, ok in rows:
-            status = "pass" if ok else "FAIL"
-            fh.write(f"{name},{_fmt(measured)},{_fmt(bound)},{status}\n")
-            print(f"{status:>4}  {name:<24} measured = {measured:.3e}  "
-                  f"bound = {bound:.3e}")
+    rows = [
+        (name, measured, bound, "pass" if ok else "FAIL")
+        for name, measured, bound, ok in continuum_checks(n_values)
+    ]
+    _write_csv(outputs, "lattice_verify.csv", "check,measured,bound,status", rows)
+    for name, measured, bound, status in rows:
+        print(f"{status:>4}  {name:<24} measured = {measured:.3e}  "
+              f"bound = {bound:.3e}")
     if run is not None:
         _write_metadata(outputs, run, "lattice-verify")
-    return 0 if all(ok for *_, ok in rows) else 1
+    return 0 if all(status == "pass" for *_, status in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

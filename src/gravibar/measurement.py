@@ -214,7 +214,8 @@ def _measure(
     errors name trajectory `first` + stack index.
     """
     nvec = np.arange(cfg.dim, dtype=float)
-    rs = pops @ nvec + cfg.readout_sigma * xi
+    # a dot per row: a gemv's summation order would depend on the row count
+    rs = np.vecdot(pops, nvec) + cfg.readout_sigma * xi
     w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
     traces = (pops * w**2).sum(axis=1)
     _check_traces(traces, "measurement update", first)
@@ -398,6 +399,11 @@ class _BatchResult:
             self.purity_crossing[fresh] = self.times[first[fresh]]
         self._done = hi
 
+    def record(self, j: int) -> TrajectoryRecord:
+        """The record of the batch's trajectory j."""
+        rho = self.pops[:, :, j].T
+        return TrajectoryRecord(self.times, self.readouts[:, j], *rho, list(self.events))
+
 
 def _run_batch(
     spec: DetectorSpec,
@@ -429,8 +435,8 @@ def _run_batch(
     The kinds differ in what they carry; their numbers agree to
     roundoff. Noise per trajectory is pre-drawn from its own generator in
     a fixed order (readout normals, then displacement-noise normals, then
-    thermal uniforms), so results do not depend on batch composition.
-    Errors name a trajectory by `first` plus its index in the batch.
+    thermal uniforms) and sums run per trajectory, so a trajectory's bits
+    do not depend on its batch. Errors name trajectory `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -560,14 +566,7 @@ def run_trajectory(
         rng = np.random.default_rng(cfg.seed)
     starts = None if initial_state is None else _start_factors([initial_state], cfg.dim)
     batch = _run_batch(spec, signal, cfg, [rng], duration, gw_start, window, starts)
-    return TrajectoryRecord(
-        times=batch.times,
-        readout=batch.readouts[:, 0],
-        rho00=batch.pops[:, 0, 0],
-        rho11=batch.pops[:, 1, 0],
-        rho22=batch.pops[:, 2, 0],
-        events=list(batch.events),
-    )
+    return batch.record(0)
 
 
 def _jump_starts(
@@ -607,6 +606,60 @@ def detect_jump(
     ]
 
 
+def _ensemble_chunks(
+    spec: DetectorSpec, signal: StrainSignal | None, cfg: MeasurementConfig,
+    n_traj: int, base_seed: int, duration: float, gw_start: float,
+    window: tuple[float, float] | None, chunk_size: int = 64,
+    starts: np.ndarray | None = None, purity_threshold: float | None = None,
+):
+    """Yield (lo, batch): the `_BatchResult` of an ensemble's trajectories
+    lo, lo + 1, ..., `chunk_size` at a time. Trajectory k runs on the k-th
+    generator spawned from `base_seed`, from `starts[k]` (ground state if
+    `starts` is None), and errors name it by k.
+    """
+    children = np.random.SeedSequence(base_seed).spawn(n_traj)
+    for lo in range(0, n_traj, chunk_size):
+        hi = min(lo + chunk_size, n_traj)
+        rngs = [np.random.default_rng(s) for s in children[lo:hi]]
+        yield lo, _run_batch(
+            spec, signal, cfg, rngs, duration, gw_start, window,
+            None if starts is None else starts[lo:hi], purity_threshold, first=lo,
+        )
+
+
+def _summarize(
+    chunks, n_traj: int, threshold: float = 0.9, hold: int = 3
+) -> EnsembleSummary:
+    """Reduce the (lo, batch) chunks of `_ensemble_chunks`: jumps as by
+    `detect_jump`; population sums add up chunk by chunk, so the chunking
+    moves them only at roundoff.
+    """
+    sums = diag_sums = 0.0
+    jump_times: list[list[float]] = []
+    crossings: list[np.ndarray] = []
+    for _, batch in chunks:
+        sums = sums + batch.pops.sum(axis=2)
+        diag_sums = diag_sums + batch.diag_sums
+        if batch.purity_crossing is not None:
+            crossings.append(batch.purity_crossing)
+        jump_times += _jump_starts(batch.times, batch.pops[:, 1], threshold, hold)
+
+    n_detected = sum(1 for jumps in jump_times if jumps)
+    return EnsembleSummary(
+        n_traj=n_traj,
+        n_detected=n_detected,
+        detection_fraction=n_detected / n_traj,
+        times=batch.times,
+        mean_rho00=sums[:, 0] / n_traj,
+        mean_rho11=sums[:, 1] / n_traj,
+        mean_rho22=sums[:, 2] / n_traj,
+        mean_populations=diag_sums / n_traj,
+        jump_times=jump_times,
+        events=list(batch.events),
+        purity_first_crossing=np.concatenate(crossings) if crossings else None,
+    )
+
+
 def run_ensemble(
     spec: DetectorSpec,
     signal: StrainSignal | None,
@@ -627,11 +680,9 @@ def run_ensemble(
 
     Per-trajectory generators are spawned deterministically from
     `base_seed` (default cfg.seed), so the ensemble is reproducible and
-    each trajectory matches a single `run_trajectory` with the same
-    spawned generator. Trajectories are processed in chunks to bound
-    memory; the reduction (population sums, jump detection, purity
-    crossings) is order-independent. `initial_states` may supply one
-    starting state per trajectory (ground state otherwise).
+    each trajectory, in any chunk of `chunk_size`, matches a single
+    `run_trajectory` with the same spawned generator. `initial_states`
+    may supply one starting state per trajectory (ground state otherwise).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -647,41 +698,11 @@ def run_ensemble(
         if len(initial_states) != n_traj:
             raise ValueError("need one initial state per trajectory")
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
-    children = np.random.SeedSequence(base_seed).spawn(n_traj)
-
-    sums = diag_sums = 0.0
-    jump_times: list[list[float]] = []
-    crossings: list[np.ndarray] = []
-    for lo in range(0, n_traj, chunk_size):
-        hi = min(lo + chunk_size, n_traj)
-        rngs = [np.random.default_rng(s) for s in children[lo:hi]]
-        batch = _run_batch(
-            spec, signal, cfg, rngs, duration, gw_start, window,
-            None if starts is None else starts[lo:hi], purity_threshold, first=lo,
-        )
-        times, events = batch.times, batch.events
-        sums = sums + batch.pops.sum(axis=2)
-        diag_sums = diag_sums + batch.diag_sums
-        if batch.purity_crossing is not None:
-            crossings.append(batch.purity_crossing)
-        jump_times += _jump_starts(times, batch.pops[:, 1], threshold, hold)
-
-    n_detected = sum(1 for jumps in jump_times if jumps)
-    return EnsembleSummary(
-        n_traj=n_traj,
-        n_detected=n_detected,
-        detection_fraction=n_detected / n_traj,
-        times=times,
-        mean_rho00=sums[:, 0] / n_traj,
-        mean_rho11=sums[:, 1] / n_traj,
-        mean_rho22=sums[:, 2] / n_traj,
-        mean_populations=diag_sums / n_traj,
-        jump_times=jump_times,
-        events=list(events),
-        purity_first_crossing=(
-            np.concatenate(crossings) if crossings else None
-        ),
+    chunks = _ensemble_chunks(
+        spec, signal, cfg, n_traj, base_seed, duration, gw_start, window,
+        chunk_size, starts, purity_threshold,
     )
+    return _summarize(chunks, n_traj, threshold, hold)
 
 
 __all__ = [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from gravibar.cli import ConfigError, main, parse_config
 from gravibar.detector import mode_frequency
 from gravibar.dynamics import chi_quadrature, optimal_mass
+from gravibar.fock import TraceUnderflowError
+from gravibar.measurement import detect_jump, run_ensemble, run_trajectory
 from gravibar.waveform import SampledStrain, save_strain_series
 
 MONO_CONFIG = """\
@@ -50,6 +53,61 @@ type = chirp
 h0 = 2e-22
 chirp_mass_msun = 1.19
 nu0_hz = 30
+
+[output]
+directory = {out}
+"""
+
+
+# 66 trajectories cross the chunk boundary at 64; drive, displacement noise,
+# thermal jumps (~1.3 Hz) and a reinit at 0.3 s
+ENSEMBLE_CONFIG = """\
+[detector]
+material = niobium
+length = 1.0
+radius = 0.5
+quality = 1e8
+temperature = 1e-3
+
+[source]
+type = monochromatic
+h0 = 5e-22
+frequency_hz = 2500
+
+[measurement]
+dt = 1e-2
+t_m = 0.5
+t_meas = 0.3
+dim = 6
+kappa = 1e-3
+thermal = on
+seed = 11
+n_traj = 66
+duration = 0.6
+
+[output]
+directory = {out}
+stride = 2
+"""
+
+# dim 2: a second thermal jump within a period leaves a zero state
+UNDERFLOW_CONFIG = """\
+[detector]
+material = niobium
+length = 1.0
+radius = 0.5
+quality = 1e8
+temperature = 1e-3
+
+[measurement]
+dt = 1e-2
+t_m = 0.5
+t_meas = 1.0
+dim = 2
+thermal = on
+seed = 2
+n_traj = 6
+duration = 1.0
 
 [output]
 directory = {out}
@@ -278,6 +336,53 @@ class TestSimulate:
         main(["simulate", "--config", path])
         header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
         assert header == "time,mean_rho00,mean_rho11,mean_rho22"
+
+    def test_files_match_library_runs(self, tmp_path):
+        path = write_config(tmp_path, ENSEMBLE_CONFIG)
+        assert main(["simulate", "--config", path]) == 0
+        out = tmp_path / "out"
+        n = 66
+        assert sorted(os.listdir(out)) == sorted(
+            ["metadata.json", "summary.csv"]
+            + [f"trajectory_{k}.csv" for k in range(n)]
+            + [f"events_{k}.csv" for k in range(n)]
+        )
+        run = parse_config(path)
+        args = (run.detector, run.signal, run.measurement)
+        kwargs = dict(duration=run.duration, gw_start=run.gw_start, window=run.window)
+        children = np.random.SeedSequence(run.measurement.seed).spawn(n)
+        for k, child in enumerate(children):
+            rec = run_trajectory(*args, rng=np.random.default_rng(child), **kwargs)
+            table = np.loadtxt(out / f"trajectory_{k}.csv", delimiter=",", skiprows=1)
+            expected = [rec.times, rec.readout, rec.rho00, rec.rho11, rec.rho22]
+            np.testing.assert_array_equal(table, np.column_stack(expected))
+            events = (out / f"events_{k}.csv").read_text().splitlines()[1:]
+            assert events == [
+                f"{t!r},{kind}" for t, kind in sorted(rec.events + detect_jump(rec))
+            ]
+        summary = run_ensemble(*args, n, **kwargs)
+        table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table, np.column_stack([
+            summary.times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22,
+        ]))
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["n_detected"] == summary.n_detected
+
+    def test_underflow_names_its_trajectory(self, tmp_path, capsys):
+        path = write_config(tmp_path, UNDERFLOW_CONFIG)
+        assert main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        named = re.match(r"error: trajectory (\d+): (.*)", err)
+        assert named, err
+        k = int(named.group(1))
+        run = parse_config(path)
+        child = np.random.SeedSequence(run.measurement.seed).spawn(run.n_traj)[k]
+        with pytest.raises(TraceUnderflowError) as alone:
+            run_trajectory(
+                run.detector, None, run.measurement, duration=run.duration,
+                rng=np.random.default_rng(child),
+            )
+        assert str(alone.value) == f"trajectory 0: {named.group(2)}"
 
 
 class TestSensitivity:

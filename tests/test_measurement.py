@@ -646,6 +646,31 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
         assert a.n_detected == b.n_detected
 
+        # ground starts without a drive only take ground steps; a trajectory
+        # that carries factors or populations is the same bits in any chunk
+        def series(signal, cfg, chunk_size, starts=None):
+            chunks = measurement._ensemble_chunks(
+                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size, starts
+            )
+            return np.concatenate([
+                np.concatenate([b.readouts[:, None], b.pops], axis=1)
+                for _, b in chunks
+            ], axis=2)
+
+        noisy = dataclasses.replace(cfg, kappa=0.05, thermal_rate=0.5)
+        drive = resonant_drive_for_beta(spec, 0.6, 1.0)
+        rng = np.random.default_rng(8)
+        diagonal = measurement._start_factors(
+            [QuantumState.from_diagonal(rng.dirichlet(np.ones(8))) for _ in range(7)], 8
+        )
+        for signal, run_cfg, starts in ((drive, noisy, None), (None, cfg, diagonal)):
+            whole = series(signal, run_cfg, 7, starts)
+            assert whole.shape == (100, 4, 7)
+            for chunk_size in (1, 3):
+                np.testing.assert_array_equal(
+                    series(signal, run_cfg, chunk_size, starts), whole
+                )
+
     @pytest.mark.parametrize("n_rec", [1, 63, 64, 65, 128, 130])
     def test_purity_crossing_is_first_record_over_threshold(self, n_rec):
         # records are reduced in blocks; a crossing is still the first
