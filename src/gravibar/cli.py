@@ -498,7 +498,8 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
         rows.append((res.method, res.value, beta, *probs))
         print(f"{res.method:<28} chi = {res.value:.6g}  |beta| = {beta:.6g}")
     _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", rows)
-    _write_metadata(outputs, run, "chi")
+    hi, lo = max(row[1] for row in rows), min(row[1] for row in rows)
+    _write_metadata(outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0)
     return 0
 
 

@@ -4,7 +4,7 @@ The central object is the resonant drive content
 
     chi(h, omega, t) = | integral of hddot(s) * exp(i*omega*s) ds |
 
-evaluated by adaptive oscillatory quadrature or by closed forms
+evaluated by phase-panel Gauss-Legendre quadrature or by closed forms
 (monochromatic sinc, slow-chirp estimate, stationary phase). The coherent
 displacement imparted to the mode is |beta| = (L/pi^2) sqrt(M/(omega*hbar))
 * chi, and mode populations follow a Poisson distribution in |beta|^2.
@@ -26,7 +26,6 @@ from .waveform import (
     MonochromaticWave,
     SampledStrain,
     StrainSignal,
-    chirp_frequency,
     chirp_window,
     resonance_crossing_time,
     resonance_time,
@@ -72,15 +71,36 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def _max_signal_frequency(signal: StrainSignal, window: tuple[float, float]) -> float:
+# 16-point Gauss-Legendre rule on [-1, 1], applied on every panel.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANEL_PHASE = 4.0 * math.pi  # two cycles per first-estimate panel
+_BLOCK_PANELS = 4096  # panels evaluated at once: a few MB at any grid size
+
+
+def _phase_map(signal: StrainSignal):
+    """Phase of an analytic signal as a function of time, and its inverse."""
     if isinstance(signal, MonochromaticWave):
-        return signal.nu
-    if isinstance(signal, ChirpSource):
-        t1 = min(window[1], signal.coalescence * (1.0 - 1e-12))
-        return float(chirp_frequency(signal.nu0, signal.k, max(t1, 0.0)))
-    if isinstance(signal, SampledStrain):
-        return math.pi / signal.dt
-    raise TypeError(f"not a strain signal: {signal!r}")
+        return (lambda t: signal.nu * t), (lambda phi: phi / signal.nu)
+    t_c = signal.coalescence
+    phi_c = 3.0 / (5.0 * signal.k * signal.nu0 ** (5.0 / 3.0))  # phase at t_c
+    # phi = phi_c * (1 - (1 - t/t_c)^(5/8)), inverted in closed form
+    return (lambda t: phi_c * (1.0 - (1.0 - t / t_c) ** 0.625),
+            lambda phi: t_c * (1.0 - (1.0 - phi / phi_c) ** 1.6))
+
+
+def _panel_sum(signal: StrainSignal, omega: float, edges: np.ndarray) -> complex:
+    """Gauss-Legendre value of the integral over the panels between `edges`."""
+    total = 0.0 + 0.0j
+    for lo in range(0, edges.size - 1, _BLOCK_PANELS):
+        block = edges[lo:lo + _BLOCK_PANELS + 1]
+        half = 0.5 * np.diff(block)[:, None]
+        s = (block[:-1, None] + half + half * _GL_NODES).ravel()
+        _, hddot, _ = strain_samples(signal, s)
+        # cos and sin cost less than a complex exp of omega*s
+        parts = hddot * [np.cos(omega * s), np.sin(omega * s)]
+        re, im = half[:, 0] @ (parts.reshape(2, -1, _GL_NODES.size) @ _GL_WEIGHTS).T
+        total += complex(re, im)
+    return total
 
 
 def oscillatory_integral(
@@ -93,22 +113,21 @@ def oscillatory_integral(
 ) -> complex:
     """Complex integral of hddot(s)*exp(i*omega*s) over the window.
 
-    Analytic signals use composite Simpson with at least 20 samples per
-    cycle of the fastest frequency present, doubled until the modulus
-    changes by less than `tol` relative. The doublings are nested: the sums
-    over the end, old-interior and new-midpoint nodes are kept, and each
-    refinement evaluates the strain only at its new midpoints, so every
-    node is evaluated once (n + 1 evaluations in all for a final grid of n
-    intervals). Sampled strain is integrated on its own grid (trapezoid
-    over the stored second differences), where no refinement is possible.
+    Analytic signals use 16-point Gauss-Legendre on panels over the window
+    clipped to the signal's support. The first panel edges are a uniform
+    grid of at most two cycles of |omega| per panel joined with the instants
+    at which the signal phase advances by two cycles; the panels are halved
+    until the modulus changes by at most `tol` relative. Sampled strain is
+    integrated on its own grid (trapezoid over the stored second
+    differences).
 
-    Raises QuadratureConvergenceError (carrying the last estimate) if the
-    refinement limit is reached without convergence.
+    `max_nodes` bounds the strain evaluations of the call, which evaluates
+    its grids in blocks of panels: QuadratureConvergenceError is raised
+    before a grid that would pass it is built, carrying the last estimate:
+    the one-panel value if the first panels alone would pass it, nan if
+    not even one panel fits.
     """
     t0, t1 = window
-    if t1 <= t0:
-        return 0.0 + 0.0j
-
     if isinstance(signal, SampledStrain):
         ts = signal.times
         keep = (ts >= t0) & (ts <= t1)
@@ -117,36 +136,37 @@ def oscillatory_integral(
             return 0.0 + 0.0j
         integrand = signal.hddot_samples[keep] * np.exp(1j * omega * ts)
         return complex(np.trapezoid(integrand, ts))
+    if isinstance(signal, ChirpSource):
+        t0, t1 = max(t0, 0.0), min(t1, signal.coalescence)
+    if t1 <= t0:
+        return 0.0 + 0.0j
 
-    f_max = max(abs(omega), _max_signal_frequency(signal, window))
-    n = int(np.ceil((t1 - t0) * f_max / (2.0 * math.pi) * 20.0))
-    n = max(n + (n % 2), 8)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        _, hddot, _ = strain_samples(signal, s)
-        return hddot * np.exp(1j * omega * s)
-
-    nodes = integrand(np.linspace(t0, t1, n + 1))
-    ends = nodes[0] + nodes[-1]
-    odd = nodes[1:-1:2].sum()
-    even = nodes[2:-1:2].sum()
-    estimate = complex((t1 - t0) / n / 3.0 * (ends + 4.0 * odd + 2.0 * even))
+    phase, time_at = _phase_map(signal)
+    n_uniform = max(math.ceil(abs(omega) * (t1 - t0) / _PANEL_PHASE), 1)
+    n_phase = math.ceil((phase(t1) - phase(t0)) / _PANEL_PHASE)
+    n_panels = n_uniform + max(n_phase - 1, 0)  # bounds the union's panels
+    order, spent, edges = _GL_NODES.size, 0, None
+    estimate = complex(math.nan, math.nan)
+    if order <= max_nodes < n_panels * order:
+        spent, estimate = order, _panel_sum(signal, omega, np.array([t0, t1]))
     while True:
-        n *= 2
-        if n > max_nodes:
+        spent += n_panels * order
+        if spent > max_nodes:
             raise QuadratureConvergenceError(
                 f"oscillatory quadrature did not reach {tol:.1e} relative "
                 f"within {max_nodes} nodes",
                 estimate,
             )
-        step = (t1 - t0) / n
-        even += odd
-        odd = integrand(t0 + step * np.arange(1, n, 2)).sum()
-        refined = complex(step / 3.0 * (ends + 4.0 * odd + 2.0 * even))
-        scale = max(abs(refined), abs(estimate))
-        if abs(refined - estimate) <= tol * scale:
+        if edges is None:
+            phases = phase(t0) + _PANEL_PHASE * np.arange(1, n_phase)
+            edges = np.union1d(np.linspace(t0, t1, n_uniform + 1),
+                               np.clip(time_at(phases), t0, t1))
+        else:
+            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        refined = _panel_sum(signal, omega, edges)
+        if abs(refined - estimate) <= tol * max(abs(refined), abs(estimate)):
             return refined
-        estimate = refined
+        estimate, n_panels = refined, 2 * (edges.size - 1)
 
 
 def chi_quadrature(

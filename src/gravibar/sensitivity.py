@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G, C_LIGHT, HBAR, K_B
-from .detector import DetectorSpec, gamma_spontaneous, mode_frequency
+from .detector import DetectorSpec, DetectorSpecError, gamma_spontaneous
 
 
 @dataclass(frozen=True)
@@ -117,28 +117,26 @@ def sensitivity_curve(
     """Characteristic strain across a frequency grid at fixed material, R, Q, T.
 
     At each frequency the bar length follows from L = l pi v_s / omega and
-    the mass from the geometry, so the curve reflects a family of detectors
-    of the template's material and radius tuned across the band.
+    the mass from the geometry, M = rho pi R^2 L, so the curve reflects a
+    family of detectors of the template's material and radius tuned across
+    the band; h_c is evaluated over the whole grid at once.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     if frequencies_hz.ndim != 1 or frequencies_hz.size < 1:
         raise ValueError("frequency grid must be a non-empty 1-D array")
     if np.any(np.diff(frequencies_hz) <= 0.0) and frequencies_hz.size > 1:
         raise ValueError("frequency grid must be ascending")
+    if frequencies_hz[0] <= 0.0:
+        raise DetectorSpecError(f"frequency must be > 0, got {frequencies_hz[0]} Hz")
     if label is None:
         label = template.material.name
-    points = []
-    for f in frequencies_hz:
-        spec = DetectorSpec.from_frequency(
-            template.material,
-            2.0 * math.pi * f,
-            radius=template.radius,
-            mode_index=template.mode_index,
-            quality=template.quality,
-            temperature=template.temperature,
-        )
-        points.append(SensitivityPoint(float(f), characteristic_strain(spec), label))
-    return points
+    v_s = template.material.sound_speed
+    length = template.mode_index * math.pi * v_s / (2.0 * math.pi * frequencies_hz)
+    mass = template.material.density * math.pi * template.radius**2 * length
+    h_c = 2.0 * math.pi * np.sqrt(
+        math.pi * K_B * template.temperature / (mass * v_s**2 * template.quality)
+    )
+    return [SensitivityPoint(f, h, label) for f, h in zip(frequencies_hz.tolist(), h_c.tolist())]
 
 
 def thermal_rate_classical(spec: DetectorSpec, *, omega: float | None = None) -> float:

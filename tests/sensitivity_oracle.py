@@ -1,0 +1,34 @@
+"""Sensitivity curve built one detector at a time.
+
+For every grid frequency it constructs the tuned bar through
+`DetectorSpec.from_frequency` (L = l pi v_s / omega, mass from the
+geometry, every field validated) and evaluates `characteristic_strain` on
+it. It is the reference for the closed-form array expression of
+`gravibar.sensitivity.sensitivity_curve`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from gravibar.detector import DetectorSpec
+from gravibar.sensitivity import SensitivityPoint, characteristic_strain
+
+
+def sensitivity_points(
+    template: DetectorSpec, frequencies_hz, label: str
+) -> list[SensitivityPoint]:
+    points = []
+    for f in np.asarray(frequencies_hz, dtype=float):
+        spec = DetectorSpec.from_frequency(
+            template.material,
+            2.0 * math.pi * f,
+            radius=template.radius,
+            mode_index=template.mode_index,
+            quality=template.quality,
+            temperature=template.temperature,
+        )
+        points.append(SensitivityPoint(float(f), characteristic_strain(spec), label))
+    return points

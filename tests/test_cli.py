@@ -248,6 +248,21 @@ class TestChi:
         for method in ("quadrature", "stationary_phase", "chirp_analytic"):
             assert method in content
 
+    @pytest.mark.parametrize("config", [MONO_CONFIG, CHIRP_CONFIG])
+    def test_method_spread_in_metadata_and_reruns_identical(self, tmp_path, config):
+        path = write_config(tmp_path, config)
+        for out in ("a", "b"):
+            assert main(["chi", "--config", path, "--out", str(tmp_path / out)]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b")) == ["chi.csv", "metadata.json"]
+        for name in names:
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), f"{name} differs"
+        chi = read_csv(tmp_path / "a" / "chi.csv").values()
+        meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+        assert meta["chi_method_spread"] == (max(chi) - min(chi)) / max(chi)
+        assert 0.0 < meta["chi_method_spread"] < 0.3
+
 
 class TestOptimalMass:
     def test_ns_merger_mass_range(self, tmp_path):

@@ -1,8 +1,13 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadrature_oracle
 from gravibar import dynamics
 from gravibar.constants import HBAR, SOLAR_MASS
 from gravibar.detector import DetectorSpec, MATERIALS, mode_frequency
@@ -25,10 +30,12 @@ from gravibar.waveform import (
     ChirpDomainError,
     ChirpSource,
     MonochromaticWave,
+    chirp_frequency,
     chirp_window,
     resonance_crossing_time,
     strain_samples,
 )
+from quadrature_oracle import simpson_integral
 
 OMEGA = 2 * math.pi * 100.0
 
@@ -63,17 +70,18 @@ class TestChiQuadrature:
         assert chi_quadrature(wave, 1.0, (5.0, 5.0)).value == 0.0
 
     def test_refinement_evaluates_each_node_once(self, ns_merger_chirp, monkeypatch):
-        # nested doubling: the calls together cover the final grid exactly
-        # once, and the value is plain composite Simpson on that grid
+        # the Simpson oracle's nested doubling: the calls together cover the
+        # final grid exactly once, and the value is plain composite Simpson
+        # on that grid
         seen = []
 
         def counting(signal, ts):
             seen.append(np.array(ts))
             return strain_samples(signal, ts)
 
-        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        monkeypatch.setattr(quadrature_oracle, "strain_samples", counting)
         window = chirp_window(ns_merger_chirp, OMEGA)
-        value = oscillatory_integral(ns_merger_chirp, OMEGA, window)
+        value = simpson_integral(ns_merger_chirp, OMEGA, window)
         n = 2 * seen[-1].size  # the last call evaluates the n/2 new midpoints
         assert len(seen) >= 3
         assert sum(ts.size for ts in seen) == n + 1
@@ -90,6 +98,147 @@ class TestChiQuadrature:
             weights, hddot * np.exp(1j * OMEGA * grid)
         )
         assert abs(value - full) <= 1e-12 * abs(full)
+
+    @pytest.mark.parametrize(
+        "case", ["coalescence", "coalescence_nu_two_thirds", "long_monochromatic"]
+    )
+    def test_node_cap_bounds_time_and_memory(self, ns_merger_chirp, monkeypatch, case):
+        # windows whose integrand cannot be resolved within max_nodes: a
+        # window reaching past coalescence, where hddot diverges, and 1e8
+        # cycles of a 100 Hz wave; each call must stop at the cap
+        if case == "long_monochromatic":
+            signal, window = MonochromaticWave(h0=1e-21, nu=OMEGA), (0.0, 1e6)
+        else:
+            model = "constant" if case == "coalescence" else "nu_two_thirds"
+            signal = ChirpSource(ns_merger_chirp.chirp_mass, h0=2e-22,
+                                 nu0=ns_merger_chirp.nu0, amplitude_model=model,
+                                 amplitude_ref=OMEGA)
+            t_c = signal.coalescence
+            window = (0.9 * t_c, 1.2 * t_c)
+        evaluated = []
+
+        def counting(signal, ts):
+            evaluated.append(ts.size)
+            return strain_samples(signal, ts)
+
+        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(QuadratureConvergenceError):
+                oscillatory_integral(signal, OMEGA, window)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(evaluated) <= 2**23
+        assert elapsed < 2.0
+        assert peak < 200 * 2**20
+
+    def test_first_grid_over_cap_is_never_built(self, ns_merger_chirp, monkeypatch):
+        evaluated = []
+
+        def counting(signal, ts):
+            evaluated.append(ts.size)
+            return strain_samples(signal, ts)
+
+        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        window = chirp_window(ns_merger_chirp, OMEGA)
+        # a budget below one 16-node panel: no estimate at all
+        with pytest.raises(QuadratureConvergenceError) as info:
+            oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=15)
+        assert math.isnan(info.value.last_estimate.real)
+        assert evaluated == []
+        # budgets between the first and the halved grid carry the first
+        for max_nodes in (2000, 10_000):
+            evaluated.clear()
+            with pytest.raises(QuadratureConvergenceError):
+                oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=max_nodes)
+            assert sum(evaluated) <= max_nodes
+
+
+class TestPanelQuadratureOracle:
+    """The panel Gauss-Legendre rule against the nested Simpson oracle.
+
+    Differences are measured against the integral of |hddot| over the
+    window, which near-cancelling integrals (sinc zeros) do not shrink.
+    """
+
+    @staticmethod
+    def abs_hddot_integral(signal, window):
+        ts = np.linspace(*window, 200_001)
+        _, hddot, _ = strain_samples(signal, ts)
+        return float(np.trapezoid(np.abs(hddot), ts))
+
+    def assert_agrees(self, signal, omega, window):
+        panel = oscillatory_integral(signal, omega, window)
+        oracle = simpson_integral(signal, omega, window)
+        scale = self.abs_hddot_integral(signal, window)
+        assert scale > 0.0
+        assert abs(panel - oracle) <= 1e-6 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        chirp_mass=st.floats(1.5, 10.0),
+        nu0_hz=st.floats(25.0, 60.0),
+        model=st.sampled_from(["constant", "nu_two_thirds"]),
+        band=st.sampled_from(["below", "in", "above"]),
+        where=st.floats(0.0, 1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        start=st.floats(0.0, 1.0),
+        end=st.floats(0.0, 1.0),
+    )
+    def test_chirp(self, chirp_mass, nu0_hz, model, band, where, sign, start, end):
+        nu0 = 2 * math.pi * nu0_hz
+        probe = ChirpSource.from_solar_masses(chirp_mass, h0=2e-22, nu0=nu0)
+        t_c = probe.coalescence
+        nu_max = chirp_frequency(nu0, probe.k, 0.999 * t_c)
+        if band == "in":
+            omega = nu0 * (nu_max / nu0) ** (0.1 + 0.6 * where)
+            t0, t1 = chirp_window(probe, omega)
+            window = (start * t0, t1 + end * (0.999 * t_c - t1))
+        else:
+            omega = nu0 * (0.3 + 0.6 * where) if band == "below" else nu_max * (1.2 + 2 * where)
+            window = (0.45 * start * t_c, (0.5 + 0.499 * end) * t_c)
+        chirp = ChirpSource.from_solar_masses(
+            chirp_mass, h0=2e-22, nu0=nu0, amplitude_model=model, amplitude_ref=omega
+        )
+        self.assert_agrees(chirp, sign * omega, window)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        nu_hz=st.floats(5.0, 200.0),
+        detuning=st.sampled_from([0.0, 0.01, -0.03, 0.7, -0.6]),
+        sign=st.sampled_from([1.0, -1.0]),
+        phi0=st.floats(0.0, 2 * math.pi),
+        offset_cycles=st.floats(0.0, 10.0),
+        cycles=st.one_of(st.floats(0.05, 2.0), st.floats(2.0, 300.0)),
+    )
+    def test_monochromatic(self, nu_hz, detuning, sign, phi0, offset_cycles, cycles):
+        nu = 2 * math.pi * nu_hz
+        wave = MonochromaticWave(h0=1e-21, nu=nu, phi0=phi0)
+        period = 2 * math.pi / nu
+        window = (offset_cycles * period, (offset_cycles + cycles) * period)
+        self.assert_agrees(wave, sign * nu * (1.0 + detuning), window)
+
+    def test_whole_inspiral_uses_fewer_samples(self, ns_merger_chirp, monkeypatch):
+        # the 142 Hz whole-inspiral chi of the analytic benchmark workload
+        counts = {}
+
+        def counting(key):
+            def wrapped(signal, ts):
+                counts[key] = counts.get(key, 0) + np.size(ts)
+                return strain_samples(signal, ts)
+            return wrapped
+
+        monkeypatch.setattr(dynamics, "strain_samples", counting("panel"))
+        monkeypatch.setattr(quadrature_oracle, "strain_samples", counting("oracle"))
+        omega = 2 * math.pi * 142.0
+        window = (0.0, 0.999 * ns_merger_chirp.coalescence)
+        panel = oscillatory_integral(ns_merger_chirp, omega, window)
+        oracle = simpson_integral(ns_merger_chirp, omega, window)
+        assert abs(panel - oracle) <= 1e-6 * abs(oracle)
+        assert counts["oracle"] >= 5 * counts["panel"]
 
 
 class TestChiMonochromatic:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gravibar.constants import HBAR, K_B
 from gravibar.detector import (
     DetectorSpec,
+    DetectorSpecError,
     MATERIALS,
     Material,
     gamma_spontaneous,
@@ -26,6 +27,7 @@ from gravibar.sensitivity import (
     stimulated_rate_wavepacket,
     thermal_rate_classical,
 )
+from sensitivity_oracle import sensitivity_points
 
 OMEGA_100 = 2 * math.pi * 100.0
 
@@ -249,6 +251,37 @@ class TestSensitivityCurve:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             sensitivity_curve(self.template(), [100.0, 50.0])
+        with pytest.raises(DetectorSpecError, match="frequency must be > 0"):
+            sensitivity_curve(self.template(), [0.0, 50.0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        density=st.floats(100.0, 2e4),
+        sound_speed=st.floats(100.0, 2e4),
+        radius=st.floats(0.01, 2.0),
+        mode_index=st.integers(0, 6).map(lambda j: 2 * j + 1),
+        quality=st.floats(1e3, 1e12),
+        temperature=st.floats(1e-4, 300.0),
+        f_min=st.floats(0.1, 1e3),
+        steps=st.lists(st.floats(1e-3, 1e3), min_size=0, max_size=40),
+    )
+    def test_matches_per_detector_oracle(
+        self, density, sound_speed, radius, mode_index, quality, temperature,
+        f_min, steps,
+    ):
+        template = DetectorSpec(
+            Material("m", density=density, sound_speed=sound_speed),
+            length=1.0, radius=radius, mode_index=mode_index,
+            quality=quality, temperature=temperature,
+        )
+        freqs = f_min + np.cumsum([0.0, *steps])
+        points = sensitivity_curve(template, freqs)
+        expected = sensitivity_points(template, freqs, "m")
+        assert [p.frequency for p in points] == [p.frequency for p in expected]
+        assert [p.label for p in points] == [p.label for p in expected]
+        np.testing.assert_allclose(
+            [p.h_c for p in points], [p.h_c for p in expected], rtol=1e-13, atol=0.0
+        )
 
     def test_label_defaults_to_material(self):
         points = sensitivity_curve(self.template(), [100.0])
