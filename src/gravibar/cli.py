@@ -107,10 +107,8 @@ _UNITS = {
 }
 
 
-def _type_error(section: str, key: str, raw: str) -> ConfigError:
-    unit = _UNITS.get(key)
-    hint = f" (expected a number in {unit})" if unit else " (expected a number)"
-    return ConfigError(f"[{section}] {key} = {raw!r} is not valid{hint}")
+# Chain sizes N of `lattice-verify` when no [lattice] n_values is given.
+LATTICE_N_VALUES = (19, 39, 79, 159)
 
 
 class _Section:
@@ -124,38 +122,15 @@ class _Section:
     def has(self, key: str) -> bool:
         return self.proxy is not None and key in self.proxy
 
-    def raw(self, key: str, default=None):
-        if not self.has(key):
-            return default
-        return self.proxy[key].split("#", 1)[0].strip()
+    def raw(self, key: str):
+        return self.proxy[key].split("#", 1)[0].strip() if self.has(key) else None
 
     def record(self, key: str, value):
         self.resolved[key] = value
         return value
 
-    def floatv(self, key: str, default=None, required=False):
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return self.record(key, default)
-        try:
-            return self.record(key, float(raw))
-        except ValueError:
-            raise _type_error(self.name, key, raw) from None
-
-    def intv(self, key: str, default=None, required=False):
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return self.record(key, default)
-        try:
-            return self.record(key, int(raw))
-        except ValueError:
-            raise _type_error(self.name, key, raw) from None
-
-    def strv(self, key: str, default=None, required=False, choices=None):
+    def value(self, key: str, convert=float, default=None, required=False, choices=None):
+        """The key's text through `convert`, `default` if absent or empty; recorded."""
         raw = self.raw(key)
         if raw is None or raw == "":
             if required:
@@ -165,7 +140,12 @@ class _Section:
             raise ConfigError(
                 f"[{self.name}] {key} = {raw!r} must be one of {sorted(choices)}"
             )
-        return self.record(key, raw)
+        try:
+            return self.record(key, convert(raw))
+        except ValueError:
+            unit = _UNITS.get(key)
+            hint = f" (expected a number in {unit})" if unit else " (expected a number)"
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not valid{hint}") from None
 
 
 @dataclass
@@ -180,28 +160,23 @@ class RunConfig:
     window: tuple[float, float] | None
     n_traj: int
     out_dir: str
-    source_h0: float | None
-    mass_resolved_optimal: bool
     sensitivity_grid: np.ndarray
     lattice_n_values: tuple[int, ...]
     resolved: dict
 
 
 def _build_signal(sec: _Section, omega_hint: float | None):
-    kind = sec.strv(
-        "type", required=True, choices={"monochromatic", "chirp", "file"}
-    )
+    kind = sec.value("type", str, required=True, choices={"monochromatic", "chirp", "file"})
     if kind == "monochromatic":
-        h0 = sec.floatv("h0", required=True)
-        freq = sec.floatv("frequency_hz", required=True)
+        h0 = sec.value("h0", required=True)
+        freq = sec.value("frequency_hz", required=True)
         return MonochromaticWave(h0=h0, nu=2.0 * math.pi * freq)
     if kind == "chirp":
-        h0 = sec.floatv("h0", required=True)
-        mc = sec.floatv("chirp_mass_msun", required=True)
-        nu0 = sec.floatv("nu0_hz", required=True)
-        model = sec.strv(
-            "amplitude_model", default="constant",
-            choices={"constant", "nu_two_thirds"},
+        h0 = sec.value("h0", required=True)
+        mc = sec.value("chirp_mass_msun", required=True)
+        nu0 = sec.value("nu0_hz", required=True)
+        model = sec.value(
+            "amplitude_model", str, default="constant", choices={"constant", "nu_two_thirds"}
         )
         ref = omega_hint if model == "nu_two_thirds" else None
         return ChirpSource(
@@ -211,7 +186,7 @@ def _build_signal(sec: _Section, omega_hint: float | None):
             amplitude_model=model,
             amplitude_ref=ref,
         )
-    path = sec.strv("path", required=True)
+    path = sec.value("path", str, required=True)
     return load_strain_series(path)
 
 
@@ -258,12 +233,12 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         raise ConfigError("missing required section [detector]")
 
     if det.has("material"):
-        material = get_material(det.strv("material"), extra_materials)
+        material = get_material(det.value("material", str), extra_materials)
     elif det.has("density") and det.has("sound_speed"):
         material = Material(
             "custom",
-            density=det.floatv("density", required=True),
-            sound_speed=det.floatv("sound_speed", required=True),
+            density=det.value("density", required=True),
+            sound_speed=det.value("sound_speed", required=True),
         )
     else:
         raise ConfigError(
@@ -273,17 +248,17 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     det.record("material_density", material.density)
     det.record("material_sound_speed", material.sound_speed)
 
-    mode_index = det.intv("mode_index", default=1)
-    quality = det.floatv("quality", default=1e10)
-    temperature = det.floatv("temperature", default=1e-3)
-    radius = det.floatv("radius", required=True)
+    mode_index = det.value("mode_index", int, default=1)
+    quality = det.value("quality", default=1e10)
+    temperature = det.value("temperature", default=1e-3)
+    radius = det.value("radius", required=True)
 
     if det.has("length") and det.has("frequency_hz"):
         raise ConfigError("[detector] length and frequency_hz are exclusive")
     if det.has("length"):
-        length = det.floatv("length", required=True)
+        length = det.value("length", required=True)
     elif det.has("frequency_hz"):
-        freq = det.floatv("frequency_hz", required=True)
+        freq = det.value("frequency_hz", required=True)
         length = mode_index * math.pi * material.sound_speed / (
             2.0 * math.pi * freq
         )
@@ -294,20 +269,18 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     omega = mode_index * math.pi * material.sound_speed / length
 
     meas = section("measurement")
-    t_meas = meas.floatv("t_meas", default=40.0)
-    duration = meas.floatv("duration", default=t_meas)
+    t_meas = meas.value("t_meas", default=40.0)
+    duration = meas.value("duration", default=t_meas)
 
     src = section("source")
     signal = None
-    source_h0 = None
     gw_start = 0.0
     window = None
     if parser.has_section("source"):
         signal = _build_signal(src, omega)
-        source_h0 = getattr(signal, "h0", None)
-        gw_start = src.floatv("gw_start", default=0.0)
-        w0 = src.floatv("window_start", default=None)
-        w1 = src.floatv("window_end", default=None)
+        gw_start = src.value("gw_start", default=0.0)
+        w0 = src.value("window_start")
+        w1 = src.value("window_end")
         if (w0 is None) != (w1 is None):
             raise ConfigError(
                 "[source] window_start and window_end must be given together"
@@ -324,9 +297,8 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         window = (w0, w1)
 
     mass_raw = det.raw("mass")
-    mass_resolved_optimal = mass_raw == "optimal"
     mass = None  # from the geometry
-    if mass_resolved_optimal:
+    if mass_raw == "optimal":
         if signal is None:
             raise ConfigError("[detector] mass = optimal requires a [source]")
         mass = optimal_mass(material, _signal_chi(signal, window, omega), omega)
@@ -347,46 +319,44 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     det.record("mass", spec.mass)
 
     out = section("output")
-    thermal = meas.strv("thermal", default="off", choices={"on", "off"})
+    thermal = meas.value("thermal", str, default="off", choices={"on", "off"})
     thermal_rate = gamma_thermal(spec) if thermal == "on" else 0.0
     meas.record("thermal_rate", thermal_rate)
     cfg = MeasurementConfig(
-        dt=meas.floatv("dt", default=1e-3),
-        t_m=meas.floatv("t_m", default=2.0),
+        dt=meas.value("dt", default=1e-3),
+        t_m=meas.value("t_m", default=2.0),
         t_meas=t_meas,
-        dim=meas.intv("dim", default=30),
-        kappa=meas.floatv("kappa", default=0.0),
-        kappa_scaling=meas.strv(
-            "kappa_scaling", default="literal", choices={"literal", "diffusive"}
+        dim=meas.value("dim", int, default=30),
+        kappa=meas.value("kappa", default=0.0),
+        kappa_scaling=meas.value(
+            "kappa_scaling", str, default="literal", choices={"literal", "diffusive"}
         ),
         thermal_rate=thermal_rate,
-        seed=meas.intv("seed", default=0),
-        record_stride=out.intv("stride", default=3),
+        seed=meas.value("seed", int, default=0),
+        record_stride=out.value("stride", int, default=3),
     )
-    n_traj = meas.intv("n_traj", default=1)
+    n_traj = meas.value("n_traj", int, default=1)
     if n_traj < 1:
         raise ConfigError(f"[measurement] n_traj = {n_traj} must be >= 1")
-    out_dir = out.strv("directory", default="out")
+    out_dir = out.value("directory", str, default="out")
 
     sens = section("sensitivity")
-    f_min = sens.floatv("f_min_hz", default=50.0)
-    f_max = sens.floatv("f_max_hz", default=2000.0)
-    n_pts = sens.intv("n_points", default=40)
+    f_min = sens.value("f_min_hz", default=50.0)
+    f_max = sens.value("f_max_hz", default=2000.0)
+    n_pts = sens.value("n_points", int, default=40)
     if f_max <= f_min:
         raise ConfigError("[sensitivity] f_max_hz must exceed f_min_hz")
     grid = np.geomspace(f_min, f_max, n_pts)
 
     lat = section("lattice")
-    raw_ns = lat.strv("n_values", default="19,39,79,159")
-    try:
-        n_values = tuple(int(v) for v in raw_ns.split(","))
-    except ValueError:
-        raise _type_error("lattice", "n_values", raw_ns) from None
+    n_values = lat.value(
+        "n_values", lambda raw: tuple(int(v) for v in raw.split(",")),
+        default=LATTICE_N_VALUES,
+    )
     if any(n < 3 or n % 2 == 0 for n in n_values) or len(set(n_values)) < 2:
         raise ConfigError(
-            f"[lattice] n_values = {raw_ns!r} needs two or more distinct odd N >= 3"
+            f"[lattice] n_values = {lat.raw('n_values')!r} needs two or more distinct odd N >= 3"
         )
-    lat.record("n_values", list(n_values))
 
     resolved["constants"] = dataclasses.asdict(CONSTANTS)
     resolved["version"] = __version__
@@ -399,8 +369,6 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         window=window,
         n_traj=n_traj,
         out_dir=out_dir,
-        source_h0=source_h0,
-        mass_resolved_optimal=mass_resolved_optimal,
         sensitivity_grid=grid,
         lattice_n_values=n_values,
         resolved=resolved,
@@ -461,8 +429,9 @@ def cmd_rates(run: RunConfig, outputs: _OutputSet) -> int:
         ("fock_lifetime_s", fock_lifetime(spec)),
         ("characteristic_strain", characteristic_strain(spec)),
     ]
-    if run.source_h0 is not None:
-        rows.insert(2, ("gamma_stimulated_hz", gamma_stimulated(spec, run.source_h0)))
+    h0 = getattr(run.signal, "h0", None)
+    if h0 is not None:
+        rows.insert(2, ("gamma_stimulated_hz", gamma_stimulated(spec, h0)))
     _write_csv(outputs, "rates.csv", "quantity,value", rows)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -490,7 +459,7 @@ def _chi_methods(run: RunConfig, omega: float):
 def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
     spec = run.detector
     omega = mode_frequency(spec)
-    pref = beta_prefactor(spec, omega)
+    pref = beta_prefactor(spec)
     rows = []
     for res in _chi_methods(run, omega):
         beta = pref * res.value
@@ -511,7 +480,7 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
     chi = _signal_chi(run.signal, run.window, omega)
     mass = optimal_mass(spec.material, chi, omega)
     tuned = dataclasses.replace(spec, mass=mass, geometry_mass_check=False)
-    beta = beta_prefactor(tuned, omega) * chi
+    beta = beta_prefactor(tuned) * chi
     _write_csv(
         outputs, "optimal_mass.csv", "quantity,value",
         [("optimal_mass_kg", mass), ("chi", chi), ("beta_mag", beta)],
@@ -575,7 +544,7 @@ def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) 
 
 
 def cmd_lattice_verify(run: RunConfig | None, outputs: _OutputSet) -> int:
-    n_values = run.lattice_n_values if run is not None else (19, 39, 79, 159)
+    n_values = run.lattice_n_values if run is not None else LATTICE_N_VALUES
     rows = [
         (name, measured, bound, "pass" if ok else "FAIL")
         for name, measured, bound, ok in continuum_checks(n_values)

@@ -172,24 +172,15 @@ def mode_frequency(spec: DetectorSpec) -> float:
     return spec.mode_index * math.pi * spec.material.sound_speed / spec.length
 
 
-def gamma_spontaneous(spec: DetectorSpec, *, from_geometry: bool = False) -> float:
+def gamma_spontaneous(spec: DetectorSpec) -> float:
     """Spontaneous graviton emission rate of the first excited mode state [Hz].
 
-    Two algebraically equivalent forms exist:
-
         8*G*M*L^2*omega_l^4 / (l^4 * pi^4 * c^5)
-        8*pi*G*rho*v_s^4*R^2 / (L * c^5)
 
-    They agree exactly when M equals the geometric mass. The first form is
-    used with the stated mass by default; ``from_geometry=True`` selects the
-    second, which depends only on density and geometry.
+    with the stated mass M. With omega_l = l*pi*v_s/L and the geometric
+    mass M = rho*pi*R^2*L this is identically 8*pi*G*rho*v_s^4*R^2/(L*c^5),
+    which depends only on density and geometry.
     """
-    if from_geometry:
-        rho = spec.material.density
-        v_s = spec.material.sound_speed
-        return 8.0 * math.pi * G * rho * v_s**4 * spec.radius**2 / (
-            spec.length * C_LIGHT**5
-        )
     omega = mode_frequency(spec)
     l = spec.mode_index
     return (
@@ -227,25 +218,19 @@ def thermal_occupation(temperature: float, omega: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def gamma_thermal(spec: DetectorSpec, *, omega: float | None = None) -> float:
-    """Thermal excitation rate gamma_th = omega * nbar / Q [Hz].
-
-    `omega` overrides the mode frequency implied by the geometry (useful when
-    quoting a detector by frequency rather than length).
-    """
-    if omega is None:
-        omega = mode_frequency(spec)
+def gamma_thermal(spec: DetectorSpec) -> float:
+    """Thermal excitation rate gamma_th = omega * nbar / Q [Hz]."""
+    omega = mode_frequency(spec)
     nbar = thermal_occupation(spec.temperature, omega)
     return omega * nbar / spec.quality
 
 
-def fock_lifetime(spec: DetectorSpec, *, omega: float | None = None) -> float:
+def fock_lifetime(spec: DetectorSpec) -> float:
     """Number-state lifetime hbar*Q/(k_B*T) [s], valid for k_B*T >> hbar*omega.
 
     Emits a warning when the classical-occupation assumption is violated.
     """
-    if omega is None:
-        omega = mode_frequency(spec)
+    omega = mode_frequency(spec)
     if K_B * spec.temperature < 10.0 * HBAR * omega:
         warnings.warn(
             "fock_lifetime assumes k_B*T >> hbar*omega; "

@@ -74,6 +74,8 @@ def _sinc(x):
 # 16-point Gauss-Legendre rule on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_PHASE = 4.0 * math.pi  # two cycles per first-estimate panel
+_TOL = 1e-6  # relative change of the modulus at which panel halving stops
+_ROUNDOFF = 1e-12  # changes below this fraction of integral |hddot| ds are roundoff
 _BLOCK_PANELS = 4096  # panels evaluated at once: a few MB at any grid size
 
 
@@ -88,9 +90,9 @@ def _phase_map(signal: StrainSignal):
             lambda phi: t_c * (1.0 - (1.0 - phi / phi_c) ** 1.6))
 
 
-def _panel_sum(signal: StrainSignal, omega: float, edges: np.ndarray) -> complex:
-    """Gauss-Legendre value of the integral over the panels between `edges`."""
-    total = 0.0 + 0.0j
+def _panel_sum(signal: StrainSignal, omega: float, edges: np.ndarray) -> tuple[complex, float]:
+    """Gauss-Legendre integral, and that of |hddot|, over the panels between `edges`."""
+    total, scale = 0.0 + 0.0j, 0.0
     for lo in range(0, edges.size - 1, _BLOCK_PANELS):
         block = edges[lo:lo + _BLOCK_PANELS + 1]
         half = 0.5 * np.diff(block)[:, None]
@@ -100,7 +102,8 @@ def _panel_sum(signal: StrainSignal, omega: float, edges: np.ndarray) -> complex
         parts = hddot * [np.cos(omega * s), np.sin(omega * s)]
         re, im = half[:, 0] @ (parts.reshape(2, -1, _GL_NODES.size) @ _GL_WEIGHTS).T
         total += complex(re, im)
-    return total
+        scale += half[:, 0] @ (np.abs(hddot).reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)
+    return total, float(scale)
 
 
 def oscillatory_integral(
@@ -108,7 +111,6 @@ def oscillatory_integral(
     omega: float,
     window: tuple[float, float],
     *,
-    tol: float = 1e-6,
     max_nodes: int = 2**23,
 ) -> complex:
     """Complex integral of hddot(s)*exp(i*omega*s) over the window.
@@ -117,7 +119,9 @@ def oscillatory_integral(
     clipped to the signal's support. The first panel edges are a uniform
     grid of at most two cycles of |omega| per panel joined with the instants
     at which the signal phase advances by two cycles; the panels are halved
-    until the modulus changes by at most `tol` relative. Sampled strain is
+    until the modulus changes by at most 1e-6 relative or by at most 1e-12
+    of integral |hddot| ds, a roundoff floor for integrals that cancel to
+    nearly zero (a window ending on a sinc zero). Sampled strain is
     integrated on its own grid (trapezoid over the stored second
     differences).
 
@@ -148,12 +152,12 @@ def oscillatory_integral(
     order, spent, edges = _GL_NODES.size, 0, None
     estimate = complex(math.nan, math.nan)
     if order <= max_nodes < n_panels * order:
-        spent, estimate = order, _panel_sum(signal, omega, np.array([t0, t1]))
+        spent, estimate = order, _panel_sum(signal, omega, np.array([t0, t1]))[0]
     while True:
         spent += n_panels * order
         if spent > max_nodes:
             raise QuadratureConvergenceError(
-                f"oscillatory quadrature did not reach {tol:.1e} relative "
+                f"oscillatory quadrature did not reach {_TOL:.1e} relative "
                 f"within {max_nodes} nodes",
                 estimate,
             )
@@ -163,21 +167,16 @@ def oscillatory_integral(
                                np.clip(time_at(phases), t0, t1))
         else:
             edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        refined = _panel_sum(signal, omega, edges)
-        if abs(refined - estimate) <= tol * max(abs(refined), abs(estimate)):
+        refined, scale = _panel_sum(signal, omega, edges)
+        bound = max(_TOL * max(abs(refined), abs(estimate)), _ROUNDOFF * scale)
+        if abs(refined - estimate) <= bound:
             return refined
         estimate, n_panels = refined, 2 * (edges.size - 1)
 
 
-def chi_quadrature(
-    signal: StrainSignal,
-    omega: float,
-    window: tuple[float, float],
-    *,
-    tol: float = 1e-6,
-) -> ChiResult:
+def chi_quadrature(signal: StrainSignal, omega: float, window: tuple[float, float]) -> ChiResult:
     """chi by direct oscillatory quadrature over the window."""
-    value = abs(oscillatory_integral(signal, omega, window, tol=tol))
+    value = abs(oscillatory_integral(signal, omega, window))
     return ChiResult(value, "quadrature", (float(window[0]), float(window[1])))
 
 
@@ -257,10 +256,9 @@ def chi_stationary_phase(
     )
 
 
-def beta_prefactor(spec: DetectorSpec, omega: float | None = None) -> float:
+def beta_prefactor(spec: DetectorSpec) -> float:
     """Coupling prefactor (L/pi^2) * sqrt(M/(omega*hbar)) mapping chi to |beta|."""
-    if omega is None:
-        omega = mode_frequency(spec)
+    omega = mode_frequency(spec)
     return spec.length / math.pi**2 * math.sqrt(spec.mass / (omega * HBAR))
 
 
@@ -318,22 +316,18 @@ def displacement_beta(
     spec: DetectorSpec,
     signal: StrainSignal,
     window: tuple[float, float] | None = None,
-    *,
-    omega: float | None = None,
-    tol: float = 1e-6,
 ) -> BetaAmplitude:
     """Complex coherent amplitude beta accumulated over the window.
 
     |beta| = (L/pi^2) sqrt(M/(omega hbar)) * chi with chi evaluated from the
     identical quadrature, so the two are consistent to machine precision.
     """
-    if omega is None:
-        omega = mode_frequency(spec)
+    omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega)
-    integral = oscillatory_integral(signal, omega, window, tol=tol)
+    integral = oscillatory_integral(signal, omega, window)
     chi = ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])))
-    beta = -1j * beta_prefactor(spec, omega) * integral
+    beta = -1j * beta_prefactor(spec) * integral
     return BetaAmplitude(value=beta, detector=spec, signal=signal, chi=chi)
 
 

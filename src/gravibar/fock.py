@@ -2,8 +2,9 @@
 
 Dense complex matrices throughout; the measurement protocol works at
 dimension ~30 where dense linear algebra is both simple and fast. States
-are density matrices with explicit trace/Hermiticity/positivity checks;
-the measurement engine carries them as factors A with rho = A A^dag.
+are density matrices, checked at the fixed HERMITICITY_TOL, TRACE_TOL and
+POSITIVITY_TOL; the measurement engine carries them as factors A with
+rho = A A^dag.
 """
 
 from __future__ import annotations
@@ -86,22 +87,16 @@ class QuantumState:
             raise StateInvariantError(f"negative eigenvalue {lam[0]:.3e}")
         return vec * np.sqrt(np.clip(lam, 0.0, None))
 
-    def validate(
-        self,
-        *,
-        hermiticity_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        positivity_tol: float = POSITIVITY_TOL,
-    ) -> None:
+    def validate(self) -> None:
         """Raise StateInvariantError on invariant violation."""
         herm = np.abs(self.rho - self.rho.conj().T).max()
-        if herm > hermiticity_tol:
+        if herm > HERMITICITY_TOL:
             raise StateInvariantError(f"Hermiticity violated: max asym {herm:.3e}")
         tr_err = abs(self.trace() - 1.0)
-        if tr_err > trace_tol:
+        if tr_err > TRACE_TOL:
             raise StateInvariantError(f"trace deviates from 1 by {tr_err:.3e}")
         lam = self.min_eigenvalue()
-        if lam < positivity_tol:
+        if lam < POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {lam:.3e}")
 
 

@@ -157,16 +157,15 @@ def continuum_coupling(chain: ChainSpec, l: int) -> float:
     return sign * chain.total_mass * chain.length / (math.pi**2 * l**2)
 
 
-def effective_mode_mass(chain: ChainSpec, l: int = 1, probe: float = 1.0) -> float:
+def effective_mode_mass(chain: ChainSpec, l: int = 1) -> float:
     """Per-mode mass measured from the atomistic kinetic energy.
 
-    Excites mode l with velocity amplitude `probe`, sums the atomic kinetic
-    energies and returns 2*KE/probe^2. The discrete orthogonality relations
-    make this exactly M/2.
+    Excites mode l at unit velocity amplitude and returns twice the summed
+    atomic kinetic energy (any amplitude cancels). The discrete
+    orthogonality relations make this exactly M/2.
     """
-    vel = probe * mode_profile(chain, l)
-    kinetic = 0.5 * chain.atom_mass * float(np.dot(vel, vel))
-    return 2.0 * kinetic / probe**2
+    vel = mode_profile(chain, l)
+    return chain.atom_mass * float(np.dot(vel, vel))
 
 
 def kinetic_cross_term(chain: ChainSpec, l1: int, l2: int) -> float:

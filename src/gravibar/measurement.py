@@ -315,7 +315,7 @@ def _drive_increments(
     s_mid = (steps - 0.5) * cfg.dt - gw_start
     _, hddot, ok = strain_samples(signal, s_mid)
     inside = ok & (s_mid >= window[0]) & (s_mid <= window[1])
-    pref = beta_prefactor(spec, omega)
+    pref = beta_prefactor(spec)
     dbeta = np.where(
         inside, -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
     )

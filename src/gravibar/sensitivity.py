@@ -111,15 +111,14 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     return HBAR * omega / (flux * area)
 
 
-def sensitivity_curve(
-    template: DetectorSpec, frequencies_hz, *, label: str | None = None
-) -> list[SensitivityPoint]:
+def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> list[SensitivityPoint]:
     """Characteristic strain across a frequency grid at fixed material, R, Q, T.
 
     At each frequency the bar length follows from L = l pi v_s / omega and
     the mass from the geometry, M = rho pi R^2 L, so the curve reflects a
     family of detectors of the template's material and radius tuned across
-    the band; h_c is evaluated over the whole grid at once.
+    the band; h_c is evaluated over the whole grid at once. Each point is
+    labelled with the material name.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     if frequencies_hz.ndim != 1 or frequencies_hz.size < 1:
@@ -128,18 +127,17 @@ def sensitivity_curve(
         raise ValueError("frequency grid must be ascending")
     if frequencies_hz[0] <= 0.0:
         raise DetectorSpecError(f"frequency must be > 0, got {frequencies_hz[0]} Hz")
-    if label is None:
-        label = template.material.name
     v_s = template.material.sound_speed
     length = template.mode_index * math.pi * v_s / (2.0 * math.pi * frequencies_hz)
     mass = template.material.density * math.pi * template.radius**2 * length
     h_c = 2.0 * math.pi * np.sqrt(
         math.pi * K_B * template.temperature / (mass * v_s**2 * template.quality)
     )
+    label = template.material.name
     return [SensitivityPoint(f, h, label) for f, h in zip(frequencies_hz.tolist(), h_c.tolist())]
 
 
-def thermal_rate_classical(spec: DetectorSpec, *, omega: float | None = None) -> float:
+def thermal_rate_classical(spec: DetectorSpec) -> float:
     """Thermal excitation rate with the classical occupation k_B T/(hbar omega).
 
     gamma_th = omega * nbar / Q -> k_B T / (hbar Q); this is the limit in

@@ -283,21 +283,19 @@ def strain_samples(signal: StrainSignal, ts: np.ndarray):
     raise TypeError(f"not a strain signal: {signal!r}")
 
 
-def chirp_window(
-    chirp: ChirpSource, omega: float, *, half_width: float = 5.0
-) -> tuple[float, float]:
+def chirp_window(chirp: ChirpSource, omega: float) -> tuple[float, float]:
     """Default integration window around the resonance crossing.
 
-    [t_res - half_width*tau, t_res + half_width*tau], clipped to the chirp's
-    support and to frequencies below 8*omega so the integrand stays
-    resolvable near coalescence.
+    [t_res - 5*tau, t_res + 5*tau], five resonance crossing times either
+    side, clipped to the chirp's support and to frequencies below 8*omega
+    so the integrand stays resolvable near coalescence.
     """
     k = chirp.k
     t_res = resonance_time(chirp.nu0, k, omega)
     tau = resonance_crossing_time(k, omega)
     t_hi_freq = resonance_time(chirp.nu0, k, 8.0 * omega)
-    t0 = max(0.0, t_res - half_width * tau)
-    t1 = min(t_res + half_width * tau, t_hi_freq, chirp.coalescence * (1.0 - 1e-12))
+    t0 = max(0.0, t_res - 5.0 * tau)
+    t1 = min(t_res + 5.0 * tau, t_hi_freq, chirp.coalescence * (1.0 - 1e-12))
     return (t0, t1)
 
 

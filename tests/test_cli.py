@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gravibar.cli import ConfigError, main, parse_config
-from gravibar.detector import mode_frequency
+from gravibar.detector import gamma_stimulated, mode_frequency
 from gravibar.dynamics import chi_quadrature, optimal_mass
 from gravibar.fock import TraceUnderflowError
 from gravibar.measurement import detect_jump, run_ensemble, run_trajectory
@@ -137,7 +137,6 @@ class TestParseConfig:
 
     def test_optimal_mass_resolution(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, CHIRP_CONFIG))
-        assert cfg.mass_resolved_optimal
         assert 10.0 < cfg.detector.mass < 20.0
         assert cfg.resolved["detector"]["mass_resolution"] == "optimal"
 
@@ -221,6 +220,28 @@ class TestRates:
         assert table["gamma_stimulated_hz"] > 0.0
         assert "gamma_spontaneous_hz" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["monochromatic", "chirp", "none", "file"])
+    def test_stimulated_row_needs_a_source_amplitude(self, tmp_path, source):
+        mono = "type = monochromatic\nh0 = 5e-22\nfrequency_hz = 2500\n"
+        text = CHIRP_CONFIG if source == "chirp" else MONO_CONFIG
+        if source == "none":
+            text = text.replace("[source]\n" + mono, "")
+        elif source == "file":
+            strain = tmp_path / "strain.txt"
+            ts = 1e-5 * np.arange(1001)
+            h = 5e-22 * np.sin(2 * math.pi * 2500.0 * ts)
+            save_strain_series(str(strain), SampledStrain(t0=0.0, dt=1e-5, h=h))
+            text = text.replace(mono, f"type = file\npath = {strain}\n")
+        path = write_config(tmp_path, text)
+        assert main(["rates", "--config", path]) == 0
+        table = read_csv(tmp_path / "out" / "rates.csv")
+        h0 = {"monochromatic": 5e-22, "chirp": 2e-22}.get(source)
+        if h0 is None:
+            assert "gamma_stimulated_hz" not in table
+        else:
+            expected = gamma_stimulated(parse_config(path).detector, h0)
+            assert table["gamma_stimulated_hz"] == expected
+
     def test_metadata_written(self, tmp_path):
         path = write_config(tmp_path, MONO_CONFIG)
         main(["rates", "--config", path])
@@ -239,6 +260,18 @@ class TestChi:
         assert values["quadrature"] == pytest.approx(
             values["monochromatic_closed_form"], rel=0.02
         )
+
+    def test_window_ending_on_a_sinc_zero_converges(self, tmp_path):
+        # delta*T/2 = 37 pi and (omega + nu)*T = 2 pi * 18463: both rotating
+        # terms vanish, so the integral cancels to roundoff
+        text = MONO_CONFIG.replace(
+            "frequency_hz = 2500", "frequency_hz = 2490\nwindow_start = 0\nwindow_end = 3.7"
+        )
+        assert main(["chi", "--config", write_config(tmp_path, text)]) == 0
+        chi = read_csv(tmp_path / "out" / "chi.csv")
+        nu, t = 2 * math.pi * 2490.0, 3.7
+        hddot_l1 = 5e-22 * nu**2 * 2.0 * t / math.pi  # whole half-cycles of |sin|
+        assert abs(chi["quadrature"] - chi["monochromatic_closed_form"]) <= 1e-11 * hddot_l1
 
     def test_chirp_methods_present(self, tmp_path):
         text = CHIRP_CONFIG + "\n[measurement]\nduration = 60\n"

@@ -131,7 +131,7 @@ class TestCoupling:
 class TestEffectiveMass:
     def test_half_total_mass(self):
         chain = toy_chain(199)
-        measured = effective_mode_mass(chain, l=1, probe=0.371)
+        measured = effective_mode_mass(chain, l=1)
         assert measured == pytest.approx(chain.total_mass / 2.0, rel=1e-10)
 
     def test_all_low_modes(self):

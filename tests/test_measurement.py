@@ -436,7 +436,7 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     reinitializes every t_meas. Returns the record and its events.
     """
     omega = mode_frequency(spec)
-    pref = beta_prefactor(spec, omega)
+    pref = beta_prefactor(spec)
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
     rng = np.random.default_rng(cfg.seed)
