@@ -64,9 +64,10 @@ from .dynamics import (
     excitation_probability,
     optimal_mass,
 )
+from .fock import check_truncation
 from .lattice import continuum_checks
-from .measurement import MeasurementConfig, _ensemble_chunks, _summarize
-from .sensitivity import characteristic_strain, sensitivity_curve
+from .measurement import MeasurementConfig, _drive_increments, _ensemble_chunks, _summarize
+from .sensitivity import characteristic_strain, _strain_floor
 from .waveform import (
     ChirpSource,
     MonochromaticWave,
@@ -191,14 +192,17 @@ def _build_signal(sec: _Section, omega_hint: float | None):
 
 
 def _signal_chi(signal, window, omega) -> float:
-    """chi of a configured source at omega, for optimal-mass resolution."""
+    """chi of a configured source at omega, for optimal-mass resolution;
+    ConfigError unless chi > 0."""
     if isinstance(signal, ChirpSource):
-        return chi_chirp_analytic(signal.h0, signal.k, omega).value
-    if isinstance(signal, MonochromaticWave):
-        return chi_monochromatic(
-            signal.h0, signal.nu, omega, window[1] - window[0]
-        ).value
-    return chi_quadrature(signal, omega, window).value
+        chi = chi_chirp_analytic(signal.h0, signal.k, omega).value
+    elif isinstance(signal, MonochromaticWave):
+        chi = chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0]).value
+    else:
+        chi = chi_quadrature(signal, omega, window).value
+    if not chi > 0.0:
+        raise ConfigError(f"[source] gives chi = {chi!r}: no finite optimal mass")
+    return chi
 
 
 def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
@@ -396,13 +400,16 @@ class _OutputSet:
                 pass
 
 
-def _write_csv(outputs: _OutputSet, name: str, header: str, rows) -> None:
-    """Write `header`, then one line per row of strings and numbers."""
+def _write_csv(outputs: _OutputSet, name: str, header: str, columns) -> None:
+    """Write `header`, then the columns side by side: text as it is, numbers
+    in shortest round-trip form."""
+    cells = [
+        col.tolist() if col.dtype.kind == "U" else map(repr, col.astype(float).tolist())
+        for col in map(np.asarray, columns)
+    ]
     with outputs.open(name) as fh:
         fh.write(header + "\n")
-        for row in rows:
-            cells = (v if isinstance(v, str) else repr(float(v)) for v in row)
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_metadata(outputs: _OutputSet, run: RunConfig, command: str, **extra):
@@ -432,7 +439,7 @@ def cmd_rates(run: RunConfig, outputs: _OutputSet) -> int:
     h0 = getattr(run.signal, "h0", None)
     if h0 is not None:
         rows.insert(2, ("gamma_stimulated_hz", gamma_stimulated(spec, h0)))
-    _write_csv(outputs, "rates.csv", "quantity,value", rows)
+    _write_csv(outputs, "rates.csv", "quantity,value", zip(*rows))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6g}")
@@ -466,7 +473,7 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
         probs = [excitation_probability(beta, n) for n in range(4)]
         rows.append((res.method, res.value, beta, *probs))
         print(f"{res.method:<28} chi = {res.value:.6g}  |beta| = {beta:.6g}")
-    _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", rows)
+    _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", zip(*rows))
     hi, lo = max(row[1] for row in rows), min(row[1] for row in rows)
     _write_metadata(outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0)
     return 0
@@ -483,7 +490,7 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
     beta = beta_prefactor(tuned) * chi
     _write_csv(
         outputs, "optimal_mass.csv", "quantity,value",
-        [("optimal_mass_kg", mass), ("chi", chi), ("beta_mag", beta)],
+        [("optimal_mass_kg", "chi", "beta_mag"), (mass, chi, beta)],
     )
     print(f"optimal mass = {mass:.6g} kg  (|beta| = {beta:.6g})")
     _write_metadata(outputs, run, "optimal-mass")
@@ -491,27 +498,39 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
+    cfg = run.measurement
+    if run.signal is not None:  # the largest |beta| the drive builds in a reinit period
+        n_steps, period = int(round(run.duration / cfg.dt)), int(round(cfg.t_meas / cfg.dt))
+        dbeta, lo, _ = _drive_increments(
+            run.detector, run.signal, cfg, n_steps, run.gw_start, run.window,
+            mode_frequency(run.detector),
+        )
+        reinits = np.arange(period - (lo - 1) % period, dbeta.size, period)
+        beta = max(np.abs(np.cumsum(part)).max(initial=0.0) for part in np.split(dbeta, reinits))
+        if problem := check_truncation(beta, cfg.dim):
+            raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
+
     def written_chunks():
         for lo, batch in _ensemble_chunks(
-            run.detector, run.signal, run.measurement, run.n_traj,
-            run.measurement.seed, run.duration, run.gw_start, run.window,
+            run.detector, run.signal, cfg, run.n_traj, cfg.seed, run.duration,
+            run.gw_start, run.window,
         ):
             for j in range(batch.readouts.shape[1]):
                 rec = batch.record(j)
                 _write_csv(
                     outputs, f"trajectory_{lo + j}.csv", "time,r,rho00,rho11,rho22",
-                    zip(rec.times, rec.readout, rec.rho00, rec.rho11, rec.rho22),
+                    [rec.times, rec.readout, rec.rho00, rec.rho11, rec.rho22],
                 )
             yield lo, batch
 
     summary = _summarize(written_chunks(), run.n_traj)
     _write_csv(
         outputs, "summary.csv", "time,mean_rho00,mean_rho11,mean_rho22",
-        zip(summary.times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22),
+        [summary.times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22],
     )
     for k, jumps in enumerate(summary.jump_times):
         events = summary.events + [(t, "jump_detected") for t in jumps]
-        _write_csv(outputs, f"events_{k}.csv", "time,kind", sorted(events))
+        _write_csv(outputs, f"events_{k}.csv", "time,kind", zip(*sorted(events)))
     print(f"{run.n_traj} trajectories, {summary.n_detected} detected jump(s) "
           f"(fraction {summary.detection_fraction:.3g})")
     _write_metadata(
@@ -522,21 +541,18 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) -> int:
-    points = sensitivity_curve(run.detector, run.sensitivity_grid)
-    _write_csv(
-        outputs, "sensitivity.csv", "frequency_hz,h_c",
-        [(p.frequency, p.h_c) for p in points],
-    )
+    freqs, h_c = _strain_floor(run.detector, run.sensitivity_grid)
+    _write_csv(outputs, "sensitivity.csv", "frequency_hz,h_c", [freqs, h_c])
     if reference is not None:
         table = np.loadtxt(reference, ndmin=2)
         if table.shape[1] < 2:
-            raise ConfigError(
+            raise ValueError(
                 f"reference table {reference} needs two columns "
                 "(frequency_hz, h_c)"
             )
-        _write_csv(outputs, "reference.csv", "frequency_hz,h_c", table[:, :2])
+        _write_csv(outputs, "reference.csv", "frequency_hz,h_c", table[:, :2].T)
     print(
-        f"sensitivity curve with {len(points)} points for "
+        f"sensitivity curve with {freqs.size} points for "
         f"{run.detector.material.name}"
     )
     _write_metadata(outputs, run, "sensitivity")
@@ -549,7 +565,7 @@ def cmd_lattice_verify(run: RunConfig | None, outputs: _OutputSet) -> int:
         (name, measured, bound, "pass" if ok else "FAIL")
         for name, measured, bound, ok in continuum_checks(n_values)
     ]
-    _write_csv(outputs, "lattice_verify.csv", "check,measured,bound,status", rows)
+    _write_csv(outputs, "lattice_verify.csv", "check,measured,bound,status", zip(*rows))
     for name, measured, bound, status in rows:
         print(f"{status:>4}  {name:<24} measured = {measured:.3e}  "
               f"bound = {bound:.3e}")
@@ -635,7 +651,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single CLI failure boundary
         outputs.discard_all()
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

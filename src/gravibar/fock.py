@@ -9,6 +9,7 @@ rho = A A^dag.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +122,15 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def check_truncation(beta: complex, dim: int) -> None:
-    import warnings
-
-    if abs(beta) ** 2 > dim / 4.0:
-        warnings.warn(
-            f"|beta|^2 = {abs(beta)**2:.3g} is large for truncation dim = {dim}; "
-            "populations near the cutoff will be inaccurate",
-            stacklevel=3,
-        )
+def check_truncation(beta: complex, dim: int) -> str | None:
+    """What is wrong with displacing by `beta` at truncation `dim`
+    (|beta|^2 > dim/4), or None when the displacement fits."""
+    if abs(beta) ** 2 <= dim / 4.0:
+        return None
+    return (
+        f"|beta|^2 = {abs(beta)**2:.3g} is large for truncation dim = {dim}; "
+        "populations near the cutoff will be inaccurate"
+    )
 
 
 def displacement_operator(beta: complex, dim: int) -> np.ndarray:
@@ -137,7 +138,8 @@ def displacement_operator(beta: complex, dim: int) -> np.ndarray:
 
     Unitary up to truncation error; warns when |beta|^2 > dim/4.
     """
-    check_truncation(beta, dim)
+    if problem := check_truncation(beta, dim):
+        warnings.warn(problem, stacklevel=2)
     b = annihilation(dim)
     return scipy.linalg.expm(beta * b.conj().T - np.conj(beta) * b)
 
@@ -171,45 +173,52 @@ def apply_normalized(state: QuantumState, kraus: np.ndarray) -> QuantumState:
 
 
 class DisplacementCache:
-    """Spectral factorization of b^dag - b for fast displacement matrices.
+    """Real-eigenbasis factorization of the displacement operator.
 
-    D(z) = R(theta) V e^{-i|z| mu} V^dag R(theta)^dag with z = |z| e^{i theta},
-    R(theta) = diag(e^{i n theta}) and (i(b^dag - b)) = V mu V^dag. This is
-    the same matrix exponential as `displacement_operator`, evaluated
-    through one fixed eigenbasis so repeated drive steps are cheap. An
-    array of z gives the stack of matrices, one per z; `apply` displaces a
-    stack of factors without forming the matrices.
+    b^dag - b = -i S J S^dag with S = diag(i^n) and J the real symmetric
+    tridiagonal matrix with sqrt(n) beside the diagonal. With J = O Lambda O^T
+    and z = |z| e^{i theta}, D(z) = Q O e^{-i|z| Lambda} O^T Q^dag where
+    Q = diag(e^{i n (theta + pi/2)}): the same matrix exponential as
+    `displacement_operator`, through one fixed real eigenbasis. `phases`
+    gives Q and e^{-i|z| Lambda} of an array of z in one call, `matrix` the
+    matrices and `apply` displaces a stack of factors without forming them.
+
+    `apply` runs one real matmul per factor, not one product over the
+    stack: BLAS gives bit-different columns when a product has more of
+    them, so a trajectory's bits would depend on its batch.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        b = annihilation(dim)
-        mu, vec = np.linalg.eigh(1j * (b.conj().T - b))
-        self._mu = mu
-        self._vec = vec
-        self._ns = np.arange(dim)
+        self.levels = np.arange(dim, dtype=float)
+        root = np.sqrt(self.levels[1:])
+        self._lam, self._o = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+
+    def phases(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Q and e^{-i|z| Lambda} of each z, as two (..., dim) arrays."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        return (
+            np.exp(1j * (np.angle(z) + 0.5 * np.pi) * self.levels),
+            np.exp(-1j * np.abs(z) * self._lam),
+        )
 
     def matrix(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0 and z == 0.0:
-            return np.eye(self.dim, dtype=complex)
-        r, theta = np.abs(z)[..., None], np.angle(z)[..., None]
-        vp = np.exp(1j * theta * self._ns)[..., :, None] * self._vec
-        rot = np.exp(-1j * r * self._mu)[..., None, :]
-        return (vp * rot) @ vp.conj().swapaxes(-1, -2)
+        return self.apply(*self.phases(z), np.eye(self.dim, dtype=complex))
 
-    def apply(self, z, amps: np.ndarray) -> np.ndarray:
-        """D(z_k) @ A_k for each z_k of `z` (n,) and factor A_k of `amps`.
+    def apply(self, q: np.ndarray, rot: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """D(z) @ A for the phases (q, rot) of `phases(z)` and factors A.
 
-        Applies R(theta)^dag, V^dag, the phases e^{-i|z| mu}, V and R(theta)
-        to the (n, dim, rank) stack in turn: O(dim^2 rank) per factor where
-        `matrix(z) @ amps` costs O(dim^3).
+        `amps` is an (n, dim, rank) stack; the phases are (dim,) for one z
+        shared by the stack or (n, dim) for one z per factor. O^T and O act
+        as real matmuls on the (n, dim, 2 rank) float view, O(dim^2 rank)
+        per factor.
         """
-        z = np.asarray(z, dtype=complex)
-        phase = np.exp(1j * np.angle(z)[:, None] * self._ns)[:, :, None]
-        rot = np.exp(-1j * np.abs(z)[:, None] * self._mu)[:, :, None]
-        x = self._vec.conj().T @ (phase.conj() * amps)
-        return phase * (self._vec @ (rot * x))
+        x = (q.conj()[..., None] * amps).view(float)
+        y = (self._o.T @ x).view(complex)
+        y *= rot[..., None]
+        y = (self._o @ y.view(float)).view(complex)
+        y *= q[..., None]
+        return y
 
 
 __all__ = [

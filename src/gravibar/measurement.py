@@ -18,7 +18,9 @@ A run carries only the state each stretch of it needs:
   readout is sqrt(t_m/dt) * xi;
 - factor stretch: from the first displacing step of a reinit period (drive,
   displacement noise or thermal jumps) to its last one, each state is a
-  factor A with rho = A A^dag;
+  factor A with rho = A A^dag, carried with its populations sum_r |A|^2
+  as renormalized, so that no recorded population exceeds 1; displacements
+  act through the real eigenbasis of `DisplacementCache`;
 - population stretch: after the last displacing step of a period M(r) is
   diagonal and nothing follows that reads the coherences, so the
   populations evolve on their own as p <- p w^2 / sum(p w^2), w the
@@ -203,64 +205,65 @@ def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
 
 
 def _measure(
-    pops: np.ndarray, cfg: MeasurementConfig, xi: np.ndarray, first: int
-) -> tuple[np.ndarray, np.ndarray]:
+    pops: np.ndarray, xi: np.ndarray, levels: np.ndarray, coef: float, first: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gaussian number measurement of a batch with populations `pops` (n, dim).
 
-    Returns the readouts r = tr(N rho) + sqrt(t_m/dt) * xi and the row
-    scales w / sqrt(tr M rho M^dag), w the diagonal of M(r) (its
-    normalization cancels): scaling the rows of a factor by them, or the
-    populations by their squares, is the normalized update. Underflow
-    errors name trajectory `first` + stack index.
+    `xi` is the readout noise scaled by sqrt(t_m/dt), `levels` the numbers
+    0..dim-1 and `coef` = -dt/(2 t_m). Returns the readouts
+    r = tr(N rho) + xi, w^2 = e^{coef (r - n)^2}, the squared diagonal of
+    M(r) up to its normalization (which cancels), and the updated
+    populations p w^2 / sum(p w^2). Underflow errors name trajectory
+    `first` + stack index.
     """
-    nvec = np.arange(cfg.dim, dtype=float)
     # a dot per row: a gemv's summation order would depend on the row count
-    rs = np.vecdot(pops, nvec) + cfg.readout_sigma * xi
-    w = np.exp(-cfg.dt / (4.0 * cfg.t_m) * (rs[:, None] - nvec) ** 2)
-    traces = (pops * w**2).sum(axis=1)
+    rs = np.vecdot(pops, levels) + xi
+    w2 = np.exp(coef * (rs[:, None] - levels) ** 2)
+    new = pops * w2
+    traces = new.sum(axis=1)
     _check_traces(traces, "measurement update", first)
-    return rs, w / np.sqrt(traces)[:, None]
+    new /= traces[:, None]
+    return rs, w2, new
 
 
 def _update(
     amps: np.ndarray,
-    cfg: MeasurementConfig,
-    cache: DisplacementCache,
+    pops: np.ndarray,
     xi: np.ndarray,
-    dbeta: complex,
-    gamma_xi: np.ndarray | None,
-    thermal_u: np.ndarray | None,
+    coef: float,
+    cache: DisplacementCache,
+    drive: tuple[np.ndarray, np.ndarray] | None,
+    zs: np.ndarray | None,
+    jumped: np.ndarray | None,
     first: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a (n, dim, rank) stack of factors A (rho = A A^dag) one step.
 
-    In order: the Gaussian number measurement (`_measure`) with readouts
-    r = tr(N rho) + sqrt(t_m/dt) * xi; the drive displacement D(dbeta),
-    shared by the stack; per-state noise displacements
-    D(gamma_sigma * (xi_0 + i xi_1)) from the (n, 2) normals `gamma_xi`; a
-    thermal creation jump wherever `thermal_u` < thermal_rate * dt; then one
-    renormalization. `gamma_xi` and `thermal_u` are None when their process
-    is off. Underflow errors name trajectory `first` + stack index. Returns
-    the updated stack and the readouts.
+    In order: the Gaussian number measurement (`_measure` of the stack's
+    populations `pops`); the drive displacement by the shared phases
+    `drive` of `DisplacementCache.phases`; per-state noise displacements
+    D(zs); a thermal creation jump where `jumped`; then one
+    renormalization, which divides A by sqrt(norm) and the populations
+    sum_r |A|^2 by the norm. `drive`, `zs` and `jumped` may be None.
+    Returns the updated stack, its populations and the readouts.
     """
-    rs, scale = _measure(_populations(amps), cfg, xi, first)
-    amps = amps * scale[:, :, None]
-
-    if dbeta != 0.0:
-        amps = cache.matrix(dbeta) @ amps
-    if gamma_xi is not None:
-        xs = cfg.gamma_sigma * gamma_xi
-        amps = cache.apply(xs[:, 0] + 1j * xs[:, 1], amps)
-    if thermal_u is not None:
-        jumped = thermal_u < cfg.thermal_rate * cfg.dt
-        if jumped.any():
-            amps[jumped] = creation(cfg.dim) @ amps[jumped]
+    # rows scaled by w; the renormalization below divides out sum(p w^2)
+    rs, w2, _ = _measure(pops, xi, cache.levels, coef, first)
+    amps = amps * np.sqrt(w2)[:, :, None]
+    if drive is not None:
+        amps = cache.apply(*drive, amps)
+    if zs is not None:
+        amps = cache.apply(*cache.phases(zs), amps)
+    if jumped is not None and jumped.any():
+        amps[jumped] = creation(cache.dim) @ amps[jumped]
 
     # a thermal jump out of the top Fock level leaves a zero factor
-    norms = _populations(amps).sum(axis=1)
+    pops = _populations(amps)
+    norms = pops.sum(axis=1)
     _check_traces(norms, "update", first)
     amps *= (1.0 / np.sqrt(norms))[:, None, None]
-    return amps, rs
+    pops /= norms[:, None]
+    return amps, pops, rs
 
 
 def step(
@@ -281,11 +284,15 @@ def step(
     """
     if cache is None:
         cache = DisplacementCache(cfg.dim)
-    xi = np.array([rng.standard_normal()])
-    gamma_xi = rng.standard_normal(2)[None, :] if cfg.kappa > 0.0 else None
-    thermal_u = np.array([rng.random()]) if cfg.thermal_rate > 0.0 else None
-    amps, rs = _update(
-        state.factor()[None], cfg, cache, xi, dbeta, gamma_xi, thermal_u
+    xi = np.array([cfg.readout_sigma * rng.standard_normal()])
+    xs = cfg.gamma_sigma * rng.standard_normal(2) if cfg.kappa > 0.0 else None
+    u = rng.random() if cfg.thermal_rate > 0.0 else None
+    amps = state.factor()[None]
+    amps, _, rs = _update(
+        amps, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache,
+        cache.phases(dbeta) if dbeta != 0.0 else None,
+        None if xs is None else np.array([xs[0] + 1j * xs[1]]),
+        None if u is None else np.array([u < cfg.thermal_rate * cfg.dt]),
     )
     return QuantumState(cfg.dim, amps[0] @ amps[0].conj().T), float(rs[0])
 
@@ -320,6 +327,15 @@ def _drive_increments(
         inside, -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
     )
     return dbeta.astype(complex), i_start, i_stop + 1
+
+
+def _drive_phases(cache: DisplacementCache, dbeta: np.ndarray):
+    """Yield `cache.phases` of each drive increment in turn, None for a zero
+    one; computed 256 at a time, so memory stays bounded."""
+    for lo in range(0, dbeta.size, 256):
+        zs = dbeta[lo : lo + 256]
+        for z, q, rot in zip(zs, *cache.phases(zs)):
+            yield (q, rot) if z != 0.0 else None
 
 
 _GROUND, _FACTOR, _POPULATIONS = range(3)
@@ -429,14 +445,15 @@ def _run_batch(
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
     - a factor step: `_update` on the (n, dim, rank) factor stack, from
       the first displacing step of a reinit period to its last;
-    - a population step: after that, the stack collapses to its (n, dim)
-      populations, which `_measure` updates until the reinit or the end.
+    - a population step: after that, the factors are dropped and `_measure`
+      updates their carried (n, dim) populations until the reinit or the end.
 
     The kinds differ in what they carry; their numbers agree to
     roundoff. Noise per trajectory is pre-drawn from its own generator in
     a fixed order (readout normals, then displacement-noise normals, then
-    thermal uniforms) and sums run per trajectory, so a trajectory's bits
-    do not depend on its batch. Errors name trajectory `first` + index.
+    thermal uniforms) and scaled once; sums and matmuls run per
+    trajectory, so a trajectory's bits do not depend on its batch. Errors
+    name trajectory `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -446,14 +463,13 @@ def _run_batch(
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
 
     readout_noise = np.column_stack([g.standard_normal(n_steps) for g in rngs])
-    gamma_noise = None
+    readout_noise *= cfg.readout_sigma
+    gamma_noise = jumps = None
     if cfg.kappa > 0.0:
-        gamma_noise = np.stack(
-            [g.standard_normal((n_steps, 2)) for g in rngs], axis=1
-        )
-    thermal_u = None
+        xs = cfg.gamma_sigma * np.stack([g.standard_normal((n_steps, 2)) for g in rngs], axis=1)
+        gamma_noise = xs[..., 0] + 1j * xs[..., 1]
     if cfg.thermal_rate > 0.0:
-        thermal_u = np.column_stack([g.random(n_steps) for g in rngs])
+        jumps = np.column_stack([g.random(n_steps) for g in rngs]) < cfg.thermal_rate * cfg.dt
 
     n_rec = n_steps // cfg.record_stride
     times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
@@ -478,43 +494,41 @@ def _run_batch(
 
     ground = np.zeros((n, dim))
     ground[:, 0] = 1.0
-    state = starts  # None while in the ground state
+    amps = starts  # factors, None while in the ground state or carrying populations
+    pops = None if starts is None else _populations(starts)
+    coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = DisplacementCache(dim)
+    drive_phases = _drive_phases(cache, dbeta)
 
     for i in range(1, n_steps + 1):
         xi = readout_noise[i - 1]
+        drive = next(drive_phases) if drive_lo <= i < drive_hi else None
         kind = kinds[i]
         try:
             if kind == _GROUND:
-                rs = cfg.readout_sigma * xi
+                rs = xi
             elif kind == _FACTOR:
-                if state is None:
-                    state = np.zeros((n, dim, 1), dtype=complex)
-                    state[:, 0, 0] = 1.0
-                z = dbeta[i - drive_lo] if drive_lo <= i < drive_hi else 0.0
-                state, rs = _update(
-                    state, cfg, cache, xi, z,
+                if pops is None:
+                    amps = ground[:, :, None].astype(complex)
+                    pops = ground
+                amps, pops, rs = _update(
+                    amps, pops, xi, coef, cache, drive,
                     None if gamma_noise is None else gamma_noise[i - 1],
-                    None if thermal_u is None else thermal_u[i - 1],
+                    None if jumps is None else jumps[i - 1],
                     first,
                 )
             else:
-                if state.ndim == 3:
-                    state = _populations(state)
-                rs, scale = _measure(state, cfg, xi, first)
-                state = state * scale**2
+                amps = None
+                rs, _, pops = _measure(pops, xi, cache.levels, coef, first)
         except TraceUnderflowError as exc:
             raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
         if i % steps_per_reinit == 0 and i < n_steps:
-            state = None
+            amps = pops = None
             events.append((i * cfg.dt, "reinit"))
 
         if i % cfg.record_stride == 0:
-            if state is None:
-                result.add(rs, ground)
-            else:
-                result.add(rs, state if state.ndim == 2 else _populations(state))
+            result.add(rs, ground if pops is None else pops)
 
     result.flush()
     events.sort(key=lambda ev: ev[0])

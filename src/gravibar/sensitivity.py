@@ -111,14 +111,13 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     return HBAR * omega / (flux * area)
 
 
-def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> list[SensitivityPoint]:
+def _strain_floor(template: DetectorSpec, frequencies_hz) -> tuple[np.ndarray, np.ndarray]:
     """Characteristic strain across a frequency grid at fixed material, R, Q, T.
 
     At each frequency the bar length follows from L = l pi v_s / omega and
     the mass from the geometry, M = rho pi R^2 L, so the curve reflects a
     family of detectors of the template's material and radius tuned across
-    the band; h_c is evaluated over the whole grid at once. Each point is
-    labelled with the material name.
+    the band. Returns the grid and h_c over it as arrays.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     if frequencies_hz.ndim != 1 or frequencies_hz.size < 1:
@@ -133,8 +132,16 @@ def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> list[Sensitivit
     h_c = 2.0 * math.pi * np.sqrt(
         math.pi * K_B * template.temperature / (mass * v_s**2 * template.quality)
     )
+    if not (h_c > 0.0).all():
+        raise ValueError(f"h_c must be > 0, got {h_c.min()}")
+    return frequencies_hz, h_c
+
+
+def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> list[SensitivityPoint]:
+    """`_strain_floor` as points, each labelled with the material name."""
+    freqs, h_c = _strain_floor(template, frequencies_hz)
     label = template.material.name
-    return [SensitivityPoint(f, h, label) for f, h in zip(frequencies_hz.tolist(), h_c.tolist())]
+    return [SensitivityPoint(f, h, label) for f, h in zip(freqs.tolist(), h_c.tolist())]
 
 
 def thermal_rate_classical(spec: DetectorSpec) -> float:

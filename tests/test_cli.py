@@ -114,6 +114,31 @@ directory = {out}
 """
 
 
+# a 1.19 Msun chirp crosses a 100 Hz niobium bar inside a 5-s run: the drive
+# builds |beta| ~ 40, far beyond what dim 8 holds
+TRUNCATION_CONFIG = """\
+[detector]
+material = niobium
+frequency_hz = 100
+radius = 0.5
+
+[source]
+type = chirp
+h0 = 2e-22
+chirp_mass_msun = 1.19
+nu0_hz = 30
+gw_start = -51.56
+
+[measurement]
+dim = 8
+n_traj = 2
+duration = 5.0
+
+[output]
+directory = {out}
+"""
+
+
 def write_config(tmp_path: Path, text: str, name: str = "run.ini") -> str:
     out = tmp_path / "out"
     path = tmp_path / name
@@ -343,6 +368,16 @@ class TestOptimalMass:
             masses.append(cfg.detector.mass)
         assert masses[1] > 2.0 * masses[0]  # half the drive, ~4x the mass
 
+    def test_no_drive_is_a_config_error(self, tmp_path, capsys):
+        # h0 = 0 gives chi = 0: no finite optimal mass, named like the other
+        # config errors, from the subcommand and from mass = optimal alike
+        text = CHIRP_CONFIG.replace("h0 = 2e-22", "h0 = 0")
+        path = write_config(tmp_path, text.replace("mass = optimal\n", ""))
+        assert main(["optimal-mass", "--config", path]) == 2
+        assert "[source] gives chi = 0.0" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="no finite optimal mass"):
+            parse_config(write_config(tmp_path, text, "optimal.ini"))
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -415,6 +450,13 @@ class TestSimulate:
         ]))
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["n_detected"] == summary.n_detected
+
+    def test_truncated_drive_rejected_before_any_step(self, tmp_path, capsys):
+        path = write_config(tmp_path, TRUNCATION_CONFIG)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "[measurement] dim" in err and "truncation dim = 8" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_underflow_names_its_trajectory(self, tmp_path, capsys):
         path = write_config(tmp_path, UNDERFLOW_CONFIG)

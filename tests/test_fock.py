@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,10 +116,35 @@ class TestDisplacementOperator:
         amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cache = DisplacementCache(dim)
         np.testing.assert_allclose(
-            cache.apply(np.array(zs), amps),
+            cache.apply(*cache.phases(np.array(zs)), amps),
             cache.matrix(np.array(zs)) @ amps,
             rtol=0, atol=1e-13 * np.abs(amps).max(),
         )
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 30),
+        radius=st.floats(0.0, 3.0),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_eigenbasis_matches_expm(self, dim, radius, angles, seed):
+        # D(z) through b^dag - b = -i S J S^dag equals the expm oracle, as
+        # matrices and applied to unit factors, for one z per factor and for
+        # one z shared by the stack
+        zs = radius * np.exp(1j * np.array(angles))
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal((zs.size, dim, 2)) + 1j * rng.standard_normal((zs.size, dim, 2))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        cache = DisplacementCache(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # |z|^2 > dim/4 is part of the sweep
+            ref = np.array([displacement_operator(z, dim) for z in zs])
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.matrix(zs), ref, **close)
+        np.testing.assert_allclose(cache.apply(*cache.phases(zs), amps), ref @ amps, **close)
+        np.testing.assert_allclose(cache.apply(*cache.phases(zs[0]), amps), ref[0] @ amps, **close)
 
 
 class TestCoherentState:

@@ -238,6 +238,24 @@ class TestStep:
                 ref = apply_normalized(ref, k)
             np.testing.assert_allclose(new.rho, ref.rho, rtol=0, atol=1e-12)
 
+    def test_nearly_pure_factors_renormalize_to_at_most_one(self):
+        # populations divided by their own sum cannot exceed 1; the factor
+        # divided by sqrt(norm) and squared again exceeds it on a few rows
+        rng = np.random.default_rng(1)
+        n, dim = 20000, 6
+        shape = (n, dim, 1)
+        amps = 10.0 ** rng.uniform(-12, -3, (n, 1, 1)) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        amps[:, 2, 0] += 1.0
+        pops = measurement._populations(amps)
+        pops /= pops.sum(axis=1)[:, None]
+        cache = DisplacementCache(dim)
+        xi = rng.uniform(-20.0, 20.0, n)
+        for jumped in (None, np.ones(n, dtype=bool)):
+            _, new, _ = measurement._update(amps, pops, xi, -0.01, cache, None, None, jumped)
+            assert new.max() <= 1.0
+
     def test_kappa_noise_scalings(self):
         literal = self.cfg(kappa=1e-4)
         assert literal.gamma_sigma == pytest.approx(1e-4 / math.sqrt(1e-3))
@@ -670,6 +688,44 @@ class TestRunEnsemble:
                 np.testing.assert_array_equal(
                     series(signal, run_cfg, chunk_size, starts), whole
                 )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(3, 12),
+        beta=st.floats(0.0, 1.5),
+        kappa=st.sampled_from([0.0, 1e-3, 1e-2]),
+        thermal_rate=st.sampled_from([0.0, 3.0]),
+        rank=st.integers(0, 3),
+        t_m=st.floats(0.02, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recorded_populations_never_exceed_one(
+        self, dim, beta, kappa, thermal_rate, rank, t_m, seed
+    ):
+        # records are carried populations p / sum(p), so none exceeds 1 even
+        # by roundoff: the benchmark's populations check has no slack
+        spec = toy_detector()
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=t_m, t_meas=1.0, dim=dim, kappa=kappa,
+            thermal_rate=thermal_rate, record_stride=1,
+        )
+        rng = np.random.default_rng(seed)
+        starts = None
+        if rank:  # mixed starts of this rank, ground otherwise
+            a = rng.standard_normal((3, dim, rank)) + 1j * rng.standard_normal((3, dim, rank))
+            rhos = a @ a.conj().swapaxes(1, 2)
+            starts = measurement._start_factors(
+                [QuantumState(dim, r / np.trace(r).real) for r in rhos], dim
+            )
+        wave = resonant_drive_for_beta(spec, beta, 0.5) if beta else None
+        try:
+            (_, batch), = measurement._ensemble_chunks(
+                spec, wave, cfg, 3, seed, 1.5, 0.2, (0.0, 0.5), starts=starts
+            )
+        except TraceUnderflowError:
+            return  # thermal jumps out of the top level
+        assert 0.0 <= batch.pops.min() and batch.pops.max() <= 1.0
+        assert batch.pops.sum(axis=1).max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("n_rec", [1, 63, 64, 65, 128, 130])
     def test_purity_crossing_is_first_record_over_threshold(self, n_rec):
