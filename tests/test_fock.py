@@ -121,7 +121,6 @@ class TestDisplacementOperator:
             rtol=0, atol=1e-13 * np.abs(amps).max(),
         )
 
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         dim=st.integers(2, 30),
