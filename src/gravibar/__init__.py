@@ -55,10 +55,8 @@ from .measurement import (
     MeasurementConfig,
     TrajectoryRecord,
     detect_jump,
-    measurement_operator,
     run_ensemble,
     run_trajectory,
-    sample_readout,
     step,
 )
 from .sensitivity import (

@@ -25,6 +25,13 @@ resonance-crossing window for a chirp, the file's support for a sampled
 strain, and (0, duration - gw_start) for a monochromatic wave. Every
 subcommand, `mass = optimal` included, uses that one window; an empty or
 reversed window is a config error.
+
+For a chirp, `optimal-mass` and `mass = optimal` use the slow-chirp
+closed form chi = h0 sqrt(2/k) omega^(1/6) of the whole resonance
+crossing (`dynamics.chi_chirp_analytic`), not a quadrature over the
+window. The window decides only whether that chi applies: when the
+crossing s* lies outside it, they stop with a config error that names s*,
+as `chi` does for its stationary-phase estimate.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .dynamics import (
     chi_monochromatic,
     chi_quadrature,
     chi_stationary_phase,
+    crossing_in_window,
     default_window,
     excitation_probability,
     optimal_mass,
@@ -69,6 +77,7 @@ from .lattice import continuum_checks
 from .measurement import MeasurementConfig, _drive_increments, _ensemble_chunks, _summarize
 from .sensitivity import characteristic_strain, _strain_floor
 from .waveform import (
+    ChirpDomainError,
     ChirpSource,
     MonochromaticWave,
     StrainSignal,
@@ -193,8 +202,13 @@ def _build_signal(sec: _Section, omega_hint: float | None):
 
 def _signal_chi(signal, window, omega) -> float:
     """chi of a configured source at omega, for optimal-mass resolution;
-    ConfigError unless chi > 0."""
+    ConfigError unless chi > 0, or for a chirp whose resonance crossing
+    lies outside the window."""
     if isinstance(signal, ChirpSource):
+        try:
+            crossing_in_window(signal, omega, window)
+        except ChirpDomainError as exc:
+            raise ConfigError(f"[source] {exc}: no optimal mass for this window") from None
         chi = chi_chirp_analytic(signal.h0, signal.k, omega).value
     elif isinstance(signal, MonochromaticWave):
         chi = chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0]).value

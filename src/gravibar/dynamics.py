@@ -216,6 +216,20 @@ def chi_chirp_analytic(h0: float, k: float, omega: float) -> ChiResult:
     return ChiResult(value, "chirp_analytic", None)
 
 
+def crossing_in_window(
+    chirp: ChirpSource, omega: float, window: tuple[float, float]
+) -> float:
+    """The instant s* the chirp frequency crosses omega; ChirpDomainError
+    unless it lies inside `window` (or when there is none, omega < nu0)."""
+    s_star = resonance_time(chirp.nu0, chirp.k, omega)
+    if not (window[0] <= s_star <= window[1]):
+        raise ChirpDomainError(
+            f"resonance crossing at s* = {s_star:.6g} s lies outside the "
+            f"window {window}"
+        )
+    return s_star
+
+
 def chi_stationary_phase(
     chirp: ChirpSource,
     omega: float,
@@ -233,14 +247,9 @@ def chi_stationary_phase(
     window (or at all, for omega < nu0).
     """
     k = chirp.k
-    s_star = resonance_time(chirp.nu0, k, omega)
     if window is None:
         window = default_window(chirp, omega)
-    if not (window[0] <= s_star <= window[1]):
-        raise ChirpDomainError(
-            f"resonance crossing at s* = {s_star:.6g} s lies outside the "
-            f"window {window}"
-        )
+    s_star = crossing_in_window(chirp, omega, window)
     tau = resonance_crossing_time(k, omega)
     if omega * tau < 10.0:
         warnings.warn(
@@ -401,6 +410,7 @@ __all__ = [
     "chi_monochromatic",
     "chi_quadrature",
     "chi_stationary_phase",
+    "crossing_in_window",
     "default_window",
     "displacement_beta",
     "excitation_probability",

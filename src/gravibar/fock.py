@@ -183,7 +183,16 @@ class DisplacementCache:
     gives Q and e^{-i|z| Lambda} of an array of z in one call, `matrix` the
     matrices and `apply` displaces a stack of factors without forming them.
 
-    `apply` runs one real matmul per factor, not one product over the
+    `rotate` is the frame-free part O e^{-i|z| Lambda} O^T diag(c), and
+    `apply` wraps it in the outer phases, c = Q^dag and Q on the left. The
+    measurement engine calls `rotate` alone: it carries each factor in the
+    frame of its last Q (A = Q B), folds the left-over Q with the next
+    step's Q^dag and weights into c, and leaves Q off a displacement's
+    result. A phase frame e^{i n phi} is invisible in the populations and
+    commutes with the number measurement and, up to a global phase, with
+    b^dag.
+
+    `rotate` runs one real matmul per factor, not one product over the
     stack: BLAS gives bit-different columns when a product has more of
     them, so a trajectory's bits would depend on its batch.
     """
@@ -206,19 +215,20 @@ class DisplacementCache:
         return self.apply(*self.phases(z), np.eye(self.dim, dtype=complex))
 
     def apply(self, q: np.ndarray, rot: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """D(z) @ A for the phases (q, rot) of `phases(z)` and factors A.
+        """D(z) @ A for the phases (q, rot) of `phases(z)` and factors A:
+        Q `rotate`(Q^dag, rot, A)."""
+        return q[..., None] * self.rotate(q.conj(), rot, amps)
 
-        `amps` is an (n, dim, rank) stack; the phases are (dim,) for one z
-        shared by the stack or (n, dim) for one z per factor. O^T and O act
-        as real matmuls on the (n, dim, 2 rank) float view, O(dim^2 rank)
-        per factor.
+    def rotate(self, c: np.ndarray, rot: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """O diag(rot) O^T diag(c) @ A for an (n, dim, rank) stack A.
+
+        `c` and `rot` are (dim,) for one value shared by the stack or
+        (n, dim) for one per factor. O^T and O act as real matmuls on the
+        (n, dim, 2 rank) float view, O(dim^2 rank) per factor.
         """
-        x = (q.conj()[..., None] * amps).view(float)
-        y = (self._o.T @ x).view(complex)
+        y = (self._o.T @ (c[..., None] * amps).view(float)).view(complex)
         y *= rot[..., None]
-        y = (self._o @ y.view(float)).view(complex)
-        y *= q[..., None]
-        return y
+        return (self._o @ y.view(float)).view(complex)
 
 
 __all__ = [

@@ -18,9 +18,16 @@ A run carries only the state each stretch of it needs:
   readout is sqrt(t_m/dt) * xi;
 - factor stretch: from the first displacing step of a reinit period (drive,
   displacement noise or thermal jumps) to its last one, each state is a
-  factor A with rho = A A^dag, carried with its populations sum_r |A|^2
-  as renormalized, so that no recorded population exceeds 1; displacements
-  act through the real eigenbasis of `DisplacementCache`;
+  factor B carried in a phase frame F, rho = A A^dag with A = diag(F) B,
+  with its populations sum_r |B|^2 as renormalized, so that no recorded
+  population exceeds 1. Displacements act through the real eigenbasis of
+  `DisplacementCache`: D(z) = Q O e^{-i|z| Lambda} O^T Q^dag leaves its
+  outer Q as the new frame, and the next step folds the old frame, the
+  next Q^dag and the measurement weights into one diagonal before its
+  O^T. The frame e^{i n phi} drops out of the populations, commutes with
+  the number measurement and passes a thermal jump b^dag as a global
+  phase, so it is only applied where a true A is read, in `step`; the
+  hand-over to a population stretch and a reinit drop it;
 - population stretch: after the last displacing step of a period M(r) is
   diagonal and nothing follows that reads the coherences, so the
   populations evolve on their own as p <- p w^2 / sum(p w^2), w the
@@ -166,33 +173,10 @@ class EnsembleSummary:
     purity_first_crossing: np.ndarray | None = None
 
 
-def measurement_operator(r: float, dt: float, t_m: float, dim: int) -> np.ndarray:
-    """Gaussian number-basis measurement operator for readout value r.
-
-    Diagonal with entries (2 pi t_m/dt)^(-1/4) exp(-dt (r-n)^2/(4 t_m));
-    the POVM integral of M^dag M over r is the identity.
-    """
-    if not np.isfinite(r):
-        raise ValueError(f"readout must be finite, got {r}")
-    ns = np.arange(dim, dtype=float)
-    entries = (2.0 * math.pi * t_m / dt) ** (-0.25) * np.exp(
-        -dt * (r - ns) ** 2 / (4.0 * t_m)
-    )
-    return np.diag(entries).astype(complex)
-
-
-def sample_readout(
-    state: QuantumState, dt: float, t_m: float, rng: np.random.Generator
-) -> float:
-    """Draw one readout r = tr(N rho) + sqrt(t_m/dt) * xi, xi standard normal."""
-    mean = state.expect_number()
-    return mean + math.sqrt(t_m / dt) * rng.standard_normal()
-
-
 def _populations(amps: np.ndarray) -> np.ndarray:
     """Number-basis populations (n, dim) of a factor stack, sum_r |A|^2."""
     parts = amps.view(float).reshape(*amps.shape[:2], -1)
-    return np.einsum("nij,nij->ni", parts, parts)
+    return np.vecdot(parts, parts)
 
 
 def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
@@ -206,14 +190,14 @@ def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
 
 def _measure(
     pops: np.ndarray, xi: np.ndarray, levels: np.ndarray, coef: float, first: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian number measurement of a batch with populations `pops` (n, dim).
 
     `xi` is the readout noise scaled by sqrt(t_m/dt), `levels` the numbers
     0..dim-1 and `coef` = -dt/(2 t_m). Returns the readouts
-    r = tr(N rho) + xi, w^2 = e^{coef (r - n)^2}, the squared diagonal of
-    M(r) up to its normalization (which cancels), and the updated
-    populations p w^2 / sum(p w^2). Underflow errors name trajectory
+    r = tr(N rho) + xi and the updated populations p w^2 / sum(p w^2),
+    where w^2 = e^{coef (r - n)^2} is the squared diagonal of M(r) up to
+    its normalization (which cancels). Underflow errors name trajectory
     `first` + stack index.
     """
     # a dot per row: a gemv's summation order would depend on the row count
@@ -223,47 +207,94 @@ def _measure(
     traces = new.sum(axis=1)
     _check_traces(traces, "measurement update", first)
     new /= traces[:, None]
-    return rs, w2, new
+    return rs, new
 
 
 def _update(
     amps: np.ndarray,
+    frame: np.ndarray | None,
     pops: np.ndarray,
     xi: np.ndarray,
     coef: float,
     cache: DisplacementCache,
-    drive: tuple[np.ndarray, np.ndarray] | None,
-    zs: np.ndarray | None,
+    phases: tuple | None,
     jumped: np.ndarray | None,
     first: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance a (n, dim, rank) stack of factors A (rho = A A^dag) one step.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Advance a (n, dim, rank) stack of factors B one step, where
+    rho = A A^dag with A = diag(`frame`) B (no frame if None).
 
-    In order: the Gaussian number measurement (`_measure` of the stack's
-    populations `pops`); the drive displacement by the shared phases
-    `drive` of `DisplacementCache.phases`; per-state noise displacements
-    D(zs); a thermal creation jump where `jumped`; then one
-    renormalization, which divides A by sqrt(norm) and the populations
-    sum_r |A|^2 by the norm. `drive`, `zs` and `jumped` may be None.
-    Returns the updated stack, its populations and the readouts.
+    In order: the Gaussian number measurement of the stack's populations
+    `pops` (readout r = tr(N rho) + xi and weights
+    w = e^{coef (r - n)^2 / 2}, the diagonal of M(r) up to its
+    normalization, with `coef` = -dt/(2 t_m)); the displacements of
+    `phases`, one step of `_step_phases`; a thermal creation jump where
+    `jumped`; then one renormalization, which divides B by sqrt(norm) and the
+    populations sum_r |B|^2 by the norm. The first displacement's O^T acts
+    on diag(w frame Q^dag) B; the result is left in the frame of the last
+    Q. `phases` and `jumped` may be None. Returns the updated stack, its
+    frame, its populations and the readouts.
     """
-    # rows scaled by w; the renormalization below divides out sum(p w^2)
-    rs, w2, _ = _measure(pops, xi, cache.levels, coef, first)
-    amps = amps * np.sqrt(w2)[:, :, None]
-    if drive is not None:
-        amps = cache.apply(*drive, amps)
-    if zs is not None:
-        amps = cache.apply(*cache.phases(zs), amps)
-    if jumped is not None and jumped.any():
+    # a dot per row: a gemv's summation order would depend on the row count
+    rs = np.vecdot(pops, cache.levels) + xi
+    w = np.exp((0.5 * coef) * (rs[:, None] - cache.levels) ** 2)
+    if phases is None:
+        amps = amps * w[:, :, None]
+    else:
+        stages, last = phases
+        if frame is not None:
+            w = w * frame
+        c, rot = stages[0]
+        amps = cache.rotate(w * c, rot, amps)
+        for c, rot in stages[1:]:
+            amps = cache.rotate(c, rot, amps)
+        frame = last
+    if jumped is not None:
+        # b^dag Q = e^{-i phi} Q b^dag: the frame passes the jump
         amps[jumped] = creation(cache.dim) @ amps[jumped]
 
     # a thermal jump out of the top Fock level leaves a zero factor
     pops = _populations(amps)
     norms = pops.sum(axis=1)
     _check_traces(norms, "update", first)
-    amps *= (1.0 / np.sqrt(norms))[:, None, None]
+    amps /= np.sqrt(norms)[:, None, None]
     pops /= norms[:, None]
-    return amps, pops, rs
+    return amps, frame, pops, rs
+
+
+def _step_phases(
+    cache: DisplacementCache, drive: np.ndarray, gammas: np.ndarray | None,
+    block: int = 256,
+):
+    """Yield each step's displacements for `_update`, computed `block`
+    steps at a time, so memory stays bounded.
+
+    `drive` (n_steps,) holds the drive increments, zero where there is
+    none, and `gammas` (n_steps, n) the noise displacements, or is None.
+    A step yields None when it displaces nothing, else (stages, frame): the
+    (c, rot) of `DisplacementCache.rotate` for the drive and then the noise,
+    in order, and the frame Q they leave. The first stage's c is its Q^dag,
+    to be folded with the old frame and the weights; a noise stage after
+    the drive has c = Q_noise^dag Q_drive.
+    """
+    for lo in range(0, drive.size, block):
+        d = drive[lo : lo + block]
+        on = d != 0.0
+        if gammas is None and not on.any():
+            yield from [None] * d.size
+            continue
+        dq, drot = cache.phases(d)
+        dc = dq.conj()
+        if gammas is not None:
+            zq, zrot = cache.phases(gammas[lo : lo + block])
+            zc = zq.conj()
+            zc[on] *= dq[on, None]
+        for k, driven in enumerate(on.tolist()):
+            stages = ((dc[k], drot[k]),) if driven else ()
+            if gammas is not None:
+                yield stages + ((zc[k], zrot[k]),), zq[k]
+            else:
+                yield (stages, dq[k]) if driven else None
 
 
 def step(
@@ -288,13 +319,16 @@ def step(
     xs = cfg.gamma_sigma * rng.standard_normal(2) if cfg.kappa > 0.0 else None
     u = rng.random() if cfg.thermal_rate > 0.0 else None
     amps = state.factor()[None]
-    amps, _, rs = _update(
-        amps, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache,
-        cache.phases(dbeta) if dbeta != 0.0 else None,
-        None if xs is None else np.array([xs[0] + 1j * xs[1]]),
+    phases = next(_step_phases(
+        cache, np.array([dbeta], dtype=complex),
+        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]),
+    ))
+    amps, frame, _, rs = _update(
+        amps, None, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache, phases,
         None if u is None else np.array([u < cfg.thermal_rate * cfg.dt]),
     )
-    return QuantumState(cfg.dim, amps[0] @ amps[0].conj().T), float(rs[0])
+    a = amps[0] if frame is None else (frame[..., None] * amps)[0]
+    return QuantumState(cfg.dim, a @ a.conj().T), float(rs[0])
 
 
 def _drive_increments(
@@ -327,15 +361,6 @@ def _drive_increments(
         inside, -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
     )
     return dbeta.astype(complex), i_start, i_stop + 1
-
-
-def _drive_phases(cache: DisplacementCache, dbeta: np.ndarray):
-    """Yield `cache.phases` of each drive increment in turn, None for a zero
-    one; computed 256 at a time, so memory stays bounded."""
-    for lo in range(0, dbeta.size, 256):
-        zs = dbeta[lo : lo + 256]
-        for z, q, rot in zip(zs, *cache.phases(zs)):
-            yield (q, rot) if z != 0.0 else None
 
 
 _GROUND, _FACTOR, _POPULATIONS = range(3)
@@ -443,17 +468,22 @@ def _run_batch(
 
     - a ground step: no state is carried, the readout is
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
-    - a factor step: `_update` on the (n, dim, rank) factor stack, from
-      the first displacing step of a reinit period to its last;
-    - a population step: after that, the factors are dropped and `_measure`
-      updates their carried (n, dim) populations until the reinit or the end.
+    - a factor step: `_update` on the (n, dim, rank) factor stack B and
+      its phase frame F (A = diag(F) B), from the first displacing step of
+      a reinit period to its last. The stretch starts with no frame, each
+      displacement leaves its outer phases as the frame, and no step here
+      applies it: populations, thermal jumps and records do not see it;
+    - a population step: after that, the factors and their frame are
+      dropped and `_measure` updates their carried (n, dim) populations
+      until the reinit or the end.
 
     The kinds differ in what they carry; their numbers agree to
     roundoff. Noise per trajectory is pre-drawn from its own generator in
     a fixed order (readout normals, then displacement-noise normals, then
-    thermal uniforms) and scaled once; sums and matmuls run per
-    trajectory, so a trajectory's bits do not depend on its batch. Errors
-    name trajectory `first` + index.
+    thermal uniforms) and scaled once; the phases of the drive and the
+    noise displacements come from `_step_phases`, a block of steps at a time.
+    Sums and matmuls run per trajectory, so a trajectory's bits do not
+    depend on its batch. Errors name trajectory `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -470,13 +500,13 @@ def _run_batch(
         gamma_noise = xs[..., 0] + 1j * xs[..., 1]
     if cfg.thermal_rate > 0.0:
         jumps = np.column_stack([g.random(n_steps) for g in rngs]) < cfg.thermal_rate * cfg.dt
+    jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
 
     n_rec = n_steps // cfg.record_stride
     times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
     result = _BatchResult(times, n, dim, purity_threshold)
     events = result.events
-    dbeta = np.zeros(0, dtype=complex)
-    drive_lo = drive_hi = 1
+    drive = np.zeros(n_steps, dtype=complex)  # step i's increment at i - 1
     omega = mode_frequency(spec)
     if signal is not None:
         if window is None:
@@ -484,25 +514,27 @@ def _run_batch(
         dbeta, drive_lo, drive_hi = _drive_increments(
             spec, signal, cfg, n_steps, gw_start, window, omega
         )
+        drive[drive_lo - 1 : drive_hi - 1] = dbeta
         if dbeta.size:
             events.append((gw_start + window[0], "gw_window_start"))
             events.append((min(gw_start + window[1], duration), "gw_window_end"))
 
     displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
-    displacing[drive_lo:drive_hi] |= dbeta != 0.0
+    displacing[1:] |= drive != 0.0
     kinds = _stretch_kinds(displacing, steps_per_reinit, starts is None)
 
     ground = np.zeros((n, dim))
     ground[:, 0] = 1.0
     amps = starts  # factors, None while in the ground state or carrying populations
+    frame = None  # A = diag(frame) amps; None for no frame
     pops = None if starts is None else _populations(starts)
     coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = DisplacementCache(dim)
-    drive_phases = _drive_phases(cache, dbeta)
+    step_phases = _step_phases(cache, drive, gamma_noise)
 
     for i in range(1, n_steps + 1):
         xi = readout_noise[i - 1]
-        drive = next(drive_phases) if drive_lo <= i < drive_hi else None
+        phases = next(step_phases)
         kind = kinds[i]
         try:
             if kind == _GROUND:
@@ -511,20 +543,19 @@ def _run_batch(
                 if pops is None:
                     amps = ground[:, :, None].astype(complex)
                     pops = ground
-                amps, pops, rs = _update(
-                    amps, pops, xi, coef, cache, drive,
-                    None if gamma_noise is None else gamma_noise[i - 1],
-                    None if jumps is None else jumps[i - 1],
+                amps, frame, pops, rs = _update(
+                    amps, frame, pops, xi, coef, cache, phases,
+                    jumps[i - 1] if i - 1 in jump_steps else None,
                     first,
                 )
             else:
-                amps = None
-                rs, _, pops = _measure(pops, xi, cache.levels, coef, first)
+                amps = frame = None
+                rs, pops = _measure(pops, xi, cache.levels, coef, first)
         except TraceUnderflowError as exc:
             raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
         if i % steps_per_reinit == 0 and i < n_steps:
-            amps = pops = None
+            amps = frame = pops = None
             events.append((i * cfg.dt, "reinit"))
 
         if i % cfg.record_stride == 0:
@@ -724,9 +755,7 @@ __all__ = [
     "MeasurementConfig",
     "TrajectoryRecord",
     "detect_jump",
-    "measurement_operator",
     "run_ensemble",
     "run_trajectory",
-    "sample_readout",
     "step",
 ]

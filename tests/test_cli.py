@@ -378,6 +378,20 @@ class TestOptimalMass:
         with pytest.raises(ConfigError, match="no finite optimal mass"):
             parse_config(write_config(tmp_path, text, "optimal.ini"))
 
+    def test_chirp_window_missing_resonance_is_a_config_error(self, tmp_path, capsys):
+        # the whole-inspiral chi applies only when the window holds the
+        # resonance crossing; (10, 11) s misses s* = 53.4 s at 100 Hz
+        window = "nu0_hz = 30\nwindow_start = 10\nwindow_end = 11"
+        text = CHIRP_CONFIG.replace("nu0_hz = 30", window)
+        path = write_config(tmp_path, text.replace("mass = optimal\n", ""))
+        assert main(["optimal-mass", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "resonance crossing at s* = 53.4" in err
+        assert "(10.0, 11.0)" in err
+        assert not os.path.exists(tmp_path / "out" / "optimal_mass.csv")
+        with pytest.raises(ConfigError, match=r"s\* = 53\.4.* lies outside"):
+            parse_config(write_config(tmp_path, text, "optimal.ini"))
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):

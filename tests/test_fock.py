@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from measurement_oracle import measurement_operator
 
 from gravibar.dynamics import excitation_probability
 from gravibar.fock import (
@@ -20,7 +21,6 @@ from gravibar.fock import (
     displacement_operator,
     number_operator,
 )
-from gravibar.measurement import measurement_operator
 
 
 class TestNumberOperator:

@@ -7,6 +7,7 @@ from diagonal_oracle import posterior, simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jump_oracle import jump_starts
+from measurement_oracle import measurement_operator, sample_readout
 from numpy.polynomial.hermite import hermgauss
 
 from gravibar import measurement
@@ -26,10 +27,8 @@ from gravibar.measurement import (
     MeasurementConfig,
     TrajectoryRecord,
     detect_jump,
-    measurement_operator,
     run_ensemble,
     run_trajectory,
-    sample_readout,
     step,
 )
 from gravibar.waveform import MonochromaticWave, strain_sample
@@ -253,7 +252,7 @@ class TestStep:
         cache = DisplacementCache(dim)
         xi = rng.uniform(-20.0, 20.0, n)
         for jumped in (None, np.ones(n, dtype=bool)):
-            _, new, _ = measurement._update(amps, pops, xi, -0.01, cache, None, None, jumped)
+            _, _, new, _ = measurement._update(amps, None, pops, xi, -0.01, cache, None, jumped)
             assert new.max() <= 1.0
 
     def test_kappa_noise_scalings(self):
@@ -386,6 +385,33 @@ class TestRunTrajectory:
         assert np.any(rng.random(100) < 3.0 * 1e-2)
         assert (0.6, "reinit") in rec.events
 
+    def test_factor_stretch_matches_reference_operators(self):
+        # an oracle that shares no code with the engine: the factor stretch
+        # carries each factor in the phase frame of its last displacement
+        # through drive, noise, thermal jumps and a reinit, the dense
+        # replay applies every operator whole
+        spec = toy_detector()
+        wave = resonant_drive_for_beta(spec, 0.7, 1.0)
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=0.5, t_meas=0.5, dim=12, seed=3, record_stride=1,
+            kappa=2e-3, thermal_rate=3.0,
+        )
+        rec = run_trajectory(
+            spec, wave, cfg, duration=1.0, gw_start=0.0, window=(0.0, 1.0)
+        )
+        expected = replay_with_operators(spec, wave, cfg, 1.0, 0.0, (0.0, 1.0))
+        np.testing.assert_allclose(
+            np.column_stack([rec.readout, rec.rho00, rec.rho11, rec.rho22]),
+            expected, rtol=0, atol=1e-10,
+        )
+        # 100 factor steps (kappa displaces every step), a reinit at 0.5 s
+        # and a thermal jump on each side of it
+        assert (0.5, "reinit") in rec.events
+        rng = np.random.default_rng(3)
+        rng.standard_normal(100), rng.standard_normal((100, 2))
+        jumps = np.flatnonzero(rng.random(100) < 3.0 * 1e-2)
+        assert jumps.min() < 50 <= jumps.max()
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         placement=st.sampled_from(["before", "straddle", "after", "first", "last"]),
@@ -445,6 +471,48 @@ class TestRunTrajectory:
         ]
 
 
+def midpoint_drive(spec, wave, cfg, i, gw_start, window):
+    """The drive increment of step i, midpoint-sampled inside `window`."""
+    s_mid = (i - 0.5) * cfg.dt - gw_start
+    if not window[0] <= s_mid <= window[1]:
+        return 0.0
+    hddot = strain_sample(wave, s_mid).hddot
+    omega = mode_frequency(spec)
+    return -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt
+
+
+def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
+    """Replay `run_trajectory`'s noise from the ground state through the
+    dense reference operators alone: rho -> K rho K^dag / tr(...) with
+    M(r), D(dbeta), D(gamma) and b^dag in turn, a reinit every t_meas.
+    Returns the readouts and rho00..rho22, one row per step.
+    """
+    n_steps = int(round(duration / cfg.dt))
+    steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
+    rng = np.random.default_rng(cfg.seed)
+    xis = rng.standard_normal(n_steps)
+    gammas = cfg.gamma_sigma * rng.standard_normal((n_steps, 2))
+    uniforms = rng.random(n_steps)
+    state = QuantumState.ground(cfg.dim)
+    rows = []
+    for i in range(1, n_steps + 1):
+        r = state.expect_number() + cfg.readout_sigma * xis[i - 1]
+        state = apply_normalized(
+            state, measurement_operator(r, cfg.dt, cfg.t_m, cfg.dim)
+        )
+        dbeta = midpoint_drive(spec, wave, cfg, i, gw_start, window)
+        gamma = complex(*gammas[i - 1])
+        for z in (dbeta, gamma):
+            if z != 0.0:
+                state = apply_normalized(state, displacement_operator(z, cfg.dim))
+        if uniforms[i - 1] < cfg.thermal_rate * cfg.dt:
+            state = apply_normalized(state, creation(cfg.dim))
+        if i % steps_per_reinit == 0 and i < n_steps:
+            state = QuantumState.ground(cfg.dim)
+        rows.append([r, *state.populations()[:3]])
+    return np.array(rows)
+
+
 def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     """Replay `run_trajectory`'s noise through the public step().
 
@@ -453,8 +521,6 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     uniforms), drives with midpoint increments restricted to `window`, and
     reinitializes every t_meas. Returns the record and its events.
     """
-    omega = mode_frequency(spec)
-    pref = beta_prefactor(spec)
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
     rng = np.random.default_rng(cfg.seed)
@@ -477,11 +543,7 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     ]
     rows = []
     for i in range(1, n_steps + 1):
-        s_mid = (i - 0.5) * cfg.dt - gw_start
-        dbeta = 0.0
-        if window[0] <= s_mid <= window[1]:
-            hddot = strain_sample(wave, s_mid).hddot
-            dbeta = -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt
+        dbeta = midpoint_drive(spec, wave, cfg, i, gw_start, window)
         state, r = step(state, cfg, dbeta, replay)
         if i % steps_per_reinit == 0 and i < n_steps:
             state = QuantumState.ground(cfg.dim)
@@ -801,7 +863,8 @@ class TestRunEnsemble:
             calls.append(1)
             raise AssertionError("_measure called before the starts were checked")
 
-        # every stretch that carries a state measures through _measure
+        # undriven, noiseless starts run as a population stretch, which
+        # measures through _measure
         monkeypatch.setattr(measurement, "_measure", never)
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
         starts = [QuantumState.ground(4) for _ in range(200)]
