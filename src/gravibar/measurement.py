@@ -288,7 +288,7 @@ def _step_phases(
         if gammas is not None:
             zq, zrot = cache.phases(gammas[lo : lo + block])
             zc = zq.conj()
-            zc[on] *= dq[on, None]
+            np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
         for k, driven in enumerate(on.tolist()):
             stages = ((dc[k], drot[k]),) if driven else ()
             if gammas is not None:
