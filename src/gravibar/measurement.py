@@ -264,7 +264,7 @@ def _update(
 
 def _step_phases(
     cache: DisplacementCache, drive: np.ndarray, gammas: np.ndarray | None,
-    block: int = 256,
+    block: int,
 ):
     """Yield each step's displacements for `_update`, computed `block`
     steps at a time, so memory stays bounded.
@@ -321,7 +321,7 @@ def step(
     amps = state.factor()[None]
     phases = next(_step_phases(
         cache, np.array([dbeta], dtype=complex),
-        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]),
+        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]), 1,
     ))
     amps, frame, _, rs = _update(
         amps, None, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache, phases,
@@ -530,7 +530,9 @@ def _run_batch(
     pops = None if starts is None else _populations(starts)
     coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = DisplacementCache(dim)
-    step_phases = _step_phases(cache, drive, gamma_noise)
+    # phases of 1024 trajectory-steps at a time (256 steps of the 4
+    # trajectories of `gravibar simulate`): a block's noise phases grow with n
+    step_phases = _step_phases(cache, drive, gamma_noise, max(1, 1024 // n))
 
     for i in range(1, n_steps + 1):
         xi = readout_noise[i - 1]
