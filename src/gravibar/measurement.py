@@ -264,10 +264,10 @@ def _update(
 
 def _step_phases(
     cache: DisplacementCache, drive: np.ndarray, gammas: np.ndarray | None,
-    block: int,
+    wanted, block: int,
 ):
-    """Yield each step's displacements for `_update`, computed `block`
-    steps at a time, so memory stays bounded.
+    """Yield the displacements for `_update` of each step where `wanted`,
+    in order, computed `block` steps at a time, so memory stays bounded.
 
     `drive` (n_steps,) holds the drive increments, zero where there is
     none, and `gammas` (n_steps, n) the noise displacements, or is None.
@@ -278,10 +278,14 @@ def _step_phases(
     the drive has c = Q_noise^dag Q_drive.
     """
     for lo in range(0, drive.size, block):
+        steps = np.flatnonzero(wanted[lo : lo + block]).tolist()
+        if not steps:
+            continue
         d = drive[lo : lo + block]
         on = d != 0.0
-        if gammas is None and not on.any():
-            yield from [None] * d.size
+        driven = on.tolist()
+        if gammas is None and not any(driven[k] for k in steps):
+            yield from [None] * len(steps)
             continue
         dq, drot = cache.phases(d)
         dc = dq.conj()
@@ -289,12 +293,12 @@ def _step_phases(
             zq, zrot = cache.phases(gammas[lo : lo + block])
             zc = zq.conj()
             np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
-        for k, driven in enumerate(on.tolist()):
-            stages = ((dc[k], drot[k]),) if driven else ()
+        for k in steps:
+            stages = ((dc[k], drot[k]),) if driven[k] else ()
             if gammas is not None:
                 yield stages + ((zc[k], zrot[k]),), zq[k]
             else:
-                yield (stages, dq[k]) if driven else None
+                yield (stages, dq[k]) if driven[k] else None
 
 
 def step(
@@ -321,7 +325,7 @@ def step(
     amps = state.factor()[None]
     phases = next(_step_phases(
         cache, np.array([dbeta], dtype=complex),
-        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]), 1,
+        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]), [True], 1,
     ))
     amps, frame, _, rs = _update(
         amps, None, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache, phases,
@@ -532,11 +536,12 @@ def _run_batch(
     cache = DisplacementCache(dim)
     # phases of 1024 trajectory-steps at a time (256 steps of the 4
     # trajectories of `gravibar simulate`): a block's noise phases grow with n
-    step_phases = _step_phases(cache, drive, gamma_noise, max(1, 1024 // n))
+    step_phases = _step_phases(
+        cache, drive, gamma_noise, np.equal(kinds[1:], _FACTOR), max(1, 1024 // n)
+    )
 
     for i in range(1, n_steps + 1):
         xi = readout_noise[i - 1]
-        phases = next(step_phases)
         kind = kinds[i]
         try:
             if kind == _GROUND:
@@ -546,7 +551,7 @@ def _run_batch(
                     amps = ground[:, :, None].astype(complex)
                     pops = ground
                 amps, frame, pops, rs = _update(
-                    amps, frame, pops, xi, coef, cache, phases,
+                    amps, frame, pops, xi, coef, cache, next(step_phases),
                     jumps[i - 1] if i - 1 in jump_steps else None,
                     first,
                 )

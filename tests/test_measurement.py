@@ -386,10 +386,10 @@ class TestRunTrajectory:
         assert (0.6, "reinit") in rec.events
 
     def test_factor_stretch_matches_reference_operators(self):
-        # an oracle that shares no code with the engine: the factor stretch
-        # carries each factor in the phase frame of its last displacement
-        # through drive, noise, thermal jumps and a reinit, the dense
-        # replay applies every operator whole
+        # an oracle that shares no code with the engine's update: the
+        # factor stretch carries each factor in the phase frame of its last
+        # displacement through drive, noise, thermal jumps and a reinit,
+        # the dense replay applies every operator whole
         spec = toy_detector()
         wave = resonant_drive_for_beta(spec, 0.7, 1.0)
         cfg = MeasurementConfig(
