@@ -30,8 +30,10 @@ For a chirp, `optimal-mass` and `mass = optimal` use the slow-chirp
 closed form chi = h0 sqrt(2/k) omega^(1/6) of the whole resonance
 crossing (`dynamics.chi_chirp_analytic`), not a quadrature over the
 window. The window decides only whether that chi applies: when the
-crossing s* lies outside it, they stop with a config error that names s*,
-as `chi` does for its stationary-phase estimate.
+crossing s* lies outside it, they stop with a config error that names s*.
+`chi` then writes the quadrature over the window alone and names the
+stationary-phase and whole-crossing methods it left out, with the reason,
+in metadata.json.
 """
 
 from __future__ import annotations
@@ -462,19 +464,28 @@ def cmd_rates(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def _chi_methods(run: RunConfig, omega: float):
+    """chi of the source by each method that applies to its window, and
+    {method: reason} for the chirp methods that do not: stationary phase
+    and the whole-crossing closed form need the crossing s* in the window."""
     signal = run.signal
     if signal is None:
         raise ConfigError("chi requires a [source] section")
     window = run.window
     results = [chi_quadrature(signal, omega, window)]
+    omitted = {}
     if isinstance(signal, MonochromaticWave):
         results.append(
             chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0])
         )
     if isinstance(signal, ChirpSource):
-        results.append(chi_stationary_phase(signal, omega, window))
-        results.append(chi_chirp_analytic(signal.h0, signal.k, omega))
-    return results
+        try:
+            crossing_in_window(signal, omega, window)
+        except ChirpDomainError as exc:
+            omitted = {method: str(exc) for method in ("stationary_phase", "chirp_analytic")}
+        else:
+            results.append(chi_stationary_phase(signal, omega, window))
+            results.append(chi_chirp_analytic(signal.h0, signal.k, omega))
+    return results, omitted
 
 
 def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
@@ -482,14 +493,20 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
     omega = mode_frequency(spec)
     pref = beta_prefactor(spec)
     rows = []
-    for res in _chi_methods(run, omega):
+    results, omitted = _chi_methods(run, omega)
+    for res in results:
         beta = pref * res.value
         probs = [excitation_probability(beta, n) for n in range(4)]
         rows.append((res.method, res.value, beta, *probs))
         print(f"{res.method:<28} chi = {res.value:.6g}  |beta| = {beta:.6g}")
+    for method, reason in omitted.items():
+        print(f"{method:<28} omitted: {reason}")
     _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", zip(*rows))
     hi, lo = max(row[1] for row in rows), min(row[1] for row in rows)
-    _write_metadata(outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0)
+    extra = {"chi_methods_omitted": omitted} if omitted else {}
+    _write_metadata(
+        outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0, **extra
+    )
     return 0
 
 
@@ -527,7 +544,7 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
     def written_chunks():
         for lo, batch in _ensemble_chunks(
             run.detector, run.signal, cfg, run.n_traj, cfg.seed, run.duration,
-            run.gw_start, run.window,
+            run.gw_start, run.window, series=True,
         ):
             for j in range(batch.readouts.shape[1]):
                 rec = batch.record(j)

@@ -35,10 +35,21 @@ A run carries only the state each stretch of it needs:
   arXiv:quant-ph/0611067).
 
 A reinit returns the run to a ground stretch.
+
+Ensembles run in batches of trajectories in lockstep. A batch draws its
+noise, computes its displacement phases and reduces its records a block at
+a time: it keeps the sums over the batch of the records, each trajectory's
+jump times and purity crossing, and the per-trajectory series only where
+they are written (`run_trajectory`, `gravibar simulate`). Beyond the
+summed records, its memory does not grow with the length of the run or
+with the trajectories' records, and `run_ensemble` runs the whole
+ensemble as one batch by default, split into chunks only where the batch's
+estimated arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -276,29 +287,38 @@ def _step_phases(
     in order, and the frame Q they leave. The first stage's c is its Q^dag,
     to be folded with the old frame and the weights; a noise stage after
     the drive has c = Q_noise^dag Q_drive.
+
+    The frame is a copy, so no view keeps a block alive while the next one
+    is computed.
     """
     for lo in range(0, drive.size, block):
         steps = np.flatnonzero(wanted[lo : lo + block]).tolist()
-        if not steps:
-            continue
-        d = drive[lo : lo + block]
-        on = d != 0.0
-        driven = on.tolist()
-        if gammas is None and not any(driven[k] for k in steps):
-            yield from [None] * len(steps)
-            continue
-        dq, drot = cache.phases(d)
-        dc = dq.conj()
+        if steps:
+            yield from _block_phases(
+                cache, drive[lo : lo + block],
+                None if gammas is None else gammas[lo : lo + block], steps,
+            )
+
+
+def _block_phases(cache, d, gammas, steps):
+    """`_step_phases` of the `steps` of one block."""
+    on = d != 0.0
+    driven = on.tolist()
+    if gammas is None and not any(driven[k] for k in steps):
+        yield from [None] * len(steps)
+        return
+    dq, drot = cache.phases(d)
+    dc = dq.conj()
+    if gammas is not None:
+        zq, zrot = cache.phases(gammas)
+        zc = zq.conj()
+        np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
+    for k in steps:
+        stages = ((dc[k], drot[k]),) if driven[k] else ()
         if gammas is not None:
-            zq, zrot = cache.phases(gammas[lo : lo + block])
-            zc = zq.conj()
-            np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
-        for k in steps:
-            stages = ((dc[k], drot[k]),) if driven[k] else ()
-            if gammas is not None:
-                yield stages + ((zc[k], zrot[k]),), zq[k]
-            else:
-                yield (stages, dq[k]) if driven[k] else None
+            yield stages + ((zc[k], zrot[k]),), zq[k].copy()
+        else:
+            yield (stages, dq[k].copy()) if driven[k] else None
 
 
 def step(
@@ -395,35 +415,86 @@ def _stretch_kinds(
     return kinds.tolist()
 
 
+class _Excursions:
+    """Jump detection fed a block of records at a time.
+
+    For each of n series, the index of the first record of every excursion
+    that stays >= `threshold` for at least `hold` records. Each series'
+    open excursion (its first record and its length so far) carries across
+    blocks, so the starts are those of the whole series.
+    """
+
+    def __init__(self, n: int, threshold: float, hold: int):
+        if not (0.0 < threshold < 1.0):
+            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+        if hold < 1:
+            raise ValueError(f"hold must be >= 1, got {hold}")
+        self.threshold = threshold
+        self.hold = hold
+        self.open_start = np.zeros(n, dtype=np.intp)
+        self.open_len = np.zeros(n, dtype=np.intp)  # 0: no excursion open
+        self.starts: list[list[int]] = [[] for _ in range(n)]
+
+    def add(self, block: np.ndarray, first: int) -> None:
+        """Take records first, first + 1, ... of every series, `block` (m, n)."""
+        m, n = block.shape
+        above = np.zeros((n, m + 2), dtype=np.int8)
+        above[:, 1:-1] = (block >= self.threshold).T
+        edges = np.diff(above, axis=1)
+        cols, lo = np.nonzero(edges == 1)
+        _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
+        before = np.where(lo == 0, self.open_len[cols], 0)
+        start = np.where(before > 0, self.open_start[cols], first + lo)
+        length = before + hi - lo
+        new = (length >= self.hold) & (before < self.hold)
+        for col, idx in zip(cols[new].tolist(), start[new].tolist()):
+            self.starts[col].append(idx)
+        still = hi == m
+        self.open_len[:] = 0
+        self.open_start[cols[still]] = start[still]
+        self.open_len[cols[still]] = length[still]
+
+
 class _BatchResult:
-    """Records of a batch: times (n_rec,), readouts (n_rec, n), rho00..rho22
-    as pops (n_rec, 3, n), populations summed over the batch as diag_sums
-    (n_rec, dim), events and, with a purity threshold, each trajectory's
-    first recorded time its largest population reached it.
+    """Reductions of a batch's records, taken a block of records at a time.
+
+    It keeps times (n_rec,), rho00..rho22 summed over the batch as sums
+    (n_rec, 3), the populations summed over the batch as diag_sums
+    (n_rec, dim), events, each trajectory's jump times (as by
+    `detect_jump`) and, with a purity threshold, each trajectory's first
+    recorded time its largest population reached it. Only with `series`
+    does it also keep the per-trajectory series: readouts (n_rec, n) and
+    rho00..rho22 as pops (n_rec, 3, n), for `record`.
 
     `add` takes the readouts and populations of one record point in turn;
-    they are reduced a block of records at a time.
+    they are held and reduced a block of records at a time.
     """
 
     block = 64
 
     def __init__(
-        self, times: np.ndarray, n: int, dim: int, purity_threshold: float | None
+        self, times: np.ndarray, n: int, dim: int, purity_threshold: float | None,
+        threshold: float, hold: int, series: bool,
     ):
         self.times = times
-        self.readouts = np.empty((times.size, n))
-        self.pops = np.zeros((times.size, 3, n))
+        self.sums = np.zeros((times.size, 3))
         self.diag_sums = np.zeros((times.size, dim))
         self.events: list[tuple[float, str]] = []
+        self.excursions = _Excursions(n, threshold, hold)
         self.purity_threshold = purity_threshold
         self.purity_crossing = None
         if purity_threshold is not None:
             self.purity_crossing = np.full(n, np.nan)
+        self.readouts = self.pops = None
+        if series:
+            self.readouts = np.empty((times.size, n))
+            self.pops = np.zeros((times.size, 3, n))
         self._held = np.empty((min(self.block, times.size), n, dim))
         self._done = self._next = 0
 
     def add(self, rs: np.ndarray, populations: np.ndarray) -> None:
-        self.readouts[self._next] = rs
+        if self.readouts is not None:
+            self.readouts[self._next] = rs
         self._held[self._next - self._done] = populations
         self._next += 1
         if self._next - self._done == len(self._held):
@@ -434,9 +505,14 @@ class _BatchResult:
         if hi == lo:
             return
         held = self._held[: hi - lo]
-        top = held[:, :, :3]
-        self.pops[lo:hi, : top.shape[2]] = top.transpose(0, 2, 1)
+        # (m, 3, n) contiguous: each sum over the batch runs over a
+        # contiguous row, as it did over the kept series
+        top = np.ascontiguousarray(held[:, :, :3].transpose(0, 2, 1))
+        self.sums[lo:hi, : top.shape[1]] = top.sum(axis=2)
+        if self.pops is not None:
+            self.pops[lo:hi, : top.shape[1]] = top
         self.diag_sums[lo:hi] = held.sum(axis=1)
+        self.excursions.add(held[:, :, 1], lo)
         if self.purity_crossing is not None:
             crossed = held.max(axis=2) >= self.purity_threshold
             fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
@@ -444,10 +520,78 @@ class _BatchResult:
             self.purity_crossing[fresh] = self.times[first[fresh]]
         self._done = hi
 
+    @property
+    def jump_times(self) -> list[list[float]]:
+        return [self.times[starts].tolist() for starts in self.excursions.starts]
+
     def record(self, j: int) -> TrajectoryRecord:
-        """The record of the batch's trajectory j."""
+        """The record of the batch's trajectory j; needs the series."""
         rho = self.pops[:, :, j].T
         return TrajectoryRecord(self.times, self.readouts[:, j], *rho, list(self.events))
+
+
+# noise is drawn this many trajectory-steps at a time, and at least
+# _NOISE_FLOOR steps, so that a block costs one generator call per trajectory
+# and stream well above the call overhead
+_NOISE_BLOCK = 1 << 16
+_NOISE_FLOOR = 256
+
+
+def _skipped(g: np.random.Generator, count: int, block: int) -> np.random.Generator:
+    """A copy of `g` that has drawn and discarded `count` standard normals,
+    `block` at a time."""
+    g = copy.deepcopy(g)
+    scratch = np.empty(block)
+    for lo in range(0, count, block):
+        g.standard_normal(out=scratch[: min(block, count - lo)])
+    return g
+
+
+def _draws(rngs: list[np.random.Generator], method: str, m: int) -> np.ndarray:
+    """(n, m): the next m draws of `method` from each generator in turn."""
+    out = np.empty((len(rngs), m))
+    for row, g in zip(out, rngs):
+        getattr(g, method)(out=row)
+    return out
+
+
+def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_steps: int):
+    """Yield (lo, xi, gammas, jumps): the noise of steps lo + 1, lo + 2, ...
+    of a run, a block at a time.
+
+    `xi` (m, n) is the readout noise, scaled by sqrt(t_m/dt); `gammas`
+    (m, n) the displacement noise, scaled by gamma_sigma (None without
+    kappa); `jumps` (m, n) flags the thermal jumps (None without a thermal
+    rate). Trajectory k draws from `rngs[k]` as if all at once: n_steps
+    readout normals, then n_steps pairs of noise normals, then n_steps
+    uniforms. The later streams come from copies of the generator that
+    first draw and discard the earlier ones, a block at a time (block
+    draws reproduce one big draw bit for bit). After the last block each
+    generator is left in the state of its last stream, as after drawing
+    everything at once.
+    """
+    n = len(rngs)
+    block = max(_NOISE_FLOOR, _NOISE_BLOCK // n)
+    kappa = thermal = None
+    if cfg.kappa > 0.0:
+        kappa = [_skipped(g, n_steps, block) for g in rngs]
+    if cfg.thermal_rate > 0.0:  # after the readout normals and kappa's pairs
+        skip = n_steps if kappa is None else 2 * n_steps
+        thermal = [_skipped(g, skip, block) for g in kappa or rngs]
+    for lo in range(0, n_steps, block):
+        m = min(block, n_steps - lo)
+        xi = _draws(rngs, "standard_normal", m)
+        xi *= cfg.readout_sigma
+        gammas = jumps = None
+        if kappa is not None:  # pairs of normals are the parts of a complex
+            parts = _draws(kappa, "standard_normal", 2 * m)
+            parts *= cfg.gamma_sigma
+            gammas = parts.view(complex).T
+        if thermal is not None:
+            jumps = (_draws(thermal, "random", m) < cfg.thermal_rate * cfg.dt).T
+        yield lo, xi.T, gammas, jumps
+    for g, last in zip(rngs, thermal or kappa or ()):
+        g.bit_generator.state = last.bit_generator.state
 
 
 def _run_batch(
@@ -461,6 +605,9 @@ def _run_batch(
     starts: np.ndarray | None = None,
     purity_threshold: float | None = None,
     first: int = 0,
+    threshold: float = 0.9,
+    hold: int = 3,
+    series: bool = False,
 ) -> _BatchResult:
     """Run a batch of trajectories in lockstep, stretch by stretch.
 
@@ -482,12 +629,16 @@ def _run_batch(
       until the reinit or the end.
 
     The kinds differ in what they carry; their numbers agree to
-    roundoff. Noise per trajectory is pre-drawn from its own generator in
-    a fixed order (readout normals, then displacement-noise normals, then
-    thermal uniforms) and scaled once; the phases of the drive and the
-    noise displacements come from `_step_phases`, a block of steps at a time.
-    Sums and matmuls run per trajectory, so a trajectory's bits do not
-    depend on its batch. Errors name trajectory `first` + index.
+    roundoff. Noise comes from `_noise_blocks`, a block of steps at a time,
+    in each trajectory's fixed stream order (readout normals, then
+    displacement-noise normals, then thermal uniforms); the phases of the
+    drive and the noise displacements come from `_step_phases`, a block of
+    steps at a time. The records are reduced in `_BatchResult` as they come
+    (jumps by `threshold` and `hold`); the per-trajectory series are kept
+    only with `series`. So the batch holds blocks of noise, phases and
+    records, not whole runs. Sums and matmuls run per trajectory, so a
+    trajectory's bits do not depend on its batch. Errors name trajectory
+    `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -496,19 +647,9 @@ def _run_batch(
         raise ValueError("duration must cover at least one step")
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
 
-    readout_noise = np.column_stack([g.standard_normal(n_steps) for g in rngs])
-    readout_noise *= cfg.readout_sigma
-    gamma_noise = jumps = None
-    if cfg.kappa > 0.0:
-        xs = cfg.gamma_sigma * np.stack([g.standard_normal((n_steps, 2)) for g in rngs], axis=1)
-        gamma_noise = xs[..., 0] + 1j * xs[..., 1]
-    if cfg.thermal_rate > 0.0:
-        jumps = np.column_stack([g.random(n_steps) for g in rngs]) < cfg.thermal_rate * cfg.dt
-    jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
-
     n_rec = n_steps // cfg.record_stride
     times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
-    result = _BatchResult(times, n, dim, purity_threshold)
+    result = _BatchResult(times, n, dim, purity_threshold, threshold, hold, series)
     events = result.events
     drive = np.zeros(n_steps, dtype=complex)  # step i's increment at i - 1
     omega = mode_frequency(spec)
@@ -526,6 +667,7 @@ def _run_batch(
     displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
     displacing[1:] |= drive != 0.0
     kinds = _stretch_kinds(displacing, steps_per_reinit, starts is None)
+    factor = np.equal(kinds[1:], _FACTOR)
 
     ground = np.zeros((n, dim))
     ground[:, 0] = 1.0
@@ -536,37 +678,39 @@ def _run_batch(
     cache = DisplacementCache(dim)
     # phases of 1024 trajectory-steps at a time (256 steps of the 4
     # trajectories of `gravibar simulate`): a block's noise phases grow with n
-    step_phases = _step_phases(
-        cache, drive, gamma_noise, np.equal(kinds[1:], _FACTOR), max(1, 1024 // n)
-    )
+    phase_block = max(1, 1024 // n)
 
-    for i in range(1, n_steps + 1):
-        xi = readout_noise[i - 1]
-        kind = kinds[i]
-        try:
-            if kind == _GROUND:
-                rs = xi
-            elif kind == _FACTOR:
-                if pops is None:
-                    amps = ground[:, :, None].astype(complex)
-                    pops = ground
-                amps, frame, pops, rs = _update(
-                    amps, frame, pops, xi, coef, cache, next(step_phases),
-                    jumps[i - 1] if i - 1 in jump_steps else None,
-                    first,
-                )
-            else:
-                amps = frame = None
-                rs, pops = _measure(pops, xi, cache.levels, coef, first)
-        except TraceUnderflowError as exc:
-            raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
+    for lo, xis, gammas, jumps in _noise_blocks(rngs, cfg, n_steps):
+        hi = lo + len(xis)
+        step_phases = _step_phases(cache, drive[lo:hi], gammas, factor[lo:hi], phase_block)
+        jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
+        for i in range(lo + 1, hi + 1):
+            xi = xis[i - 1 - lo]
+            kind = kinds[i]
+            try:
+                if kind == _GROUND:
+                    rs = xi
+                elif kind == _FACTOR:
+                    if pops is None:
+                        amps = ground[:, :, None].astype(complex)
+                        pops = ground
+                    amps, frame, pops, rs = _update(
+                        amps, frame, pops, xi, coef, cache, next(step_phases),
+                        jumps[i - 1 - lo] if i - 1 - lo in jump_steps else None,
+                        first,
+                    )
+                else:
+                    amps = frame = None
+                    rs, pops = _measure(pops, xi, cache.levels, coef, first)
+            except TraceUnderflowError as exc:
+                raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
-        if i % steps_per_reinit == 0 and i < n_steps:
-            amps = frame = pops = None
-            events.append((i * cfg.dt, "reinit"))
+            if i % steps_per_reinit == 0 and i < n_steps:
+                amps = frame = pops = None
+                events.append((i * cfg.dt, "reinit"))
 
-        if i % cfg.record_stride == 0:
-            result.add(rs, ground if pops is None else pops)
+            if i % cfg.record_stride == 0:
+                result.add(rs, ground if pops is None else pops)
 
     result.flush()
     events.sort(key=lambda ev: ev[0])
@@ -617,7 +761,9 @@ def run_trajectory(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     starts = None if initial_state is None else _start_factors([initial_state], cfg.dim)
-    batch = _run_batch(spec, signal, cfg, [rng], duration, gw_start, window, starts)
+    batch = _run_batch(
+        spec, signal, cfg, [rng], duration, gw_start, window, starts, series=True
+    )
     return batch.record(0)
 
 
@@ -627,20 +773,9 @@ def _jump_starts(
     """Per column of `series` (n_rec, n), the times where it first sustains
     >= threshold for `hold` points: one time per excursion, the first of it.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if hold < 1:
-        raise ValueError(f"hold must be >= 1, got {hold}")
-    n_rec, n = series.shape
-    above = np.zeros((n, n_rec + 2), dtype=np.int8)
-    above[:, 1:-1] = (series >= threshold).T
-    edges = np.diff(above, axis=1)
-    cols, lo = np.nonzero(edges == 1)
-    _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
-    keep = hi - lo >= hold
-    counts = np.bincount(cols[keep], minlength=n)
-    starts = np.split(np.asarray(times)[lo[keep]], np.cumsum(counts)[:-1])
-    return [s.tolist() for s in starts]
+    excursions = _Excursions(series.shape[1], threshold, hold)
+    excursions.add(series, 0)
+    return [np.asarray(times)[starts].tolist() for starts in excursions.starts]
 
 
 def detect_jump(
@@ -658,43 +793,65 @@ def detect_jump(
     ]
 
 
+# the default chunk covers the ensemble while its batch's arrays, as
+# estimated by `_trajectory_bytes`, stay under this many bytes
+_CHUNK_BYTES = 1 << 27
+
+
+def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: bool) -> int:
+    """Rough bound on what a batch holds per trajectory: its share of a
+    block of held records, its factors and their temporaries, two noise
+    blocks of each stream at the floor size and, with `series`, its
+    series. (Batches under _NOISE_BLOCK / _NOISE_FLOOR trajectories draw
+    longer noise blocks, a few MB in all.)"""
+    floats = _BatchResult.block * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
+    return 8 * (floats + (4 * n_rec if series else 0))
+
+
 def _ensemble_chunks(
     spec: DetectorSpec, signal: StrainSignal | None, cfg: MeasurementConfig,
     n_traj: int, base_seed: int, duration: float, gw_start: float,
-    window: tuple[float, float] | None, chunk_size: int = 64,
+    window: tuple[float, float] | None, chunk_size: int | None = None,
     starts: np.ndarray | None = None, purity_threshold: float | None = None,
+    threshold: float = 0.9, hold: int = 3, series: bool = False,
 ):
     """Yield (lo, batch): the `_BatchResult` of an ensemble's trajectories
     lo, lo + 1, ..., `chunk_size` at a time. Trajectory k runs on the k-th
     generator spawned from `base_seed`, from `starts[k]` (ground state if
     `starts` is None), and errors name it by k.
+
+    The default chunk is the whole ensemble, or as many trajectories as
+    `_CHUNK_BYTES` holds by `_trajectory_bytes`. The batches keep the
+    per-trajectory series only with `series`.
     """
+    if chunk_size is None:
+        rank = 1 if starts is None else starts.shape[2]
+        n_rec = int(round(duration / cfg.dt)) // cfg.record_stride
+        per_traj = _trajectory_bytes(cfg, rank, n_rec, series)
+        chunk_size = max(1, min(n_traj, _CHUNK_BYTES // per_traj))
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
     for lo in range(0, n_traj, chunk_size):
         hi = min(lo + chunk_size, n_traj)
         rngs = [np.random.default_rng(s) for s in children[lo:hi]]
         yield lo, _run_batch(
             spec, signal, cfg, rngs, duration, gw_start, window,
-            None if starts is None else starts[lo:hi], purity_threshold, first=lo,
+            None if starts is None else starts[lo:hi], purity_threshold, lo,
+            threshold, hold, series,
         )
 
 
-def _summarize(
-    chunks, n_traj: int, threshold: float = 0.9, hold: int = 3
-) -> EnsembleSummary:
-    """Reduce the (lo, batch) chunks of `_ensemble_chunks`: jumps as by
-    `detect_jump`; population sums add up chunk by chunk, so the chunking
-    moves them only at roundoff.
-    """
+def _summarize(chunks, n_traj: int) -> EnsembleSummary:
+    """Reduce the (lo, batch) chunks of `_ensemble_chunks`: population sums
+    add up chunk by chunk, so the chunking moves them only at roundoff."""
     sums = diag_sums = 0.0
     jump_times: list[list[float]] = []
     crossings: list[np.ndarray] = []
     for _, batch in chunks:
-        sums = sums + batch.pops.sum(axis=2)
+        sums = sums + batch.sums
         diag_sums = diag_sums + batch.diag_sums
         if batch.purity_crossing is not None:
             crossings.append(batch.purity_crossing)
-        jump_times += _jump_starts(batch.times, batch.pops[:, 1], threshold, hold)
+        jump_times += batch.jump_times
 
     n_detected = sum(1 for jumps in jump_times if jumps)
     return EnsembleSummary(
@@ -724,7 +881,7 @@ def run_ensemble(
     window: tuple[float, float] | None = None,
     threshold: float = 0.9,
     hold: int = 3,
-    chunk_size: int = 64,
+    chunk_size: int | None = None,
     initial_states: list[QuantumState] | None = None,
     purity_threshold: float | None = None,
 ) -> EnsembleSummary:
@@ -735,12 +892,17 @@ def run_ensemble(
     each trajectory, in any chunk of `chunk_size`, matches a single
     `run_trajectory` with the same spawned generator. `initial_states`
     may supply one starting state per trajectory (ground state otherwise).
+
+    By default the whole ensemble runs as one chunk, split only where its
+    batch would exceed a memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch
+    reduces its records as they come, jumps (by `threshold` and `hold`)
+    included, and keeps no per-trajectory series.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    _jump_starts(np.empty(0), np.empty((0, 0)), threshold, hold)  # fail before running
+    _Excursions(0, threshold, hold)  # fail before running
     if duration is None:
         duration = cfg.t_meas
     if base_seed is None:
@@ -752,9 +914,9 @@ def run_ensemble(
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
     chunks = _ensemble_chunks(
         spec, signal, cfg, n_traj, base_seed, duration, gw_start, window,
-        chunk_size, starts, purity_threshold,
+        chunk_size, starts, purity_threshold, threshold, hold,
     )
-    return _summarize(chunks, n_traj, threshold, hold)
+    return _summarize(chunks, n_traj)
 
 
 __all__ = [

@@ -306,6 +306,21 @@ class TestChi:
         for method in ("quadrature", "stationary_phase", "chirp_analytic"):
             assert method in content
 
+    def test_chirp_window_missing_resonance_writes_quadrature_only(self, tmp_path):
+        # (10, 11) s misses s* = 53.4 s at 100 Hz: stationary phase and the
+        # whole-crossing closed form do not apply, the quadrature does
+        text = CHIRP_CONFIG.replace("beryllium", "niobium").replace("mass = optimal\n", "")
+        text = text.replace("nu0_hz = 30", "nu0_hz = 30\nwindow_start = 10\nwindow_end = 11")
+        assert main(["chi", "--config", write_config(tmp_path, text)]) == 0
+        chi = read_csv(tmp_path / "out" / "chi.csv")
+        assert list(chi) == ["quadrature"] and chi["quadrature"] > 0.0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["chi_method_spread"] == 0.0
+        omitted = meta["chi_methods_omitted"]
+        assert sorted(omitted) == ["chirp_analytic", "stationary_phase"]
+        for reason in omitted.values():
+            assert "s* = 53.4" in reason and "(10.0, 11.0)" in reason
+
     @pytest.mark.parametrize("config", [MONO_CONFIG, CHIRP_CONFIG])
     def test_method_spread_in_metadata_and_reruns_identical(self, tmp_path, config):
         path = write_config(tmp_path, config)

@@ -689,6 +689,41 @@ class TestDetectJump:
             (t, "jump_detected") for t in expected[0]
         ]
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_rec=st.integers(1, 300),
+        n=st.integers(1, 5),
+        hold=st.integers(1, 8),
+        stay=st.floats(0.5, 0.97),
+        n_blocks=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_by_block_matches_whole_series(
+        self, n_rec, n, hold, stay, n_blocks, seed
+    ):
+        # excursions cross the block edges at random cuts; each series'
+        # open excursion carries over, so the starts are the whole series'
+        threshold = 0.9
+        rng = np.random.default_rng(seed)
+        above = np.empty((n_rec, n), dtype=bool)
+        above[0] = rng.random(n) < 0.5
+        for k in range(1, n_rec):
+            above[k] = above[k - 1] ^ (rng.random(n) > stay)
+        series = np.where(
+            above, rng.uniform(threshold, 1.0, (n_rec, n)),
+            rng.uniform(0.0, threshold, (n_rec, n)),
+        )
+        series[above & (rng.random((n_rec, n)) < 0.1)] = threshold
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_rec))
+        cuts = np.unique(rng.integers(0, n_rec + 1, n_blocks - 1))
+        excursions = measurement._Excursions(n, threshold, hold)
+        for lo, hi in zip([0, *cuts], [*cuts, n_rec]):
+            excursions.add(series[lo:hi], lo)
+        blocked = [times[starts].tolist() for starts in excursions.starts]
+        expected = [jump_starts(times, col, threshold, hold) for col in series.T]
+        assert blocked == expected
+        assert measurement._jump_starts(times, series, threshold, hold) == expected
+
     def test_parameter_validation(self):
         rec = self.record_from(np.zeros(5))
         with pytest.raises(ValueError):
@@ -730,7 +765,8 @@ class TestRunEnsemble:
         # that carries factors or populations is the same bits in any chunk
         def series(signal, cfg, chunk_size, starts=None):
             chunks = measurement._ensemble_chunks(
-                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size, starts
+                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size, starts,
+                series=True,
             )
             return np.concatenate([
                 np.concatenate([b.readouts[:, None], b.pops], axis=1)
@@ -782,7 +818,7 @@ class TestRunEnsemble:
         wave = resonant_drive_for_beta(spec, beta, 0.5) if beta else None
         try:
             (_, batch), = measurement._ensemble_chunks(
-                spec, wave, cfg, 3, seed, 1.5, 0.2, (0.0, 0.5), starts=starts
+                spec, wave, cfg, 3, seed, 1.5, 0.2, (0.0, 0.5), starts=starts, series=True
             )
         except TraceUnderflowError:
             return  # thermal jumps out of the top level
@@ -926,3 +962,75 @@ class TestRunEnsemble:
         mu = rate * duration
         visible = sum(k * poisson.pmf(k, mu) for k in (1, 2))
         assert mean_n == pytest.approx(visible, abs=3.0 * math.sqrt(mu / n) + 0.05)
+
+    def test_default_chunk_matches_chunks_of_64(self):
+        # the whole ensemble in one chunk gives the same detections, jump
+        # times and purity crossings as chunks of 64; sums differ by roundoff
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.3, t_meas=3.0, dim=6, seed=17)
+        rng = np.random.default_rng(3)
+        starts = [
+            QuantumState.from_diagonal(rng.dirichlet(np.ones(6) * 0.3)) for _ in range(150)
+        ]
+        kwargs = dict(
+            duration=4.0, gw_start=0.5, window=(0.0, 1.0), initial_states=starts,
+            purity_threshold=0.95,
+        )
+        wave = resonant_drive_for_beta(spec, 0.8, 1.0)
+        one = run_ensemble(spec, wave, cfg, n_traj=150, **kwargs)
+        split = run_ensemble(spec, wave, cfg, n_traj=150, chunk_size=64, **kwargs)
+        assert one.n_detected == split.n_detected > 0
+        assert one.jump_times == split.jump_times
+        np.testing.assert_array_equal(one.purity_first_crossing, split.purity_first_crossing)
+        assert np.isfinite(one.purity_first_crossing).any()
+        for name in ("mean_rho00", "mean_rho11", "mean_rho22", "mean_populations"):
+            np.testing.assert_allclose(getattr(one, name), getattr(split, name), rtol=0, atol=1e-13)
+
+    def test_criterion_ensembles_fit_one_default_chunk(self):
+        # criterion 8 (500 x 42 s, dim 30) and criterion 9 (1000 x 40 s,
+        # dim 10, rank-10 starts, a record every step) run as one chunk
+        fig3 = MeasurementConfig(dt=1e-3, t_m=2.0, t_meas=40.0, dim=30)
+        qnd = MeasurementConfig(dt=2e-3, t_m=2.0, t_meas=1e4, dim=10, record_stride=1)
+        for cfg, n_traj, rank, n_rec in ((fig3, 500, 1, 14_000), (qnd, 1000, 10, 20_000)):
+            per_traj = measurement._trajectory_bytes(cfg, rank, n_rec, series=False)
+            assert measurement._CHUNK_BYTES // per_traj >= n_traj
+
+
+class TestNoiseBlocks:
+    """Noise drawn a block of steps at a time, from copies of each generator
+    that skip the earlier streams, as if drawn all at once."""
+
+    CFG = MeasurementConfig(
+        dt=1e-2, t_m=0.5, t_meas=1.0, dim=8, kappa=0.05, thermal_rate=2.0,
+        record_stride=1,
+    )
+
+    def series(self):
+        spec = toy_detector()
+        (_, batch), = measurement._ensemble_chunks(
+            spec, resonant_drive_for_beta(spec, 0.6, 1.0), self.CFG, 3, 5, 1.5, 0.2,
+            (0.0, 1.0), series=True,
+        )
+        return np.concatenate([batch.readouts[:, None], batch.pops], axis=1)
+
+    @pytest.mark.parametrize("block, floor", [(1, 1), (7, 3), (64, 16)])
+    def test_block_size_does_not_change_records(self, monkeypatch, block, floor):
+        whole = self.series()  # 150 steps in one block
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
+        np.testing.assert_array_equal(self.series(), whole)
+
+    @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
+    def test_run_trajectory_leaves_rng_as_one_draw_would(self, monkeypatch, kappa, thermal_rate):
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", 16)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", 16)  # 10 blocks
+        cfg = dataclasses.replace(self.CFG, kappa=kappa, thermal_rate=thermal_rate)
+        rng = np.random.default_rng(11)
+        run_trajectory(toy_detector(), None, cfg, duration=1.5, rng=rng)
+        ref = np.random.default_rng(11)
+        ref.standard_normal(150)
+        if kappa:
+            ref.standard_normal((150, 2))
+        if thermal_rate:
+            ref.random(150)
+        assert rng.bit_generator.state == ref.bit_generator.state
