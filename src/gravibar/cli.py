@@ -31,7 +31,7 @@ closed form chi = h0 sqrt(2/k) omega^(1/6) of the whole resonance
 crossing (`dynamics.chi_chirp_analytic`), not a quadrature over the
 window. The window decides only whether that chi applies: when the
 crossing s* lies outside it, they stop with a config error that names s*.
-`chi` then writes the quadrature over the window alone and names the
+In that case `chi` writes the quadrature over the window alone and names the
 stationary-phase and whole-crossing methods it left out, with the reason,
 in metadata.json.
 """

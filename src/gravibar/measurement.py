@@ -288,8 +288,9 @@ def _step_phases(
     to be folded with the old frame and the weights; a noise stage after
     the drive has c = Q_noise^dag Q_drive.
 
-    The frame is a copy, so no view keeps a block alive while the next one
-    is computed.
+    Each block's arrays live in `_block_phases` and are freed once its last
+    step is taken, and the last frame a block yields is a copy, so one block
+    at a time is alive.
     """
     for lo in range(0, drive.size, block):
         steps = np.flatnonzero(wanted[lo : lo + block]).tolist()
@@ -301,7 +302,7 @@ def _step_phases(
 
 
 def _block_phases(cache, d, gammas, steps):
-    """`_step_phases` of the `steps` of one block."""
+    """`_step_phases` of the `steps` (indices into `d`) of one block."""
     on = d != 0.0
     driven = on.tolist()
     if gammas is None and not any(driven[k] for k in steps):
@@ -313,12 +314,15 @@ def _block_phases(cache, d, gammas, steps):
         zq, zrot = cache.phases(gammas)
         zc = zq.conj()
         np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
+    q = dq if gammas is None else zq
+    last = max(k for k in steps if gammas is not None or driven[k])
     for k in steps:
         stages = ((dc[k], drot[k]),) if driven[k] else ()
+        frame = q[k] if k < last else q[k].copy()  # the block's last frame outlives it
         if gammas is not None:
-            yield stages + ((zc[k], zrot[k]),), zq[k].copy()
+            yield stages + ((zc[k], zrot[k]),), frame
         else:
-            yield (stages, dq[k].copy()) if driven[k] else None
+            yield (stages, frame) if driven[k] else None
 
 
 def step(
