@@ -535,8 +535,8 @@ class _BatchResult:
 
 
 # noise is drawn this many trajectory-steps at a time, and at least
-# _NOISE_FLOOR steps, so that a block costs one generator call per trajectory
-# and stream well above the call overhead
+# _NOISE_FLOOR steps, so that each generator call draws enough numbers to
+# outweigh its overhead
 _NOISE_BLOCK = 1 << 16
 _NOISE_FLOOR = 256
 
@@ -633,14 +633,11 @@ def _run_batch(
       until the reinit or the end.
 
     The kinds differ in what they carry; their numbers agree to
-    roundoff. Noise comes from `_noise_blocks`, a block of steps at a time,
-    in each trajectory's fixed stream order (readout normals, then
-    displacement-noise normals, then thermal uniforms); the phases of the
-    drive and the noise displacements come from `_step_phases`, a block of
-    steps at a time. The records are reduced in `_BatchResult` as they come
-    (jumps by `threshold` and `hold`); the per-trajectory series are kept
-    only with `series`. So the batch holds blocks of noise, phases and
-    records, not whole runs. Sums and matmuls run per trajectory, so a
+    roundoff. The noise (`_noise_blocks`) and the displacement phases
+    (`_step_phases`) come a block of steps at a time, and `_BatchResult`
+    reduces the records as they come (jumps by `threshold` and `hold`),
+    keeping the per-trajectory series only with `series`: the batch holds
+    blocks, not whole runs. Sums and matmuls run per trajectory, so a
     trajectory's bits do not depend on its batch. Errors name trajectory
     `first` + index.
     """
@@ -688,8 +685,8 @@ def _run_batch(
         hi = lo + len(xis)
         step_phases = _step_phases(cache, drive[lo:hi], gammas, factor[lo:hi], phase_block)
         jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
-        for i in range(lo + 1, hi + 1):
-            xi = xis[i - 1 - lo]
+        for k, xi in enumerate(xis):
+            i = lo + 1 + k
             kind = kinds[i]
             try:
                 if kind == _GROUND:
@@ -700,7 +697,7 @@ def _run_batch(
                         pops = ground
                     amps, frame, pops, rs = _update(
                         amps, frame, pops, xi, coef, cache, next(step_phases),
-                        jumps[i - 1 - lo] if i - 1 - lo in jump_steps else None,
+                        jumps[k] if k in jump_steps else None,
                         first,
                     )
                 else:
