@@ -462,9 +462,8 @@ class _Excursions:
 class _BatchResult:
     """Reductions of a batch's records, taken a block of records at a time.
 
-    It keeps times (n_rec,), rho00..rho22 summed over the batch as sums
-    (n_rec, 3), the populations summed over the batch as diag_sums
-    (n_rec, dim), events, each trajectory's jump times (as by
+    It keeps times (n_rec,), the populations summed over the batch as
+    diag_sums (n_rec, dim), events, each trajectory's jump times (as by
     `detect_jump`) and, with a purity threshold, each trajectory's first
     recorded time its largest population reached it. Only with `series`
     does it also keep the per-trajectory series: readouts (n_rec, n) and
@@ -481,7 +480,6 @@ class _BatchResult:
         threshold: float, hold: int, series: bool,
     ):
         self.times = times
-        self.sums = np.zeros((times.size, 3))
         self.diag_sums = np.zeros((times.size, dim))
         self.events: list[tuple[float, str]] = []
         self.excursions = _Excursions(n, threshold, hold)
@@ -508,17 +506,15 @@ class _BatchResult:
         lo, hi = self._done, self._next
         if hi == lo:
             return
-        held = self._held[: hi - lo]
-        # (m, 3, n) contiguous: each sum over the batch runs over a
-        # contiguous row, as it did over the kept series
-        top = np.ascontiguousarray(held[:, :, :3].transpose(0, 2, 1))
-        self.sums[lo:hi, : top.shape[1]] = top.sum(axis=2)
+        # (m, dim, n): each reduction over the batch runs along contiguous
+        # rows, so rho00..rho22 sum as they did over the kept series
+        held = np.ascontiguousarray(self._held[: hi - lo].transpose(0, 2, 1))
+        self.diag_sums[lo:hi] = held.sum(axis=2)
         if self.pops is not None:
-            self.pops[lo:hi, : top.shape[1]] = top
-        self.diag_sums[lo:hi] = held.sum(axis=1)
-        self.excursions.add(held[:, :, 1], lo)
+            self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
+        self.excursions.add(held[:, 1], lo)
         if self.purity_crossing is not None:
-            crossed = held.max(axis=2) >= self.purity_threshold
+            crossed = held.max(axis=1) >= self.purity_threshold
             fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
             first = lo + crossed.argmax(axis=0)
             self.purity_crossing[fresh] = self.times[first[fresh]]
@@ -584,16 +580,17 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
         thermal = [_skipped(g, skip, block) for g in kappa or rngs]
     for lo in range(0, n_steps, block):
         m = min(block, n_steps - lo)
-        xi = _draws(rngs, "standard_normal", m)
-        xi *= cfg.readout_sigma
+        # each step reads a row of a block: the (m, n) blocks are C-ordered
+        xi = np.multiply(_draws(rngs, "standard_normal", m).T, cfg.readout_sigma, order="C")
         gammas = jumps = None
         if kappa is not None:  # pairs of normals are the parts of a complex
             parts = _draws(kappa, "standard_normal", 2 * m)
             parts *= cfg.gamma_sigma
-            gammas = parts.view(complex).T
+            gammas = np.ascontiguousarray(parts.view(complex).T)
         if thermal is not None:
-            jumps = (_draws(thermal, "random", m) < cfg.thermal_rate * cfg.dt).T
-        yield lo, xi.T, gammas, jumps
+            u = _draws(thermal, "random", m).T
+            jumps = np.less(u, cfg.thermal_rate * cfg.dt, order="C")
+        yield lo, xi, gammas, jumps
     for g, last in zip(rngs, thermal or kappa or ()):
         g.bit_generator.state = last.bit_generator.state
 
@@ -801,11 +798,11 @@ _CHUNK_BYTES = 1 << 27
 
 def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: bool) -> int:
     """Rough bound on what a batch holds per trajectory: its share of a
-    block of held records, its factors and their temporaries, two noise
-    blocks of each stream at the floor size and, with `series`, its
-    series. (Batches under _NOISE_BLOCK / _NOISE_FLOOR trajectories draw
-    longer noise blocks, a few MB in all.)"""
-    floats = _BatchResult.block * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
+    block of held records and of its transpose, its factors and their
+    temporaries, two noise blocks of each stream at the floor size and,
+    with `series`, its series. (Batches under _NOISE_BLOCK / _NOISE_FLOOR
+    trajectories draw longer noise blocks, a few MB in all.)"""
+    floats = 2 * _BatchResult.block * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
     return 8 * (floats + (4 * n_rec if series else 0))
 
 
@@ -844,26 +841,27 @@ def _ensemble_chunks(
 def _summarize(chunks, n_traj: int) -> EnsembleSummary:
     """Reduce the (lo, batch) chunks of `_ensemble_chunks`: population sums
     add up chunk by chunk, so the chunking moves them only at roundoff."""
-    sums = diag_sums = 0.0
+    diag_sums = 0.0
     jump_times: list[list[float]] = []
     crossings: list[np.ndarray] = []
     for _, batch in chunks:
-        sums = sums + batch.sums
         diag_sums = diag_sums + batch.diag_sums
         if batch.purity_crossing is not None:
             crossings.append(batch.purity_crossing)
         jump_times += batch.jump_times
 
     n_detected = sum(1 for jumps in jump_times if jumps)
+    means = diag_sums / n_traj
+    rho = [means[:, k] if k < means.shape[1] else np.zeros(len(means)) for k in range(3)]
     return EnsembleSummary(
         n_traj=n_traj,
         n_detected=n_detected,
         detection_fraction=n_detected / n_traj,
         times=batch.times,
-        mean_rho00=sums[:, 0] / n_traj,
-        mean_rho11=sums[:, 1] / n_traj,
-        mean_rho22=sums[:, 2] / n_traj,
-        mean_populations=diag_sums / n_traj,
+        mean_rho00=rho[0],
+        mean_rho11=rho[1],
+        mean_rho22=rho[2],
+        mean_populations=means,
         jump_times=jump_times,
         events=list(batch.events),
         purity_first_crossing=np.concatenate(crossings) if crossings else None,
