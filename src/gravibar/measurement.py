@@ -442,8 +442,11 @@ class _Excursions:
     def add(self, block: np.ndarray, first: int) -> None:
         """Take records first, first + 1, ... of every series, `block` (m, n)."""
         m, n = block.shape
+        flags = block >= self.threshold
+        if not (flags.any() or self.open_len.any()):
+            return
         above = np.zeros((n, m + 2), dtype=np.int8)
-        above[:, 1:-1] = (block >= self.threshold).T
+        above[:, 1:-1] = flags.T
         edges = np.diff(above, axis=1)
         cols, lo = np.nonzero(edges == 1)
         _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
@@ -564,20 +567,21 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
     kappa); `jumps` (m, n) flags the thermal jumps (None without a thermal
     rate). Trajectory k draws from `rngs[k]` as if all at once: n_steps
     readout normals, then n_steps pairs of noise normals, then n_steps
-    uniforms. The later streams come from copies of the generator that
-    first draw and discard the earlier ones, a block at a time (block
-    draws reproduce one big draw bit for bit). After the last block each
-    generator is left in the state of its last stream, as after drawing
-    everything at once.
+    uniforms. Past one block, the later streams come from copies of the
+    generator that first draw and discard the earlier ones, a block at a
+    time (block draws reproduce one big draw bit for bit), and after the
+    last block each generator is left in the state of its last stream, as
+    after drawing everything at once.
     """
     n = len(rngs)
     block = max(_NOISE_FLOOR, _NOISE_BLOCK // n)
     kappa = thermal = None
+    copies = n_steps > block  # in one block, the streams follow each other
     if cfg.kappa > 0.0:
-        kappa = [_skipped(g, n_steps, block) for g in rngs]
+        kappa = [_skipped(g, n_steps, block) for g in rngs] if copies else rngs
     if cfg.thermal_rate > 0.0:  # after the readout normals and kappa's pairs
         skip = n_steps if kappa is None else 2 * n_steps
-        thermal = [_skipped(g, skip, block) for g in kappa or rngs]
+        thermal = [_skipped(g, skip, block) for g in kappa or rngs] if copies else rngs
     for lo in range(0, n_steps, block):
         m = min(block, n_steps - lo)
         # each step reads a row of a block: the (m, n) blocks are C-ordered
@@ -591,7 +595,7 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
             u = _draws(thermal, "random", m).T
             jumps = np.less(u, cfg.thermal_rate * cfg.dt, order="C")
         yield lo, xi, gammas, jumps
-    for g, last in zip(rngs, thermal or kappa or ()):
+    for g, last in zip(rngs, (thermal or kappa or ()) if copies else ()):
         g.bit_generator.state = last.bit_generator.state
 
 

@@ -1020,10 +1020,13 @@ class TestNoiseBlocks:
         monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
         np.testing.assert_array_equal(self.series(), whole)
 
+    @pytest.mark.parametrize("block", [16, 1 << 16])  # 10 blocks, one block
     @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
-    def test_run_trajectory_leaves_rng_as_one_draw_would(self, monkeypatch, kappa, thermal_rate):
-        monkeypatch.setattr(measurement, "_NOISE_BLOCK", 16)
-        monkeypatch.setattr(measurement, "_NOISE_FLOOR", 16)  # 10 blocks
+    def test_run_trajectory_leaves_rng_as_one_draw_would(
+        self, monkeypatch, block, kappa, thermal_rate
+    ):
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", 16)
         cfg = dataclasses.replace(self.CFG, kappa=kappa, thermal_rate=thermal_rate)
         rng = np.random.default_rng(11)
         run_trajectory(toy_detector(), None, cfg, duration=1.5, rng=rng)
