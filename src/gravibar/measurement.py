@@ -544,9 +544,9 @@ def _skipped(g: np.random.Generator, count: int, block: int) -> np.random.Genera
     """A copy of `g` that has drawn and discarded `count` standard normals,
     `block` at a time."""
     g = copy.deepcopy(g)
-    scratch = np.empty(block)
+    sink = np.empty(block)
     for lo in range(0, count, block):
-        g.standard_normal(out=scratch[: min(block, count - lo)])
+        g.standard_normal(out=sink[: min(block, count - lo)])
     return g
 
 
