@@ -29,7 +29,6 @@ from .waveform import (
     chirp_window,
     load_strain_series,
     resonance_crossing_time,
-    strain_sample,
 )
 from .dynamics import (
     BetaAmplitude,
@@ -44,13 +43,7 @@ from .dynamics import (
     optimal_mass_chirp,
     threshold_probability,
 )
-from .fock import (
-    QuantumState,
-    apply_normalized,
-    coherent_state,
-    displacement_operator,
-    number_operator,
-)
+from .fock import QuantumState
 from .measurement import (
     MeasurementConfig,
     TrajectoryRecord,

@@ -1,19 +1,18 @@
-"""Truncated Fock-space numerics: states, operators, normalized updates.
+"""Truncated Fock-space numerics: states, ladder operators, displacements.
 
-Dense complex matrices throughout; the measurement protocol works at
-dimension ~30 where dense linear algebra is both simple and fast. States
-are density matrices, checked at the fixed HERMITICITY_TOL, TRACE_TOL and
-POSITIVITY_TOL; the measurement engine carries them as factors A with
-rho = A A^dag.
+States are dense complex density matrices at dimension ~30, checked at the
+fixed HERMITICITY_TOL, TRACE_TOL and POSITIVITY_TOL; the measurement
+engine carries them as factors A with rho = A A^dag. The displacement
+D(z) = exp(z b^dag - conj(z) b) is never exponentiated per z:
+`DisplacementCache` diagonalizes its generator once, in a real eigenbasis,
+and `check_truncation` says when |z| is too large for the truncation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
@@ -115,13 +114,6 @@ def creation(dim: int) -> np.ndarray:
     return annihilation(dim).conj().T
 
 
-def number_operator(dim: int) -> np.ndarray:
-    """N = b^dag b, diagonal 0..dim-1."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def check_truncation(beta: complex, dim: int) -> str | None:
     """What is wrong with displacing by `beta` at truncation `dim`
     (|beta|^2 > dim/4), or None when the displacement fits."""
@@ -133,53 +125,14 @@ def check_truncation(beta: complex, dim: int) -> str | None:
     )
 
 
-def displacement_operator(beta: complex, dim: int) -> np.ndarray:
-    """D(beta) = expm(beta*b^dag - conj(beta)*b) on the truncated space.
-
-    Unitary up to truncation error; warns when |beta|^2 > dim/4.
-    """
-    if problem := check_truncation(beta, dim):
-        warnings.warn(problem, stacklevel=2)
-    b = annihilation(dim)
-    return scipy.linalg.expm(beta * b.conj().T - np.conj(beta) * b)
-
-
-def coherent_state(beta: complex, dim: int) -> QuantumState:
-    """Pure coherent state D(beta)|0><0|D(beta)^dag as a density matrix."""
-    psi = displacement_operator(beta, dim)[:, 0]
-    return QuantumState(dim, np.outer(psi, psi.conj()))
-
-
-def apply_normalized(state: QuantumState, kraus: np.ndarray) -> QuantumState:
-    """Return K rho K^dag / tr(K rho K^dag), re-symmetrized and renormalized.
-
-    Raises TraceUnderflowError when the outcome probability underflows
-    (the impossible-outcome guard).
-    """
-    kraus = np.asarray(kraus, dtype=complex)
-    if kraus.shape != (state.dim, state.dim):
-        raise ValueError(
-            f"operator shape {kraus.shape} does not match dim {state.dim}"
-        )
-    new = kraus @ state.rho @ kraus.conj().T
-    tr = new.diagonal().real.sum()
-    if not np.isfinite(tr) or tr <= TRACE_UNDERFLOW:
-        raise TraceUnderflowError(
-            f"update trace {tr:.3e} at/below underflow floor {TRACE_UNDERFLOW:.0e}"
-        )
-    new = 0.5 * (new + new.conj().T)
-    new /= new.diagonal().real.sum()
-    return QuantumState(state.dim, new)
-
-
 class DisplacementCache:
     """Real-eigenbasis factorization of the displacement operator.
 
     b^dag - b = -i S J S^dag with S = diag(i^n) and J the real symmetric
     tridiagonal matrix with sqrt(n) beside the diagonal. With J = O Lambda O^T
     and z = |z| e^{i theta}, D(z) = Q O e^{-i|z| Lambda} O^T Q^dag where
-    Q = diag(e^{i n (theta + pi/2)}): the same matrix exponential as
-    `displacement_operator`, through one fixed real eigenbasis. `phases`
+    Q = diag(e^{i n (theta + pi/2)}): the matrix exponential
+    exp(z b^dag - conj(z) b), through one fixed real eigenbasis. `phases`
     gives Q and e^{-i|z| Lambda} of an array of z in one call, `matrix` the
     matrices and `apply` displaces a stack of factors without forming them.
 
@@ -237,9 +190,5 @@ __all__ = [
     "StateInvariantError",
     "TraceUnderflowError",
     "annihilation",
-    "apply_normalized",
-    "coherent_state",
     "creation",
-    "displacement_operator",
-    "number_operator",
 ]

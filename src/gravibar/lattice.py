@@ -168,14 +168,6 @@ def effective_mode_mass(chain: ChainSpec, l: int = 1) -> float:
     return chain.atom_mass * float(np.dot(vel, vel))
 
 
-def kinetic_cross_term(chain: ChainSpec, l1: int, l2: int) -> float:
-    """Mixed-mode kinetic term relative to the diagonal one (orthogonality)."""
-    v1 = mode_profile(chain, l1)
-    v2 = mode_profile(chain, l2)
-    diag = float(np.dot(v1, v1))
-    return float(np.dot(v1, v2)) / diag
-
-
 @dataclass
 class ChainTrajectory:
     """Recorded mode amplitudes of a driven chain."""
@@ -333,7 +325,6 @@ __all__ = [
     "coupling_coefficient",
     "effective_mode_mass",
     "evolve_chain",
-    "kinetic_cross_term",
     "max_stable_timestep",
     "mode_coherent_amplitude",
     "mode_profile",

@@ -43,7 +43,7 @@ jump times and purity crossing, and the per-trajectory series only where
 they are written (`run_trajectory`, `gravibar simulate`). Beyond the
 summed records, its memory does not grow with the length of the run or
 with the trajectories' records, and `run_ensemble` runs the whole
-ensemble as one batch by default, split into chunks only where the batch's
+ensemble as one batch, split into chunks only where the batch's
 estimated arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
 """
 
@@ -494,13 +494,15 @@ class _BatchResult:
         if series:
             self.readouts = np.empty((times.size, n))
             self.pops = np.zeros((times.size, 3, n))
-        self._held = np.empty((min(self.block, times.size), n, dim))
+        # held as (m, dim, n), so that each reduction over the batch runs
+        # along contiguous rows
+        self._held = np.empty((min(self.block, times.size), dim, n))
         self._done = self._next = 0
 
     def add(self, rs: np.ndarray, populations: np.ndarray) -> None:
         if self.readouts is not None:
             self.readouts[self._next] = rs
-        self._held[self._next - self._done] = populations
+        self._held[self._next - self._done] = populations.T
         self._next += 1
         if self._next - self._done == len(self._held):
             self.flush()
@@ -509,9 +511,7 @@ class _BatchResult:
         lo, hi = self._done, self._next
         if hi == lo:
             return
-        # (m, dim, n): each reduction over the batch runs along contiguous
-        # rows, so rho00..rho22 sum as they did over the kept series
-        held = np.ascontiguousarray(self._held[: hi - lo].transpose(0, 2, 1))
+        held = self._held[: hi - lo]
         self.diag_sums[lo:hi] = held.sum(axis=2)
         if self.pops is not None:
             self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
@@ -769,17 +769,6 @@ def run_trajectory(
     return batch.record(0)
 
 
-def _jump_starts(
-    times: np.ndarray, series: np.ndarray, threshold: float, hold: int
-) -> list[list[float]]:
-    """Per column of `series` (n_rec, n), the times where it first sustains
-    >= threshold for `hold` points: one time per excursion, the first of it.
-    """
-    excursions = _Excursions(series.shape[1], threshold, hold)
-    excursions.add(series, 0)
-    return [np.asarray(times)[starts].tolist() for starts in excursions.starts]
-
-
 def detect_jump(
     record: TrajectoryRecord, threshold: float = 0.9, hold: int = 3
 ) -> list[tuple[float, str]]:
@@ -789,10 +778,10 @@ def detect_jump(
     rho11 stays at or above `threshold` for at least `hold` consecutive
     recorded points; the event time is the first point of the excursion.
     """
-    return [
-        (t, "jump_detected")
-        for t in _jump_starts(record.times, record.rho11[:, None], threshold, hold)[0]
-    ]
+    excursions = _Excursions(1, threshold, hold)
+    excursions.add(record.rho11[:, None], 0)
+    times = np.asarray(record.times)[excursions.starts[0]]
+    return [(t, "jump_detected") for t in times.tolist()]
 
 
 # the default chunk covers the ensemble while its batch's arrays, as
@@ -802,7 +791,7 @@ _CHUNK_BYTES = 1 << 27
 
 def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: bool) -> int:
     """Rough bound on what a batch holds per trajectory: its share of a
-    block of held records and of its transpose, its factors and their
+    block of held records and of their reductions, its factors and their
     temporaries, two noise blocks of each stream at the floor size and,
     with `series`, its series. (Batches under _NOISE_BLOCK / _NOISE_FLOOR
     trajectories draw longer noise blocks, a few MB in all.)"""
@@ -884,7 +873,6 @@ def run_ensemble(
     window: tuple[float, float] | None = None,
     threshold: float = 0.9,
     hold: int = 3,
-    chunk_size: int | None = None,
     initial_states: list[QuantumState] | None = None,
     purity_threshold: float | None = None,
 ) -> EnsembleSummary:
@@ -892,19 +880,17 @@ def run_ensemble(
 
     Per-trajectory generators are spawned deterministically from
     `base_seed` (default cfg.seed), so the ensemble is reproducible and
-    each trajectory, in any chunk of `chunk_size`, matches a single
-    `run_trajectory` with the same spawned generator. `initial_states`
-    may supply one starting state per trajectory (ground state otherwise).
+    each trajectory, in any chunk, matches a single `run_trajectory` with
+    the same spawned generator. `initial_states` may supply one starting
+    state per trajectory (ground state otherwise).
 
-    By default the whole ensemble runs as one chunk, split only where its
+    The whole ensemble runs as one chunk, split only where its
     batch would exceed a memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch
     reduces its records as they come, jumps (by `threshold` and `hold`)
     included, and keeps no per-trajectory series.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     _Excursions(0, threshold, hold)  # fail before running
     if duration is None:
         duration = cfg.t_meas
@@ -917,7 +903,7 @@ def run_ensemble(
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
     chunks = _ensemble_chunks(
         spec, signal, cfg, n_traj, base_seed, duration, gw_start, window,
-        chunk_size, starts, purity_threshold, threshold, hold,
+        None, starts, purity_threshold, threshold, hold,
     )
     return _summarize(chunks, n_traj)
 

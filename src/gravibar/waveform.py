@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -231,31 +231,14 @@ class SampledStrain:
 StrainSignal = Union[MonochromaticWave, ChirpSource, SampledStrain]
 
 
-class StrainSample(NamedTuple):
-    """Value of a strain signal at one instant: h, its second derivative,
-    and whether the instant lies inside the signal's support."""
-
-    h: float
-    hddot: float
-    in_support: bool
-
-
-def strain_sample(signal: StrainSignal, t: float) -> StrainSample:
-    """Evaluate `(h, hddot)` of a signal at time `t`.
-
-    Outside the signal's support the sample is (0, 0) with
-    ``in_support=False``. For the chirp the second derivative uses the
-    locally-monochromatic form hddot = -nu(t)^2 h(t); the tests check it
-    against a finite-difference derivative (`tests/strain_oracle.py`).
-    """
-    h, hddot, ok = strain_samples(signal, np.array([t], dtype=float))
-    return StrainSample(float(h[0]), float(hddot[0]), bool(ok[0]))
-
-
 def strain_samples(signal: StrainSignal, ts: np.ndarray):
-    """Vectorized `strain_sample` over an array of times.
+    """Evaluate `(h, hddot)` of a signal at an array of times.
 
-    Returns arrays (h, hddot, in_support).
+    Returns arrays (h, hddot, in_support); outside the signal's support
+    h and hddot are 0 and in_support is False. For the chirp the second
+    derivative uses the locally-monochromatic form hddot = -nu(t)^2 h(t);
+    the tests check it against a finite-difference derivative
+    (`tests/strain_oracle.py`).
     """
     ts = np.asarray(ts, dtype=float)
     if isinstance(signal, MonochromaticWave):
@@ -342,21 +325,12 @@ def load_strain_series(path: str) -> SampledStrain:
     return SampledStrain(t0=float(t_arr[0]), dt=dt, h=np.asarray(values))
 
 
-def save_strain_series(path: str, series: SampledStrain) -> None:
-    """Write a SampledStrain in the two-column format `load_strain_series` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# time_s strain\n")
-        for t, h in zip(series.times, series.h):
-            fh.write(f"{float(t)!r} {float(h)!r}\n")
-
-
 __all__ = [
     "ChirpDomainError",
     "ChirpSource",
     "MonochromaticWave",
     "SampledStrain",
     "StrainFormatError",
-    "StrainSample",
     "StrainSignal",
     "chirp_frequency",
     "chirp_phase",
@@ -366,7 +340,5 @@ __all__ = [
     "load_strain_series",
     "resonance_crossing_time",
     "resonance_time",
-    "save_strain_series",
-    "strain_sample",
     "strain_samples",
 ]

@@ -9,6 +9,8 @@ displacements and velocities onto the requested modes at every
 `record_stride`-th step. It costs O(N) numpy work per step and shares no
 integration code with `gravibar.lattice.evolve_chain`, which integrates the
 mode coordinates directly; it is the reference for that reduction.
+`kinetic_cross_term` checks the orthogonality of the mode profiles that
+reduction rests on.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from gravibar.lattice import (
     mode_profile,
 )
 from gravibar.waveform import StrainSignal, strain_samples
+
+
+def kinetic_cross_term(chain: ChainSpec, l1: int, l2: int) -> float:
+    """Mixed-mode kinetic term relative to the diagonal one (orthogonality)."""
+    v1 = mode_profile(chain, l1)
+    v2 = mode_profile(chain, l2)
+    diag = float(np.dot(v1, v1))
+    return float(np.dot(v1, v2)) / diag
 
 
 def free_ends_stencil(state: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Walks the series once, counting the current run of points at or above the
 threshold, and emits the run's first time when the run reaches `hold`
 points. It is the reference for the run-length detection of
-`gravibar.measurement._jump_starts`, which works on a whole block of
-series at once.
+`gravibar.measurement._Excursions`, which works on a block of records of
+many series at once.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ dense matrix and the readout drawn from a density matrix.
 
 The engine in `gravibar.measurement` never forms M(r); it weights factors
 and populations by its diagonal. These are the textbook forms it is
-checked against, applied through `gravibar.fock.apply_normalized`.
+checked against, applied through `fock_oracle.apply_normalized`.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import diagonal_oracle
 import numpy as np
 import pytest
+from fock_oracle import coherent_state
 
 from gravibar.cli import main as cli_main
 from gravibar.constants import SOLAR_MASS
@@ -33,7 +34,7 @@ from gravibar.dynamics import (
     excitation_probability,
     optimal_mass_chirp,
 )
-from gravibar.fock import QuantumState, coherent_state
+from gravibar.fock import QuantumState
 from gravibar.lattice import continuum_checks
 from gravibar.measurement import MeasurementConfig, run_ensemble, step
 from gravibar.sensitivity import (

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from strain_oracle import save_strain_series
 
 from gravibar.cli import ConfigError, main, parse_config
 from gravibar.detector import gamma_stimulated, mode_frequency
 from gravibar.dynamics import chi_quadrature, optimal_mass
 from gravibar.fock import TraceUnderflowError
 from gravibar.measurement import detect_jump, run_ensemble, run_trajectory
-from gravibar.waveform import SampledStrain, save_strain_series
+from gravibar.waveform import SampledStrain
 
 MONO_CONFIG = """\
 [detector]

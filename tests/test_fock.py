@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from fock_oracle import (
+    apply_normalized,
+    coherent_state,
+    displacement_operator,
+    number_operator,
+)
 from hypothesis import strategies as st
 from measurement_oracle import measurement_operator
 
@@ -15,11 +21,7 @@ from gravibar.fock import (
     StateInvariantError,
     TraceUnderflowError,
     annihilation,
-    apply_normalized,
-    coherent_state,
     creation,
-    displacement_operator,
-    number_operator,
 )
 
 

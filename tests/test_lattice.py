@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from chain_oracle import evolve_atoms, free_ends_stencil
+from chain_oracle import evolve_atoms, free_ends_stencil, kinetic_cross_term
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from gravibar.lattice import (
     coupling_coefficient,
     effective_mode_mass,
     evolve_chain,
-    kinetic_cross_term,
     max_stable_timestep,
     mode_coherent_amplitude,
     mode_profile,

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from diagonal_oracle import posterior, simulate
+from fock_oracle import apply_normalized, coherent_state, displacement_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jump_oracle import jump_starts
 from measurement_oracle import measurement_operator, sample_readout
 from numpy.polynomial.hermite import hermgauss
+from strain_oracle import sample
 
 from gravibar import measurement
 from gravibar.detector import DetectorSpec, Material, mode_frequency
@@ -18,10 +20,7 @@ from gravibar.fock import (
     QuantumState,
     StateInvariantError,
     TraceUnderflowError,
-    apply_normalized,
-    coherent_state,
     creation,
-    displacement_operator,
 )
 from gravibar.measurement import (
     MeasurementConfig,
@@ -31,7 +30,7 @@ from gravibar.measurement import (
     run_trajectory,
     step,
 )
-from gravibar.waveform import MonochromaticWave, strain_sample
+from gravibar.waveform import MonochromaticWave
 
 
 class ZeroNoise:
@@ -476,7 +475,7 @@ def midpoint_drive(spec, wave, cfg, i, gw_start, window):
     s_mid = (i - 0.5) * cfg.dt - gw_start
     if not window[0] <= s_mid <= window[1]:
         return 0.0
-    hddot = strain_sample(wave, s_mid).hddot
+    hddot = sample(wave, s_mid)[1]
     omega = mode_frequency(spec)
     return -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt
 
@@ -623,6 +622,14 @@ class TestDiagonalOracle:
 
 
 class TestDetectJump:
+    @staticmethod
+    def whole_series_starts(times, series, threshold, hold):
+        """Jump times of each column of `series`, from one `_Excursions`
+        fed the whole series."""
+        excursions = measurement._Excursions(series.shape[1], threshold, hold)
+        excursions.add(series, 0)
+        return [times[starts].tolist() for starts in excursions.starts]
+
     def record_from(self, rho11):
         rho11 = np.asarray(rho11, dtype=float)
         times = 0.1 * np.arange(1, rho11.size + 1)
@@ -682,7 +689,7 @@ class TestDetectJump:
         series[above & (rng.random((n_rec, n)) < 0.2)] = threshold
         times = np.cumsum(rng.uniform(0.01, 0.1, n_rec))
         expected = [jump_starts(times, col, threshold, hold) for col in series.T]
-        assert measurement._jump_starts(times, series, threshold, hold) == expected
+        assert self.whole_series_starts(times, series, threshold, hold) == expected
         rec = TrajectoryRecord(times, series[:, 0], series[:, 0], series[:, 0],
                                series[:, 0])
         assert detect_jump(rec, threshold, hold) == [
@@ -722,7 +729,7 @@ class TestDetectJump:
         blocked = [times[starts].tolist() for starts in excursions.starts]
         expected = [jump_starts(times, col, threshold, hold) for col in series.T]
         assert blocked == expected
-        assert measurement._jump_starts(times, series, threshold, hold) == expected
+        assert self.whole_series_starts(times, series, threshold, hold) == expected
 
     def test_parameter_validation(self):
         rec = self.record_from(np.zeros(5))
@@ -756,8 +763,12 @@ class TestRunEnsemble:
     def test_chunking_does_not_change_results(self):
         spec = toy_detector()
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=13)
-        a = run_ensemble(spec, None, cfg, n_traj=7, base_seed=5, chunk_size=2)
-        b = run_ensemble(spec, None, cfg, n_traj=7, base_seed=5, chunk_size=7)
+        a, b = (
+            measurement._summarize(
+                measurement._ensemble_chunks(spec, None, cfg, 7, 5, 2.0, 0.0, None, size), 7
+            )
+            for size in (2, 7)
+        )
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
         assert a.n_detected == b.n_detected
 
@@ -833,10 +844,11 @@ class TestRunEnsemble:
             dt=1e-2, t_m=0.05, t_meas=10.0, dim=3, seed=3, record_stride=2
         )
         starts = [QuantumState.from_diagonal([0.4, 0.35, 0.25])] * 4
-        summary = run_ensemble(
-            toy_detector(), None, cfg, n_traj=4, duration=n_rec * 2e-2,
-            initial_states=starts, purity_threshold=0.95, chunk_size=1,
+        chunks = measurement._ensemble_chunks(
+            toy_detector(), None, cfg, 4, cfg.seed, n_rec * 2e-2, 0.0, None, 1,
+            measurement._start_factors(starts, 3), 0.95,
         )
+        summary = measurement._summarize(chunks, 4)
         assert summary.times.size == n_rec
         for k, crossing in enumerate(summary.purity_first_crossing):
             child = np.random.SeedSequence(cfg.seed).spawn(4)[k]
@@ -850,12 +862,6 @@ class TestRunEnsemble:
             expected = rec.times[hit[0]] if hit.size else np.nan
             np.testing.assert_equal(crossing, expected)
 
-    def test_chunk_size_validation(self):
-        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
-        for chunk_size in (0, -1):
-            with pytest.raises(ValueError, match="chunk_size"):
-                run_ensemble(toy_detector(), None, cfg, n_traj=2, chunk_size=chunk_size)
-
     def test_underflow_names_ensemble_trajectory(self):
         # a jump every step: trajectory 10 starts in the top level, so its
         # first thermal jump leaves nothing
@@ -864,12 +870,14 @@ class TestRunEnsemble:
         )
         initials = [QuantumState.ground(8) for _ in range(12)]
         initials[10] = QuantumState.from_diagonal(np.eye(8)[7])
+        starts = measurement._start_factors(initials, 8)
         for chunk_size in (4, 64):
+            chunks = measurement._ensemble_chunks(
+                toy_detector(), None, cfg, 12, cfg.seed, 2e-2, 0.0, None, chunk_size,
+                starts,
+            )
             with pytest.raises(TraceUnderflowError, match=r"trajectory 10\b"):
-                run_ensemble(
-                    toy_detector(), None, cfg, n_traj=12, duration=2e-2,
-                    chunk_size=chunk_size, initial_states=initials,
-                )
+                measurement._summarize(chunks, 12)
 
     def test_invalid_initial_states_rejected(self):
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
@@ -978,7 +986,13 @@ class TestRunEnsemble:
         )
         wave = resonant_drive_for_beta(spec, 0.8, 1.0)
         one = run_ensemble(spec, wave, cfg, n_traj=150, **kwargs)
-        split = run_ensemble(spec, wave, cfg, n_traj=150, chunk_size=64, **kwargs)
+        split = measurement._summarize(
+            measurement._ensemble_chunks(
+                spec, wave, cfg, 150, cfg.seed, 4.0, 0.5, (0.0, 1.0), 64,
+                measurement._start_factors(starts, 6), 0.95,
+            ),
+            150,
+        )
         assert one.n_detected == split.n_detected > 0
         assert one.jump_times == split.jump_times
         np.testing.assert_array_equal(one.purity_first_crossing, split.purity_first_crossing)

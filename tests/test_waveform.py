@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from strain_oracle import second_derivative
+from strain_oracle import sample, save_strain_series, second_derivative
 
 from gravibar.constants import G, C_LIGHT, SOLAR_MASS
 from gravibar.waveform import (
@@ -23,8 +23,6 @@ from gravibar.waveform import (
     load_strain_series,
     resonance_crossing_time,
     resonance_time,
-    save_strain_series,
-    strain_sample,
     strain_samples,
 )
 
@@ -194,17 +192,17 @@ class TestResonanceCrossing:
 class TestStrainSample:
     def test_monochromatic_peak(self):
         wave = MonochromaticWave(h0=1.0, nu=1.0)
-        s = strain_sample(wave, math.pi / 2)
-        assert s.h == pytest.approx(1.0, rel=1e-15)
-        assert s.hddot == pytest.approx(-1.0, rel=1e-15)
-        assert s.in_support
+        h, hddot, ok = sample(wave, math.pi / 2)
+        assert h == pytest.approx(1.0, rel=1e-15)
+        assert hddot == pytest.approx(-1.0, rel=1e-15)
+        assert ok
 
     def test_monochromatic_second_derivative_oracle(self):
         wave = MonochromaticWave(h0=1.3, nu=2 * math.pi * 3.0)
         period = 2 * math.pi / wave.nu
         for t in (0.13, 0.311, 2.71):
             fd = second_derivative(wave, t, period / 200)
-            assert strain_sample(wave, t).hddot == pytest.approx(fd, rel=1e-5)
+            assert sample(wave, t)[1] == pytest.approx(fd, rel=1e-5)
 
     def test_sampled_sine_second_difference(self):
         nu = 2 * math.pi * 5.0
@@ -212,39 +210,36 @@ class TestStrainSample:
         ts = dt * np.arange(20000)
         series = SampledStrain(t0=0.0, dt=dt, h=np.sin(nu * ts))
         t_probe = ts[2500]  # quarter period: h at its peak
-        s = strain_sample(series, t_probe)
-        assert s.hddot == pytest.approx(-(nu**2) * s.h, rel=1e-4)
+        h, hddot, _ = sample(series, t_probe)
+        assert hddot == pytest.approx(-(nu**2) * h, rel=1e-4)
 
     def test_sampled_out_of_support(self):
         series = SampledStrain(t0=0.0, dt=1e-3, h=np.array([0.0, 1e-22, 0.0]))
-        s = strain_sample(series, 5.0)
-        assert (s.h, s.hddot, s.in_support) == (0.0, 0.0, False)
+        assert sample(series, 5.0) == (0.0, 0.0, False)
 
     def test_chirp_uses_local_frequency(self, ns_merger_chirp):
         # design choice: hddot = -nu(t)^2 h(t); the exact second derivative
         # differs by the slow envelope terms of relative size ~k nu^(5/3)
         chirp = ns_merger_chirp
         t = resonance_time(chirp.nu0, chirp.k, OMEGA)
-        s = strain_sample(chirp, t)
+        h, hddot, _ = sample(chirp, t)
         nu = chirp_frequency(chirp.nu0, chirp.k, t)
-        assert s.hddot == pytest.approx(-(nu**2) * s.h, rel=1e-12)
+        assert hddot == pytest.approx(-(nu**2) * h, rel=1e-12)
         fd = second_derivative(chirp, t, 2 * math.pi / nu / 400)
-        assert s.hddot == pytest.approx(fd, rel=2e-3, abs=abs(s.h) * nu**2 * 1e-3)
+        assert hddot == pytest.approx(fd, rel=2e-3, abs=abs(h) * nu**2 * 1e-3)
 
     def test_chirp_out_of_support(self, ns_merger_chirp):
-        s = strain_sample(ns_merger_chirp, -1.0)
-        assert (s.h, s.hddot, s.in_support) == (0.0, 0.0, False)
-        s = strain_sample(ns_merger_chirp, ns_merger_chirp.coalescence + 1.0)
-        assert not s.in_support
+        assert sample(ns_merger_chirp, -1.0) == (0.0, 0.0, False)
+        assert not sample(ns_merger_chirp, ns_merger_chirp.coalescence + 1.0)[2]
 
     def test_vectorized_matches_scalar(self, ns_merger_chirp):
         ts = np.linspace(-1.0, 20.0, 57)
         h, hddot, ok = strain_samples(ns_merger_chirp, ts)
         for i, t in enumerate(ts):
-            s = strain_sample(ns_merger_chirp, float(t))
-            assert h[i] == pytest.approx(s.h, rel=1e-12, abs=1e-40)
-            assert hddot[i] == pytest.approx(s.hddot, rel=1e-12, abs=1e-40)
-            assert ok[i] == s.in_support
+            h_t, hddot_t, ok_t = sample(ns_merger_chirp, float(t))
+            assert h[i] == pytest.approx(h_t, rel=1e-12, abs=1e-40)
+            assert hddot[i] == pytest.approx(hddot_t, rel=1e-12, abs=1e-40)
+            assert ok[i] == ok_t
 
     def test_amplitude_models(self):
         base = dict(chirp_mass=1.19 * SOLAR_MASS, h0=2e-22, nu0=2 * math.pi * 30.0)
