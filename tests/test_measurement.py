@@ -763,12 +763,13 @@ class TestRunEnsemble:
     def test_chunking_does_not_change_results(self):
         spec = toy_detector()
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=13)
-        a, b = (
-            measurement._summarize(
-                measurement._ensemble_chunks(spec, None, cfg, 7, 5, 2.0, 0.0, None, size), 7
+        def summary(chunk_size):
+            chunks = measurement._ensemble_chunks(
+                spec, None, cfg, 7, 5, 2.0, 0.0, None, chunk_size
             )
-            for size in (2, 7)
-        )
+            return measurement._summarize(chunks, 7)
+
+        a, b = summary(2), summary(7)
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
         assert a.n_detected == b.n_detected
 
