@@ -5,9 +5,12 @@ normal modes that converge to the continuum bar modes; its dispersion,
 drive coupling and effective mode mass verify the continuum formulas, and
 classical integration of the driven chain cross-checks the coherent
 amplitude predicted by the displacement picture. The mode profiles are
-exact eigenvectors of the chain's free-ends stencil, so the driven chain is
-integrated in modal coordinates, one scalar velocity-Verlet recursion per
-requested mode, which equals stepping every atom up to roundoff.
+exact eigenvectors of the chain's free-ends stencil, so velocity-Verlet on
+the atoms reduces to one linear recursion per requested mode. For a
+harmonic mode one step of that recursion is a rotation by a fixed angle,
+so its solution is a cumulative sum of phased drive terms, evaluated in
+closed form with no step loop; it equals stepping every atom up to
+roundoff.
 
 Atoms sit at mean positions x_n = n*a/2 for odd n in [-N, N]; mode l is
 sin(l*pi*n/(2(N+1))) across atoms for odd l and cos(...) for even l.
@@ -206,9 +209,15 @@ def evolve_chain(
 
         q_ddot_l = -omega_l^2 q_l + (1/(N+1)) (x . s_l) hddot.
 
-    Only the requested modes are integrated, one scalar recursion each;
-    the recorded chi and chi_dot agree with stepping every atom up to
-    roundoff.
+    One step of it maps (q, v) linearly, with determinant 1, plus a term
+    from the drive at the step's two ends. For omega_l > 0 the map is a
+    rotation by theta, cos(theta) = 1 - omega_l^2 dt^2 / 2: in
+    z = sin(theta) q - i dt v it reads z_(i+1) = e^(i theta) z_i + w_i, so
+    z_n = e^(i theta n) sum_(j<n) e^(-i theta (j+1)) w_j. The sum is taken
+    a record segment at a time against one `record_stride`-long phasor and
+    accumulated over the records. The zero mode (omega_0 = 0) is two
+    cumulative sums. Only the requested modes are evaluated; the recorded
+    chi and chi_dot agree with stepping every atom up to roundoff.
     """
     if dt is None:
         dt = max_stable_timestep(chain)
@@ -221,28 +230,38 @@ def evolve_chain(
     n_steps = int(math.ceil((t1 - t0) / dt))
     ts = t0 + dt * np.arange(n_steps + 1)
     _, hddot, _ = strain_samples(signal, ts)
-    drive = hddot.tolist()
 
-    omega2 = normal_mode_frequencies(chain) ** 2
+    # the steps up to the last record, one row per record segment, with
+    # the drive at each step's start (lo) and end (hi)
+    n_seg = n_steps // record_stride
+    used = n_seg * record_stride
+    lo = hddot[:used].reshape(n_seg, record_stride)
+    hi = hddot[1 : used + 1].reshape(n_seg, record_stride)
+
+    omega = normal_mode_frequencies(chain)
     half = 0.5 * dt
     chi: dict[int, np.ndarray] = {}
     chi_dot: dict[int, np.ndarray] = {}
     for l in modes:
         g = float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
-        w2 = float(omega2[l])
-        q = v = 0.0
-        a = g * drive[0]
-        qs, vs = [q], [v]
-        for i in range(1, n_steps + 1):
-            v += half * a
-            q += dt * v
-            a = g * drive[i] - w2 * q
-            v += half * a
-            if i % record_stride == 0:
-                qs.append(q)
-                vs.append(v)
-        chi[l] = np.array(qs)
-        chi_dot[l] = np.array(vs)
+        if omega[l] == 0.0:
+            f = g * hddot[: used + 1]
+            v = np.concatenate(([0.0], np.cumsum(half * (f[:-1] + f[1:]))))
+            q = np.concatenate(([0.0], np.cumsum(dt * (v[:-1] + half * f[:-1]))))
+            chi[l], chi_dot[l] = q[::record_stride], v[::record_stride]
+            continue
+        theta = 2.0 * math.asin(0.5 * float(omega[l]) * dt)
+        c, s = math.cos(theta), math.sin(theta)
+        phasor = np.exp(-1j * theta * np.arange(1, record_stride + 1))
+        seg = np.exp(-1j * theta * record_stride * np.arange(n_seg + 1))
+        # per segment: sum_m e^(-i theta (m+1)) (f_lo, f_hi) of its steps
+        a = lo @ phasor.real + 1j * (lo @ phasor.imag)
+        b = hi @ phasor.real + 1j * (hi @ phasor.imag)
+        w = g * half * dt * (s * a - 1j * (c * a + b))
+        z = np.zeros(n_seg + 1, dtype=complex)
+        np.cumsum(seg[:-1] * w, out=z[1:])
+        z *= seg.conj()
+        chi[l], chi_dot[l] = z.real / s, -z.imag / dt
 
     return ChainTrajectory(times=ts[::record_stride], chi=chi, chi_dot=chi_dot)
 

@@ -441,23 +441,29 @@ class _Excursions:
 
     def add(self, block: np.ndarray, first: int) -> None:
         """Take records first, first + 1, ... of every series, `block` (m, n)."""
-        m, n = block.shape
+        m = len(block)
         flags = block >= self.threshold
-        if not (flags.any() or self.open_len.any()):
+        # only series with a flag in the block can start or extend an
+        # excursion; every other open excursion has ended
+        active = np.flatnonzero(flags.any(axis=0))
+        open_start = self.open_start[active]
+        open_len = self.open_len[active]
+        self.open_len[:] = 0
+        if not active.size:
             return
-        above = np.zeros((n, m + 2), dtype=np.int8)
-        above[:, 1:-1] = flags.T
+        above = np.zeros((active.size, m + 2), dtype=np.int8)
+        above[:, 1:-1] = flags[:, active].T
         edges = np.diff(above, axis=1)
-        cols, lo = np.nonzero(edges == 1)
+        rows, lo = np.nonzero(edges == 1)
         _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
-        before = np.where(lo == 0, self.open_len[cols], 0)
-        start = np.where(before > 0, self.open_start[cols], first + lo)
+        before = np.where(lo == 0, open_len[rows], 0)
+        start = np.where(before > 0, open_start[rows], first + lo)
         length = before + hi - lo
+        cols = active[rows]
         new = (length >= self.hold) & (before < self.hold)
         for col, idx in zip(cols[new].tolist(), start[new].tolist()):
             self.starts[col].append(idx)
         still = hi == m
-        self.open_len[:] = 0
         self.open_start[cols[still]] = start[still]
         self.open_len[cols[still]] = length[still]
 

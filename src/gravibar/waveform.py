@@ -246,16 +246,13 @@ def strain_samples(signal: StrainSignal, ts: np.ndarray):
         return h, -signal.nu**2 * h, np.ones(ts.shape, dtype=bool)
     if isinstance(signal, ChirpSource):
         ok = (ts >= 0.0) & (ts < signal.coalescence)
+        if ok.all():
+            h, hddot = _chirp_samples(signal, ts)
+            return h, hddot, ok
         h = np.zeros(ts.shape)
         hddot = np.zeros(ts.shape)
-        if np.any(ok):
-            tin = ts[ok]
-            nu = chirp_frequency(signal.nu0, signal.k, tin)
-            hin = signal.amplitude(tin) * np.sin(
-                chirp_phase(signal.nu0, signal.k, tin)
-            )
-            h[ok] = hin
-            hddot[ok] = -(nu**2) * hin
+        if ok.any():
+            h[ok], hddot[ok] = _chirp_samples(signal, ts[ok])
         return h, hddot, ok
     if isinstance(signal, SampledStrain):
         ok = (ts >= signal.t0) & (ts <= signal.t_end)
@@ -264,6 +261,31 @@ def strain_samples(signal: StrainSignal, ts: np.ndarray):
         hddot = np.where(ok, np.interp(ts, times, signal.hddot_samples), 0.0)
         return h, hddot, ok
     raise TypeError(f"not a strain signal: {signal!r}")
+
+
+def _chirp_samples(chirp: ChirpSource, t: np.ndarray):
+    """(h, hddot) of a chirp at times inside its support, in one pass.
+
+    Frequency, phase and the nu^(2/3) envelope all follow from
+    L = log(1 - eps), eps = (8/3) k nu0^(8/3) t: nu^2 = nu0^2 e^(-3L/4),
+    phi = (3/(5k)) nu0^(-5/3) (1 - e^(5L/8)) as in `chirp_phase`, and
+    (nu/nu0)^(2/3) = e^(-L/4).
+    """
+    nu0, k = chirp.nu0, chirp.k
+    eps = (8.0 / 3.0) * k * nu0 ** (8.0 / 3.0) * t
+    if eps.size and eps.max() >= 1.0:
+        raise ChirpDomainError(
+            f"chirp evaluated at/after coalescence t_c = {coalescence_time(nu0, k):.6g} s"
+        )
+    log_base = np.log1p(-eps)
+    phase = (3.0 / (5.0 * k)) * nu0 ** (-5.0 / 3.0) * -np.expm1(0.625 * log_base)
+    if chirp.amplitude_model == "constant":
+        h = chirp.h0 * np.sin(phase)
+    else:
+        ref = chirp.amplitude_ref if chirp.amplitude_ref is not None else nu0
+        scale = chirp.h0 * (nu0 / ref) ** (2.0 / 3.0)
+        h = scale * np.exp(-0.25 * log_base) * np.sin(phase)
+    return h, -(nu0**2) * np.exp(-0.75 * log_base) * h
 
 
 def chirp_window(chirp: ChirpSource, omega: float) -> tuple[float, float]:

@@ -7,10 +7,13 @@ Steps every atom of the chain under
 with free (reflecting) ends, starting from rest, and projects the atom
 displacements and velocities onto the requested modes at every
 `record_stride`-th step. It costs O(N) numpy work per step and shares no
-integration code with `gravibar.lattice.evolve_chain`, which integrates the
-mode coordinates directly; it is the reference for that reduction.
-`kinetic_cross_term` checks the orthogonality of the mode profiles that
-reduction rests on.
+integration code with `gravibar.lattice.evolve_chain`, which solves the
+recursion of the mode coordinates in closed form; it is the reference for
+that reduction. `evolve_modes` runs the same modal velocity-Verlet
+recursion one step at a time, a scalar loop per mode; it is the reference
+for the closed form over long runs, where stepping every atom would be
+slow. `kinetic_cross_term` checks the orthogonality of the mode profiles
+the modal reduction rests on.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from gravibar.lattice import (
     ChainTrajectory,
     max_stable_timestep,
     mode_profile,
+    normal_mode_frequencies,
 )
 from gravibar.waveform import StrainSignal, strain_samples
 
@@ -104,3 +108,48 @@ def evolve_atoms(
         chi={l: v[:rec] for l, v in chi.items()},
         chi_dot={l: v[:rec] for l, v in chi_dot.items()},
     )
+
+
+def evolve_modes(
+    chain: ChainSpec,
+    signal: StrainSignal,
+    window: tuple[float, float],
+    *,
+    dt: float | None = None,
+    modes: tuple[int, ...] = (1,),
+    record_stride: int = 1,
+) -> ChainTrajectory:
+    """Step the velocity-Verlet recursion of each mode coordinate in turn.
+
+        q_ddot_l = -omega_l^2 q_l + (1/(N+1)) (x . s_l) hddot
+    """
+    if dt is None:
+        dt = max_stable_timestep(chain)
+    t0, t1 = window
+    n_steps = int(math.ceil((t1 - t0) / dt))
+    ts = t0 + dt * np.arange(n_steps + 1)
+    _, hddot, _ = strain_samples(signal, ts)
+    drive = hddot.tolist()
+
+    omega2 = normal_mode_frequencies(chain) ** 2
+    half = 0.5 * dt
+    chi: dict[int, np.ndarray] = {}
+    chi_dot: dict[int, np.ndarray] = {}
+    for l in modes:
+        g = float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
+        w2 = float(omega2[l])
+        q = v = 0.0
+        a = g * drive[0]
+        qs, vs = [q], [v]
+        for i in range(1, n_steps + 1):
+            v += half * a
+            q += dt * v
+            a = g * drive[i] - w2 * q
+            v += half * a
+            if i % record_stride == 0:
+                qs.append(q)
+                vs.append(v)
+        chi[l] = np.array(qs)
+        chi_dot[l] = np.array(vs)
+
+    return ChainTrajectory(times=ts[::record_stride], chi=chi, chi_dot=chi_dot)

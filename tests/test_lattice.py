@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from chain_oracle import evolve_atoms, free_ends_stencil, kinetic_cross_term
+from chain_oracle import (
+    evolve_atoms,
+    evolve_modes,
+    free_ends_stencil,
+    kinetic_cross_term,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +214,43 @@ class TestEvolveChain:
             assert scale > 0.0
             for l in modes:
                 assert np.abs(g[l] - r[l]).max() <= 1e-9 * scale, (field, l)
+
+    @pytest.mark.parametrize(
+        "case", ["lattice-verify", "zero-mode", "stride-1", "partial-segment"]
+    )
+    def test_matches_modal_loop(self, case):
+        # oracle: the same modal velocity-Verlet recursion stepped one step
+        # at a time, on runs long enough for a closed form's phase error to
+        # show; each field is compared against its own largest value
+        spec = toy_detector_for_chain()
+        chain = ChainSpec.from_detector(spec, 199)
+        omega = mode_frequency(spec)
+        period = 2 * math.pi / omega
+        wave = MonochromaticWave(h0=1e-3, nu=omega)
+        chirp = ChirpSource.from_solar_masses(3.0, h0=1e-3, nu0=0.7 * omega)
+        # the run of `continuum_checks`: 203 719 steps, a record every 100
+        runs = {
+            "lattice-verify": (wave, (0.0, 40 * period), (1,), 100),
+            # the zero mode's coupling is the roundoff of summing
+            # symmetric positions, and its recursion a Jordan block
+            "zero-mode": (chirp, (0.0, 10 * period), (0, 1), 10),
+            "stride-1": (wave, (0.2, 4 * period), (1, 2, 3), 1),
+            "partial-segment": (chirp, (0.1, 8 * period), (1, 3, 4), 37),
+        }
+        signal, window, modes, stride = runs[case]
+        n_steps = math.ceil((window[1] - window[0]) / max_stable_timestep(chain))
+        if case == "partial-segment":
+            assert n_steps % stride != 0
+        got = evolve_chain(chain, signal, window, modes=modes, record_stride=stride)
+        ref = evolve_modes(chain, signal, window, modes=modes, record_stride=stride)
+        np.testing.assert_array_equal(got.times, ref.times)
+        assert got.times.size == n_steps // stride + 1
+        for field in ("chi", "chi_dot"):
+            g, r = getattr(got, field), getattr(ref, field)
+            assert set(g) == set(modes)
+            for l in modes:
+                scale = np.abs(r[l]).max()
+                assert np.abs(g[l] - r[l]).max() <= 1e-12 * scale, (field, l)
 
     def test_quiescent_without_drive(self):
         chain = toy_chain(19)

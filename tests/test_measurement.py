@@ -731,6 +731,40 @@ class TestDetectJump:
         assert blocked == expected
         assert self.whole_series_starts(times, series, threshold, hold) == expected
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_rec=st.integers(1, 200),
+        n=st.integers(1, 40),
+        hold=st.integers(1, 6),
+        busy=st.floats(0.0, 1.0),
+        n_blocks=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_flags_over_blocks_and_columns(
+        self, n_rec, n, hold, busy, n_blocks, seed
+    ):
+        # a share `busy` of the series cross the threshold, in a few bursts
+        # each, so most blocks hold flags in some columns only, and an
+        # excursion open at a cut may find no flag in the next block
+        threshold = 0.5
+        rng = np.random.default_rng(seed)
+        series = rng.uniform(0.0, threshold, (n_rec, n))
+        for col in np.flatnonzero(rng.random(n) < busy):
+            for _ in range(rng.integers(1, 4)):
+                lo = rng.integers(0, n_rec)
+                hi = min(n_rec, lo + rng.integers(1, 2 * hold + 2))
+                series[lo:hi, col] = rng.uniform(threshold, 1.0, hi - lo)
+        series[rng.random((n_rec, n)) < 0.02] = threshold
+        times = np.arange(n_rec, dtype=float)
+        cuts = np.unique(rng.integers(0, n_rec + 1, n_blocks - 1))
+        excursions = measurement._Excursions(n, threshold, hold)
+        for lo, hi in zip([0, *cuts], [*cuts, n_rec]):
+            excursions.add(series[lo:hi], lo)
+        blocked = [times[starts].tolist() for starts in excursions.starts]
+        assert blocked == [
+            jump_starts(times, col, threshold, hold) for col in series.T
+        ]
+
     def test_parameter_validation(self):
         rec = self.record_from(np.zeros(5))
         with pytest.raises(ValueError):

@@ -232,14 +232,32 @@ class TestStrainSample:
         assert sample(ns_merger_chirp, -1.0) == (0.0, 0.0, False)
         assert not sample(ns_merger_chirp, ns_merger_chirp.coalescence + 1.0)[2]
 
-    def test_vectorized_matches_scalar(self, ns_merger_chirp):
-        ts = np.linspace(-1.0, 20.0, 57)
-        h, hddot, ok = strain_samples(ns_merger_chirp, ts)
-        for i, t in enumerate(ts):
-            h_t, hddot_t, ok_t = sample(ns_merger_chirp, float(t))
-            assert h[i] == pytest.approx(h_t, rel=1e-12, abs=1e-40)
-            assert hddot[i] == pytest.approx(hddot_t, rel=1e-12, abs=1e-40)
-            assert ok[i] == ok_t
+    def test_vectorized_matches_scalar(self):
+        # oracle: h = A(t) sin(phi(t)) and hddot = -nu(t)^2 h at one time,
+        # from the public chirp_frequency, chirp_phase and amplitude; a
+        # phase of |phi| rad carries a roundoff of about |phi| eps
+        for model in ("constant", "nu_two_thirds"):
+            chirp = ChirpSource.from_solar_masses(
+                1.19, h0=2e-22, nu0=2 * math.pi * 30.0, amplitude_model=model,
+                amplitude_ref=OMEGA,
+            )
+            t_c = chirp.coalescence
+            ts = np.concatenate(
+                [np.linspace(-1.0, 0.999 * t_c, 57), [t_c, t_c + 1.0]]
+            )
+            h, hddot, ok = strain_samples(chirp, ts)
+            for i, t in enumerate(ts.tolist()):
+                assert ok[i] == (0.0 <= t < t_c)
+                if not ok[i]:
+                    assert h[i] == 0.0 and hddot[i] == 0.0
+                    continue
+                amp = chirp.amplitude(t)
+                phi = chirp_phase(chirp.nu0, chirp.k, t)
+                nu2 = chirp_frequency(chirp.nu0, chirp.k, t) ** 2
+                h_t = amp * math.sin(phi)
+                tol = 1e-14 * max(1.0, abs(phi)) * amp
+                assert abs(h[i] - h_t) <= tol, (model, t)
+                assert abs(hddot[i] + nu2 * h_t) <= nu2 * tol, (model, t)
 
     def test_amplitude_models(self):
         base = dict(chirp_mass=1.19 * SOLAR_MASS, h0=2e-22, nu0=2 * math.pi * 30.0)
