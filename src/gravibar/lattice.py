@@ -210,9 +210,11 @@ def evolve_chain(
         q_ddot_l = -omega_l^2 q_l + (1/(N+1)) (x . s_l) hddot.
 
     One step of it maps (q, v) linearly, with determinant 1, plus a term
-    from the drive at the step's two ends. For omega_l > 0 the map is a
-    rotation by theta, cos(theta) = 1 - omega_l^2 dt^2 / 2: in
-    z = sin(theta) q - i dt v it reads z_(i+1) = e^(i theta) z_i + w_i, so
+    from the drive f = g hddot at the step's two ends (g the coupling
+    above). For omega_l > 0 the map is a rotation by theta,
+    cos(theta) = 1 - omega_l^2 dt^2 / 2: in z = sin(theta) q - i dt v it
+    reads z_(i+1) = e^(i theta) z_i + w_i, with
+    w_i = (dt^2/2) (sin(theta) f_i - i (cos(theta) f_i + f_(i+1))), so
     z_n = e^(i theta n) sum_(j<n) e^(-i theta (j+1)) w_j. The sum is taken
     a record segment at a time against one `record_stride`-long phasor and
     accumulated over the records. The zero mode (omega_0 = 0) is two
@@ -226,6 +228,8 @@ def evolve_chain(
             f"dt = {dt:.3e} s exceeds the stability limit "
             f"{max_stable_timestep(chain):.3e} s (40 steps per shortest period)"
         )
+    if record_stride < 1:
+        raise ChainConfigError(f"record_stride must be >= 1, got {record_stride}")
     t0, t1 = window
     n_steps = int(math.ceil((t1 - t0) / dt))
     ts = t0 + dt * np.arange(n_steps + 1)
@@ -254,7 +258,8 @@ def evolve_chain(
         c, s = math.cos(theta), math.sin(theta)
         phasor = np.exp(-1j * theta * np.arange(1, record_stride + 1))
         seg = np.exp(-1j * theta * record_stride * np.arange(n_seg + 1))
-        # per segment: sum_m e^(-i theta (m+1)) (f_lo, f_hi) of its steps
+        # sum_m e^(-i theta (m+1)) over each segment's steps, of the drive
+        # at their starts (a) and ends (b), then of w
         a = lo @ phasor.real + 1j * (lo @ phasor.imag)
         b = hi @ phasor.real + 1j * (hi @ phasor.imag)
         w = g * half * dt * (s * a - 1j * (c * a + b))

@@ -273,7 +273,7 @@ def _chirp_samples(chirp: ChirpSource, t: np.ndarray):
     """
     nu0, k = chirp.nu0, chirp.k
     eps = (8.0 / 3.0) * k * nu0 ** (8.0 / 3.0) * t
-    if eps.size and eps.max() >= 1.0:
+    if np.any(eps >= 1.0):
         raise ChirpDomainError(
             f"chirp evaluated at/after coalescence t_c = {coalescence_time(nu0, k):.6g} s"
         )

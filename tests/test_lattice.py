@@ -228,11 +228,12 @@ class TestEvolveChain:
         period = 2 * math.pi / omega
         wave = MonochromaticWave(h0=1e-3, nu=omega)
         chirp = ChirpSource.from_solar_masses(3.0, h0=1e-3, nu0=0.7 * omega)
-        # the run of `continuum_checks`: 203 719 steps, a record every 100
         runs = {
+            # the run of `continuum_checks`: 203 719 steps, a record every 100
             "lattice-verify": (wave, (0.0, 40 * period), (1,), 100),
-            # the zero mode's coupling is the roundoff of summing
-            # symmetric positions, and its recursion a Jordan block
+            # the zero mode's recursion is a Jordan block; its coupling is
+            # the roundoff of summing symmetric positions, which the
+            # comparison against its own maximum scales out
             "zero-mode": (chirp, (0.0, 10 * period), (0, 1), 10),
             "stride-1": (wave, (0.2, 4 * period), (1, 2, 3), 1),
             "partial-segment": (chirp, (0.1, 8 * period), (1, 3, 4), 37),
@@ -264,6 +265,13 @@ class TestEvolveChain:
         wave = MonochromaticWave(h0=1.0, nu=1.0)
         with pytest.raises(ChainConfigError, match="stability"):
             evolve_chain(chain, wave, (0.0, 1.0), dt=10.0 / chain.debye_frequency)
+
+    def test_record_stride_guard(self):
+        chain = toy_chain(19)
+        wave = MonochromaticWave(h0=1.0, nu=1.0)
+        for stride in (0, -3):
+            with pytest.raises(ChainConfigError, match="record_stride"):
+                evolve_chain(chain, wave, (0.0, 1.0), record_stride=stride)
 
     def test_resonant_secular_growth(self):
         # envelope oracle: on resonance |alpha(t)| grows linearly following
