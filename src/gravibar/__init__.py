@@ -53,7 +53,6 @@ from .measurement import (
     step,
 )
 from .sensitivity import (
-    SensitivityPoint,
     characteristic_strain,
     classical_timedelay,
     golden_rule_stimulated,

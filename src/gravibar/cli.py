@@ -16,7 +16,9 @@ configuration, constants and seeds, sufficient to reproduce the outputs
 byte for byte. All CSV floats use shortest round-trip formatting.
 
 `simulate` runs its trajectories through `measurement.run_ensemble`'s chunk
-stream and reduction, writing each trajectory's CSV from its chunk.
+stream and reduction, writing each trajectory's CSV from its chunk. The
+drive (`measurement._drive`) is computed once, and the truncation guard
+reads the same increments.
 
 The integration window of a source (signal time) is resolved once, when
 the config is parsed, and recorded as [source] window_start/window_end:
@@ -76,8 +78,8 @@ from .dynamics import (
 )
 from .fock import check_truncation
 from .lattice import continuum_checks
-from .measurement import MeasurementConfig, _drive_increments, _ensemble_chunks, _summarize
-from .sensitivity import characteristic_strain, _strain_floor
+from .measurement import MeasurementConfig, _drive, _ensemble_chunks, _summarize
+from .sensitivity import characteristic_strain, sensitivity_curve
 from .waveform import (
     ChirpDomainError,
     ChirpSource,
@@ -101,8 +103,8 @@ _SECTION_KEYS = {
         "amplitude_model", "path", "gw_start", "window_start", "window_end",
     },
     "measurement": {
-        "dt", "t_m", "t_meas", "dim", "kappa", "kappa_scaling", "thermal",
-        "seed", "n_traj", "duration",
+        "dt", "t_m", "t_meas", "dim", "kappa", "thermal", "seed", "n_traj",
+        "duration",
     },
     "output": {"directory", "stride"},
     "sensitivity": {"f_min_hz", "f_max_hz", "n_points"},
@@ -348,13 +350,15 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         t_meas=t_meas,
         dim=meas.value("dim", int, default=30),
         kappa=meas.value("kappa", default=0.0),
-        kappa_scaling=meas.value(
-            "kappa_scaling", str, default="literal", choices={"literal", "diffusive"}
-        ),
         thermal_rate=thermal_rate,
         seed=meas.value("seed", int, default=0),
         record_stride=out.value("stride", int, default=3),
     )
+    if int(round(duration / cfg.dt)) < 1:
+        raise ConfigError(
+            f"[measurement] duration = {duration!r} s must cover at least one step "
+            f"of dt = {cfg.dt!r} s"
+        )
     n_traj = meas.value("n_traj", int, default=1)
     if n_traj < 1:
         raise ConfigError(f"[measurement] n_traj = {n_traj} must be >= 1")
@@ -530,21 +534,19 @@ def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
 
 def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
     cfg = run.measurement
-    if run.signal is not None:  # the largest |beta| the drive builds in a reinit period
-        n_steps, period = int(round(run.duration / cfg.dt)), int(round(cfg.t_meas / cfg.dt))
-        dbeta, lo, _ = _drive_increments(
-            run.detector, run.signal, cfg, n_steps, run.gw_start, run.window,
-            mode_frequency(run.detector),
-        )
-        reinits = np.arange(period - (lo - 1) % period, dbeta.size, period)
-        beta = max(np.abs(np.cumsum(part)).max(initial=0.0) for part in np.split(dbeta, reinits))
-        if problem := check_truncation(beta, cfg.dim):
-            raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
+    drive, events = _drive(
+        run.detector, run.signal, cfg, run.duration, run.gw_start, run.window
+    )
+    # the largest |beta| the drive builds in a reinit period
+    period = int(round(cfg.t_meas / cfg.dt))
+    parts = np.split(drive, np.arange(period, drive.size, period))
+    beta = max(np.abs(np.cumsum(part)).max() for part in parts)
+    if problem := check_truncation(beta, cfg.dim):
+        raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
 
     def written_chunks():
         for lo, batch in _ensemble_chunks(
-            run.detector, run.signal, cfg, run.n_traj, cfg.seed, run.duration,
-            run.gw_start, run.window, series=True,
+            cfg, drive, events, run.n_traj, cfg.seed, series=True
         ):
             for j in range(batch.readouts.shape[1]):
                 rec = batch.record(j)
@@ -572,8 +574,8 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) -> int:
-    freqs, h_c = _strain_floor(run.detector, run.sensitivity_grid)
-    _write_csv(outputs, "sensitivity.csv", "frequency_hz,h_c", [freqs, h_c])
+    curve = sensitivity_curve(run.detector, run.sensitivity_grid)
+    _write_csv(outputs, "sensitivity.csv", "frequency_hz,h_c", curve.T)
     if reference is not None:
         table = np.loadtxt(reference, ndmin=2)
         if table.shape[1] < 2:
@@ -583,7 +585,7 @@ def cmd_sensitivity(run: RunConfig, outputs: _OutputSet, reference: str | None) 
             )
         _write_csv(outputs, "reference.csv", "frequency_hz,h_c", table[:, :2].T)
     print(
-        f"sensitivity curve with {freqs.size} points for "
+        f"sensitivity curve with {len(curve)} points for "
         f"{run.detector.material.name}"
     )
     _write_metadata(outputs, run, "sensitivity")

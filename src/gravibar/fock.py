@@ -2,10 +2,13 @@
 
 States are dense complex density matrices at dimension ~30, checked at the
 fixed HERMITICITY_TOL, TRACE_TOL and POSITIVITY_TOL; the measurement
-engine carries them as factors A with rho = A A^dag. The displacement
+engine carries them as factors A with rho = A A^dag. A state offers what
+the package reads of it (populations, trace, factor, the invariant
+checks); purity and <n> are test helpers. The displacement
 D(z) = exp(z b^dag - conj(z) b) is never exponentiated per z:
 `DisplacementCache` diagonalizes its generator once, in a real eigenbasis,
-and `check_truncation` says when |z| is too large for the truncation.
+its engine path is `rotate`, and `check_truncation` says when |z| is too
+large for the truncation.
 """
 
 from __future__ import annotations
@@ -67,12 +70,6 @@ class QuantumState:
     def trace(self) -> float:
         return float(self.rho.diagonal().real.sum())
 
-    def purity(self) -> float:
-        return float(np.vdot(self.rho, self.rho.conj().T).real)
-
-    def expect_number(self) -> float:
-        return float(self.rho.diagonal().real @ np.arange(self.dim))
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
@@ -133,11 +130,11 @@ class DisplacementCache:
     and z = |z| e^{i theta}, D(z) = Q O e^{-i|z| Lambda} O^T Q^dag where
     Q = diag(e^{i n (theta + pi/2)}): the matrix exponential
     exp(z b^dag - conj(z) b), through one fixed real eigenbasis. `phases`
-    gives Q and e^{-i|z| Lambda} of an array of z in one call, `matrix` the
-    matrices and `apply` displaces a stack of factors without forming them.
+    gives Q and e^{-i|z| Lambda} of an array of z in one call, and `matrix`
+    the matrices.
 
-    `rotate` is the frame-free part O e^{-i|z| Lambda} O^T diag(c), and
-    `apply` wraps it in the outer phases, c = Q^dag and Q on the left. The
+    `rotate` is the frame-free part O e^{-i|z| Lambda} O^T diag(c), which
+    `matrix` wraps in the outer phases, c = Q^dag and Q on the left. The
     measurement engine calls `rotate` alone: it carries each factor in the
     frame of its last Q (A = Q B), folds the left-over Q with the next
     step's Q^dag and weights into c, and leaves Q off a displacement's
@@ -165,12 +162,9 @@ class DisplacementCache:
         )
 
     def matrix(self, z) -> np.ndarray:
-        return self.apply(*self.phases(z), np.eye(self.dim, dtype=complex))
-
-    def apply(self, q: np.ndarray, rot: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """D(z) @ A for the phases (q, rot) of `phases(z)` and factors A:
-        Q `rotate`(Q^dag, rot, A)."""
-        return q[..., None] * self.rotate(q.conj(), rot, amps)
+        """D(z) of each z, as a (..., dim, dim) array: Q `rotate`(Q^dag, rot, 1)."""
+        q, rot = self.phases(z)
+        return q[..., None] * self.rotate(q.conj(), rot, np.eye(self.dim, dtype=complex))
 
     def rotate(self, c: np.ndarray, rot: np.ndarray, amps: np.ndarray) -> np.ndarray:
         """O diag(rot) O^T diag(c) @ A for an (n, dim, rank) stack A.

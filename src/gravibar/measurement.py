@@ -9,7 +9,9 @@ monitored populations signals a single absorbed energy quantum.
 
 The drive enters purely as interaction-picture displacement increments
 d(beta) = -i g(s) e^{i omega s} ds, so free evolution never has to be
-tracked; number-basis populations are invariant under it.
+tracked; number-basis populations are invariant under it. `_drive` computes
+a run's increments once, one per step, and every batch of the run and the
+CLI's truncation guard read that one array.
 
 A run carries only the state each stretch of it needs:
 
@@ -39,12 +41,13 @@ A reinit returns the run to a ground stretch.
 Ensembles run in batches of trajectories in lockstep. A batch draws its
 noise, computes its displacement phases and reduces its records a block at
 a time: it keeps the sums over the batch of the records, each trajectory's
-jump times and purity crossing, and the per-trajectory series only where
-they are written (`run_trajectory`, `gravibar simulate`). Beyond the
-summed records, its memory does not grow with the length of the run or
-with the trajectories' records, and `run_ensemble` runs the whole
-ensemble as one batch, split into chunks only where the batch's
-estimated arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
+jump times (rho11 >= JUMP_THRESHOLD for JUMP_HOLD records) and purity
+crossing, and the per-trajectory series only where they are written
+(`run_trajectory`, `gravibar simulate`). Beyond the summed records, its
+memory does not grow with the length of the run or with the trajectories'
+records, and `run_ensemble` runs the whole ensemble as one batch, split
+into chunks only where the batch's estimated arrays would pass a fixed cap
+of 128 MiB (`_CHUNK_BYTES`).
 """
 
 from __future__ import annotations
@@ -92,9 +95,7 @@ class MeasurementConfig:
     kappa : float
         Scale of the random displacement noise injected each step; both
         quadratures of the random displacement are normal with variance
-        kappa^2/dt ("literal" scaling) or kappa^2*dt ("diffusive").
-    kappa_scaling : str
-        "literal" (default) or "diffusive"; see `kappa`.
+        kappa^2/dt.
     thermal_rate : float
         Optional Poisson rate [Hz] of thermal creation-operator jumps.
     seed : int
@@ -108,7 +109,6 @@ class MeasurementConfig:
     t_meas: float = 40.0
     dim: int = 30
     kappa: float = 0.0
-    kappa_scaling: str = "literal"
     thermal_rate: float = 0.0
     seed: int = 0
     record_stride: int = 3
@@ -124,11 +124,6 @@ class MeasurementConfig:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.kappa < 0.0 or self.thermal_rate < 0.0:
             raise ValueError("kappa and thermal_rate must be >= 0")
-        if self.kappa_scaling not in ("literal", "diffusive"):
-            raise ValueError(
-                f"kappa_scaling must be 'literal' or 'diffusive', "
-                f"got {self.kappa_scaling!r}"
-            )
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -139,9 +134,7 @@ class MeasurementConfig:
     @property
     def gamma_sigma(self) -> float:
         """Per-quadrature standard deviation of the displacement noise."""
-        if self.kappa_scaling == "literal":
-            return self.kappa / math.sqrt(self.dt)
-        return self.kappa * math.sqrt(self.dt)
+        return self.kappa / math.sqrt(self.dt)
 
 
 @dataclass
@@ -359,36 +352,47 @@ def step(
     return QuantumState(cfg.dim, a @ a.conj().T), float(rs[0])
 
 
-def _drive_increments(
+def _drive(
     spec: DetectorSpec,
-    signal: StrainSignal,
+    signal: StrainSignal | None,
     cfg: MeasurementConfig,
-    n_steps: int,
+    duration: float,
     gw_start: float,
-    window: tuple[float, float],
-    omega: float,
-) -> tuple[np.ndarray, int, int]:
-    """Per-step drive increments dbeta_i over the run, midpoint-sampled.
+    window: tuple[float, float] | None,
+) -> tuple[np.ndarray, list[tuple[float, str]]]:
+    """The drive increments of a run, midpoint-sampled, and its window events.
 
-    Returns (dbeta array over the active step range, first active step
-    index, one-past-last active step index). Step i covers
-    [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
+    Returns dbeta (n_steps,), step i's increment at index i - 1 (zero
+    without a signal, or where the step's midpoint lies outside `window`
+    or the signal's support), and the (time, kind) events of the window,
+    none when it covers no step. Step i covers [(i-1) dt, i dt] in run
+    time; the signal clock is run time - gw_start. `window` (signal time)
+    defaults to `default_window` over the run.
     """
-    t0 = gw_start + window[0]
-    t1 = gw_start + window[1]
-    i_start = max(1, int(math.floor(t0 / cfg.dt)) + 1)
-    i_stop = min(n_steps, int(math.ceil(t1 / cfg.dt)))
+    n_steps = int(round(duration / cfg.dt))
+    if n_steps < 1:
+        raise ValueError("duration must cover at least one step")
+    drive = np.zeros(n_steps, dtype=complex)
+    if signal is None:
+        return drive, []
+    omega = mode_frequency(spec)
+    if window is None:
+        window = default_window(signal, omega, duration - gw_start)
+    i_start = max(1, int(math.floor((gw_start + window[0]) / cfg.dt)) + 1)
+    i_stop = min(n_steps, int(math.ceil((gw_start + window[1]) / cfg.dt)))
     if i_stop < i_start:
-        return np.zeros(0, dtype=complex), 1, 1
-    steps = np.arange(i_start, i_stop + 1)
-    s_mid = (steps - 0.5) * cfg.dt - gw_start
+        return drive, []
+    s_mid = (np.arange(i_start, i_stop + 1) - 0.5) * cfg.dt - gw_start
     _, hddot, ok = strain_samples(signal, s_mid)
     inside = ok & (s_mid >= window[0]) & (s_mid <= window[1])
-    pref = beta_prefactor(spec)
-    dbeta = np.where(
-        inside, -1j * pref * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
+    drive[i_start - 1 : i_stop] = np.where(
+        inside, -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
     )
-    return dbeta.astype(complex), i_start, i_stop + 1
+    events = [
+        (gw_start + window[0], "gw_window_start"),
+        (min(gw_start + window[1], duration), "gw_window_end"),
+    ]
+    return drive, events
 
 
 _GROUND, _FACTOR, _POPULATIONS = range(3)
@@ -417,6 +421,12 @@ def _stretch_kinds(
         if hits.size:
             kinds[start : hits[-1] + 1] = _FACTOR
     return kinds.tolist()
+
+
+# a jump is an excursion of rho11 at or above JUMP_THRESHOLD for at least
+# JUMP_HOLD consecutive records
+JUMP_THRESHOLD = 0.9
+JUMP_HOLD = 3
 
 
 class _Excursions:
@@ -486,12 +496,12 @@ class _BatchResult:
 
     def __init__(
         self, times: np.ndarray, n: int, dim: int, purity_threshold: float | None,
-        threshold: float, hold: int, series: bool,
+        events: list[tuple[float, str]], series: bool,
     ):
         self.times = times
         self.diag_sums = np.zeros((times.size, dim))
-        self.events: list[tuple[float, str]] = []
-        self.excursions = _Excursions(n, threshold, hold)
+        self.events = list(events)
+        self.excursions = _Excursions(n, JUMP_THRESHOLD, JUMP_HOLD)
         self.purity_threshold = purity_threshold
         self.purity_crossing = None
         if purity_threshold is not None:
@@ -606,27 +616,24 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
 
 
 def _run_batch(
-    spec: DetectorSpec,
-    signal: StrainSignal | None,
     cfg: MeasurementConfig,
     rngs: list[np.random.Generator],
-    duration: float,
-    gw_start: float,
-    window: tuple[float, float] | None,
+    drive: np.ndarray,
+    events: list[tuple[float, str]],
     starts: np.ndarray | None = None,
     purity_threshold: float | None = None,
     first: int = 0,
-    threshold: float = 0.9,
-    hold: int = 3,
     series: bool = False,
 ) -> _BatchResult:
     """Run a batch of trajectories in lockstep, stretch by stretch.
 
-    The batch starts in the ground state, or from the factor stack `starts`
-    of `_start_factors` (one factor per trajectory), and is reinitialized
-    to the ground state every t_meas. `_stretch_kinds` makes each step,
-    from the config, the drive's nonzero increments, the reinit boundaries
-    and the kind of start, one of (see the module docstring):
+    `drive` and `events` are a run's increments and window events from
+    `_drive`; the run has one step per increment. The batch starts in the
+    ground state, or from the factor stack `starts` of `_start_factors`
+    (one factor per trajectory), and is reinitialized to the ground state
+    every t_meas. `_stretch_kinds` makes each step, from the config, the
+    drive's nonzero increments, the reinit boundaries and the kind of
+    start, one of (see the module docstring):
 
     - a ground step: no state is carried, the readout is
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
@@ -642,35 +649,21 @@ def _run_batch(
     The kinds differ in what they carry; their numbers agree to
     roundoff. The noise (`_noise_blocks`) and the displacement phases
     (`_step_phases`) come a block of steps at a time, and `_BatchResult`
-    reduces the records as they come (jumps by `threshold` and `hold`),
-    keeping the per-trajectory series only with `series`: the batch holds
-    blocks, not whole runs. Sums and matmuls run per trajectory, so a
-    trajectory's bits do not depend on its batch. Errors name trajectory
-    `first` + index.
+    reduces the records as they come (jumps by JUMP_THRESHOLD and
+    JUMP_HOLD), keeping the per-trajectory series only with `series`: the
+    batch holds blocks, not whole runs. Sums and matmuls run per
+    trajectory, so a trajectory's bits do not depend on its batch. Errors
+    name trajectory `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
-    n_steps = int(round(duration / cfg.dt))
-    if n_steps < 1:
-        raise ValueError("duration must cover at least one step")
+    n_steps = drive.size
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
 
     n_rec = n_steps // cfg.record_stride
     times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
-    result = _BatchResult(times, n, dim, purity_threshold, threshold, hold, series)
+    result = _BatchResult(times, n, dim, purity_threshold, events, series)
     events = result.events
-    drive = np.zeros(n_steps, dtype=complex)  # step i's increment at i - 1
-    omega = mode_frequency(spec)
-    if signal is not None:
-        if window is None:
-            window = default_window(signal, omega, duration - gw_start)
-        dbeta, drive_lo, drive_hi = _drive_increments(
-            spec, signal, cfg, n_steps, gw_start, window, omega
-        )
-        drive[drive_lo - 1 : drive_hi - 1] = dbeta
-        if dbeta.size:
-            events.append((gw_start + window[0], "gw_window_start"))
-            events.append((min(gw_start + window[1], duration), "gw_window_end"))
 
     displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
     displacing[1:] |= drive != 0.0
@@ -769,14 +762,12 @@ def run_trajectory(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     starts = None if initial_state is None else _start_factors([initial_state], cfg.dim)
-    batch = _run_batch(
-        spec, signal, cfg, [rng], duration, gw_start, window, starts, series=True
-    )
-    return batch.record(0)
+    drive, events = _drive(spec, signal, cfg, duration, gw_start, window)
+    return _run_batch(cfg, [rng], drive, events, starts, series=True).record(0)
 
 
 def detect_jump(
-    record: TrajectoryRecord, threshold: float = 0.9, hold: int = 3
+    record: TrajectoryRecord, threshold: float = JUMP_THRESHOLD, hold: int = JUMP_HOLD
 ) -> list[tuple[float, str]]:
     """Detect sustained excitation of the first excited level.
 
@@ -806,16 +797,16 @@ def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: boo
 
 
 def _ensemble_chunks(
-    spec: DetectorSpec, signal: StrainSignal | None, cfg: MeasurementConfig,
-    n_traj: int, base_seed: int, duration: float, gw_start: float,
-    window: tuple[float, float] | None, chunk_size: int | None = None,
+    cfg: MeasurementConfig, drive: np.ndarray, events: list[tuple[float, str]],
+    n_traj: int, base_seed: int, chunk_size: int | None = None,
     starts: np.ndarray | None = None, purity_threshold: float | None = None,
-    threshold: float = 0.9, hold: int = 3, series: bool = False,
+    series: bool = False,
 ):
     """Yield (lo, batch): the `_BatchResult` of an ensemble's trajectories
-    lo, lo + 1, ..., `chunk_size` at a time. Trajectory k runs on the k-th
-    generator spawned from `base_seed`, from `starts[k]` (ground state if
-    `starts` is None), and errors name it by k.
+    lo, lo + 1, ..., `chunk_size` at a time, each driven by the `drive` and
+    `events` of `_drive`. Trajectory k runs on the k-th generator spawned
+    from `base_seed`, from `starts[k]` (ground state if `starts` is None),
+    and errors name it by k.
 
     The default chunk is the whole ensemble, or as many trajectories as
     `_CHUNK_BYTES` holds by `_trajectory_bytes`. The batches keep the
@@ -823,7 +814,7 @@ def _ensemble_chunks(
     """
     if chunk_size is None:
         rank = 1 if starts is None else starts.shape[2]
-        n_rec = int(round(duration / cfg.dt)) // cfg.record_stride
+        n_rec = drive.size // cfg.record_stride
         per_traj = _trajectory_bytes(cfg, rank, n_rec, series)
         chunk_size = max(1, min(n_traj, _CHUNK_BYTES // per_traj))
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
@@ -831,9 +822,8 @@ def _ensemble_chunks(
         hi = min(lo + chunk_size, n_traj)
         rngs = [np.random.default_rng(s) for s in children[lo:hi]]
         yield lo, _run_batch(
-            spec, signal, cfg, rngs, duration, gw_start, window,
-            None if starts is None else starts[lo:hi], purity_threshold, lo,
-            threshold, hold, series,
+            cfg, rngs, drive, events, None if starts is None else starts[lo:hi],
+            purity_threshold, lo, series,
         )
 
 
@@ -877,8 +867,6 @@ def run_ensemble(
     duration: float | None = None,
     gw_start: float = 0.0,
     window: tuple[float, float] | None = None,
-    threshold: float = 0.9,
-    hold: int = 3,
     initial_states: list[QuantumState] | None = None,
     purity_threshold: float | None = None,
 ) -> EnsembleSummary:
@@ -890,14 +878,13 @@ def run_ensemble(
     the same spawned generator. `initial_states` may supply one starting
     state per trajectory (ground state otherwise).
 
-    The whole ensemble runs as one chunk, split only where its
-    batch would exceed a memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch
-    reduces its records as they come, jumps (by `threshold` and `hold`)
-    included, and keeps no per-trajectory series.
+    The drive is computed once (`_drive`) for every trajectory. The whole
+    ensemble runs as one chunk, split only where its batch would exceed a
+    memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch reduces its records as they come, jumps (as by `detect_jump` with its
+    defaults) included, and keeps no per-trajectory series.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    _Excursions(0, threshold, hold)  # fail before running
     if duration is None:
         duration = cfg.t_meas
     if base_seed is None:
@@ -907,9 +894,9 @@ def run_ensemble(
         if len(initial_states) != n_traj:
             raise ValueError("need one initial state per trajectory")
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
+    drive, events = _drive(spec, signal, cfg, duration, gw_start, window)
     chunks = _ensemble_chunks(
-        spec, signal, cfg, n_traj, base_seed, duration, gw_start, window,
-        None, starts, purity_threshold, threshold, hold,
+        cfg, drive, events, n_traj, base_seed, None, starts, purity_threshold
     )
     return _summarize(chunks, n_traj)
 

@@ -8,25 +8,11 @@ into characteristic strain sensitivities comparable across bar designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import G, C_LIGHT, HBAR, K_B
 from .detector import DetectorSpec, DetectorSpecError, gamma_spontaneous
-
-
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """One point of a characteristic-strain sensitivity curve."""
-
-    frequency: float  # Hz
-    h_c: float
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.h_c <= 0.0:
-            raise ValueError(f"h_c must be > 0, got {self.h_c}")
 
 
 def graviton_number(h0: float, nu: float) -> float:
@@ -111,13 +97,13 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     return HBAR * omega / (flux * area)
 
 
-def _strain_floor(template: DetectorSpec, frequencies_hz) -> tuple[np.ndarray, np.ndarray]:
+def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> np.ndarray:
     """Characteristic strain across a frequency grid at fixed material, R, Q, T.
 
     At each frequency the bar length follows from L = l pi v_s / omega and
     the mass from the geometry, M = rho pi R^2 L, so the curve reflects a
     family of detectors of the template's material and radius tuned across
-    the band. Returns the grid and h_c over it as arrays.
+    the band. Returns an (n, 2) array of rows (frequency_hz, h_c).
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     if frequencies_hz.ndim != 1 or frequencies_hz.size < 1:
@@ -134,14 +120,7 @@ def _strain_floor(template: DetectorSpec, frequencies_hz) -> tuple[np.ndarray, n
     )
     if not (h_c > 0.0).all():
         raise ValueError(f"h_c must be > 0, got {h_c.min()}")
-    return frequencies_hz, h_c
-
-
-def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> list[SensitivityPoint]:
-    """`_strain_floor` as points, each labelled with the material name."""
-    freqs, h_c = _strain_floor(template, frequencies_hz)
-    label = template.material.name
-    return [SensitivityPoint(f, h, label) for f, h in zip(freqs.tolist(), h_c.tolist())]
+    return np.column_stack((frequencies_hz, h_c))
 
 
 def thermal_rate_classical(spec: DetectorSpec) -> float:
@@ -154,7 +133,6 @@ def thermal_rate_classical(spec: DetectorSpec) -> float:
 
 
 __all__ = [
-    "SensitivityPoint",
     "characteristic_strain",
     "classical_timedelay",
     "golden_rule_stimulated",

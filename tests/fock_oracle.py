@@ -5,7 +5,8 @@ measurement operator: it rotates factors in the real eigenbasis of
 `gravibar.fock.DisplacementCache` and weights populations by the diagonal
 of M(r). These are the textbook forms it is checked against: the number
 operator, the displacement as a matrix exponential (scipy's `expm`), the
-coherent state it makes, and the normalized update K rho K^dag / tr(...).
+coherent state it makes, the normalized update K rho K^dag / tr(...), the
+purity and <n> of a state, and D(z) @ A through the cache's `rotate`.
 """
 
 from __future__ import annotations
@@ -68,3 +69,20 @@ def apply_normalized(state: QuantumState, kraus: np.ndarray) -> QuantumState:
     new = 0.5 * (new + new.conj().T)
     new /= new.diagonal().real.sum()
     return QuantumState(state.dim, new)
+
+
+def purity(state: QuantumState) -> float:
+    """tr(rho^2)."""
+    return float(np.vdot(state.rho, state.rho.conj().T).real)
+
+
+def expect_number(state: QuantumState) -> float:
+    """<n> = tr(N rho)."""
+    return float(state.rho.diagonal().real @ np.arange(state.dim))
+
+
+def displace(cache, z, amps: np.ndarray) -> np.ndarray:
+    """D(z) @ A through `DisplacementCache.rotate`: Q rotate(Q^dag, rot, A),
+    for one z shared by the stack A or one z per factor."""
+    q, rot = cache.phases(z)
+    return q[..., None] * cache.rotate(q.conj(), rot, amps)

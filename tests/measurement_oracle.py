@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from fock_oracle import expect_number
 
 
 def measurement_operator(r: float, dt: float, t_m: float, dim: int) -> np.ndarray:
@@ -30,5 +31,5 @@ def measurement_operator(r: float, dt: float, t_m: float, dim: int) -> np.ndarra
 
 def sample_readout(state, dt: float, t_m: float, rng: np.random.Generator) -> float:
     """Draw one readout r = tr(N rho) + sqrt(t_m/dt) * xi, xi standard normal."""
-    mean = state.expect_number()
+    mean = expect_number(state)
     return mean + math.sqrt(t_m / dt) * rng.standard_normal()

@@ -14,13 +14,12 @@ import math
 import numpy as np
 
 from gravibar.detector import DetectorSpec
-from gravibar.sensitivity import SensitivityPoint, characteristic_strain
+from gravibar.sensitivity import characteristic_strain
 
 
-def sensitivity_points(
-    template: DetectorSpec, frequencies_hz, label: str
-) -> list[SensitivityPoint]:
-    points = []
+def sensitivity_rows(template: DetectorSpec, frequencies_hz) -> np.ndarray:
+    """(n, 2) rows (frequency_hz, h_c), one tuned detector per row."""
+    rows = []
     for f in np.asarray(frequencies_hz, dtype=float):
         spec = DetectorSpec.from_frequency(
             template.material,
@@ -30,5 +29,5 @@ def sensitivity_points(
             quality=template.quality,
             temperature=template.temperature,
         )
-        points.append(SensitivityPoint(float(f), characteristic_strain(spec), label))
-    return points
+        rows.append((float(f), characteristic_strain(spec)))
+    return np.array(rows)

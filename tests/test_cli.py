@@ -139,6 +139,34 @@ duration = 5.0
 directory = {out}
 """
 
+# a resonant drive on the Fig.-3 bar builds |beta|^2 = 4.22 over the 3-s run,
+# more than dim 4 holds (dim/4 = 1); a 1-s reinit period builds a ninth of it
+GUARD_CONFIG = """\
+[detector]
+material = beryllium
+frequency_hz = 100
+mass = 21.73
+radius = 0.0077
+quality = 3e8
+temperature = 1e-3
+
+[source]
+type = monochromatic
+h0 = 3e-23
+frequency_hz = 100
+gw_start = 0.0
+
+[measurement]
+dt = 1e-3
+t_m = 0.5
+t_meas = 1.0
+dim = 4
+duration = 3.0
+
+[output]
+directory = {out}
+"""
+
 
 def write_config(tmp_path: Path, text: str, name: str = "run.ini") -> str:
     out = tmp_path / "out"
@@ -231,6 +259,14 @@ class TestParseConfig:
             assert "n_values" in capsys.readouterr().err
         path = write_config(tmp_path, MONO_CONFIG + "\n[lattice]\nn_values = 39,19\n")
         assert parse_config(path).lattice_n_values == (39, 19)
+
+    def test_duration_shorter_than_a_step_rejected(self, tmp_path, capsys):
+        text = MONO_CONFIG.replace("duration = 2.0", "duration = 4e-3")  # dt = 1e-2
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"\[measurement\] duration = 0\.004 s"):
+            parse_config(path)
+        assert main(["simulate", "--config", path]) == 2
+        assert "[measurement] duration" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -487,6 +523,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "[measurement] dim" in err and "truncation dim = 8" in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("gw_start, beta2", [("0.0", "4.22"), ("0.2345", "3.58")])
+    def test_truncation_guard_is_per_reinit_period(self, tmp_path, capsys, gw_start, beta2):
+        # the guard sums the drive within each reinit period, also when the
+        # drive starts off the step grid
+        text = GUARD_CONFIG.replace("gw_start = 0.0", f"gw_start = {gw_start}")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path]) == 0
+        assert (tmp_path / "out" / "trajectory_0.csv").exists()
+        whole = write_config(tmp_path, text.replace("t_meas = 1.0", "t_meas = 3.0"), "whole.ini")
+        assert main(["simulate", "--config", whole, "--out", str(tmp_path / "whole")]) == 2
+        assert f"|beta|^2 = {beta2} is large for truncation dim = 4" in capsys.readouterr().err
+        assert list((tmp_path / "whole").iterdir()) == []
 
     def test_underflow_names_its_trajectory(self, tmp_path, capsys):
         path = write_config(tmp_path, UNDERFLOW_CONFIG)

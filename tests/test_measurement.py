@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 from diagonal_oracle import posterior, simulate
-from fock_oracle import apply_normalized, coherent_state, displacement_operator
+from fock_oracle import (
+    apply_normalized,
+    coherent_state,
+    displacement_operator,
+    expect_number,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jump_oracle import jump_starts
@@ -46,6 +51,14 @@ class ZeroNoise:
 def toy_detector(omega: float = 2 * math.pi) -> DetectorSpec:
     material = Material("toy", density=1000.0, sound_speed=10.0)
     return DetectorSpec.from_frequency(material, omega, radius=0.1)
+
+
+def ensemble_chunks(
+    spec, signal, cfg, n_traj, base_seed, duration, gw_start=0.0, window=None, **kwargs
+):
+    """`measurement._ensemble_chunks` of a run, driven by its `_drive`."""
+    drive, events = measurement._drive(spec, signal, cfg, duration, gw_start, window)
+    return measurement._ensemble_chunks(cfg, drive, events, n_traj, base_seed, **kwargs)
 
 
 def resonant_drive_for_beta(
@@ -137,7 +150,7 @@ class TestSampleReadout:
         )
         sigma = math.sqrt(t_m / dt)
         assert draws.mean() == pytest.approx(
-            state.expect_number(), abs=3.0 * sigma / 100.0
+            expect_number(state), abs=3.0 * sigma / 100.0
         )
 
     def test_ensemble_variance(self):
@@ -226,7 +239,7 @@ class TestStep:
 
             new, r = step(state, cfg, dbeta, Fixed())
             assert r == pytest.approx(
-                state.expect_number() + cfg.readout_sigma * 0.4, rel=1e-12
+                expect_number(state) + cfg.readout_sigma * 0.4, rel=1e-12
             )
             ref = apply_normalized(
                 state, measurement_operator(r, cfg.dt, cfg.t_m, cfg.dim)
@@ -257,8 +270,6 @@ class TestStep:
     def test_kappa_noise_scalings(self):
         literal = self.cfg(kappa=1e-4)
         assert literal.gamma_sigma == pytest.approx(1e-4 / math.sqrt(1e-3))
-        diffusive = self.cfg(kappa=1e-4, kappa_scaling="diffusive")
-        assert diffusive.gamma_sigma == pytest.approx(1e-4 * math.sqrt(1e-3))
 
     def test_kappa_noise_applies_displacement(self):
         # with known normals the noise displacement is D(gamma) exactly
@@ -495,7 +506,7 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
     state = QuantumState.ground(cfg.dim)
     rows = []
     for i in range(1, n_steps + 1):
-        r = state.expect_number() + cfg.readout_sigma * xis[i - 1]
+        r = expect_number(state) + cfg.readout_sigma * xis[i - 1]
         state = apply_normalized(
             state, measurement_operator(r, cfg.dt, cfg.t_m, cfg.dim)
         )
@@ -771,11 +782,6 @@ class TestDetectJump:
             detect_jump(rec, threshold=1.5)
         with pytest.raises(ValueError):
             detect_jump(rec, hold=0)
-        # the ensemble reduction shares the check
-        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
-        for bad in (dict(threshold=1.5), dict(threshold=0.0), dict(hold=0)):
-            with pytest.raises(ValueError):
-                run_ensemble(toy_detector(), None, cfg, n_traj=1, **bad)
 
 
 class TestRunEnsemble:
@@ -798,9 +804,7 @@ class TestRunEnsemble:
         spec = toy_detector()
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=13)
         def summary(chunk_size):
-            chunks = measurement._ensemble_chunks(
-                spec, None, cfg, 7, 5, 2.0, 0.0, None, chunk_size
-            )
+            chunks = ensemble_chunks(spec, None, cfg, 7, 5, 2.0, chunk_size=chunk_size)
             return measurement._summarize(chunks, 7)
 
         a, b = summary(2), summary(7)
@@ -810,9 +814,9 @@ class TestRunEnsemble:
         # ground starts without a drive only take ground steps; a trajectory
         # that carries factors or populations is the same bits in any chunk
         def series(signal, cfg, chunk_size, starts=None):
-            chunks = measurement._ensemble_chunks(
-                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size, starts,
-                series=True,
+            chunks = ensemble_chunks(
+                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size=chunk_size,
+                starts=starts, series=True,
             )
             return np.concatenate([
                 np.concatenate([b.readouts[:, None], b.pops], axis=1)
@@ -863,7 +867,7 @@ class TestRunEnsemble:
             )
         wave = resonant_drive_for_beta(spec, beta, 0.5) if beta else None
         try:
-            (_, batch), = measurement._ensemble_chunks(
+            (_, batch), = ensemble_chunks(
                 spec, wave, cfg, 3, seed, 1.5, 0.2, (0.0, 0.5), starts=starts, series=True
             )
         except TraceUnderflowError:
@@ -879,9 +883,9 @@ class TestRunEnsemble:
             dt=1e-2, t_m=0.05, t_meas=10.0, dim=3, seed=3, record_stride=2
         )
         starts = [QuantumState.from_diagonal([0.4, 0.35, 0.25])] * 4
-        chunks = measurement._ensemble_chunks(
-            toy_detector(), None, cfg, 4, cfg.seed, n_rec * 2e-2, 0.0, None, 1,
-            measurement._start_factors(starts, 3), 0.95,
+        chunks = ensemble_chunks(
+            toy_detector(), None, cfg, 4, cfg.seed, n_rec * 2e-2, chunk_size=1,
+            starts=measurement._start_factors(starts, 3), purity_threshold=0.95,
         )
         summary = measurement._summarize(chunks, 4)
         assert summary.times.size == n_rec
@@ -907,9 +911,9 @@ class TestRunEnsemble:
         initials[10] = QuantumState.from_diagonal(np.eye(8)[7])
         starts = measurement._start_factors(initials, 8)
         for chunk_size in (4, 64):
-            chunks = measurement._ensemble_chunks(
-                toy_detector(), None, cfg, 12, cfg.seed, 2e-2, 0.0, None, chunk_size,
-                starts,
+            chunks = ensemble_chunks(
+                toy_detector(), None, cfg, 12, cfg.seed, 2e-2, chunk_size=chunk_size,
+                starts=starts,
             )
             with pytest.raises(TraceUnderflowError, match=r"trajectory 10\b"):
                 measurement._summarize(chunks, 12)
@@ -1022,9 +1026,9 @@ class TestRunEnsemble:
         wave = resonant_drive_for_beta(spec, 0.8, 1.0)
         one = run_ensemble(spec, wave, cfg, n_traj=150, **kwargs)
         split = measurement._summarize(
-            measurement._ensemble_chunks(
-                spec, wave, cfg, 150, cfg.seed, 4.0, 0.5, (0.0, 1.0), 64,
-                measurement._start_factors(starts, 6), 0.95,
+            ensemble_chunks(
+                spec, wave, cfg, 150, cfg.seed, 4.0, 0.5, (0.0, 1.0), chunk_size=64,
+                starts=measurement._start_factors(starts, 6), purity_threshold=0.95,
             ),
             150,
         )
@@ -1056,7 +1060,7 @@ class TestNoiseBlocks:
 
     def series(self):
         spec = toy_detector()
-        (_, batch), = measurement._ensemble_chunks(
+        (_, batch), = ensemble_chunks(
             spec, resonant_drive_for_beta(spec, 0.6, 1.0), self.CFG, 3, 5, 1.5, 0.2,
             (0.0, 1.0), series=True,
         )

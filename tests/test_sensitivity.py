@@ -16,7 +16,6 @@ from gravibar.detector import (
     mode_frequency,
 )
 from gravibar.sensitivity import (
-    SensitivityPoint,
     characteristic_strain,
     classical_timedelay,
     golden_rule_stimulated,
@@ -27,7 +26,7 @@ from gravibar.sensitivity import (
     stimulated_rate_wavepacket,
     thermal_rate_classical,
 )
-from sensitivity_oracle import sensitivity_points
+from sensitivity_oracle import sensitivity_rows
 
 OMEGA_100 = 2 * math.pi * 100.0
 
@@ -226,9 +225,9 @@ class TestSensitivityCurve:
     def test_single_point_equals_characteristic_strain(self):
         template = self.template()
         f = mode_frequency(template) / (2 * math.pi)
-        points = sensitivity_curve(template, [f])
-        assert len(points) == 1
-        assert points[0].h_c == pytest.approx(
+        curve = sensitivity_curve(template, [f])
+        assert curve.shape == (1, 2)
+        assert curve[0, 1] == pytest.approx(
             characteristic_strain(template), rel=1e-9
         )
 
@@ -237,15 +236,14 @@ class TestSensitivityCurve:
         freqs = np.linspace(50.0, 500.0, 7)
         base = sensitivity_curve(self.template(), freqs)
         better = sensitivity_curve(self.template(quality=2e10), freqs)
-        for a, b in zip(base, better):
-            assert b.h_c == pytest.approx(a.h_c / math.sqrt(2.0), rel=1e-12)
+        for a, b in zip(base[:, 1], better[:, 1]):
+            assert b == pytest.approx(a / math.sqrt(2.0), rel=1e-12)
 
     def test_monotone_in_implied_mass(self):
         # at fixed material and radius, higher frequency means a shorter,
         # lighter bar and hence a worse (larger) strain floor
         freqs = np.linspace(50.0, 2000.0, 9)
-        points = sensitivity_curve(self.template(), freqs)
-        values = [p.h_c for p in points]
+        values = sensitivity_curve(self.template(), freqs)[:, 1].tolist()
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_grid_validation(self):
@@ -275,18 +273,7 @@ class TestSensitivityCurve:
             quality=quality, temperature=temperature,
         )
         freqs = f_min + np.cumsum([0.0, *steps])
-        points = sensitivity_curve(template, freqs)
-        expected = sensitivity_points(template, freqs, "m")
-        assert [p.frequency for p in points] == [p.frequency for p in expected]
-        assert [p.label for p in points] == [p.label for p in expected]
-        np.testing.assert_allclose(
-            [p.h_c for p in points], [p.h_c for p in expected], rtol=1e-13, atol=0.0
-        )
-
-    def test_label_defaults_to_material(self):
-        points = sensitivity_curve(self.template(), [100.0])
-        assert points[0].label == "niobium"
-
-    def test_point_invariant(self):
-        with pytest.raises(ValueError):
-            SensitivityPoint(frequency=100.0, h_c=0.0)
+        curve = sensitivity_curve(template, freqs)
+        expected = sensitivity_rows(template, freqs)
+        assert curve[:, 0].tolist() == expected[:, 0].tolist()
+        np.testing.assert_allclose(curve[:, 1], expected[:, 1], rtol=1e-13, atol=0.0)
