@@ -508,8 +508,11 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
     _write_csv(outputs, "chi.csv", "method,chi,beta_mag,p0,p1,p2,p3", zip(*rows))
     hi, lo = max(row[1] for row in rows), min(row[1] for row in rows)
     extra = {"chi_methods_omitted": omitted} if omitted else {}
+    quadrature = results[0]
     _write_metadata(
-        outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0, **extra
+        outputs, run, "chi", chi_method_spread=(hi - lo) / hi if hi > 0.0 else 0.0,
+        quadrature_nodes=quadrature.nodes,
+        quadrature_error_estimate=quadrature.error_estimate, **extra
     )
     return 0
 

@@ -4,7 +4,7 @@ The central object is the resonant drive content
 
     chi(h, omega, t) = | integral of hddot(s) * exp(i*omega*s) ds |
 
-evaluated by phase-panel Gauss-Legendre quadrature or by closed forms
+evaluated by phase-panel Gauss-Kronrod quadrature or by closed forms
 (monochromatic sinc, slow-chirp estimate, stationary phase). The coherent
 displacement imparted to the mode is |beta| = (L/pi^2) sqrt(M/(omega*hbar))
 * chi, and mode populations follow a Poisson distribution in |beta|^2.
@@ -55,11 +55,18 @@ class ChiResult:
     window : tuple or None
         Integration window (t_start, t_end) [s]; None for closed forms
         without an explicit window.
+    nodes : int or None
+        Quadrature only: the strain samples the quadrature used.
+    error_estimate : float or None
+        Quadrature only: the accepted grid's |Kronrod - Gauss| / |Kronrod|;
+        None for sampled strain, whose trapezoid has no embedded estimate.
     """
 
     value: float
     method: str
     window: tuple[float, float] | None = None
+    nodes: int | None = None
+    error_estimate: float | None = None
 
     def __post_init__(self) -> None:
         if self.value < 0.0:
@@ -71,12 +78,59 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-# 16-point Gauss-Legendre rule on [-1, 1], applied on every panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_PHASE = 4.0 * math.pi  # two cycles per first-estimate panel
-_TOL = 1e-6  # relative change of the modulus at which panel halving stops
-_ROUNDOFF = 1e-12  # changes below this fraction of integral |hddot| ds are roundoff
-_BLOCK_PANELS = 4096  # panels evaluated at once: a few MB at any grid size
+def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2n+1)-point Gauss-Kronrod rule on [-1, 1] extending n-point Gauss-Legendre.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) turns the Legendre
+    recurrence b_k = k^2/(4k^2 - 1), b_0 = 2 into the Jacobi matrix of the
+    Kronrod rule; its eigenvalues are the nodes, and b_0 times the squared
+    first components of its unit eigenvectors are the weights. The Legendre
+    recurrence has a_k = 0, and by symmetry so has the Kronrod matrix, so
+    the algorithm's a terms vanish and only its b and mixed moments s, t
+    are computed.
+    """
+    k = np.arange(2 * n + 1)
+    b = np.where(k > 0, k**2 / (4.0 * k**2 - 1.0), 2.0)
+    b[(3 * n + 1) // 2 + 1:] = 0.0  # the Kronrod half still to be found
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)  # s[0] is s_{-1} = 0
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # The eigenvector with v_0 = 1/sqrt(b_0) follows the matrix's three-term
+    # recurrence and gives the weight 1/|v|^2. eigh would give the same, but
+    # its eigenvector code adds ~0.5 MB of resident LAPACK to every process.
+    v_prev, v = 0.0, np.full_like(nodes, 1.0 / math.sqrt(b[0]))
+    norm = v**2
+    for k in range(2 * n):
+        v_prev, v = v, (nodes * v - math.sqrt(b[k]) * v_prev) / off[k]
+        norm += v**2
+    return nodes, 1.0 / norm
+
+
+# 33-point Gauss-Kronrod rule on [-1, 1], applied on every panel. Its odd
+# nodes are those of 16-point Gauss-Legendre, so one evaluation of a panel
+# gives both sums: column 0 weighs the nodes by Kronrod, column 1 by Gauss.
+_KR_NODES, _KR_WEIGHTS = _kronrod_rule(16)
+_RULES = np.zeros((_KR_NODES.size, 2))
+_RULES[:, 0] = _KR_WEIGHTS
+_RULES[1::2, 1] = np.polynomial.legendre.leggauss(16)[1]
+_PANEL_PHASE = 4.0 * math.pi  # two cycles per first-grid panel
+_TOL = 1e-6  # |Kronrod - Gauss| relative to |Kronrod| at which a grid is accepted
+_ROUNDOFF = 1e-12  # differences below this fraction of integral |hddot| ds are roundoff
+_BLOCK_NODES = 65536  # nodes evaluated at once: a few MB at any grid size
+_MAX_NODES = 2**23  # default strain-evaluation budget of one integral
 
 
 def _phase_map(signal: StrainSignal):
@@ -90,66 +144,57 @@ def _phase_map(signal: StrainSignal):
             lambda phi: t_c * (1.0 - (1.0 - phi / phi_c) ** 1.6))
 
 
-def _panel_sum(signal: StrainSignal, omega: float, edges: np.ndarray) -> tuple[complex, float]:
-    """Gauss-Legendre integral, and that of |hddot|, over the panels between `edges`."""
-    total, scale = 0.0 + 0.0j, 0.0
-    for lo in range(0, edges.size - 1, _BLOCK_PANELS):
-        block = edges[lo:lo + _BLOCK_PANELS + 1]
-        half = 0.5 * np.diff(block)[:, None]
-        s = (block[:-1, None] + half + half * _GL_NODES).ravel()
+def _panel_sum(
+    signal: StrainSignal, omega: float, edges: np.ndarray
+) -> tuple[complex, complex, float]:
+    """Kronrod and embedded Gauss integrals over the panels between `edges`,
+    and the Kronrod integral of |hddot|, from one evaluation of each node."""
+    kronrod, gauss, scale = 0.0 + 0.0j, 0.0 + 0.0j, 0.0
+    per_block = _BLOCK_NODES // _KR_NODES.size
+    for lo in range(0, edges.size - 1, per_block):
+        block = edges[lo:lo + per_block + 1]
+        half = 0.5 * np.diff(block)
+        s = (block[:-1, None] + half[:, None] * (1.0 + _KR_NODES)).ravel()
         _, hddot, _ = strain_samples(signal, s)
-        # cos and sin cost less than a complex exp of omega*s
-        parts = hddot * [np.cos(omega * s), np.sin(omega * s)]
-        re, im = half[:, 0] @ (parts.reshape(2, -1, _GL_NODES.size) @ _GL_WEIGHTS).T
-        total += complex(re, im)
-        scale += half[:, 0] @ (np.abs(hddot).reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)
-    return total, float(scale)
+        # cos and sin cost less than a complex exp of omega*s; taken in place,
+        # so a block holds no array beyond its nodes, hddot and parts
+        s *= omega
+        parts = np.empty((2, s.size))
+        np.cos(s, out=parts[0])
+        np.sin(s, out=parts[1])
+        parts *= hddot
+        (re_k, re_g), (im_k, im_g) = half @ (parts.reshape(2, -1, _KR_NODES.size) @ _RULES)
+        kronrod += complex(re_k, im_k)
+        gauss += complex(re_g, im_g)
+        scale += half @ (np.abs(hddot).reshape(-1, _KR_NODES.size) @ _KR_WEIGHTS)
+    return kronrod, gauss, float(scale)
 
 
-def oscillatory_integral(
-    signal: StrainSignal,
-    omega: float,
-    window: tuple[float, float],
-    *,
-    max_nodes: int = 2**23,
-) -> complex:
-    """Complex integral of hddot(s)*exp(i*omega*s) over the window.
-
-    Analytic signals use 16-point Gauss-Legendre on panels over the window
-    clipped to the signal's support. The first panel edges are a uniform
-    grid of at most two cycles of |omega| per panel joined with the instants
-    at which the signal phase advances by two cycles; the panels are halved
-    until the modulus changes by at most 1e-6 relative or by at most 1e-12
-    of integral |hddot| ds, a roundoff floor for integrals that cancel to
-    nearly zero (a window ending on a sinc zero). Sampled strain is
-    integrated on its own grid (trapezoid over the stored second
-    differences).
-
-    `max_nodes` bounds the strain evaluations of the call, which evaluates
-    its grids in blocks of panels: QuadratureConvergenceError is raised
-    before a grid that would pass it is built, carrying the last estimate:
-    the one-panel value if the first panels alone would pass it, nan if
-    not even one panel fits.
-    """
+def _quadrature(
+    signal: StrainSignal, omega: float, window: tuple[float, float],
+    max_nodes: int = _MAX_NODES,
+) -> tuple[complex, int, float | None]:
+    """`oscillatory_integral`, the strain samples it used and the final
+    |Kronrod - Gauss| / |Kronrod| (None for sampled strain)."""
     t0, t1 = window
     if isinstance(signal, SampledStrain):
         ts = signal.times
         keep = (ts >= t0) & (ts <= t1)
         ts = ts[keep]
         if ts.size < 2:
-            return 0.0 + 0.0j
+            return 0.0 + 0.0j, 0, None
         integrand = signal.hddot_samples[keep] * np.exp(1j * omega * ts)
-        return complex(np.trapezoid(integrand, ts))
+        return complex(np.trapezoid(integrand, ts)), int(ts.size), None
     if isinstance(signal, ChirpSource):
         t0, t1 = max(t0, 0.0), min(t1, signal.coalescence)
     if t1 <= t0:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0, 0.0
 
     phase, time_at = _phase_map(signal)
     n_uniform = max(math.ceil(abs(omega) * (t1 - t0) / _PANEL_PHASE), 1)
     n_phase = math.ceil((phase(t1) - phase(t0)) / _PANEL_PHASE)
     n_panels = n_uniform + max(n_phase - 1, 0)  # bounds the union's panels
-    order, spent, edges = _GL_NODES.size, 0, None
+    order, spent, edges = _KR_NODES.size, 0, None
     estimate = complex(math.nan, math.nan)
     if order <= max_nodes < n_panels * order:
         spent, estimate = order, _panel_sum(signal, omega, np.array([t0, t1]))[0]
@@ -165,19 +210,52 @@ def oscillatory_integral(
             phases = phase(t0) + _PANEL_PHASE * np.arange(1, n_phase)
             edges = np.union1d(np.linspace(t0, t1, n_uniform + 1),
                                np.clip(time_at(phases), t0, t1))
+            spent += (edges.size - 1 - n_panels) * order  # the union's true size
         else:
             edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        refined, scale = _panel_sum(signal, omega, edges)
-        bound = max(_TOL * max(abs(refined), abs(estimate)), _ROUNDOFF * scale)
-        if abs(refined - estimate) <= bound:
-            return refined
-        estimate, n_panels = refined, 2 * (edges.size - 1)
+        estimate, gauss, scale = _panel_sum(signal, omega, edges)
+        error = abs(estimate - gauss)
+        if error <= max(_TOL * abs(estimate), _ROUNDOFF * scale):
+            return estimate, spent, error / abs(estimate) if error else 0.0
+        n_panels = 2 * (edges.size - 1)
+
+
+def oscillatory_integral(
+    signal: StrainSignal,
+    omega: float,
+    window: tuple[float, float],
+    *,
+    max_nodes: int = _MAX_NODES,
+) -> complex:
+    """Complex integral of hddot(s)*exp(i*omega*s) over the window.
+
+    Analytic signals use the 33-point Gauss-Kronrod rule on panels over the
+    window clipped to the signal's support. The first panel edges are a
+    uniform grid of at most two cycles of |omega| per panel joined with the
+    instants at which the signal phase advances by two cycles. Each pass
+    evaluates every panel's 33 nodes once and gives the Kronrod sum and the
+    embedded 16-point Gauss-Legendre sum; the Kronrod sum is returned as
+    soon as the two differ by at most 1e-6 of its modulus or by at most
+    1e-12 of integral |hddot| ds, a roundoff floor for integrals that
+    cancel to nearly zero (a window ending on a sinc zero). Only when that
+    test fails are all panels halved for another pass. Sampled strain is
+    integrated on its own grid (trapezoid over the stored second
+    differences).
+
+    `max_nodes` bounds the strain evaluations of the call, which evaluates
+    its grids in blocks of at most 65 536 nodes: QuadratureConvergenceError
+    is raised before a grid that would pass it is built, carrying the last
+    estimate: the one-panel value if the first panels alone would pass it,
+    nan if not even one panel fits.
+    """
+    return _quadrature(signal, omega, window, max_nodes)[0]
 
 
 def chi_quadrature(signal: StrainSignal, omega: float, window: tuple[float, float]) -> ChiResult:
     """chi by direct oscillatory quadrature over the window."""
-    value = abs(oscillatory_integral(signal, omega, window))
-    return ChiResult(value, "quadrature", (float(window[0]), float(window[1])))
+    integral, nodes, error = _quadrature(signal, omega, window)
+    return ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])),
+                     nodes, error)
 
 
 def chi_monochromatic(h0: float, nu: float, omega: float, t: float) -> ChiResult:
@@ -334,8 +412,9 @@ def displacement_beta(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega)
-    integral = oscillatory_integral(signal, omega, window)
-    chi = ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])))
+    integral, nodes, error = _quadrature(signal, omega, window)
+    chi = ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])),
+                    nodes, error)
     beta = -1j * beta_prefactor(spec) * integral
     return BetaAmplitude(value=beta, detector=spec, signal=signal, chi=chi)
 

@@ -365,9 +365,9 @@ def _drive(
     Returns dbeta (n_steps,), step i's increment at index i - 1 (zero
     without a signal, or where the step's midpoint lies outside `window`
     or the signal's support), and the (time, kind) events of the window,
-    none when it covers no step. Step i covers [(i-1) dt, i dt] in run
-    time; the signal clock is run time - gw_start. `window` (signal time)
-    defaults to `default_window` over the run.
+    clipped to the run and none when it covers no step. Step i covers
+    [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
+    `window` (signal time) defaults to `default_window` over the run.
     """
     n_steps = int(round(duration / cfg.dt))
     if n_steps < 1:
@@ -389,7 +389,7 @@ def _drive(
         inside, -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
     )
     events = [
-        (gw_start + window[0], "gw_window_start"),
+        (max(gw_start + window[0], 0.0), "gw_window_start"),
         (min(gw_start + window[1], duration), "gw_window_end"),
     ]
     return drive, events

@@ -372,6 +372,9 @@ class TestChi:
         meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
         assert meta["chi_method_spread"] == (max(chi) - min(chi)) / max(chi)
         assert 0.0 < meta["chi_method_spread"] < 0.3
+        # the quadrature's health: one 33-node pass, accepted well inside 1e-6
+        assert meta["quadrature_nodes"] > 0 and meta["quadrature_nodes"] % 33 == 0
+        assert 0.0 <= meta["quadrature_error_estimate"] <= 1e-6
 
 
 class TestOptimalMass:

@@ -142,19 +142,73 @@ class TestChiQuadrature:
             evaluated.append(ts.size)
             return strain_samples(signal, ts)
 
-        monkeypatch.setattr(dynamics, "strain_samples", counting)
         window = chirp_window(ns_merger_chirp, OMEGA)
-        # a budget below one 16-node panel: no estimate at all
+        first_grid = chi_quadrature(ns_merger_chirp, OMEGA, window).nodes
+        one_panel = dynamics._panel_sum(ns_merger_chirp, OMEGA, np.array(window))[0]
+        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        # a budget below one 33-node panel: no estimate at all
         with pytest.raises(QuadratureConvergenceError) as info:
-            oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=15)
+            oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=32)
         assert math.isnan(info.value.last_estimate.real)
         assert evaluated == []
-        # budgets between the first and the halved grid carry the first
-        for max_nodes in (2000, 10_000):
+        # budgets below the first grid carry the one-panel estimate
+        for max_nodes in (33, 2000, first_grid - 1):
             evaluated.clear()
-            with pytest.raises(QuadratureConvergenceError):
+            with pytest.raises(QuadratureConvergenceError) as info:
                 oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=max_nodes)
+            assert info.value.last_estimate == one_panel
             assert sum(evaluated) <= max_nodes
+        # a budget of exactly the first grid converges on it
+        evaluated.clear()
+        value = oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=first_grid)
+        assert sum(evaluated) == first_grid
+        assert value == oscillatory_integral(ns_merger_chirp, OMEGA, window)
+
+    def test_chi_result_reports_nodes_and_error_estimate(self, ns_merger_chirp):
+        window = chirp_window(ns_merger_chirp, OMEGA)
+        res = chi_quadrature(ns_merger_chirp, OMEGA, window)
+        assert res.nodes > 0 and res.nodes % 33 == 0
+        assert 0.0 <= res.error_estimate <= 1e-6
+        beta_chi = displacement_beta(
+            DetectorSpec.from_frequency(MATERIALS["beryllium"], OMEGA, radius=0.5),
+            ns_merger_chirp, window,
+        ).chi
+        assert beta_chi == res
+
+
+class TestKronrodRule:
+    """The 33-point Gauss-Kronrod rule built at import (Laurie's algorithm)."""
+
+    def test_integrates_legendre_polynomials_to_degree_49(self):
+        vander = np.polynomial.legendre.legvander(dynamics._KR_NODES, 49)
+        exact = np.zeros(50)
+        exact[0] = 2.0
+        np.testing.assert_allclose(dynamics._KR_WEIGHTS @ vander, exact, rtol=0.0, atol=1e-14)
+
+    def test_weights_positive(self):
+        assert dynamics._KR_WEIGHTS.size == 33
+        assert np.all(dynamics._KR_WEIGHTS > 0.0)
+
+    def test_embeds_gauss_legendre_16(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(dynamics._KR_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(dynamics._RULES[1::2, 1], weights)
+        np.testing.assert_array_equal(dynamics._RULES[::2, 1], 0.0)
+        np.testing.assert_array_equal(dynamics._RULES[:, 0], dynamics._KR_WEIGHTS)
+
+    def test_fifteen_point_rule_matches_quadpack(self):
+        # QUADPACK's tabulated 15-point rule (dqk15), nonnegative nodes
+        nodes = [0.0, 0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+                 0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
+                 0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+                 0.991455371120812639206854697526329]
+        weights = [0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+                   0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+                   0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+                   0.063092092629978553290700663189204, 0.022935322010529224963732008058970]
+        x, w = dynamics._kronrod_rule(7)
+        np.testing.assert_allclose(x[7:], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w[7:], weights, rtol=0.0, atol=1e-15)
 
 
 class TestPanelQuadratureOracle:
@@ -231,7 +285,15 @@ class TestPanelQuadratureOracle:
                 return strain_samples(signal, ts)
             return wrapped
 
+        grids = []
+        panel_sum = dynamics._panel_sum
+
+        def recording(signal, omega, edges):
+            grids.append(edges.size - 1)
+            return panel_sum(signal, omega, edges)
+
         monkeypatch.setattr(dynamics, "strain_samples", counting("panel"))
+        monkeypatch.setattr(dynamics, "_panel_sum", recording)
         monkeypatch.setattr(quadrature_oracle, "strain_samples", counting("oracle"))
         omega = 2 * math.pi * 142.0
         window = (0.0, 0.999 * ns_merger_chirp.coalescence)
@@ -239,6 +301,9 @@ class TestPanelQuadratureOracle:
         oracle = simpson_integral(ns_merger_chirp, omega, window)
         assert abs(panel - oracle) <= 1e-6 * abs(oracle)
         assert counts["oracle"] >= 5 * counts["panel"]
+        # one pass over the first grid, each panel's 33 nodes evaluated once
+        assert len(grids) == 1
+        assert counts["panel"] == 33 * grids[0]
 
 
 class TestChiMonochromatic:

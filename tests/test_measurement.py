@@ -337,6 +337,16 @@ class TestRunTrajectory:
         start = [t for t, kind in rec.events if kind == "gw_window_start"][0]
         assert start == pytest.approx(2.5)
 
+    def test_window_events_clipped_to_the_run(self):
+        # a window that opens before the run and closes after it
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        wave = resonant_drive_for_beta(spec, 0.5, 2.0)
+        rec = run_trajectory(
+            spec, wave, cfg, duration=1.0, gw_start=-0.5, window=(0.0, 2.0)
+        )
+        assert rec.events == [(0.0, "gw_window_start"), (1.0, "gw_window_end")]
+
     def test_records_follow_stride(self):
         spec = toy_detector()
         cfg = MeasurementConfig(
@@ -548,7 +558,7 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     replay = Replay()
     state = initial if initial is not None else QuantumState.ground(cfg.dim)
     events = [
-        (gw_start + window[0], "gw_window_start"),
+        (max(gw_start + window[0], 0.0), "gw_window_start"),
         (min(gw_start + window[1], duration), "gw_window_end"),
     ]
     rows = []
