@@ -18,7 +18,7 @@ byte for byte. All CSV floats use shortest round-trip formatting.
 `simulate` runs its trajectories through `measurement.run_ensemble`'s chunk
 stream and reduction, writing each trajectory's CSV from its chunk. The
 drive (`measurement._drive`) is computed once, and the truncation guard
-reads the same increments.
+sums its increments over each reinit period before any step runs.
 
 The integration window of a source (signal time) is resolved once, when
 the config is parsed, and recorded as [source] window_start/window_end:

@@ -129,8 +129,9 @@ _RULES[1::2, 1] = np.polynomial.legendre.leggauss(16)[1]
 _PANEL_PHASE = 4.0 * math.pi  # two cycles per first-grid panel
 _TOL = 1e-6  # |Kronrod - Gauss| relative to |Kronrod| at which a grid is accepted
 _ROUNDOFF = 1e-12  # differences below this fraction of integral |hddot| ds are roundoff
-_BLOCK_NODES = 65536  # nodes evaluated at once: a few MB at any grid size
+_BLOCK_NODES = 16384  # nodes evaluated at once: under a MB at any grid size
 _MAX_NODES = 2**23  # default strain-evaluation budget of one integral
+_ROUNDING = 64 * np.finfo(float).eps  # edges closer than this times |t| coincide
 
 
 def _phase_map(signal: StrainSignal):
@@ -146,12 +147,13 @@ def _phase_map(signal: StrainSignal):
 
 def _panel_sum(
     signal: StrainSignal, omega: float, edges: np.ndarray
-) -> tuple[complex, complex, float]:
-    """Kronrod and embedded Gauss integrals over the panels between `edges`,
-    and the Kronrod integral of |hddot|, from one evaluation of each node."""
-    kronrod, gauss, scale = 0.0 + 0.0j, 0.0 + 0.0j, 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod and embedded Gauss integrals over each panel between `edges`,
+    and its Kronrod integral of |hddot|, from one evaluation of each node."""
+    n = edges.size - 1
+    kronrod, gauss, scale = np.empty(n, complex), np.empty(n, complex), np.empty(n)
     per_block = _BLOCK_NODES // _KR_NODES.size
-    for lo in range(0, edges.size - 1, per_block):
+    for lo in range(0, n, per_block):
         block = edges[lo:lo + per_block + 1]
         half = 0.5 * np.diff(block)
         s = (block[:-1, None] + half[:, None] * (1.0 + _KR_NODES)).ravel()
@@ -163,41 +165,52 @@ def _panel_sum(
         np.cos(s, out=parts[0])
         np.sin(s, out=parts[1])
         parts *= hddot
-        (re_k, re_g), (im_k, im_g) = half @ (parts.reshape(2, -1, _KR_NODES.size) @ _RULES)
-        kronrod += complex(re_k, im_k)
-        gauss += complex(re_g, im_g)
-        scale += half @ (np.abs(hddot).reshape(-1, _KR_NODES.size) @ _KR_WEIGHTS)
-    return kronrod, gauss, float(scale)
+        re, im = parts.reshape(2, -1, _KR_NODES.size) @ _RULES
+        panels = slice(lo, lo + half.size)
+        kronrod[panels], gauss[panels] = (half[:, None] * (re + 1j * im)).T
+        scale[panels] = half * (np.abs(hddot).reshape(-1, _KR_NODES.size) @ _KR_WEIGHTS)
+    return kronrod, gauss, scale
+
+
+def _merged(grid: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Sorted union of `grid` and `cuts`, less each edge of `grid` within
+    rounding of the edge before it or of a cut after it: cuts stay exact."""
+    edges = np.union1d(grid, cuts)
+    far = np.diff(edges) > _ROUNDING * max(abs(edges[0]), abs(edges[-1]))
+    free = ~np.isin(edges, cuts)
+    return edges[~free | np.append(True, far) & np.append(far | free[1:], True)]
 
 
 def _quadrature(
-    signal: StrainSignal, omega: float, window: tuple[float, float],
-    max_nodes: int = _MAX_NODES,
-) -> tuple[complex, int, float | None]:
-    """`oscillatory_integral`, the strain samples it used and the final
-    |Kronrod - Gauss| / |Kronrod| (None for sampled strain)."""
-    t0, t1 = window
+    signal: StrainSignal, omega: float, cuts, max_nodes: int = _MAX_NODES,
+) -> tuple[np.ndarray, int, float | None]:
+    """`oscillatory_integral` over each segment between the sorted `cuts` (a
+    window's two edges give one), the strain samples the node budget counts
+    and the sum's final |Kronrod - Gauss| / |Kronrod| (None if sampled)."""
+    cuts = np.asarray(cuts, dtype=float)
     if isinstance(signal, SampledStrain):
         ts = signal.times
-        keep = (ts >= t0) & (ts <= t1)
+        keep = (ts >= cuts[0]) & (ts <= cuts[-1])
         ts = ts[keep]
         if ts.size < 2:
-            return 0.0 + 0.0j, 0, None
+            return np.zeros(cuts.size - 1, dtype=complex), 0, None
         integrand = signal.hddot_samples[keep] * np.exp(1j * omega * ts)
-        return complex(np.trapezoid(integrand, ts)), int(ts.size), None
+        running = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts))
+        return np.diff(np.interp(cuts, ts, np.append(0.0, running))), int(ts.size), None
     if isinstance(signal, ChirpSource):
-        t0, t1 = max(t0, 0.0), min(t1, signal.coalescence)
+        cuts = np.clip(cuts, 0.0, signal.coalescence)
+    t0, t1 = cuts[0], cuts[-1]
     if t1 <= t0:
-        return 0.0 + 0.0j, 0, 0.0
+        return np.zeros(cuts.size - 1, dtype=complex), 0, 0.0
 
     phase, time_at = _phase_map(signal)
     n_uniform = max(math.ceil(abs(omega) * (t1 - t0) / _PANEL_PHASE), 1)
     n_phase = math.ceil((phase(t1) - phase(t0)) / _PANEL_PHASE)
-    n_panels = n_uniform + max(n_phase - 1, 0)  # bounds the union's panels
+    n_panels = n_uniform + max(n_phase - 1, 0)  # bounds the grid's panels
     order, spent, edges = _KR_NODES.size, 0, None
     estimate = complex(math.nan, math.nan)
     if order <= max_nodes < n_panels * order:
-        spent, estimate = order, _panel_sum(signal, omega, np.array([t0, t1]))[0]
+        spent, estimate = order, complex(_panel_sum(signal, omega, np.array([t0, t1]))[0][0])
     while True:
         spent += n_panels * order
         if spent > max_nodes:
@@ -208,16 +221,23 @@ def _quadrature(
             )
         if edges is None:
             phases = phase(t0) + _PANEL_PHASE * np.arange(1, n_phase)
-            edges = np.union1d(np.linspace(t0, t1, n_uniform + 1),
-                               np.clip(time_at(phases), t0, t1))
-            spent += (edges.size - 1 - n_panels) * order  # the union's true size
+            edges = _merged(np.concatenate([np.linspace(t0, t1, n_uniform + 1),
+                                            np.clip(time_at(phases), t0, t1)]), cuts)
+            inner = np.unique(cuts).size - 2  # the budget spares a panel per inner cut
+            spent += (edges.size - 1 - inner - n_panels) * order  # the grid's true size
+            n_panels = edges.size - 1 - inner
         else:
             edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        estimate, gauss, scale = _panel_sum(signal, omega, edges)
-        error = abs(estimate - gauss)
-        if error <= max(_TOL * abs(estimate), _ROUNDOFF * scale):
-            return estimate, spent, error / abs(estimate) if error else 0.0
-        n_panels = 2 * (edges.size - 1)
+        # each segment sums its own panels, an empty one (a repeated cut) none
+        first = np.searchsorted(edges, cuts)
+        kronrod, gauss, scale = (
+            np.add.reduceat(np.append(x, 0.0), first[:-1]) * (first[:-1] < first[1:])
+            for x in _panel_sum(signal, omega, edges)
+        )
+        estimate, error = complex(kronrod.sum()), abs(kronrod.sum() - gauss.sum())
+        if np.all(abs(kronrod - gauss) <= np.maximum(_TOL * abs(kronrod), _ROUNDOFF * scale)):
+            return kronrod, spent, error / abs(estimate) if error else 0.0
+        n_panels *= 2
 
 
 def oscillatory_integral(
@@ -232,29 +252,32 @@ def oscillatory_integral(
     Analytic signals use the 33-point Gauss-Kronrod rule on panels over the
     window clipped to the signal's support. The first panel edges are a
     uniform grid of at most two cycles of |omega| per panel joined with the
-    instants at which the signal phase advances by two cycles. Each pass
-    evaluates every panel's 33 nodes once and gives the Kronrod sum and the
-    embedded 16-point Gauss-Legendre sum; the Kronrod sum is returned as
-    soon as the two differ by at most 1e-6 of its modulus or by at most
-    1e-12 of integral |hddot| ds, a roundoff floor for integrals that
-    cancel to nearly zero (a window ending on a sinc zero). Only when that
-    test fails are all panels halved for another pass. Sampled strain is
-    integrated on its own grid (trapezoid over the stored second
-    differences).
+    instants at which the signal phase advances by two cycles, less edges
+    that coincide with another up to rounding. Each pass evaluates every
+    panel's 33 nodes once and gives the Kronrod sum and the embedded
+    16-point Gauss-Legendre sum; the Kronrod sum is returned as soon as the
+    two differ by at most 1e-6 of its modulus or by at most 1e-12 of
+    integral |hddot| ds, a roundoff floor for integrals that cancel to
+    nearly zero (a window ending on a sinc zero). Only when that test fails
+    are all panels halved for another pass. Sampled strain is integrated on
+    its own grid (trapezoid over the stored second differences).
 
-    `max_nodes` bounds the strain evaluations of the call, which evaluates
-    its grids in blocks of at most 65 536 nodes: QuadratureConvergenceError
-    is raised before a grid that would pass it is built, carrying the last
-    estimate: the one-panel value if the first panels alone would pass it,
-    nan if not even one panel fits.
+    `measurement._drive` integrates each step of a run by the same rule:
+    the step boundaries join the first grid, and every step passes the test.
+
+    `max_nodes` bounds the strain evaluations of the call (bar the panels
+    the step boundaries add), in blocks of at most 16 384 nodes.
+    QuadratureConvergenceError is raised before a grid that
+    would pass it is built, carrying the last estimate: the one-panel value
+    if the first panels alone would pass it, nan if not even one panel fits.
     """
-    return _quadrature(signal, omega, window, max_nodes)[0]
+    return complex(_quadrature(signal, omega, window, max_nodes)[0][0])
 
 
 def chi_quadrature(signal: StrainSignal, omega: float, window: tuple[float, float]) -> ChiResult:
     """chi by direct oscillatory quadrature over the window."""
-    integral, nodes, error = _quadrature(signal, omega, window)
-    return ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])),
+    (integral,), nodes, error = _quadrature(signal, omega, window)
+    return ChiResult(float(abs(integral)), "quadrature", (float(window[0]), float(window[1])),
                      nodes, error)
 
 
@@ -412,10 +435,10 @@ def displacement_beta(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega)
-    integral, nodes, error = _quadrature(signal, omega, window)
-    chi = ChiResult(abs(integral), "quadrature", (float(window[0]), float(window[1])),
+    (integral,), nodes, error = _quadrature(signal, omega, window)
+    chi = ChiResult(float(abs(integral)), "quadrature", (float(window[0]), float(window[1])),
                     nodes, error)
-    beta = -1j * beta_prefactor(spec) * integral
+    beta = -1j * beta_prefactor(spec) * complex(integral)
     return BetaAmplitude(value=beta, detector=spec, signal=signal, chi=chi)
 
 

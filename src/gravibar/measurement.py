@@ -10,8 +10,8 @@ monitored populations signals a single absorbed energy quantum.
 The drive enters purely as interaction-picture displacement increments
 d(beta) = -i g(s) e^{i omega s} ds, so free evolution never has to be
 tracked; number-basis populations are invariant under it. `_drive` computes
-a run's increments once, one per step, and every batch of the run and the
-CLI's truncation guard read that one array.
+a run's increments once, each step's by the quadrature of chi and beta, and
+every batch of the run and the CLI's truncation guard read that one array.
 
 A run carries only the state each stretch of it needs:
 
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import DetectorSpec, mode_frequency
-from .dynamics import beta_prefactor, default_window
+from .dynamics import _quadrature, beta_prefactor, default_window
 from .fock import (
     TRACE_UNDERFLOW,
     DisplacementCache,
@@ -68,7 +68,7 @@ from .fock import (
     TraceUnderflowError,
     creation,
 )
-from .waveform import StrainSignal, strain_samples
+from .waveform import StrainSignal
 
 
 @dataclass(frozen=True)
@@ -360,11 +360,12 @@ def _drive(
     gw_start: float,
     window: tuple[float, float] | None,
 ) -> tuple[np.ndarray, list[tuple[float, str]]]:
-    """The drive increments of a run, midpoint-sampled, and its window events.
+    """The drive increments of a run and its window events.
 
-    Returns dbeta (n_steps,), step i's increment at index i - 1 (zero
-    without a signal, or where the step's midpoint lies outside `window`
-    or the signal's support), and the (time, kind) events of the window,
+    Returns dbeta (n_steps,), step i's increment at index i - 1: the
+    `dynamics._quadrature` segment of the step's part inside `window`, so
+    the increments sum to `displacement_beta` at any dt (zero without a
+    signal). Also returns the (time, kind) events of the window,
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
     `window` (signal time) defaults to `default_window` over the run.
@@ -378,16 +379,10 @@ def _drive(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega, duration - gw_start)
-    i_start = max(1, int(math.floor((gw_start + window[0]) / cfg.dt)) + 1)
-    i_stop = min(n_steps, int(math.ceil((gw_start + window[1]) / cfg.dt)))
-    if i_stop < i_start:
+    cuts = np.clip(np.arange(n_steps + 1) * cfg.dt - gw_start, *window)
+    if cuts[-1] <= cuts[0]:
         return drive, []
-    s_mid = (np.arange(i_start, i_stop + 1) - 0.5) * cfg.dt - gw_start
-    _, hddot, ok = strain_samples(signal, s_mid)
-    inside = ok & (s_mid >= window[0]) & (s_mid <= window[1])
-    drive[i_start - 1 : i_stop] = np.where(
-        inside, -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt, 0.0
-    )
+    drive = -1j * beta_prefactor(spec) * _quadrature(signal, omega, cuts)[0]
     events = [
         (max(gw_start + window[0], 0.0), "gw_window_start"),
         (min(gw_start + window[1], duration), "gw_window_end"),

@@ -310,6 +310,7 @@ def test_criterion_11_classical_timedelay():
         assert 1e-26 / 3.0 <= tau <= 3.0 * 1e-26
 
 
+# a resonant drive the dim holds: |beta|^2 = 0.64 over the run
 SIM_CONFIG = """\
 [detector]
 material = niobium
@@ -318,7 +319,7 @@ radius = 0.5
 
 [source]
 type = monochromatic
-h0 = 5e-22
+h0 = 5e-25
 frequency_hz = 2500
 
 [measurement]

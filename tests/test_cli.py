@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from strain_oracle import save_strain_series
 
+from gravibar import measurement
 from gravibar.cli import ConfigError, main, parse_config
 from gravibar.detector import gamma_stimulated, mode_frequency
 from gravibar.dynamics import chi_quadrature, optimal_mass
@@ -60,8 +61,9 @@ directory = {out}
 """
 
 
-# 66 trajectories cross the chunk boundary at 64; drive, displacement noise,
-# thermal jumps (~1.3 Hz) and a reinit at 0.3 s
+# 66 trajectories cross the chunk boundary at 64; drive (|beta|^2 = 0.23 per
+# reinit period), displacement noise, thermal jumps (~1.3 Hz) and a reinit
+# at 0.3 s
 ENSEMBLE_CONFIG = """\
 [detector]
 material = niobium
@@ -72,7 +74,7 @@ temperature = 1e-3
 
 [source]
 type = monochromatic
-h0 = 5e-22
+h0 = 2e-24
 frequency_hz = 2500
 
 [measurement]
@@ -335,6 +337,14 @@ class TestChi:
         hddot_l1 = 5e-22 * nu**2 * 2.0 * t / math.pi  # whole half-cycles of |sin|
         assert abs(chi["quadrature"] - chi["monochromatic_closed_form"]) <= 1e-11 * hddot_l1
 
+    def test_coinciding_grids_add_no_sliver_panels(self, tmp_path):
+        # on resonance the uniform and the phase grid coincide up to
+        # rounding: 2 s of a 2 500 Hz wave is 2 500 two-cycle panels
+        path = write_config(tmp_path, MONO_CONFIG)
+        assert main(["chi", "--config", path]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["quadrature_nodes"] <= 33 * 2501
+
     def test_chirp_methods_present(self, tmp_path):
         text = CHIRP_CONFIG + "\n[measurement]\nduration = 60\n"
         path = write_config(tmp_path, text)
@@ -449,8 +459,11 @@ class TestOptimalMass:
 
 
 class TestSimulate:
+    # MONO_CONFIG's drive at an h0 its dim holds: |beta|^2 = 0.64 over the run
+    CONFIG = MONO_CONFIG.replace("h0 = 5e-22", "h0 = 5e-25")
+
     def test_byte_identical_reruns(self, tmp_path):
-        path = write_config(tmp_path, MONO_CONFIG)
+        path = write_config(tmp_path, self.CONFIG)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "a")]) == 0
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "b")]) == 0
         names = sorted(os.listdir(tmp_path / "a"))
@@ -464,7 +477,7 @@ class TestSimulate:
             assert a == b, f"{name} differs between identical runs"
 
     def test_seed_override_changes_readout(self, tmp_path):
-        path = write_config(tmp_path, MONO_CONFIG)
+        path = write_config(tmp_path, self.CONFIG)
         main(["simulate", "--config", path, "--out", str(tmp_path / "a")])
         main(
             ["simulate", "--config", path, "--out", str(tmp_path / "b"),
@@ -475,7 +488,7 @@ class TestSimulate:
         assert a != b
 
     def test_n_traj_override(self, tmp_path):
-        path = write_config(tmp_path, MONO_CONFIG)
+        path = write_config(tmp_path, self.CONFIG)
         main(
             ["simulate", "--config", path, "--out", str(tmp_path / "c"),
              "--n-traj", "3"]
@@ -484,7 +497,7 @@ class TestSimulate:
         assert sum(1 for n in names if n.startswith("trajectory_")) == 3
 
     def test_summary_columns(self, tmp_path):
-        path = write_config(tmp_path, MONO_CONFIG)
+        path = write_config(tmp_path, self.CONFIG)
         main(["simulate", "--config", path])
         header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
         assert header == "time,mean_rho00,mean_rho11,mean_rho22"
@@ -502,6 +515,9 @@ class TestSimulate:
         run = parse_config(path)
         args = (run.detector, run.signal, run.measurement)
         kwargs = dict(duration=run.duration, gw_start=run.gw_start, window=run.window)
+        # the runs are driven: |beta| over the first reinit period
+        drive, _ = measurement._drive(*args, **kwargs)
+        assert abs(drive[:30].sum()) >= 0.3
         children = np.random.SeedSequence(run.measurement.seed).spawn(n)
         for k, child in enumerate(children):
             rec = run_trajectory(*args, rng=np.random.default_rng(child), **kwargs)

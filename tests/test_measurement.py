@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from jump_oracle import jump_starts
 from measurement_oracle import measurement_operator, sample_readout
 from numpy.polynomial.hermite import hermgauss
-from strain_oracle import sample
 
 from gravibar import measurement
-from gravibar.detector import DetectorSpec, Material, mode_frequency
+from gravibar.detector import MATERIALS, DetectorSpec, Material, mode_frequency
 from gravibar.dynamics import beta_prefactor, displacement_beta
 from gravibar.fock import (
     DisplacementCache,
@@ -35,7 +34,7 @@ from gravibar.measurement import (
     run_trajectory,
     step,
 )
-from gravibar.waveform import MonochromaticWave
+from gravibar.waveform import ChirpSource, MonochromaticWave, SampledStrain, resonance_time
 
 
 class ZeroNoise:
@@ -491,14 +490,27 @@ class TestRunTrajectory:
         ]
 
 
-def midpoint_drive(spec, wave, cfg, i, gw_start, window):
-    """The drive increment of step i, midpoint-sampled inside `window`."""
-    s_mid = (i - 0.5) * cfg.dt - gw_start
-    if not window[0] <= s_mid <= window[1]:
+def step_drive(spec, wave, cfg, i, gw_start, window):
+    """The drive increment of step i in closed form: -i prefactor times the
+    integral of hddot(s) e^{i omega s} over the step's part inside `window`,
+    for a monochromatic wave."""
+    lo = max((i - 1) * cfg.dt - gw_start, window[0])
+    hi = min(i * cfg.dt - gw_start, window[1])
+    if hi <= lo:
         return 0.0
-    hddot = sample(wave, s_mid)[1]
-    omega = mode_frequency(spec)
-    return -1j * beta_prefactor(spec) * hddot * np.exp(1j * omega * s_mid) * cfg.dt
+    width, mid = hi - lo, 0.5 * (lo + hi)
+
+    def segment(k):  # integral of e^{iks} over [lo, hi]
+        return width * np.exp(1j * k * mid) * np.sinc(k * width / (2.0 * np.pi))
+
+    # hddot = -nu^2 h0 sin(nu s + phi0), the sine as two exponentials; the
+    # near-resonant term is the one at k = omega - nu
+    omega, nu = mode_frequency(spec), wave.nu
+    integral = -(nu**2) * wave.h0 / 2j * (
+        np.exp(1j * wave.phi0) * segment(omega + nu)
+        - np.exp(-1j * wave.phi0) * segment(omega - nu)
+    )
+    return -1j * beta_prefactor(spec) * integral
 
 
 def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
@@ -520,7 +532,7 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
         state = apply_normalized(
             state, measurement_operator(r, cfg.dt, cfg.t_m, cfg.dim)
         )
-        dbeta = midpoint_drive(spec, wave, cfg, i, gw_start, window)
+        dbeta = step_drive(spec, wave, cfg, i, gw_start, window)
         gamma = complex(*gammas[i - 1])
         for z in (dbeta, gamma):
             if z != 0.0:
@@ -538,7 +550,7 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
 
     Draws the noise from the default generator of `cfg.seed` the way the
     engine does (readout normals, then noise normals, then thermal
-    uniforms), drives with midpoint increments restricted to `window`, and
+    uniforms), drives with closed-form increments restricted to `window`, and
     reinitializes every t_meas. Returns the record and its events.
     """
     n_steps = int(round(duration / cfg.dt))
@@ -563,7 +575,7 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     ]
     rows = []
     for i in range(1, n_steps + 1):
-        dbeta = midpoint_drive(spec, wave, cfg, i, gw_start, window)
+        dbeta = step_drive(spec, wave, cfg, i, gw_start, window)
         state, r = step(state, cfg, dbeta, replay)
         if i % steps_per_reinit == 0 and i < n_steps:
             state = QuantumState.ground(cfg.dim)
@@ -574,6 +586,99 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     return TrajectoryRecord(
         times, readouts, rho00, rho11, rho22, sorted(events, key=lambda ev: ev[0])
     )
+
+
+class TestDrive:
+    """`measurement._drive` integrates each step exactly, at any dt."""
+
+    BAR = DetectorSpec(MATERIALS["niobium"], length=1.0, radius=0.5)  # 2 500 Hz
+    FIG3 = DetectorSpec.from_frequency(MATERIALS["beryllium"], 2 * math.pi * 100, mass=21.73)
+    CHIRP = ChirpSource.from_solar_masses(1.19, h0=2e-22, nu0=2 * math.pi * 30.0)
+
+    @pytest.mark.parametrize("spec, omega_dt", [
+        (BAR, 50 * math.pi),  # dt = 10 ms: every step's midpoint on a zero of the wave
+        (toy_detector(), 0.63),
+    ], ids=["omega_dt=50pi", "omega_dt=0.63"])
+    def test_matches_closed_form_step_by_step(self, spec, omega_dt):
+        dt = omega_dt / mode_frequency(spec)
+        wave = MonochromaticWave(h0=1e-21, nu=mode_frequency(spec), phi0=0.4)
+        cfg = MeasurementConfig(dt=dt, t_m=0.5, t_meas=10.0, dim=4)
+        gw_start, window = 0.37 * dt, (0.61 * dt, 37.3 * dt)  # edges off the grid
+        drive, _ = measurement._drive(spec, wave, cfg, 40 * dt, gw_start, window)
+        expected = [step_drive(spec, wave, cfg, i, gw_start, window) for i in range(1, 41)]
+        np.testing.assert_allclose(
+            drive, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
+        assert np.count_nonzero(drive) == 38  # steps 1-38 meet the window
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        source=st.sampled_from(["monochromatic", "chirp at resonance", "chirp at its start"]),
+        omega_dt=st.floats(0.1, 40.0),
+        n_steps=st.integers(1, 300),
+        detune=st.floats(0.8, 1.25),
+        start=st.floats(-0.6, 0.6),
+        lo=st.floats(-0.3, 0.95),
+        width=st.floats(0.02, 1.3),
+    )
+    def test_increments_sum_to_displacement_beta(
+        self, source, omega_dt, n_steps, detune, start, lo, width
+    ):
+        # window edges off the step grid, runs that start before or after
+        # the signal clock's zero (negative and positive gw_start) and, for
+        # the chirp, runs across the resonance or across its start at s = 0
+        chirp = source != "monochromatic"
+        spec = self.FIG3 if chirp else toy_detector()
+        omega = mode_frequency(spec)
+        cfg = MeasurementConfig(dt=omega_dt / omega, t_m=0.5, t_meas=1e3, dim=4)
+        duration = n_steps * cfg.dt
+        if chirp:
+            signal = self.CHIRP
+            anchor = resonance_time(signal.nu0, signal.k, omega) if "resonance" in source else 0.0
+        else:
+            signal, anchor = MonochromaticWave(h0=1e-21, nu=detune * omega, phi0=0.3), 0.0
+        gw_start = -(anchor + start * duration)
+        window = (-gw_start + lo * duration, -gw_start + (lo + width) * duration)
+        if chirp:  # clear of coalescence, where hddot has no finite quadrature
+            window = (window[0], min(window[1], signal.coalescence - 1.0))
+        drive, events = measurement._drive(spec, signal, cfg, duration, gw_start, window)
+        inside = (max(window[0], -gw_start), min(window[1], duration - gw_start))
+        if inside[1] <= inside[0]:
+            assert not drive.any() and events == []
+            return
+        beta = displacement_beta(spec, signal, inside).value
+        assert abs(drive.sum() - beta) <= 1e-9 * abs(beta)
+
+    def test_sampled_strain_steps_sum_to_its_trapezoid(self):
+        # each step takes its share of the trapezoid over the stored samples
+        # in the window, cut where the steps end (off the sample grid)
+        spec = toy_detector()
+        omega = mode_frequency(spec)
+        strain = SampledStrain(0.0, 1e-3, 1e-21 * np.sin(omega * np.arange(3000) * 1e-3))
+        cfg = MeasurementConfig(dt=0.0137, t_m=0.5, t_meas=10.0, dim=4)
+        window = (0.3004, 2.0503)
+        drive, _ = measurement._drive(spec, strain, cfg, 2.5, 0.21, window)
+        ts = strain.times
+        keep = (ts >= window[0]) & (ts <= window[1])
+        beta = -1j * beta_prefactor(spec) * np.trapezoid(
+            strain.hddot_samples[keep] * np.exp(1j * omega * ts[keep]), ts[keep]
+        )
+        assert abs(drive.sum() - beta) <= 1e-12 * abs(beta)
+        steps = np.flatnonzero(drive)
+        assert (steps[0], steps[-1]) == (37, 164)  # the steps that meet the window
+
+    def test_window_beyond_the_node_budget_still_driven(self):
+        # the step cuts do not count against the quadrature's node budget:
+        # more steps than 2^23 / 33 panels
+        spec = toy_detector()
+        n_steps = 2**23 // 33 + 1000
+        cfg = MeasurementConfig(dt=1e-4, t_m=0.5, t_meas=1e3, dim=4)
+        duration = n_steps * cfg.dt
+        wave = resonant_drive_for_beta(spec, 0.5, duration)
+        drive, _ = measurement._drive(spec, wave, cfg, duration, 0.0, None)
+        beta = displacement_beta(spec, wave, (0.0, duration)).value
+        assert abs(drive.sum() - beta) <= 1e-9 * abs(beta)
+        assert np.count_nonzero(drive) == n_steps
 
 
 class TestDiagonalOracle:
