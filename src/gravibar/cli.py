@@ -368,8 +368,14 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     f_min = sens.value("f_min_hz", default=50.0)
     f_max = sens.value("f_max_hz", default=2000.0)
     n_pts = sens.value("n_points", int, default=40)
-    if f_max <= f_min:
-        raise ConfigError("[sensitivity] f_max_hz must exceed f_min_hz")
+    if n_pts < 1:
+        raise ConfigError(f"[sensitivity] n_points = {n_pts} must be >= 1")
+    if not f_min > 0.0:
+        raise ConfigError(f"[sensitivity] f_min_hz = {f_min!r} Hz must be > 0")
+    if not f_min < f_max < math.inf:
+        raise ConfigError(
+            f"[sensitivity] f_max_hz = {f_max!r} Hz must be finite and exceed f_min_hz"
+        )
     grid = np.geomspace(f_min, f_max, n_pts)
 
     lat = section("lattice")
@@ -547,22 +553,27 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
     if problem := check_truncation(beta, cfg.dim):
         raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
 
+    times = None  # every chunk records at the same times: formatted once, for every file
+
     def written_chunks():
+        nonlocal times
         for lo, batch in _ensemble_chunks(
             cfg, drive, events, run.n_traj, cfg.seed, series=True
         ):
+            if times is None:
+                times = np.array(list(map(repr, batch.times.tolist())))
             for j in range(batch.readouts.shape[1]):
                 rec = batch.record(j)
                 _write_csv(
                     outputs, f"trajectory_{lo + j}.csv", "time,r,rho00,rho11,rho22",
-                    [rec.times, rec.readout, rec.rho00, rec.rho11, rec.rho22],
+                    [times, rec.readout, rec.rho00, rec.rho11, rec.rho22],
                 )
             yield lo, batch
 
     summary = _summarize(written_chunks(), run.n_traj)
     _write_csv(
         outputs, "summary.csv", "time,mean_rho00,mean_rho11,mean_rho22",
-        [summary.times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22],
+        [times, summary.mean_rho00, summary.mean_rho11, summary.mean_rho22],
     )
     for k, jumps in enumerate(summary.jump_times):
         events = summary.events + [(t, "jump_detected") for t in jumps]

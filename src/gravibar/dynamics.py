@@ -119,6 +119,21 @@ def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 1.0 / norm
 
 
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a well-conditioned matrix by Gauss-Jordan elimination with
+    partial pivoting; np.linalg.inv would add ~0.6 MB of resident LAPACK."""
+    n = a.shape[0]
+    work = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        work[[k, p]] = work[[p, k]]
+        work[k] /= work[k, k]
+        factors = work[:, k].copy()
+        factors[k] = 0.0
+        work -= factors[:, None] * work[k]
+    return work[:, n:]
+
+
 # 33-point Gauss-Kronrod rule on [-1, 1], applied on every panel. Its odd
 # nodes are those of 16-point Gauss-Legendre, so one evaluation of a panel
 # gives both sums: column 0 weighs the nodes by Kronrod, column 1 by Gauss.
@@ -126,6 +141,15 @@ _KR_NODES, _KR_WEIGHTS = _kronrod_rule(16)
 _RULES = np.zeros((_KR_NODES.size, 2))
 _RULES[:, 0] = _KR_WEIGHTS
 _RULES[1::2, 1] = np.polynomial.legendre.leggauss(16)[1]
+# Row k takes the values at the nodes to the T_k coefficient of the running
+# integral from -1 of their degree-32 interpolant, so that one evaluation of a
+# panel also splits it at any cut: T_k(cos t) = cos(k t) gives every term at
+# once. T_k(1) = 1 and the Kronrod rule is interpolatory, so the rows sum to
+# the Kronrod weights.
+_RUNNING = np.polynomial.chebyshev.chebint(
+    _inverse(np.polynomial.chebyshev.chebvander(_KR_NODES, _KR_NODES.size - 1)), lbnd=-1
+)
+_DEGREES = np.arange(_RUNNING.shape[0])
 _PANEL_PHASE = 4.0 * math.pi  # two cycles per first-grid panel
 _TOL = 1e-6  # |Kronrod - Gauss| relative to |Kronrod| at which a grid is accepted
 _ROUNDOFF = 1e-12  # differences below this fraction of integral |hddot| ds are roundoff
@@ -146,12 +170,17 @@ def _phase_map(signal: StrainSignal):
 
 
 def _panel_sum(
-    signal: StrainSignal, omega: float, edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    signal: StrainSignal, omega: float, edges: np.ndarray, cuts: np.ndarray = np.empty(0),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod and embedded Gauss integrals over each panel between `edges`,
-    and its Kronrod integral of |hddot|, from one evaluation of each node."""
+    its Kronrod integral of |hddot|, and for each of the sorted inner `cuts`
+    the integral from the start of its panel to the cut of the degree-32
+    interpolant through that panel's nodes, from one evaluation of each node."""
     n = edges.size - 1
     kronrod, gauss, scale = np.empty(n, complex), np.empty(n, complex), np.empty(n)
+    panel = np.searchsorted(edges, cuts, "right") - 1
+    x = 2.0 * (cuts - edges[panel]) / (edges[panel + 1] - edges[panel]) - 1.0
+    heads = np.empty(cuts.size, complex)
     per_block = _BLOCK_NODES // _KR_NODES.size
     for lo in range(0, n, per_block):
         block = edges[lo:lo + per_block + 1]
@@ -165,28 +194,52 @@ def _panel_sum(
         np.cos(s, out=parts[0])
         np.sin(s, out=parts[1])
         parts *= hddot
-        re, im = parts.reshape(2, -1, _KR_NODES.size) @ _RULES
+        parts = parts.reshape(2, -1, _KR_NODES.size)
+        re, im = parts @ _RULES
         panels = slice(lo, lo + half.size)
         kronrod[panels], gauss[panels] = (half[:, None] * (re + 1j * im)).T
         scale[panels] = half * (np.abs(hddot).reshape(-1, _KR_NODES.size) @ _KR_WEIGHTS)
-    return kronrod, gauss, scale
+        # the cuts in the block, a block of them at a time: the running
+        # integral's coefficients of the panels they fall in, summed at them
+        a, b = np.searchsorted(panel, [lo, lo + half.size])
+        for c in range(a, b, per_block):
+            cut = slice(c, min(c + per_block, b))
+            hit, rows = np.unique(panel[cut] - lo, return_inverse=True)
+            re, im = parts[:, hit] @ _RUNNING.T
+            terms = np.cos(np.multiply.outer(np.arccos(x[cut]), _DEGREES))
+            heads[cut] = half[hit][rows] * np.einsum("ck,ck->c", terms, (re + 1j * im)[rows])
+    return kronrod, gauss, scale, heads
 
 
-def _merged(grid: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Sorted union of `grid` and `cuts`, less each edge of `grid` within
-    rounding of the edge before it or of a cut after it: cuts stay exact."""
-    edges = np.union1d(grid, cuts)
-    far = np.diff(edges) > _ROUNDING * max(abs(edges[0]), abs(edges[-1]))
-    free = ~np.isin(edges, cuts)
-    return edges[~free | np.append(True, far) & np.append(far | free[1:], True)]
+def _sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sum of x[first[i]:first[i + 1]] for each i, zero where that is empty,
+    for a non-decreasing `first` that ends at x.size."""
+    return np.add.reduceat(np.append(x, 0.0), first[:-1]) * (first[:-1] < first[1:])
+
+
+def _merged(grid: np.ndarray) -> np.ndarray:
+    """Sorted `grid` less each inner edge within rounding of the edge before
+    it or of the last edge: the first and last edges stay exact."""
+    edges = np.unique(grid)
+    tol = _ROUNDING * max(abs(edges[0]), abs(edges[-1]))
+    keep = np.append(True, np.diff(edges) > tol) & (edges[-1] - edges > tol)
+    keep[[0, -1]] = True
+    return edges[keep]
 
 
 def _quadrature(
     signal: StrainSignal, omega: float, cuts, max_nodes: int = _MAX_NODES,
 ) -> tuple[np.ndarray, int, float | None]:
-    """`oscillatory_integral` over each segment between the sorted `cuts` (a
-    window's two edges give one), the strain samples the node budget counts
-    and the sum's final |Kronrod - Gauss| / |Kronrod| (None if sampled)."""
+    """`oscillatory_integral` over each segment between the non-decreasing
+    `cuts` (a window's two edges give one), the strain samples it took and
+    the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
+
+    The grid is accepted on the window alone, as for chi, and each segment
+    is taken from the same evaluation of it: the Kronrod sums of the panels
+    it covers, plus or minus the interpolant's integrals (`_panel_sum`) in
+    the panels the inner cuts fall in. The cuts cost no strain evaluations.
+    A repeated cut gives an empty segment and 0.
+    """
     cuts = np.asarray(cuts, dtype=float)
     if isinstance(signal, SampledStrain):
         ts = signal.times
@@ -199,9 +252,12 @@ def _quadrature(
         return np.diff(np.interp(cuts, ts, np.append(0.0, running))), int(ts.size), None
     if isinstance(signal, ChirpSource):
         cuts = np.clip(cuts, 0.0, signal.coalescence)
+    out = np.zeros(cuts.size - 1, dtype=complex)
+    moved = np.diff(cuts) > 0.0
+    if not moved.any():
+        return out, 0, 0.0
+    cuts = np.append(cuts[0], cuts[1:][moved])
     t0, t1 = cuts[0], cuts[-1]
-    if t1 <= t0:
-        return np.zeros(cuts.size - 1, dtype=complex), 0, 0.0
 
     phase, time_at = _phase_map(signal)
     n_uniform = max(math.ceil(abs(omega) * (t1 - t0) / _PANEL_PHASE), 1)
@@ -222,22 +278,22 @@ def _quadrature(
         if edges is None:
             phases = phase(t0) + _PANEL_PHASE * np.arange(1, n_phase)
             edges = _merged(np.concatenate([np.linspace(t0, t1, n_uniform + 1),
-                                            np.clip(time_at(phases), t0, t1)]), cuts)
-            inner = np.unique(cuts).size - 2  # the budget spares a panel per inner cut
-            spent += (edges.size - 1 - inner - n_panels) * order  # the grid's true size
-            n_panels = edges.size - 1 - inner
+                                            np.clip(time_at(phases), t0, t1)]))
+            spent += (edges.size - 1 - n_panels) * order  # the grid's true size
+            n_panels = edges.size - 1
         else:
             edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        # each segment sums its own panels, an empty one (a repeated cut) none
-        first = np.searchsorted(edges, cuts)
-        kronrod, gauss, scale = (
-            np.add.reduceat(np.append(x, 0.0), first[:-1]) * (first[:-1] < first[1:])
-            for x in _panel_sum(signal, omega, edges)
-        )
-        estimate, error = complex(kronrod.sum()), abs(kronrod.sum() - gauss.sum())
-        if np.all(abs(kronrod - gauss) <= np.maximum(_TOL * abs(kronrod), _ROUNDOFF * scale)):
-            return kronrod, spent, error / abs(estimate) if error else 0.0
+        panels = _panel_sum(signal, omega, edges, cuts[1:-1])
+        kronrod, gauss, scale = (_sums(x, np.array([0, x.size]))[0] for x in panels[:3])
+        estimate, error = complex(kronrod), abs(kronrod - gauss)
+        if error <= max(_TOL * abs(kronrod), _ROUNDOFF * scale):
+            break
         n_panels *= 2
+    segments = _sums(panels[0], np.searchsorted(edges, cuts, "right") - 1)
+    if cuts.size > 2:
+        segments += np.diff(panels[3], prepend=0.0, append=0.0)
+    out[moved] = segments
+    return out, spent, error / abs(kronrod) if error else 0.0
 
 
 def oscillatory_integral(
@@ -262,14 +318,20 @@ def oscillatory_integral(
     are all panels halved for another pass. Sampled strain is integrated on
     its own grid (trapezoid over the stored second differences).
 
-    `measurement._drive` integrates each step of a run by the same rule:
-    the step boundaries join the first grid, and every step passes the test.
+    `measurement._drive` takes each step of a run from the same quadrature,
+    on the grid accepted for the run's window alone, exactly as here, and
+    from the same evaluation of its nodes. A panel that lies inside a step
+    gives the step its Kronrod sum. A panel that a step boundary cuts gives
+    each side the integral of the degree-32 interpolant through its 33
+    nodes, up to the cut. The Kronrod rule is interpolatory, so the two
+    sides sum to the panel's Kronrod value, and the step boundaries cost no
+    strain evaluations.
 
-    `max_nodes` bounds the strain evaluations of the call (bar the panels
-    the step boundaries add), in blocks of at most 16 384 nodes.
-    QuadratureConvergenceError is raised before a grid that
-    would pass it is built, carrying the last estimate: the one-panel value
-    if the first panels alone would pass it, nan if not even one panel fits.
+    `max_nodes` bounds the strain evaluations of the call, the drive's
+    included, in blocks of at most 16 384 nodes. QuadratureConvergenceError
+    is raised before a grid that would pass it is built, carrying the last
+    estimate: the one-panel value if the first panels alone would pass it,
+    nan if not even one panel fits.
     """
     return complex(_quadrature(signal, omega, window, max_nodes)[0][0])
 

@@ -131,7 +131,10 @@ class DisplacementCache:
     Q = diag(e^{i n (theta + pi/2)}): the matrix exponential
     exp(z b^dag - conj(z) b), through one fixed real eigenbasis. `phases`
     gives Q and e^{-i|z| Lambda} of an array of z in one call, and `matrix`
-    the matrices.
+    the matrices. Q is the running product u^n of one unit phasor
+    u = e^{i(theta + pi/2)} per z. J has a zero diagonal, so its spectrum
+    is symmetric; Lambda is stored exactly antisymmetric, and the lower
+    half of e^{-i|z| Lambda} is the conjugate of the upper half.
 
     `rotate` is the frame-free part O e^{-i|z| Lambda} O^T diag(c), which
     `matrix` wraps in the outer phases, c = Q^dag and Q on the left. The
@@ -151,15 +154,21 @@ class DisplacementCache:
         self.dim = dim
         self.levels = np.arange(dim, dtype=float)
         root = np.sqrt(self.levels[1:])
-        self._lam, self._o = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+        lam, self._o = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+        self._lam = 0.5 * (lam - lam[::-1])  # lam[k] = -lam[dim - 1 - k] exactly
 
     def phases(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Q and e^{-i|z| Lambda} of each z, as two (..., dim) arrays."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        return (
-            np.exp(1j * (np.angle(z) + 0.5 * np.pi) * self.levels),
-            np.exp(-1j * np.abs(z) * self._lam),
-        )
+        z = np.asarray(z, dtype=complex)
+        q = np.empty(z.shape + (self.dim,), dtype=complex)
+        q[..., 0] = 1.0
+        q[..., 1:] = np.exp(1j * (np.angle(z) + 0.5 * np.pi))[..., None]
+        np.multiply.accumulate(q, axis=-1, out=q)
+        half = self.dim // 2
+        rot = np.empty_like(q)
+        rot[..., half:] = np.exp(-1j * np.abs(z)[..., None] * self._lam[half:])
+        rot[..., :half] = rot[..., : -half - 1 : -1].conj()
+        return q, rot
 
     def matrix(self, z) -> np.ndarray:
         """D(z) of each z, as a (..., dim, dim) array: Q `rotate`(Q^dag, rot, 1)."""

@@ -363,9 +363,12 @@ def _drive(
     """The drive increments of a run and its window events.
 
     Returns dbeta (n_steps,), step i's increment at index i - 1: the
-    `dynamics._quadrature` segment of the step's part inside `window`, so
-    the increments sum to `displacement_beta` at any dt (zero without a
-    signal). Also returns the (time, kind) events of the window,
+    `dynamics._quadrature` segment of the step's part inside `window`. The
+    segments come from one evaluation of the window's own accepted grid,
+    each panel a step boundary cuts split by its interpolant, so the
+    increments sum to `displacement_beta` at any dt (zero without a signal)
+    and the steps add no strain evaluations, only O(1) work per step.
+    Also returns the (time, kind) events of the window,
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
     `window` (signal time) defaults to `default_window` over the run.
@@ -875,8 +878,9 @@ def run_ensemble(
 
     The drive is computed once (`_drive`) for every trajectory. The whole
     ensemble runs as one chunk, split only where its batch would exceed a
-    memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch reduces its records as they come, jumps (as by `detect_jump` with its
-    defaults) included, and keeps no per-trajectory series.
+    memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch reduces its records
+    as they come, jumps (as by `detect_jump` with its defaults) included,
+    and keeps no per-trajectory series.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")

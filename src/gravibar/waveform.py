@@ -307,7 +307,8 @@ def chirp_window(chirp: ChirpSource, omega: float) -> tuple[float, float]:
 def load_strain_series(path: str) -> SampledStrain:
     """Read a two-column ASCII strain file (time [s], strain).
 
-    Lines starting with '#' and blank lines are ignored. The time column
+    Lines starting with '#' and blank lines are ignored. Every value must be
+    finite (StrainFormatError names the line otherwise). The time column
     must be uniformly spaced to within 1e-6 relative jitter; the series
     timestep is the median spacing.
     """
@@ -329,6 +330,8 @@ def load_strain_series(path: str) -> SampledStrain:
                 raise StrainFormatError(
                     f"{path}:{lineno}: non-numeric value in {line!r}"
                 ) from None
+            if not (math.isfinite(t) and math.isfinite(h)):
+                raise StrainFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
             times.append(t)
             values.append(h)
     if len(times) < 3:

@@ -262,6 +262,22 @@ class TestParseConfig:
         path = write_config(tmp_path, MONO_CONFIG + "\n[lattice]\nn_values = 39,19\n")
         assert parse_config(path).lattice_n_values == (39, 19)
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_points = 0", r"\[sensitivity\] n_points = 0 must be >= 1"),
+        ("f_min_hz = -5", r"\[sensitivity\] f_min_hz = -5\.0 Hz must be > 0"),
+        ("f_min_hz = nan", r"\[sensitivity\] f_min_hz = nan Hz must be > 0"),
+        ("f_max_hz = inf", r"\[sensitivity\] f_max_hz = inf Hz must be finite"),
+        ("f_max_hz = nan", r"\[sensitivity\] f_max_hz = nan Hz must be finite"),
+        ("f_max_hz = 40", r"\[sensitivity\] f_max_hz = 40\.0 Hz .* exceed f_min_hz"),
+    ], ids=["n_points", "f_min_hz", "f_min_nan", "f_max_inf", "f_max_nan", "f_max_below_f_min"])
+    def test_sensitivity_grid_checked(self, tmp_path, capsys, line, message):
+        # rejected before np.geomspace builds the grid
+        path = write_config(tmp_path, MONO_CONFIG + f"\n[sensitivity]\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert main(["sensitivity", "--config", path]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     def test_duration_shorter_than_a_step_rejected(self, tmp_path, capsys):
         text = MONO_CONFIG.replace("duration = 2.0", "duration = 4e-3")  # dt = 1e-2
         path = write_config(tmp_path, text)

@@ -164,6 +164,25 @@ class TestChiQuadrature:
         assert sum(evaluated) == first_grid
         assert value == oscillatory_integral(ns_merger_chirp, OMEGA, window)
 
+    def test_inner_cuts_cost_no_strain_evaluations(self, ns_merger_chirp, monkeypatch):
+        # a thousand segments are taken from the window's own grid: the
+        # budget of the window alone covers every evaluation
+        evaluated = []
+
+        def counting(signal, ts):
+            evaluated.append(ts.size)
+            return strain_samples(signal, ts)
+
+        window = chirp_window(ns_merger_chirp, OMEGA)
+        first_grid = chi_quadrature(ns_merger_chirp, OMEGA, window).nodes
+        whole = oscillatory_integral(ns_merger_chirp, OMEGA, window)
+        monkeypatch.setattr(dynamics, "strain_samples", counting)
+        segments, spent, _ = dynamics._quadrature(
+            ns_merger_chirp, OMEGA, np.linspace(*window, 1001), max_nodes=first_grid
+        )
+        assert sum(evaluated) == spent == first_grid
+        assert abs(segments.sum() - whole) <= 1e-13 * abs(whole)
+
     def test_chi_result_reports_nodes_and_error_estimate(self, ns_merger_chirp):
         window = chirp_window(ns_merger_chirp, OMEGA)
         res = chi_quadrature(ns_merger_chirp, OMEGA, window)
@@ -195,6 +214,21 @@ class TestKronrodRule:
         np.testing.assert_array_equal(dynamics._RULES[1::2, 1], weights)
         np.testing.assert_array_equal(dynamics._RULES[::2, 1], 0.0)
         np.testing.assert_array_equal(dynamics._RULES[:, 0], dynamics._KR_WEIGHTS)
+
+    def test_running_integral_of_the_interpolant(self):
+        # values of P_k at the nodes, k <= 32, give integral_{-1}^x P_k exactly
+        # up to roundoff; at x = 1 the rule is the Kronrod rule
+        legendre = np.polynomial.legendre
+        x = np.linspace(-1.0, 1.0, 41)
+        values = legendre.legvander(dynamics._KR_NODES, 32)
+        p = legendre.legvander(x, 33)
+        terms = np.cos(np.multiply.outer(np.arccos(x), dynamics._DEGREES))
+        got = terms @ dynamics._RUNNING @ values
+        k = np.arange(1, 33)
+        exact = np.column_stack([x + 1.0, (p[:, k + 1] - p[:, k - 1]) / (2 * k + 1)])
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(dynamics._RUNNING.sum(axis=0), dynamics._KR_WEIGHTS,
+                                   rtol=0.0, atol=1e-14)
 
     def test_fifteen_point_rule_matches_quadpack(self):
         # QUADPACK's tabulated 15-point rule (dqk15), nonnegative nodes
@@ -288,9 +322,9 @@ class TestPanelQuadratureOracle:
         grids = []
         panel_sum = dynamics._panel_sum
 
-        def recording(signal, omega, edges):
+        def recording(signal, omega, edges, *cuts):
             grids.append(edges.size - 1)
-            return panel_sum(signal, omega, edges)
+            return panel_sum(signal, omega, edges, *cuts)
 
         monkeypatch.setattr(dynamics, "strain_samples", counting("panel"))
         monkeypatch.setattr(dynamics, "_panel_sum", recording)

@@ -126,6 +126,32 @@ class TestDisplacementOperator:
             rtol=0, atol=1e-13 * np.abs(amps).max(),
         )
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 40),
+        moduli=st.lists(
+            st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 5e-324, 3e-310, 2e-308])),
+            min_size=1, max_size=6,
+        ),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+    )
+    def test_phases_match_direct_exponentials(self, dim, moduli, angles):
+        # Q as powers of one phasor and the mirrored half of e^{-i|z| Lambda}
+        # against one exponential per entry, subnormal z included
+        zs = np.array(moduli) * np.exp(1j * np.array(angles[:len(moduli)]))
+        zs = np.append(zs, [complex(3e-320, -4e-320), complex(0.0, 5e-324), 0.0])
+        root = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        lam = np.linalg.eigvalsh(root + root.T)
+        cache = DisplacementCache(dim)
+        q, rot = cache.phases(zs)
+        close = dict(rtol=0, atol=1e-14 * dim)
+        np.testing.assert_allclose(
+            q, np.exp(1j * (np.angle(zs) + 0.5 * np.pi)[:, None] * np.arange(dim)), **close
+        )
+        np.testing.assert_allclose(rot, np.exp(-1j * np.abs(zs)[:, None] * lam), **close)
+        np.testing.assert_array_equal(cache._lam, -cache._lam[::-1])
+        assert [a.shape for a in cache.phases(zs[0])] == [(dim,), (dim,)]
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         dim=st.integers(2, 30),

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from jump_oracle import jump_starts
 from measurement_oracle import measurement_operator, sample_readout
 from numpy.polynomial.hermite import hermgauss
+from quadrature_oracle import simpson_integral
 
-from gravibar import measurement
+from gravibar import dynamics, measurement
 from gravibar.detector import MATERIALS, DetectorSpec, Material, mode_frequency
 from gravibar.dynamics import beta_prefactor, displacement_beta
 from gravibar.fock import (
@@ -610,6 +611,38 @@ class TestDrive:
             drive, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
         )
         assert np.count_nonzero(drive) == 38  # steps 1-38 meet the window
+
+    def test_chirp_matches_simpson_step_by_step(self, monkeypatch):
+        # 200 steps of 1 ms across the resonance crossing; the window's edges
+        # fall inside steps, and so do edges of the panels the steps are cut from
+        spec, chirp = self.FIG3, self.CHIRP
+        omega = mode_frequency(spec)
+        cfg = MeasurementConfig(dt=1e-3, t_m=0.5, t_meas=10.0, dim=4)
+        s_star = resonance_time(chirp.nu0, chirp.k, omega)
+        gw_start = 0.1 - s_star  # the crossing at run time 0.1 s
+        window = (s_star - 0.0603, s_star + 0.0514)
+        grids = []
+        panel_sum = dynamics._panel_sum
+
+        def recording(signal, omega, edges, cuts):
+            grids.append(edges)
+            return panel_sum(signal, omega, edges, cuts)
+
+        monkeypatch.setattr(dynamics, "_panel_sum", recording)
+        drive, _ = measurement._drive(spec, chirp, cfg, 0.2, gw_start, window)
+        ends = np.clip(np.arange(201) * cfg.dt - gw_start, *window)
+        expected = np.array([
+            -1j * beta_prefactor(spec) * simpson_integral(chirp, omega, (a, b), tol=1e-11)
+            for a, b in zip(ends[:-1], ends[1:])
+        ])
+        np.testing.assert_allclose(
+            drive, expected, rtol=0, atol=1e-9 * np.abs(expected).max()
+        )
+        starts = np.arange(200) * cfg.dt - gw_start
+        for edge in window:
+            assert np.any((starts < edge) & (edge < starts + cfg.dt))
+        edges = grids[-1]  # the accepted grid
+        assert np.setdiff1d(edges, ends).size >= 10  # panel edges inside steps
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

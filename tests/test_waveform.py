@@ -315,6 +315,18 @@ class TestStrainFiles:
         with pytest.raises(StrainFormatError, match=r"bad\.txt:2"):
             load_strain_series(str(path))
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["time", "strain"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, bad, column):
+        # float() accepts these; a nan strain would reach chi as nan, a nan
+        # time would fail later as a reversed window
+        rows = [[f"{1e-3 * i!r}", "0.0"] for i in range(5)]
+        rows[3][column] = bad
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
+        with pytest.raises(StrainFormatError, match=r"bad\.txt:4: non-finite"):
+            load_strain_series(str(path))
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0.0 0.0\n")
