@@ -354,10 +354,16 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         seed=meas.value("seed", int, default=0),
         record_stride=out.value("stride", int, default=3),
     )
-    if int(round(duration / cfg.dt)) < 1:
+    n_steps = int(round(duration / cfg.dt))
+    if n_steps < 1:
         raise ConfigError(
             f"[measurement] duration = {duration!r} s must cover at least one step "
             f"of dt = {cfg.dt!r} s"
+        )
+    if cfg.record_stride > n_steps:
+        raise ConfigError(
+            f"[output] stride = {cfg.record_stride} exceeds the run's {n_steps} steps "
+            "(duration / dt): nothing would be recorded"
         )
     n_traj = meas.value("n_traj", int, default=1)
     if n_traj < 1:
@@ -552,6 +558,9 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
     beta = max(np.abs(np.cumsum(part)).max() for part in parts)
     if problem := check_truncation(beta, cfg.dim):
         raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
+    # a step's kappa kick has mean |gamma|^2 = 2 gamma_sigma^2
+    if problem := check_truncation(math.sqrt(2.0) * cfg.gamma_sigma, cfg.dim):
+        raise ConfigError(f"[measurement] dim is too small for the kappa noise: {problem}")
 
     times = None  # every chunk records at the same times: formatted once, for every file
 

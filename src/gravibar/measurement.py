@@ -2,10 +2,11 @@
 
 Implements the measurement-plus-drive update loop: at every timestep the
 mode is weakly measured in the number basis (Gaussian measurement operator,
-characteristic time t_m), displaced by the accumulated gravitational-wave
-drive, optionally kicked by random displacement noise and thermal jumps,
-then renormalized. Trajectories are stochastic; a quantum jump of the
-monitored populations signals a single absorbed energy quantum.
+characteristic time t_m), displaced once by the step's gravitational-wave
+drive increment plus its optional random displacement noise kick,
+optionally kicked by a thermal jump, then renormalized. Trajectories are
+stochastic; a quantum jump of the monitored populations signals a single
+absorbed energy quantum.
 
 The drive enters purely as interaction-picture displacement increments
 d(beta) = -i g(s) e^{i omega s} ds, so free evolution never has to be
@@ -94,8 +95,9 @@ class MeasurementConfig:
         Fock-space truncation.
     kappa : float
         Scale of the random displacement noise injected each step; both
-        quadratures of the random displacement are normal with variance
-        kappa^2/dt.
+        quadratures of the random displacement gamma are normal with
+        variance kappa^2/dt. The kick shares the step's single
+        displacement D(dbeta + gamma) with the drive increment dbeta.
     thermal_rate : float
         Optional Poisson rate [Hz] of thermal creation-operator jumps.
     seed : int
@@ -231,13 +233,13 @@ def _update(
     In order: the Gaussian number measurement of the stack's populations
     `pops` (readout r = tr(N rho) + xi and weights
     w = e^{coef (r - n)^2 / 2}, the diagonal of M(r) up to its
-    normalization, with `coef` = -dt/(2 t_m)); the displacements of
-    `phases`, one step of `_step_phases`; a thermal creation jump where
-    `jumped`; then one renormalization, which divides B by sqrt(norm) and the
-    populations sum_r |B|^2 by the norm. The first displacement's O^T acts
-    on diag(w frame Q^dag) B; the result is left in the frame of the last
-    Q. `phases` and `jumped` may be None. Returns the updated stack, its
-    frame, its populations and the readouts.
+    normalization, with `coef` = -dt/(2 t_m)); the displacement `phases`,
+    one step of `_step_phases`; a thermal creation jump where `jumped`; then
+    one renormalization, which divides B by sqrt(norm) and the populations
+    sum_r |B|^2 by the norm. The displacement's O^T acts on
+    diag(w frame Q^dag) B; the result is left in the frame of its Q.
+    `phases` and `jumped` may be None. Returns the updated stack, its frame,
+    its populations and the readouts.
     """
     # a dot per row: a gemv's summation order would depend on the row count
     rs = np.vecdot(pops, cache.levels) + xi
@@ -245,13 +247,10 @@ def _update(
     if phases is None:
         amps = amps * w[:, :, None]
     else:
-        stages, last = phases
+        c, rot, last = phases
         if frame is not None:
             w = w * frame
-        c, rot = stages[0]
         amps = cache.rotate(w * c, rot, amps)
-        for c, rot in stages[1:]:
-            amps = cache.rotate(c, rot, amps)
         frame = last
     if jumped is not None:
         # b^dag Q = e^{-i phi} Q b^dag: the frame passes the jump
@@ -275,11 +274,11 @@ def _step_phases(
 
     `drive` (n_steps,) holds the drive increments, zero where there is
     none, and `gammas` (n_steps, n) the noise displacements, or is None.
-    A step yields None when it displaces nothing, else (stages, frame): the
-    (c, rot) of `DisplacementCache.rotate` for the drive and then the noise,
-    in order, and the frame Q they leave. The first stage's c is its Q^dag,
-    to be folded with the old frame and the weights; a noise stage after
-    the drive has c = Q_noise^dag Q_drive.
+    A step yields None when it displaces nothing, else (c, rot, frame) of
+    its one displacement D(dbeta + gamma): c = Q^dag, to be folded with the
+    old frame and the weights, the rot of `DisplacementCache.rotate` and
+    the frame Q it leaves. Untruncated, D(gamma) D(dbeta) is D(dbeta + gamma)
+    up to a global phase, which drops out of rho = A A^dag.
 
     Each block's arrays live in `_block_phases` and are freed once its last
     step is taken, and the last frame a block yields is a copy, so one block
@@ -296,26 +295,20 @@ def _step_phases(
 
 def _block_phases(cache, d, gammas, steps):
     """`_step_phases` of the `steps` (indices into `d`) of one block."""
-    on = d != 0.0
-    driven = on.tolist()
-    if gammas is None and not any(driven[k] for k in steps):
+    displaced = [True] * d.size if gammas is not None else (d != 0.0).tolist()
+    if not any(displaced[k] for k in steps):
         yield from [None] * len(steps)
         return
-    dq, drot = cache.phases(d)
-    dc = dq.conj()
-    if gammas is not None:
-        zq, zrot = cache.phases(gammas)
-        zc = zq.conj()
-        np.multiply(zc, dq[:, None], out=zc, where=on[:, None, None])
-    q = dq if gammas is None else zq
-    last = max(k for k in steps if gammas is not None or driven[k])
+    q, rot = cache.phases(d if gammas is None else gammas + d[:, None])
+    c = q.conj()
+    last = max(k for k in steps if displaced[k])
     for k in steps:
-        stages = ((dc[k], drot[k]),) if driven[k] else ()
-        frame = q[k] if k < last else q[k].copy()  # the block's last frame outlives it
-        if gammas is not None:
-            yield stages + ((zc[k], zrot[k]),), frame
-        else:
-            yield (stages, frame) if driven[k] else None
+        if not displaced[k]:
+            yield None
+        elif k < last:
+            yield c[k], rot[k], q[k]
+        else:  # the block's last frame outlives it
+            yield c[k], rot[k], q[k].copy()
 
 
 def step(
@@ -328,11 +321,12 @@ def step(
 ) -> tuple[QuantumState, float]:
     """Advance one timestep: measure, then displace by the drive increment.
 
-    Order per update rule: rho -> D(dbeta) M(r) rho M(r)^dag D(dbeta)^dag,
-    normalized; then the optional noise displacement D(gamma) and thermal
-    creation jump. Draws the readout normal, then (with kappa > 0) two
-    noise normals, then (with a thermal rate) one uniform from `rng`.
-    Returns the new state and the readout r.
+    Order per update rule: rho -> D(z) M(r) rho M(r)^dag D(z)^dag,
+    normalized, where z = dbeta + gamma adds the optional noise displacement
+    gamma to the drive increment, so the step applies one D(dbeta + gamma);
+    then the optional thermal creation jump. Draws the readout normal, then
+    (with kappa > 0) two noise normals, then (with a thermal rate) one
+    uniform from `rng`. Returns the new state and the readout r.
     """
     if cache is None:
         cache = DisplacementCache(cfg.dim)

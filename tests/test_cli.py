@@ -286,6 +286,17 @@ class TestParseConfig:
         assert main(["simulate", "--config", path]) == 2
         assert "[measurement] duration" in capsys.readouterr().err
 
+    def test_stride_longer_than_the_run_rejected(self, tmp_path, capsys):
+        # MONO_CONFIG: 200 steps of dt = 1e-2; a longer stride records nothing
+        path = write_config(tmp_path, MONO_CONFIG.replace("stride = 3", "stride = 201"))
+        with pytest.raises(ConfigError, match=r"\[output\] stride = 201 exceeds the run's 200"):
+            parse_config(path)
+        assert main(["simulate", "--config", path]) == 2
+        assert "[output] stride" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        path = write_config(tmp_path, MONO_CONFIG.replace("stride = 3", "stride = 200"))
+        assert parse_config(path).measurement.record_stride == 200
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/run.ini")
@@ -571,6 +582,16 @@ class TestSimulate:
         assert main(["simulate", "--config", whole, "--out", str(tmp_path / "whole")]) == 2
         assert f"|beta|^2 = {beta2} is large for truncation dim = 4" in capsys.readouterr().err
         assert list((tmp_path / "whole").iterdir()) == []
+
+    def test_truncated_kappa_noise_rejected_before_any_step(self, tmp_path, capsys):
+        # kappa = 0.5 at dt = 1e-2 kicks by mean |gamma|^2 = 2 kappa^2/dt = 50,
+        # beyond what dim 10 holds (dim/4 = 2.5); the drive alone fits
+        text = self.CONFIG.replace("[measurement]", "[measurement]\nkappa = 0.5")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kappa noise" in err and "|beta|^2 = 50 is large for truncation dim = 10" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_underflow_names_its_trajectory(self, tmp_path, capsys):
         path = write_config(tmp_path, UNDERFLOW_CONFIG)
