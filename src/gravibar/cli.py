@@ -144,7 +144,8 @@ class _Section:
         return value
 
     def value(self, key: str, convert=float, default=None, required=False, choices=None):
-        """The key's text through `convert`, `default` if absent or empty; recorded."""
+        """The key's text through `convert`, `default` if absent or empty; recorded.
+        A float must be finite."""
         raw = self.raw(key)
         if raw is None or raw == "":
             if required:
@@ -154,12 +155,16 @@ class _Section:
             raise ConfigError(
                 f"[{self.name}] {key} = {raw!r} must be one of {sorted(choices)}"
             )
+        unit = _UNITS.get(key)
         try:
-            return self.record(key, convert(raw))
+            value = convert(raw)
         except ValueError:
-            unit = _UNITS.get(key)
             hint = f" (expected a number in {unit})" if unit else " (expected a number)"
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not valid{hint}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            shown = f"{value!r} {unit}" if unit not in (None, "1") else repr(value)
+            raise ConfigError(f"[{self.name}] {key} = {shown} must be finite")
+        return self.record(key, value)
 
 
 @dataclass
@@ -329,10 +334,12 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         try:
             mass = float(mass_raw)
         except ValueError:
+            mass = math.nan
+        if not math.isfinite(mass):
             raise ConfigError(
-                f"[detector] mass = {mass_raw!r} must be a number in kg "
+                f"[detector] mass = {mass_raw!r} must be a finite number in kg "
                 "or 'optimal'"
-            ) from None
+            )
     spec = DetectorSpec(
         material=material, length=length, radius=radius, mass=mass,
         mode_index=mode_index, quality=quality, temperature=temperature,
@@ -378,10 +385,8 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         raise ConfigError(f"[sensitivity] n_points = {n_pts} must be >= 1")
     if not f_min > 0.0:
         raise ConfigError(f"[sensitivity] f_min_hz = {f_min!r} Hz must be > 0")
-    if not f_min < f_max < math.inf:
-        raise ConfigError(
-            f"[sensitivity] f_max_hz = {f_max!r} Hz must be finite and exceed f_min_hz"
-        )
+    if not f_min < f_max:
+        raise ConfigError(f"[sensitivity] f_max_hz = {f_max!r} Hz must exceed f_min_hz")
     grid = np.geomspace(f_min, f_max, n_pts)
 
     lat = section("lattice")
@@ -558,8 +563,10 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
     beta = max(np.abs(np.cumsum(part)).max() for part in parts)
     if problem := check_truncation(beta, cfg.dim):
         raise ConfigError(f"[measurement] dim is too small for the drive: {problem}")
-    # a step's kappa kick has mean |gamma|^2 = 2 gamma_sigma^2
-    if problem := check_truncation(math.sqrt(2.0) * cfg.gamma_sigma, cfg.dim):
+    # the kappa kicks add mean |gamma|^2 = 2 gamma_sigma^2 a step, which the
+    # number measurement does not undo: their sum over the longest period
+    kicks = min(period, drive.size)
+    if problem := check_truncation(math.sqrt(2.0 * kicks) * cfg.gamma_sigma, cfg.dim):
         raise ConfigError(f"[measurement] dim is too small for the kappa noise: {problem}")
 
     times = None  # every chunk records at the same times: formatted once, for every file

@@ -136,14 +136,10 @@ class DisplacementCache:
     is symmetric; Lambda is stored exactly antisymmetric, and the lower
     half of e^{-i|z| Lambda} is the conjugate of the upper half.
 
-    `rotate` is the frame-free part O e^{-i|z| Lambda} O^T diag(c), which
+    `rotate` is the inner part O e^{-i|z| Lambda} O^T diag(c), which
     `matrix` wraps in the outer phases, c = Q^dag and Q on the left. The
-    measurement engine calls `rotate` alone: it carries each factor in the
-    frame of its last Q (A = Q B), folds the left-over Q with the next
-    step's Q^dag and weights into c, and leaves Q off a displacement's
-    result. A phase frame e^{i n phi} is invisible in the populations and
-    commutes with the number measurement and, up to a global phase, with
-    b^dag.
+    measurement engine calls `rotate` with its weights folded into c and
+    multiplies Q onto the result.
 
     `rotate` runs one real matmul per factor, not one product over the
     stack: BLAS gives bit-different columns when a product has more of

@@ -21,16 +21,11 @@ A run carries only the state each stretch of it needs:
   readout is sqrt(t_m/dt) * xi;
 - factor stretch: from the first displacing step of a reinit period (drive,
   displacement noise or thermal jumps) to its last one, each state is a
-  factor B carried in a phase frame F, rho = A A^dag with A = diag(F) B,
-  with its populations sum_r |B|^2 as renormalized, so that no recorded
-  population exceeds 1. Displacements act through the real eigenbasis of
-  `DisplacementCache`: D(z) = Q O e^{-i|z| Lambda} O^T Q^dag leaves its
-  outer Q as the new frame, and the next step folds the old frame, the
-  next Q^dag and the measurement weights into one diagonal before its
-  O^T. The frame e^{i n phi} drops out of the populations, commutes with
-  the number measurement and passes a thermal jump b^dag as a global
-  phase, so it is only applied where a true A is read, in `step`; the
-  hand-over to a population stretch and a reinit drop it;
+  factor A, rho = A A^dag, with its populations sum_r |A|^2 as
+  renormalized, so that no recorded population exceeds 1. Each step
+  applies its displacement D(z) = Q O e^{-i|z| Lambda} O^T Q^dag whole,
+  through the real eigenbasis of `DisplacementCache`, with the
+  measurement weights folded into the diagonal before its O^T;
 - population stretch: after the last displacing step of a period M(r) is
   diagonal and nothing follows that reads the coherences, so the
   populations evolve on their own as p <- p w^2 / sum(p w^2), w the
@@ -218,7 +213,6 @@ def _measure(
 
 def _update(
     amps: np.ndarray,
-    frame: np.ndarray | None,
     pops: np.ndarray,
     xi: np.ndarray,
     coef: float,
@@ -226,20 +220,19 @@ def _update(
     phases: tuple | None,
     jumped: np.ndarray | None,
     first: int = 0,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Advance a (n, dim, rank) stack of factors B one step, where
-    rho = A A^dag with A = diag(`frame`) B (no frame if None).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a (n, dim, rank) stack of factors A, rho = A A^dag, one step.
 
     In order: the Gaussian number measurement of the stack's populations
     `pops` (readout r = tr(N rho) + xi and weights
     w = e^{coef (r - n)^2 / 2}, the diagonal of M(r) up to its
     normalization, with `coef` = -dt/(2 t_m)); the displacement `phases`,
-    one step of `_step_phases`; a thermal creation jump where `jumped`; then
-    one renormalization, which divides B by sqrt(norm) and the populations
-    sum_r |B|^2 by the norm. The displacement's O^T acts on
-    diag(w frame Q^dag) B; the result is left in the frame of its Q.
-    `phases` and `jumped` may be None. Returns the updated stack, its frame,
-    its populations and the readouts.
+    one entry of `_phases`, which applies D(z) = Q O e^{-i|z| Lambda} O^T Q^dag
+    with the weights folded into its inner diagonal; a thermal creation
+    jump where `jumped`; then one renormalization, which divides A by
+    sqrt(norm) and the populations sum_r |A|^2 by the norm. `phases` and
+    `jumped` may be None. Returns the updated stack, its populations and
+    the readouts.
     """
     # a dot per row: a gemv's summation order would depend on the row count
     rs = np.vecdot(pops, cache.levels) + xi
@@ -247,13 +240,10 @@ def _update(
     if phases is None:
         amps = amps * w[:, :, None]
     else:
-        c, rot, last = phases
-        if frame is not None:
-            w = w * frame
+        c, rot, q = phases
         amps = cache.rotate(w * c, rot, amps)
-        frame = last
+        amps *= q[..., None]
     if jumped is not None:
-        # b^dag Q = e^{-i phi} Q b^dag: the frame passes the jump
         amps[jumped] = creation(cache.dim) @ amps[jumped]
 
     # a thermal jump out of the top Fock level leaves a zero factor
@@ -262,53 +252,32 @@ def _update(
     _check_traces(norms, "update", first)
     amps /= np.sqrt(norms)[:, None, None]
     pops /= norms[:, None]
-    return amps, frame, pops, rs
+    return amps, pops, rs
 
 
-def _step_phases(
-    cache: DisplacementCache, drive: np.ndarray, gammas: np.ndarray | None,
-    wanted, block: int,
-):
-    """Yield the displacements for `_update` of each step where `wanted`,
-    in order, computed `block` steps at a time, so memory stays bounded.
+def _phases(
+    cache: DisplacementCache, d: np.ndarray, gammas: np.ndarray | None
+) -> list[tuple | None]:
+    """The displacement of each step of a block, for `_update`.
 
-    `drive` (n_steps,) holds the drive increments, zero where there is
-    none, and `gammas` (n_steps, n) the noise displacements, or is None.
-    A step yields None when it displaces nothing, else (c, rot, frame) of
-    its one displacement D(dbeta + gamma): c = Q^dag, to be folded with the
-    old frame and the weights, the rot of `DisplacementCache.rotate` and
-    the frame Q it leaves. Untruncated, D(gamma) D(dbeta) is D(dbeta + gamma)
-    up to a global phase, which drops out of rho = A A^dag.
-
-    Each block's arrays live in `_block_phases` and are freed once its last
-    step is taken, and the last frame a block yields is a copy, so one block
-    at a time is alive.
+    `d` (m,) holds the steps' drive increments, zero where there is none,
+    and `gammas` (m, n) their noise displacements, or is None. A step's
+    entry is None when it displaces nothing, else (c, rot, q) of its one
+    displacement D(dbeta + gamma): the outer phases q = Q, c = Q^dag and
+    the rot of `DisplacementCache.rotate`. Untruncated, D(gamma) D(dbeta)
+    is D(dbeta + gamma) up to a global phase, which drops out of
+    rho = A A^dag.
     """
-    for lo in range(0, drive.size, block):
-        steps = np.flatnonzero(wanted[lo : lo + block]).tolist()
-        if steps:
-            yield from _block_phases(
-                cache, drive[lo : lo + block],
-                None if gammas is None else gammas[lo : lo + block], steps,
-            )
-
-
-def _block_phases(cache, d, gammas, steps):
-    """`_step_phases` of the `steps` (indices into `d`) of one block."""
-    displaced = [True] * d.size if gammas is not None else (d != 0.0).tolist()
-    if not any(displaced[k] for k in steps):
-        yield from [None] * len(steps)
-        return
-    q, rot = cache.phases(d if gammas is None else gammas + d[:, None])
+    if gammas is None:
+        displaced = (d != 0.0).tolist()
+        if not any(displaced):
+            return [None] * d.size
+        q, rot = cache.phases(d)
+    else:
+        displaced = [True] * d.size
+        q, rot = cache.phases(gammas + d[:, None])
     c = q.conj()
-    last = max(k for k in steps if displaced[k])
-    for k in steps:
-        if not displaced[k]:
-            yield None
-        elif k < last:
-            yield c[k], rot[k], q[k]
-        else:  # the block's last frame outlives it
-            yield c[k], rot[k], q[k].copy()
+    return [(c[k], rot[k], q[k]) if hit else None for k, hit in enumerate(displaced)]
 
 
 def step(
@@ -334,15 +303,15 @@ def step(
     xs = cfg.gamma_sigma * rng.standard_normal(2) if cfg.kappa > 0.0 else None
     u = rng.random() if cfg.thermal_rate > 0.0 else None
     amps = state.factor()[None]
-    phases = next(_step_phases(
+    phases = _phases(
         cache, np.array([dbeta], dtype=complex),
-        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]), [True], 1,
-    ))
-    amps, frame, _, rs = _update(
-        amps, None, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache, phases,
+        None if xs is None else np.array([[xs[0] + 1j * xs[1]]]),
+    )[0]
+    amps, _, rs = _update(
+        amps, _populations(amps), xi, -cfg.dt / (2.0 * cfg.t_m), cache, phases,
         None if u is None else np.array([u < cfg.thermal_rate * cfg.dt]),
     )
-    a = amps[0] if frame is None else (frame[..., None] * amps)[0]
+    a = amps[0]
     return QuantumState(cfg.dim, a @ a.conj().T), float(rs[0])
 
 
@@ -629,18 +598,15 @@ def _run_batch(
 
     - a ground step: no state is carried, the readout is
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
-    - a factor step: `_update` on the (n, dim, rank) factor stack B and
-      its phase frame F (A = diag(F) B), from the first displacing step of
-      a reinit period to its last. The stretch starts with no frame, each
-      displacement leaves its outer phases as the frame, and no step here
-      applies it: populations, thermal jumps and records do not see it;
-    - a population step: after that, the factors and their frame are
-      dropped and `_measure` updates their carried (n, dim) populations
-      until the reinit or the end.
+    - a factor step: `_update` on the (n, dim, rank) factor stack A, from
+      the first displacing step of a reinit period to its last;
+    - a population step: after that, the factors are dropped and
+      `_measure` updates their carried (n, dim) populations until the
+      reinit or the end.
 
     The kinds differ in what they carry; their numbers agree to
     roundoff. The noise (`_noise_blocks`) and the displacement phases
-    (`_step_phases`) come a block of steps at a time, and `_BatchResult`
+    (`_phases`) come a block of steps at a time, and `_BatchResult`
     reduces the records as they come (jumps by JUMP_THRESHOLD and
     JUMP_HOLD), keeping the per-trajectory series only with `series`: the
     batch holds blocks, not whole runs. Sums and matmuls run per
@@ -660,12 +626,10 @@ def _run_batch(
     displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
     displacing[1:] |= drive != 0.0
     kinds = _stretch_kinds(displacing, steps_per_reinit, starts is None)
-    factor = np.equal(kinds[1:], _FACTOR)
 
     ground = np.zeros((n, dim))
     ground[:, 0] = 1.0
     amps = starts  # factors, None while in the ground state or carrying populations
-    frame = None  # A = diag(frame) amps; None for no frame
     pops = None if starts is None else _populations(starts)
     coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = DisplacementCache(dim)
@@ -674,8 +638,8 @@ def _run_batch(
     phase_block = max(1, 1024 // n)
 
     for lo, xis, gammas, jumps in _noise_blocks(rngs, cfg, n_steps):
-        hi = lo + len(xis)
-        step_phases = _step_phases(cache, drive[lo:hi], gammas, factor[lo:hi], phase_block)
+        d = drive[lo : lo + len(xis)]
+        phases = at = None  # the phases of the phase block from step lo + 1 + at on
         jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
         for k, xi in enumerate(xis):
             i = lo + 1 + k
@@ -687,19 +651,26 @@ def _run_batch(
                     if pops is None:
                         amps = ground[:, :, None].astype(complex)
                         pops = ground
-                    amps, frame, pops, rs = _update(
-                        amps, frame, pops, xi, coef, cache, next(step_phases),
+                    if at != k - k % phase_block:
+                        at = k - k % phase_block
+                        phases = None  # one block of phases alive at a time
+                        phases = _phases(
+                            cache, d[at : at + phase_block],
+                            None if gammas is None else gammas[at : at + phase_block],
+                        )
+                    amps, pops, rs = _update(
+                        amps, pops, xi, coef, cache, phases[k - at],
                         jumps[k] if k in jump_steps else None,
                         first,
                     )
                 else:
-                    amps = frame = None
+                    amps = None
                     rs, pops = _measure(pops, xi, cache.levels, coef, first)
             except TraceUnderflowError as exc:
                 raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
             if i % steps_per_reinit == 0 and i < n_steps:
-                amps = frame = pops = None
+                amps = pops = None
                 events.append((i * cfg.dt, "reinit"))
 
             if i % cfg.record_stride == 0:

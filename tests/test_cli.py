@@ -265,7 +265,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("line, message", [
         ("n_points = 0", r"\[sensitivity\] n_points = 0 must be >= 1"),
         ("f_min_hz = -5", r"\[sensitivity\] f_min_hz = -5\.0 Hz must be > 0"),
-        ("f_min_hz = nan", r"\[sensitivity\] f_min_hz = nan Hz must be > 0"),
+        ("f_min_hz = nan", r"\[sensitivity\] f_min_hz = nan Hz must be finite"),
         ("f_max_hz = inf", r"\[sensitivity\] f_max_hz = inf Hz must be finite"),
         ("f_max_hz = nan", r"\[sensitivity\] f_max_hz = nan Hz must be finite"),
         ("f_max_hz = 40", r"\[sensitivity\] f_max_hz = 40\.0 Hz .* exceed f_min_hz"),
@@ -277,6 +277,28 @@ class TestParseConfig:
             parse_config(path)
         assert main(["sensitivity", "--config", path]) == 2
         assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, command", [
+        ("t_m = 0.5", "t_m = nan", "simulate"),
+        ("t_m = 0.5", "t_m = inf", "simulate"),
+        ("t_meas = 2.0", "t_meas = inf", "simulate"),
+        ("dim = 10", "dim = 10\nkappa = nan", "simulate"),
+        ("quality = 1e10", "quality = nan", "rates"),
+        ("temperature = 1e-3", "temperature = nan", "rates"),
+        ("radius = 0.5", "radius = nan", "rates"),
+        ("radius = 0.5", "radius = 0.5\nmass = nan", "rates"),
+    ], ids=["t_m_nan", "t_m_inf", "t_meas_inf", "kappa_nan", "quality_nan",
+            "temperature_nan", "radius_nan", "mass_nan"])
+    def test_non_finite_value_names_its_key(self, tmp_path, capsys, old, new, command):
+        # each once ran on (nan or inf readouts, nan rates) or failed with a
+        # message about something else
+        section = "measurement" if command == "simulate" else "detector"
+        key = new.splitlines()[-1].split()[0]
+        path = write_config(tmp_path, MONO_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = .*(nan|inf).* finite"):
+            parse_config(path)
+        assert main([command, "--config", path]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
 
     def test_duration_shorter_than_a_step_rejected(self, tmp_path, capsys):
         text = MONO_CONFIG.replace("duration = 2.0", "duration = 4e-3")  # dt = 1e-2
@@ -584,14 +606,30 @@ class TestSimulate:
         assert list((tmp_path / "whole").iterdir()) == []
 
     def test_truncated_kappa_noise_rejected_before_any_step(self, tmp_path, capsys):
-        # kappa = 0.5 at dt = 1e-2 kicks by mean |gamma|^2 = 2 kappa^2/dt = 50,
-        # beyond what dim 10 holds (dim/4 = 2.5); the drive alone fits
+        # kappa = 0.5 at dt = 1e-2 kicks by mean |gamma|^2 = 2 kappa^2/dt = 50
+        # a step, 50 x 200 = 1e4 over the 200-step period, beyond what dim 10
+        # holds (dim/4 = 2.5); the drive alone fits
         text = self.CONFIG.replace("[measurement]", "[measurement]\nkappa = 0.5")
         path = write_config(tmp_path, text)
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert "kappa noise" in err and "|beta|^2 = 50 is large for truncation dim = 10" in err
+        assert "kappa noise" in err and "|beta|^2 = 1e+04 is large for truncation dim = 10" in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_kappa_heating_over_a_period_rejected(self, tmp_path, capsys):
+        # kappa = 0.05 kicks by mean |gamma|^2 = 0.5 a step, which dim 10
+        # holds, but the kicks heat by 0.5 x 200 = 100 over the period
+        text = self.CONFIG.replace("[measurement]", "[measurement]\nkappa = 0.05")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kappa noise" in err and "|beta|^2 = 100 is large for truncation dim = 10" in err
+        # a period longer than the run heats only over the run's 200 steps:
+        # 5e-3 x 200 = 1 fits
+        text = self.CONFIG.replace("t_meas = 2.0", "t_meas = 50.0").replace(
+            "[measurement]", "[measurement]\nkappa = 5e-3"
+        )
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
 
     def test_underflow_names_its_trajectory(self, tmp_path, capsys):
         path = write_config(tmp_path, UNDERFLOW_CONFIG)

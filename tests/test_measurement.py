@@ -299,7 +299,7 @@ class TestStep:
         cache = DisplacementCache(dim)
         xi = rng.uniform(-20.0, 20.0, n)
         for jumped in (None, np.ones(n, dtype=bool)):
-            _, _, new, _ = measurement._update(amps, None, pops, xi, -0.01, cache, None, jumped)
+            _, new, _ = measurement._update(amps, pops, xi, -0.01, cache, None, jumped)
             assert new.max() <= 1.0
 
     def test_kappa_noise_scalings(self):
@@ -442,9 +442,9 @@ class TestRunTrajectory:
 
     def test_factor_stretch_matches_reference_operators(self):
         # an oracle that shares no code with the engine's update: the
-        # factor stretch carries each factor in the phase frame of its last
-        # displacement through drive, noise, thermal jumps and a reinit,
-        # the dense replay applies every operator whole
+        # factor stretch applies each step's displacement through the real
+        # eigenbasis of DisplacementCache, the dense replay applies every
+        # operator whole, through drive, noise, thermal jumps and a reinit
         spec = toy_detector()
         wave = resonant_drive_for_beta(spec, 0.7, 1.0)
         cfg = MeasurementConfig(
@@ -466,6 +466,31 @@ class TestRunTrajectory:
         rng.standard_normal(100), rng.standard_normal((100, 2))
         jumps = np.flatnonzero(rng.random(100) < 3.0 * 1e-2)
         assert jumps.min() < 50 <= jumps.max()
+
+    def test_mixed_start_factor_stretch_matches_reference_operators(self):
+        # a full-rank start: until the reinit at 0.5 s the factor stretch
+        # displaces, measures and jumps a (1, 12, 12) stack
+        spec = toy_detector()
+        wave = resonant_drive_for_beta(spec, 0.7, 1.0)
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=0.5, t_meas=0.5, dim=12, seed=3, record_stride=1,
+            kappa=2e-3, thermal_rate=3.0,
+        )
+        initial = QuantumState.from_diagonal(
+            np.random.default_rng(8).dirichlet(np.ones(cfg.dim))
+        )
+        assert np.linalg.matrix_rank(initial.rho) == cfg.dim
+        rec = run_trajectory(
+            spec, wave, cfg, duration=1.0, gw_start=0.0, window=(0.0, 1.0),
+            initial_state=initial,
+        )
+        expected = replay_with_operators(
+            spec, wave, cfg, 1.0, 0.0, (0.0, 1.0), initial
+        )
+        np.testing.assert_allclose(
+            np.column_stack([rec.readout, rec.rho00, rec.rho11, rec.rho22]),
+            expected, rtol=0, atol=1e-10,
+        )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -549,11 +574,12 @@ def step_drive(spec, wave, cfg, i, gw_start, window):
     return -1j * beta_prefactor(spec) * integral
 
 
-def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
-    """Replay `run_trajectory`'s noise from the ground state through the
-    dense reference operators alone: rho -> K rho K^dag / tr(...) with
-    M(r), D(dbeta + gamma) and b^dag in turn, a reinit every t_meas.
-    Returns the readouts and rho00..rho22, one row per step.
+def replay_with_operators(spec, wave, cfg, duration, gw_start, window, initial=None):
+    """Replay `run_trajectory`'s noise from `initial` (the ground state if
+    None) through the dense reference operators alone:
+    rho -> K rho K^dag / tr(...) with M(r), D(dbeta + gamma) and b^dag in
+    turn, a reinit every t_meas. Returns the readouts and rho00..rho22, one
+    row per step.
     """
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
@@ -561,7 +587,7 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window):
     xis = rng.standard_normal(n_steps)
     gammas = cfg.gamma_sigma * rng.standard_normal((n_steps, 2))
     uniforms = rng.random(n_steps)
-    state = QuantumState.ground(cfg.dim)
+    state = initial if initial is not None else QuantumState.ground(cfg.dim)
     rows = []
     for i in range(1, n_steps + 1):
         r = expect_number(state) + cfg.readout_sigma * xis[i - 1]
