@@ -41,12 +41,10 @@ class Material:
     sound_speed: float
 
     def __post_init__(self) -> None:
-        if self.density <= 0.0:
-            raise DetectorSpecError(f"density must be > 0, got {self.density}")
-        if self.sound_speed <= 0.0:
-            raise DetectorSpecError(
-                f"sound_speed must be > 0, got {self.sound_speed}"
-            )
+        for name in ("density", "sound_speed"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DetectorSpecError(f"{name} must be finite and > 0, got {value}")
 
 
 # Niobium values are the working example of the rate formulas; the other
@@ -105,16 +103,16 @@ class DetectorSpec:
     def __post_init__(self) -> None:
         for name in ("length", "radius", "quality", "temperature"):
             value = getattr(self, name)
-            if value <= 0.0:
-                raise DetectorSpecError(f"{name} must be > 0, got {value}")
+            if not 0.0 < value < math.inf:
+                raise DetectorSpecError(f"{name} must be finite and > 0, got {value}")
         if self.mode_index < 1 or self.mode_index % 2 == 0:
             raise DetectorSpecError(
                 f"mode_index must be an odd positive integer, got {self.mode_index}"
             )
         if self.mass is None:
             object.__setattr__(self, "mass", self.geometric_mass())
-        elif self.mass <= 0.0:
-            raise DetectorSpecError(f"mass must be > 0, got {self.mass}")
+        elif not 0.0 < self.mass < math.inf:
+            raise DetectorSpecError(f"mass must be finite and > 0, got {self.mass}")
         elif self.geometry_mass_check:
             geometric = self.geometric_mass()
             if abs(self.mass - geometric) > MASS_GEOMETRY_RTOL * geometric:
@@ -265,15 +263,17 @@ def load_materials(path: str) -> dict[str, Material]:
         try:
             density = float(section["density"])
             sound_speed = float(section["sound_speed"])
+            table[name] = Material(name, density=density, sound_speed=sound_speed)
         except KeyError as exc:
             raise DetectorSpecError(
                 f"material [{name}] is missing required key {exc}"
             ) from None
+        except DetectorSpecError as exc:
+            raise DetectorSpecError(f"material [{name}]: {exc}") from None
         except ValueError:
             raise DetectorSpecError(
                 f"material [{name}] has a non-numeric density/sound_speed"
             ) from None
-        table[name] = Material(name, density=density, sound_speed=sound_speed)
     return table
 
 

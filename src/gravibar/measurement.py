@@ -111,6 +111,9 @@ class MeasurementConfig:
     record_stride: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_m", "t_meas", "kappa", "thermal_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_m <= 0.0:
@@ -356,34 +359,6 @@ def _drive(
     return drive, events
 
 
-_GROUND, _FACTOR, _POPULATIONS = range(3)
-
-
-def _stretch_kinds(
-    displacing: np.ndarray, steps_per_reinit: int, ground_start: bool
-) -> list[int]:
-    """Stretch kind of each step 1..n_steps of a run (entry 0 is unused).
-
-    `displacing` (n_steps + 1,) flags the steps that displace the state.
-    Each reinit period runs ground steps (from a ground state) up to its
-    first displacing step, factor steps up to its last one, then
-    population steps; a non-ground start makes step 1 a factor step if
-    its period displaces, else a population step.
-    """
-    n_steps = displacing.size - 1
-    kinds = np.full(n_steps + 1, _POPULATIONS)
-    for lo in range(1, n_steps + 1, steps_per_reinit):
-        hi = min(lo + steps_per_reinit, n_steps + 1)
-        hits = lo + np.flatnonzero(displacing[lo:hi])
-        start = hi if hits.size == 0 else hits[0]
-        if lo == 1 and not ground_start:
-            start = lo
-        kinds[lo:start] = _GROUND
-        if hits.size:
-            kinds[start : hits[-1] + 1] = _FACTOR
-    return kinds.tolist()
-
-
 # a jump is an excursion of rho11 at or above JUMP_THRESHOLD for at least
 # JUMP_HOLD consecutive records
 JUMP_THRESHOLD = 0.9
@@ -592,19 +567,21 @@ def _run_batch(
     `_drive`; the run has one step per increment. The batch starts in the
     ground state, or from the factor stack `starts` of `_start_factors`
     (one factor per trajectory), and is reinitialized to the ground state
-    every t_meas. `_stretch_kinds` makes each step, from the config, the
-    drive's nonzero increments, the reinit boundaries and the kind of
-    start, one of (see the module docstring):
+    every t_meas. A step displaces if kappa or the thermal rate is on or
+    its increment is nonzero, and `last` holds each reinit period's last
+    displacing step (0 if none). Each step is, by the state it finds (see
+    the module docstring):
 
-    - a ground step: no state is carried, the readout is
+    - a ground step if none is carried (`pops` is None after a ground
+      start or a reinit) and it does not displace: the readout is
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
-    - a factor step: `_update` on the (n, dim, rank) factor stack A, from
-      the first displacing step of a reinit period to its last;
-    - a population step: after that, the factors are dropped and
-      `_measure` updates their carried (n, dim) populations until the
-      reinit or the end.
+    - else a factor step up to its period's `last`: `_update` on the
+      (n, dim, rank) factor stack A, taken from the ground state if none
+      is carried;
+    - else a population step: the factors are dropped and `_measure`
+      updates their (n, dim) populations until the reinit or the end.
 
-    The kinds differ in what they carry; their numbers agree to
+    The stretches differ in what they carry; their numbers agree to
     roundoff. The noise (`_noise_blocks`) and the displacement phases
     (`_phases`) come a block of steps at a time, and `_BatchResult`
     reduces the records as they come (jumps by JUMP_THRESHOLD and
@@ -625,7 +602,10 @@ def _run_batch(
 
     displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
     displacing[1:] |= drive != 0.0
-    kinds = _stretch_kinds(displacing, steps_per_reinit, starts is None)
+    hits = 1 + np.flatnonzero(displacing[1:])
+    last = np.zeros((n_steps - 1) // steps_per_reinit + 1, dtype=np.intp)
+    np.maximum.at(last, (hits - 1) // steps_per_reinit, hits)
+    displacing, last = displacing.tolist(), last.tolist()
 
     ground = np.zeros((n, dim))
     ground[:, 0] = 1.0
@@ -643,11 +623,10 @@ def _run_batch(
         jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
         for k, xi in enumerate(xis):
             i = lo + 1 + k
-            kind = kinds[i]
             try:
-                if kind == _GROUND:
+                if pops is None and not displacing[i]:
                     rs = xi
-                elif kind == _FACTOR:
+                elif i <= last[(i - 1) // steps_per_reinit]:
                     if pops is None:
                         amps = ground[:, :, None].astype(complex)
                         pops = ground

@@ -698,3 +698,17 @@ class TestErrors:
         path = write_config(tmp_path, text)
         assert main(["rates", "--config", path]) == 2
         assert "wood" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values",
+        ["density = nan\nsound_speed = 5000", "density = 8570\nsound_speed = inf"],
+        ids=["density_nan", "sound_speed_inf"],
+    )
+    def test_non_finite_material_names_its_section(self, tmp_path, capsys, values):
+        # `density <= 0` is False for nan: such a table wrote nan rates
+        table = tmp_path / "materials.ini"
+        table.write_text(f"[rubber]\n{values}\n")
+        path = write_config(tmp_path, MONO_CONFIG.replace("= niobium", "= rubber"))
+        assert main(["rates", "--config", path, "--materials", str(table)]) == 2
+        assert "material [rubber]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

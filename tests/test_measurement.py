@@ -71,6 +71,29 @@ def resonant_drive_for_beta(
     return MonochromaticWave(h0=h0, nu=omega)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("dt", math.nan, "dt must be finite"),
+            ("t_m", math.nan, "t_m must be finite"),
+            ("t_m", math.inf, "t_m must be finite"),
+            ("t_meas", math.inf, "t_meas must be finite"),
+            ("kappa", math.nan, "kappa must be finite"),
+            ("thermal_rate", math.nan, "thermal_rate must be finite"),
+            ("thermal_rate", math.inf, "thermal_rate must be finite"),
+            ("dt", -1e-3, "dt must be > 0"),
+            ("t_meas", 1e-3, "t_meas must exceed dt"),
+            ("kappa", -1.0, "kappa and thermal_rate must be >= 0"),
+        ],
+    )
+    def test_values_checked(self, name, value, message):
+        # nan passed every `<= 0` check: kappa = nan ran without noise,
+        # thermal_rate = nan without jumps, t_m = nan wrote nan readouts
+        with pytest.raises(ValueError, match=message):
+            MeasurementConfig(**{name: value})
+
+
 class TestMeasurementOperator:
     def test_diagonal_and_peaked(self):
         m = measurement_operator(2.3, 1e-3, 2.0, 8)
@@ -549,6 +572,80 @@ class TestRunTrajectory:
             (t, "jump_detected")
             for t in jump_starts(rec.times, replay.rho11, 0.5, 2)
         ]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        placement=st.sampled_from(["none", "before", "straddle", "after", "first", "last"]),
+        reinit=st.integers(4, 30),
+        width=st.integers(1, 10),
+        ground_start=st.booleans(),
+        kappa=st.booleans(),
+        thermal=st.booleans(),
+    )
+    def test_each_step_takes_its_stretch(
+        self, placement, reinit, width, ground_start, kappa, thermal
+    ):
+        # a factor step where a population step would do gives the same
+        # numbers to roundoff, so only the calls show which stretch a step
+        # took: between two records, `_update` (factor), `_measure`
+        # (population) or neither (ground)
+        spec = toy_detector()
+        n_steps = 60
+        lo, hi = {
+            "none": (0, 0),
+            "before": (reinit - width - 1, reinit - 1),
+            "straddle": (reinit - width // 2 - 1, reinit + width // 2 + 1),
+            "after": (reinit + 1, reinit + 1 + width),
+            "first": (0, width),
+            "last": (n_steps - width, n_steps),
+        }[placement]
+        lo, hi = max(lo, 0), min(hi, n_steps)
+        wave = None if hi <= lo else resonant_drive_for_beta(spec, 0.3, 1.0)
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=1.0, t_meas=reinit * 1e-2, dim=4, seed=reinit,
+            record_stride=1, kappa=1e-3 * kappa, thermal_rate=2.0 * thermal,
+        )
+        gw_start = 0.25
+        window = (lo * cfg.dt - gw_start, hi * cfg.dt - gw_start)
+        initial = None if ground_start else QuantumState.from_diagonal(
+            np.random.default_rng(reinit).dirichlet(np.ones(cfg.dim))
+        )
+        # steps lo + 1 .. hi overlap the window; noise displaces every step
+        displacing = [kappa or thermal or lo < i <= hi for i in range(1, n_steps + 1)]
+        expected = []
+        for start in range(0, n_steps, reinit):
+            period = displacing[start : start + reinit]
+            hits = [j for j, flag in enumerate(period) if flag]
+            first, last = (hits[0], hits[-1]) if hits else (len(period), -1)
+            if start == 0 and not ground_start:
+                first = 0
+            expected += ["ground"] * first + ["factor"] * (last + 1 - first)
+            expected += ["population"] * (len(period) - max(first, last + 1))
+
+        log = []
+
+        def logged(kind, fn):
+            def wrapper(*args, **kwargs):
+                log.append(kind)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measurement, "_update", logged("factor", measurement._update))
+            mp.setattr(measurement, "_measure", logged("population", measurement._measure))
+            mp.setattr(measurement._BatchResult, "add", logged(None, measurement._BatchResult.add))
+            run_trajectory(
+                spec, wave, cfg, duration=n_steps * cfg.dt, gw_start=gw_start,
+                window=window, initial_state=initial,
+            )
+        kinds, kind = [], "ground"
+        for entry in log:
+            if entry is None:
+                kinds.append(kind)
+                kind = "ground"
+            else:
+                kind = entry
+        assert kinds == expected
 
 
 def step_drive(spec, wave, cfg, i, gw_start, window):
