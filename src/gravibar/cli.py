@@ -689,8 +689,6 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--n-traj {args.n_traj} must be >= 1")
                 run.n_traj = args.n_traj
                 run.resolved["measurement"]["n_traj"] = args.n_traj
-        elif args.command != "lattice-verify":
-            raise ConfigError("--config is required")
         out_dir = args.out or (run.out_dir if run is not None else "out")
         outputs = _OutputSet(out_dir)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

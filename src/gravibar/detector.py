@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,7 +106,8 @@ class DetectorSpec:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise DetectorSpecError(f"{name} must be finite and > 0, got {value}")
-        if self.mode_index < 1 or self.mode_index % 2 == 0:
+        if (not isinstance(self.mode_index, numbers.Integral) or self.mode_index < 1
+                or self.mode_index % 2 == 0):
             raise DetectorSpecError(
                 f"mode_index must be an odd positive integer, got {self.mode_index}"
             )

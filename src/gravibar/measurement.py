@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,9 @@ class MeasurementConfig:
     record_stride: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("dim", "seed", "record_stride"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("dt", "t_m", "t_meas", "kappa", "thermal_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -302,6 +306,9 @@ def step(
     """
     if cache is None:
         cache = DisplacementCache(cfg.dim)
+    for name, dim in (("state", state.dim), ("cache", cache.dim)):
+        if dim != cfg.dim:
+            raise ValueError(f"{name} dim {dim} != config dim {cfg.dim}")
     xi = np.array([cfg.readout_sigma * rng.standard_normal()])
     xs = cfg.gamma_sigma * rng.standard_normal(2) if cfg.kappa > 0.0 else None
     u = rng.random() if cfg.thermal_rate > 0.0 else None

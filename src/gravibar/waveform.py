@@ -43,42 +43,41 @@ def coalescence_time(nu0: float, k: float) -> float:
     return 3.0 / (8.0 * k * nu0 ** (8.0 / 3.0))
 
 
+def _chirp_log(nu0: float, k: float, t) -> np.ndarray:
+    """The chirp's clock L = log(1 - eps), eps = (8/3) k nu0^(8/3) t = t/t_c.
+
+    Raises ChirpDomainError at or after coalescence, where t >= t_c or eps >= 1
+    (next to t_c, rounding can make the two disagree).
+    """
+    t = np.asarray(t, dtype=float)
+    t_c = coalescence_time(nu0, k)
+    rate = (8.0 / 3.0) * k * nu0 ** (8.0 / 3.0)
+    t_last = np.max(t, initial=-np.inf)
+    if t_last >= t_c or rate * t_last >= 1.0:
+        raise ChirpDomainError(f"chirp evaluated at/after coalescence t_c = {t_c:.6g} s")
+    return np.log1p(-rate * t)
+
+
 def chirp_frequency(nu0: float, k: float, t):
     """Instantaneous angular frequency nu(t) = (nu0^(-8/3) - (8/3) k t)^(-3/8).
 
-    Accepts scalar or array `t`; raises ChirpDomainError at or beyond the
-    coalescence time.
+    Accepts scalar or array `t` (k > 0); raises ChirpDomainError at/after t_c.
     """
-    t = np.asarray(t, dtype=float)
-    base = nu0 ** (-8.0 / 3.0) - (8.0 / 3.0) * k * t
-    if np.any(base <= 0.0):
-        raise ChirpDomainError(
-            f"chirp evaluated at/after coalescence t_c = {coalescence_time(nu0, k):.6g} s"
-        )
-    out = base ** (-3.0 / 8.0)
+    out = nu0 * np.exp(-0.375 * _chirp_log(nu0, k, t))
     return float(out) if out.ndim == 0 else out
 
 
 def chirp_phase(nu0: float, k: float, t):
     """Accumulated phase phi(t) = (3/(5k)) (nu0^(-5/3) - nu(t)^(-5/3)), phi(0)=0.
 
-    Evaluated in a cancellation-free form so the constant-frequency limit
-    k -> 0 recovers nu0*t to machine precision.
+    Evaluated in a cancellation-free form, nu(t)^(-5/3) = nu0^(-5/3) e^(5L/8),
+    so the constant-frequency limit k -> 0 recovers nu0*t to machine precision.
     """
     if k == 0.0:
-        t = np.asarray(t, dtype=float)
-        out = nu0 * t
-        return float(out) if out.ndim == 0 else out
-    t = np.asarray(t, dtype=float)
-    eps = (8.0 / 3.0) * k * nu0 ** (8.0 / 3.0) * t
-    if np.any(eps >= 1.0):
-        raise ChirpDomainError(
-            f"chirp evaluated at/after coalescence t_c = {coalescence_time(nu0, k):.6g} s"
-        )
-    # nu(t)^(-5/3) = nu0^(-5/3) * (1-eps)^(5/8)
-    out = (3.0 / (5.0 * k)) * nu0 ** (-5.0 / 3.0) * (
-        -np.expm1((5.0 / 8.0) * np.log1p(-eps))
-    )
+        out = nu0 * np.asarray(t, dtype=float)
+    else:
+        scale = (3.0 / (5.0 * k)) * nu0 ** (-5.0 / 3.0)
+        out = scale * -np.expm1(0.625 * _chirp_log(nu0, k, t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,18 +265,13 @@ def strain_samples(signal: StrainSignal, ts: np.ndarray):
 def _chirp_samples(chirp: ChirpSource, t: np.ndarray):
     """(h, hddot) of a chirp at times inside its support, in one pass.
 
-    Frequency, phase and the nu^(2/3) envelope all follow from
-    L = log(1 - eps), eps = (8/3) k nu0^(8/3) t: nu^2 = nu0^2 e^(-3L/4),
+    Frequency, phase and the nu^(2/3) envelope all follow from the clock
+    L of `_chirp_log`: nu^2 = nu0^2 e^(-3L/4),
     phi = (3/(5k)) nu0^(-5/3) (1 - e^(5L/8)) as in `chirp_phase`, and
     (nu/nu0)^(2/3) = e^(-L/4).
     """
     nu0, k = chirp.nu0, chirp.k
-    eps = (8.0 / 3.0) * k * nu0 ** (8.0 / 3.0) * t
-    if np.any(eps >= 1.0):
-        raise ChirpDomainError(
-            f"chirp evaluated at/after coalescence t_c = {coalescence_time(nu0, k):.6g} s"
-        )
-    log_base = np.log1p(-eps)
+    log_base = _chirp_log(nu0, k, t)
     phase = (3.0 / (5.0 * k)) * nu0 ** (-5.0 / 3.0) * -np.expm1(0.625 * log_base)
     if chirp.amplitude_model == "constant":
         h = chirp.h0 * np.sin(phase)

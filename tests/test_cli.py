@@ -43,6 +43,10 @@ directory = {out}
 stride = 3
 """
 
+NO_SOURCE = MONO_CONFIG.replace(
+    MONO_CONFIG[MONO_CONFIG.index("[source]") : MONO_CONFIG.index("[measurement]")], ""
+)
+
 CHIRP_CONFIG = """\
 [detector]
 material = beryllium
@@ -318,6 +322,15 @@ class TestParseConfig:
         assert not (tmp_path / "out").exists()
         path = write_config(tmp_path, MONO_CONFIG.replace("stride = 3", "stride = 200"))
         assert parse_config(path).measurement.record_stride == 200
+
+    def test_inline_material(self, tmp_path):
+        text = MONO_CONFIG.replace("material = niobium", "density = 8570\nsound_speed = 5000")
+        inline = parse_config(write_config(tmp_path, text))
+        named = parse_config(write_config(tmp_path, MONO_CONFIG, "named.ini"))
+        assert inline.detector.material.name == "custom"
+        assert inline.detector.mass == named.detector.mass
+        assert mode_frequency(inline.detector) == mode_frequency(named.detector)
+        assert inline.resolved["detector"]["density"] == 8570.0
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -676,6 +689,13 @@ class TestSensitivity:
 
 
 class TestLatticeVerify:
+    def test_config_writes_metadata(self, tmp_path):
+        path = write_config(tmp_path, MONO_CONFIG + "\n[lattice]\nn_values = 19,39\n")
+        assert main(["lattice-verify", "--config", path]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["command"] == "lattice-verify"
+        assert meta["resolved_config"]["lattice"]["n_values"] == [19, 39]
+
     def test_all_checks_pass(self, tmp_path, capsys):
         out = tmp_path / "lat"
         assert main(["lattice-verify", "--out", str(out)]) == 0
@@ -692,6 +712,23 @@ class TestErrors:
         path = write_config(tmp_path, text)
         assert main(["rates", "--config", path]) == 2
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, command, named", [
+        (MONO_CONFIG.replace("= monochromatic", "= laser"), "rates", "[source] type = 'laser'"),
+        (MONO_CONFIG[MONO_CONFIG.index("[source]") :], "rates", "[detector]"),
+        (MONO_CONFIG.replace("material = niobium\n", ""), "rates", "material = <name>"),
+        (MONO_CONFIG.replace("length = 1.0\n", ""), "rates", "[detector] needs length"),
+        (NO_SOURCE.replace("radius = 0.5", "radius = 0.5\nmass = optimal"), "rates",
+         "mass = optimal"),
+        (MONO_CONFIG.replace("radius = 0.5", "radius = 0.5\nmass = heavy"), "rates",
+         "[detector] mass = 'heavy'"),
+        (NO_SOURCE, "chi", "[source]"),
+        (NO_SOURCE, "optimal-mass", "[source]"),
+    ], ids=["choices", "no_detector", "no_material", "no_length", "optimal_without_source",
+            "mass_not_a_number", "chi_without_source", "optimal_mass_without_source"])
+    def test_config_error_names_its_key(self, tmp_path, capsys, text, command, named):
+        assert main([command, "--config", write_config(tmp_path, text)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_material_message(self, tmp_path, capsys):
         text = MONO_CONFIG.replace("material = niobium", "material = wood")

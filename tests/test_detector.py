@@ -55,6 +55,13 @@ class TestDetectorSpec:
         with pytest.raises(DetectorSpecError, match="odd"):
             niobium_bar(mode_index=2)
 
+    @pytest.mark.parametrize("mode_index", [1.5, 3.0])
+    def test_non_integral_mode_rejected(self, mode_index):
+        # 1.5 % 2 == 0 is False: mode_index = 1.5 once gave a mode the bar lacks
+        with pytest.raises(DetectorSpecError, match="odd positive integer"):
+            niobium_bar(mode_index=mode_index)
+        assert niobium_bar(mode_index=np.int64(3)).mode_index == 3
+
     @pytest.mark.parametrize("field", ["length", "radius", "quality", "temperature"])
     def test_positive_fields(self, field):
         with pytest.raises(DetectorSpecError):

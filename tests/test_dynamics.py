@@ -30,6 +30,7 @@ from gravibar.waveform import (
     ChirpDomainError,
     ChirpSource,
     MonochromaticWave,
+    SampledStrain,
     chirp_frequency,
     chirp_window,
     resonance_crossing_time,
@@ -68,6 +69,13 @@ class TestChiQuadrature:
     def test_empty_window(self):
         wave = MonochromaticWave(h0=1.0, nu=1.0)
         assert chi_quadrature(wave, 1.0, (5.0, 5.0)).value == 0.0
+
+    @pytest.mark.parametrize("window", [(0.25, 0.75), (0.5, 1.5), (5.0, 6.0)])
+    def test_sampled_window_with_fewer_than_two_samples(self, window):
+        # samples at 0, 1, 2, 3: the trapezoid rule needs two inside the window
+        strain = SampledStrain(t0=0.0, dt=1.0, h=[0.0, 1.0, -1.0, 0.5])
+        res = chi_quadrature(strain, 1.0, window)
+        assert (res.value, res.nodes) == (0.0, 0)
 
     def test_refinement_evaluates_each_node_once(self, ns_merger_chirp, monkeypatch):
         # the Simpson oracle's nested doubling: the calls together cover the

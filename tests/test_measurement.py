@@ -93,6 +93,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             MeasurementConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["dim", "record_stride", "seed"])
+    def test_counts_must_be_integers(self, name):
+        # record_stride = 1.5 sized a run's records by n_steps // 1.5 but
+        # wrote only every third step, leaving np.empty values in the rest
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MeasurementConfig(**{name: 2.5})
+        assert getattr(MeasurementConfig(**{name: np.int64(3)}), name) == 3
+
 
 class TestMeasurementOperator:
     def test_diagonal_and_peaked(self):
@@ -198,6 +206,14 @@ class TestStep:
         new, r = step(state, cfg, 0.0, ZeroNoise())
         assert r == pytest.approx(0.0)
         np.testing.assert_allclose(new.rho, state.rho, atol=1e-14)
+
+    def test_dimension_mismatch_named(self):
+        cfg = self.cfg(dim=4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="state dim 5 != config dim 4"):
+            step(QuantumState.ground(5), cfg, 0.0, rng)
+        with pytest.raises(ValueError, match="cache dim 5 != config dim 4"):
+            step(QuantumState.ground(4), cfg, 0.0, rng, cache=DisplacementCache(5))
 
     def test_invariants_after_step(self):
         cfg = self.cfg()

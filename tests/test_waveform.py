@@ -77,6 +77,20 @@ class TestChirpFrequency:
         # diverges approaching the pole
         assert chirp_frequency(nu0, k, t_c * (1 - 1e-12)) > 1e3 * nu0
 
+    @pytest.mark.parametrize("beyond", [1.0, 2.0])
+    def test_both_clocks_raise_at_coalescence_on_a_grid(self, beyond):
+        # the frequency's power form and the phase's log form each checked
+        # their own rounding of 1 - t/t_c and returned values at t = t_c in
+        # 720 and 673 of these 1 600 cases
+        for mc in np.linspace(0.5, 3.0, 40):
+            k = chirp_rate_k(mc * SOLAR_MASS)
+            for f0 in np.linspace(10.0, 200.0, 40):
+                nu0 = 2 * math.pi * f0
+                t = coalescence_time(nu0, k) * beyond
+                for clock in (chirp_frequency, chirp_phase):
+                    with pytest.raises(ChirpDomainError, match="at/after coalescence"):
+                        clock(nu0, k, t)
+
     def test_strictly_increasing(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
