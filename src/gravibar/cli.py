@@ -417,12 +417,24 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
 
 
 class _OutputSet:
-    """Tracks files written by a run so failures can clean up."""
+    """Tracks the files a run writes, and the directories it makes for them,
+    so failures can clean up."""
 
     def __init__(self, directory: str):
         self.directory = directory
         self.paths: list[str] = []
-        os.makedirs(directory, exist_ok=True)
+        self.made: list[str] = []  # deepest first
+        path = os.path.abspath(directory)
+        while not os.path.lexists(path):
+            self.made.append(path)
+            path = os.path.dirname(path)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            self.discard_all()
+            raise ConfigError(
+                f"cannot make output directory {directory!r}: {exc.strerror}"
+            ) from None
 
     def open(self, name: str):
         path = os.path.join(self.directory, name)
@@ -430,11 +442,12 @@ class _OutputSet:
         return open(path, "w", encoding="utf-8", newline="\n")
 
     def discard_all(self) -> None:
-        for path in self.paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        for remove, paths in ((os.remove, self.paths), (os.rmdir, self.made)):
+            for path in paths:
+                try:
+                    remove(path)
+                except OSError:
+                    pass
 
 
 def _write_csv(outputs: _OutputSet, name: str, header: str, columns) -> None:

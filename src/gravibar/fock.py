@@ -1,4 +1,4 @@
-"""Truncated Fock-space numerics: states, ladder operators, displacements.
+"""Truncated Fock-space numerics: states and displacements.
 
 States are dense complex density matrices at dimension ~30, checked at the
 fixed HERMITICITY_TOL, TRACE_TOL and POSITIVITY_TOL; the measurement
@@ -97,20 +97,6 @@ class QuantumState:
             raise StateInvariantError(f"negative eigenvalue {lam:.3e}")
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Ladder operator b with b|n> = sqrt(n)|n-1>."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    b = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    b[ns - 1, ns] = np.sqrt(ns)
-    return b
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
-
-
 def check_truncation(beta: complex, dim: int) -> str | None:
     """What is wrong with displacing by `beta` at truncation `dim`
     (|beta|^2 > dim/4), or None when the displacement fits."""
@@ -188,6 +174,4 @@ __all__ = [
     "QuantumState",
     "StateInvariantError",
     "TraceUnderflowError",
-    "annihilation",
-    "creation",
 ]

@@ -48,7 +48,6 @@ of 128 MiB (`_CHUNK_BYTES`).
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -63,7 +62,6 @@ from .fock import (
     QuantumState,
     StateInvariantError,
     TraceUnderflowError,
-    creation,
 )
 from .waveform import StrainSignal
 
@@ -112,9 +110,12 @@ class MeasurementConfig:
     record_stride: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("dim", "seed", "record_stride"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, low in (("dim", 2), ("seed", 0), ("record_stride", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("dt", "t_m", "t_meas", "kappa", "thermal_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -124,12 +125,8 @@ class MeasurementConfig:
             raise ValueError(f"t_m must be > 0, got {self.t_m}")
         if self.t_meas <= self.dt:
             raise ValueError("t_meas must exceed dt")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.kappa < 0.0 or self.thermal_rate < 0.0:
             raise ValueError("kappa and thermal_rate must be >= 0")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
 
     @property
     def readout_sigma(self) -> float:
@@ -250,8 +247,9 @@ def _update(
         c, rot, q = phases
         amps = cache.rotate(w * c, rot, amps)
         amps *= q[..., None]
-    if jumped is not None:
-        amps[jumped] = creation(cache.dim) @ amps[jumped]
+    if jumped is not None:  # b^dag: A[n + 1] = sqrt(n + 1) A[n], A[0] = 0
+        amps[jumped, 1:] = np.sqrt(cache.levels[1:, None]) * amps[jumped, :-1]
+        amps[jumped, 0] = 0.0
 
     # a thermal jump out of the top Fock level leaves a zero factor
     pops = _populations(amps)
@@ -499,16 +497,6 @@ _NOISE_BLOCK = 1 << 16
 _NOISE_FLOOR = 256
 
 
-def _skipped(g: np.random.Generator, count: int, block: int) -> np.random.Generator:
-    """A copy of `g` that has drawn and discarded `count` standard normals,
-    `block` at a time."""
-    g = copy.deepcopy(g)
-    sink = np.empty(block)
-    for lo in range(0, count, block):
-        g.standard_normal(out=sink[: min(block, count - lo)])
-    return g
-
-
 def _draws(rngs: list[np.random.Generator], method: str, m: int) -> np.ndarray:
     """(n, m): the next m draws of `method` from each generator in turn."""
     out = np.empty((len(rngs), m))
@@ -524,38 +512,29 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
     `xi` (m, n) is the readout noise, scaled by sqrt(t_m/dt); `gammas`
     (m, n) the displacement noise, scaled by gamma_sigma (None without
     kappa); `jumps` (m, n) flags the thermal jumps (None without a thermal
-    rate). Trajectory k draws from `rngs[k]` as if all at once: n_steps
-    readout normals, then n_steps pairs of noise normals, then n_steps
-    uniforms. Past one block, the later streams come from copies of the
-    generator that first draw and discard the earlier ones, a block at a
-    time (block draws reproduce one big draw bit for bit), and after the
-    last block each generator is left in the state of its last stream, as
-    after drawing everything at once.
+    rate). Each source of trajectory k has its own stream: the readout
+    normals come from `rngs[k]` and, with kappa or a thermal rate on, the
+    pairs of noise normals from child 0 and the uniforms from child 1 of
+    `rngs[k].spawn(2)`, so no stream depends on which other source is on.
+    Drawn a block at a time, each stream reproduces one big draw bit for bit.
     """
     n = len(rngs)
     block = max(_NOISE_FLOOR, _NOISE_BLOCK // n)
-    kappa = thermal = None
-    copies = n_steps > block  # in one block, the streams follow each other
-    if cfg.kappa > 0.0:
-        kappa = [_skipped(g, n_steps, block) for g in rngs] if copies else rngs
-    if cfg.thermal_rate > 0.0:  # after the readout normals and kappa's pairs
-        skip = n_steps if kappa is None else 2 * n_steps
-        thermal = [_skipped(g, skip, block) for g in kappa or rngs] if copies else rngs
+    if cfg.kappa > 0.0 or cfg.thermal_rate > 0.0:
+        kappa, thermal = zip(*(g.spawn(2) for g in rngs))
     for lo in range(0, n_steps, block):
         m = min(block, n_steps - lo)
         # each step reads a row of a block: the (m, n) blocks are C-ordered
         xi = np.multiply(_draws(rngs, "standard_normal", m).T, cfg.readout_sigma, order="C")
         gammas = jumps = None
-        if kappa is not None:  # pairs of normals are the parts of a complex
+        if cfg.kappa > 0.0:  # pairs of normals are the parts of a complex
             parts = _draws(kappa, "standard_normal", 2 * m)
             parts *= cfg.gamma_sigma
             gammas = np.ascontiguousarray(parts.view(complex).T)
-        if thermal is not None:
+        if cfg.thermal_rate > 0.0:
             u = _draws(thermal, "random", m).T
             jumps = np.less(u, cfg.thermal_rate * cfg.dt, order="C")
         yield lo, xi, gammas, jumps
-    for g, last in zip(rngs, (thermal or kappa or ()) if copies else ()):
-        g.bit_generator.state = last.bit_generator.state
 
 
 def _run_batch(
@@ -704,7 +683,9 @@ def run_trajectory(
     `signal` whose own clock starts at run time `gw_start` (restricted to
     `window` in signal time; defaults to the signal's natural window).
     With ``signal=None`` the run is measurement-only. Identical (cfg, rng
-    seed) give identical records.
+    seed) give identical records. The readout noise comes from `rng`
+    (default: the generator of cfg.seed), left as after the run's n_steps
+    normals, and the kappa and thermal noise from `rng.spawn(2)`.
     """
     if duration is None:
         duration = cfg.t_meas
@@ -821,11 +802,11 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Run n_traj independent trajectories and reduce them.
 
-    Per-trajectory generators are spawned deterministically from
-    `base_seed` (default cfg.seed), so the ensemble is reproducible and
-    each trajectory, in any chunk, matches a single `run_trajectory` with
-    the same spawned generator. `initial_states` may supply one starting
-    state per trajectory (ground state otherwise).
+    Per-trajectory generators are spawned from `base_seed` (default
+    cfg.seed), each spawning its kappa and thermal streams, so the ensemble
+    is reproducible and each trajectory, in any chunk, matches a single
+    `run_trajectory` with the same generator. `initial_states` may supply
+    one starting state per trajectory (ground state otherwise).
 
     The drive is computed once (`_drive`) for every trajectory. The whole
     ensemble runs as one chunk, split only where its batch would exceed a

@@ -3,10 +3,12 @@
 The engine in `gravibar.measurement` never forms a displacement or a
 measurement operator: it rotates factors in the real eigenbasis of
 `gravibar.fock.DisplacementCache` and weights populations by the diagonal
-of M(r). These are the textbook forms it is checked against: the number
-operator, the displacement as a matrix exponential (scipy's `expm`), the
-coherent state it makes, the normalized update K rho K^dag / tr(...), the
-purity and <n> of a state, and D(z) @ A through the cache's `rotate`.
+of M(r), and it applies a thermal jump b^dag as a shift of the factor's
+rows. These are the textbook forms it is checked against: the ladder and
+number operators, the displacement as a matrix exponential (scipy's
+`expm`), the coherent state it makes, the normalized update
+K rho K^dag / tr(...), the purity and <n> of a state, and D(z) @ A through
+the cache's `rotate`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,23 @@ from gravibar.fock import (
     TRACE_UNDERFLOW,
     QuantumState,
     TraceUnderflowError,
-    annihilation,
     check_truncation,
 )
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Ladder operator b with b|n> = sqrt(n)|n-1>."""
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    b = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    b[ns - 1, ns] = np.sqrt(ns)
+    return b
+
+
+def creation(dim: int) -> np.ndarray:
+    """b^dag, with b^dag|n> = sqrt(n + 1)|n + 1> below the top level."""
+    return annihilation(dim).conj().T
 
 
 def number_operator(dim: int) -> np.ndarray:

@@ -603,7 +603,7 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "[measurement] dim" in err and "truncation dim = 8" in err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gw_start, beta2", [("0.0", "4.22"), ("0.2345", "3.58")])
     def test_truncation_guard_is_per_reinit_period(self, tmp_path, capsys, gw_start, beta2):
@@ -616,7 +616,7 @@ class TestSimulate:
         whole = write_config(tmp_path, text.replace("t_meas = 1.0", "t_meas = 3.0"), "whole.ini")
         assert main(["simulate", "--config", whole, "--out", str(tmp_path / "whole")]) == 2
         assert f"|beta|^2 = {beta2} is large for truncation dim = 4" in capsys.readouterr().err
-        assert list((tmp_path / "whole").iterdir()) == []
+        assert not (tmp_path / "whole").exists()
 
     def test_truncated_kappa_noise_rejected_before_any_step(self, tmp_path, capsys):
         # kappa = 0.5 at dt = 1e-2 kicks by mean |gamma|^2 = 2 kappa^2/dt = 50
@@ -627,7 +627,7 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "kappa noise" in err and "|beta|^2 = 1e+04 is large for truncation dim = 10" in err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_kappa_heating_over_a_period_rejected(self, tmp_path, capsys):
         # kappa = 0.05 kicks by mean |gamma|^2 = 0.5 a step, which dim 10
@@ -748,4 +748,51 @@ class TestErrors:
         path = write_config(tmp_path, MONO_CONFIG.replace("= niobium", "= rubber"))
         assert main(["rates", "--config", path, "--materials", str(table)]) == 2
         assert "material [rubber]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    @pytest.mark.parametrize("command, code", [("chi", 2), ("sensitivity", 1)])
+    def test_failed_command_leaves_no_directory_it_made(
+        self, tmp_path, capsys, command, code, existing
+    ):
+        # chi fails before writing (no [source]), sensitivity after writing
+        # its curve (a one-column reference): either way the directories the
+        # run made go, and one that was there before stays, emptied
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        ref = tmp_path / "ref.txt"
+        ref.write_text("700\n900\n")
+        args = {
+            "chi": ["chi", "--config", write_config(tmp_path, NO_SOURCE, "no_source.ini")],
+            "sensitivity": [
+                "sensitivity", "--config", write_config(tmp_path, MONO_CONFIG),
+                "--reference", str(ref),
+            ],
+        }[command]
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "made").exists() == existing
+        assert out.exists() == existing
+        if existing:
+            assert list(out.iterdir()) == []
+
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        path = write_config(tmp_path, MONO_CONFIG)
+        assert main(["rates", "--config", path, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(taken)) in err
+        assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, flag):
+        # SeedSequence rejected it mid-run, exit 1, without naming the key
+        text = TestSimulate.CONFIG
+        if not flag:
+            text = text.replace("seed = 42", "seed = -1")
+        args = ["simulate", "--config", write_config(tmp_path, text)]
+        assert main(args + (["--seed", "-1"] if flag else [])) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from fock_oracle import (
+    annihilation,
     apply_normalized,
     coherent_state,
+    creation,
     displace,
     displacement_operator,
     expect_number,
@@ -23,8 +25,6 @@ from gravibar.fock import (
     QuantumState,
     StateInvariantError,
     TraceUnderflowError,
-    annihilation,
-    creation,
 )
 
 

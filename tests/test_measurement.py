@@ -7,6 +7,7 @@ from diagonal_oracle import posterior, simulate
 from fock_oracle import (
     apply_normalized,
     coherent_state,
+    creation,
     displacement_operator,
     expect_number,
 )
@@ -25,7 +26,6 @@ from gravibar.fock import (
     QuantumState,
     StateInvariantError,
     TraceUnderflowError,
-    creation,
 )
 from gravibar.measurement import (
     MeasurementConfig,
@@ -85,6 +85,7 @@ class TestConfig:
             ("dt", -1e-3, "dt must be > 0"),
             ("t_meas", 1e-3, "t_meas must exceed dt"),
             ("kappa", -1.0, "kappa and thermal_rate must be >= 0"),
+            ("seed", -1, "seed must be >= 0"),
         ],
     )
     def test_values_checked(self, name, value, message):
@@ -487,7 +488,7 @@ class TestRunTrajectory:
         spec = toy_detector()
         wave = resonant_drive_for_beta(spec, 0.7, 1.0)
         cfg = MeasurementConfig(
-            dt=1e-2, t_m=0.5, t_meas=0.5, dim=12, seed=3, record_stride=1,
+            dt=1e-2, t_m=0.5, t_meas=0.5, dim=12, seed=6, record_stride=1,
             kappa=2e-3, thermal_rate=3.0,
         )
         rec = run_trajectory(
@@ -501,9 +502,8 @@ class TestRunTrajectory:
         # 100 factor steps (kappa displaces every step), a reinit at 0.5 s
         # and a thermal jump on each side of it
         assert (0.5, "reinit") in rec.events
-        rng = np.random.default_rng(3)
-        rng.standard_normal(100), rng.standard_normal((100, 2))
-        jumps = np.flatnonzero(rng.random(100) < 3.0 * 1e-2)
+        _, thermal = np.random.default_rng(cfg.seed).spawn(2)
+        jumps = np.flatnonzero(thermal.random(100) < 3.0 * 1e-2)
         assert jumps.min() < 50 <= jumps.max()
 
     def test_mixed_start_factor_stretch_matches_reference_operators(self):
@@ -697,9 +697,10 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window, initial=N
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
     rng = np.random.default_rng(cfg.seed)
+    kappa, thermal = rng.spawn(2)
     xis = rng.standard_normal(n_steps)
-    gammas = cfg.gamma_sigma * rng.standard_normal((n_steps, 2))
-    uniforms = rng.random(n_steps)
+    gammas = cfg.gamma_sigma * kappa.standard_normal((n_steps, 2))
+    uniforms = thermal.random(n_steps)
     state = initial if initial is not None else QuantumState.ground(cfg.dim)
     rows = []
     for i in range(1, n_steps + 1):
@@ -722,17 +723,19 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window, initial=N
 def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
     """Replay `run_trajectory`'s noise through the public step().
 
-    Draws the noise from the default generator of `cfg.seed` the way the
-    engine does (readout normals, then noise normals, then thermal
-    uniforms), drives with closed-form increments restricted to `window`, and
-    reinitializes every t_meas. Returns the record and its events.
+    Draws the noise the way the engine does: the readout normals from the
+    default generator of `cfg.seed`, the noise normals and the thermal
+    uniforms from its two spawned children. Drives with closed-form
+    increments restricted to `window`, and reinitializes every t_meas.
+    Returns the record and its events.
     """
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
     rng = np.random.default_rng(cfg.seed)
+    kappa, thermal = rng.spawn(2)
     readout = iter(rng.standard_normal(n_steps))
-    gamma = iter(rng.standard_normal((n_steps, 2)) if cfg.kappa else ())
-    uniforms = iter(rng.random(n_steps) if cfg.thermal_rate else ())
+    gamma = iter(kappa.standard_normal((n_steps, 2)) if cfg.kappa else ())
+    uniforms = iter(thermal.random(n_steps) if cfg.thermal_rate else ())
 
     class Replay:
         def standard_normal(self, size=None):
@@ -1371,8 +1374,10 @@ class TestRunEnsemble:
 
 
 class TestNoiseBlocks:
-    """Noise drawn a block of steps at a time, from copies of each generator
-    that skip the earlier streams, as if drawn all at once."""
+    """Noise drawn a block of steps at a time, each source from its own
+    stream (the readout normals from each trajectory's generator, the kappa
+    and thermal noise from its two spawned children), as if drawn all at
+    once."""
 
     CFG = MeasurementConfig(
         dt=1e-2, t_m=0.5, t_meas=1.0, dim=8, kappa=0.05, thermal_rate=2.0,
@@ -1394,11 +1399,49 @@ class TestNoiseBlocks:
         monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
         np.testing.assert_array_equal(self.series(), whole)
 
+    @pytest.mark.parametrize("block, floor", [(1 << 16, 256), (64, 16), (7, 3), (1, 1)])
+    @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
+    def test_each_source_keeps_its_own_stream(
+        self, monkeypatch, block, floor, kappa, thermal_rate
+    ):
+        # whichever other source is on and however the steps fall into
+        # blocks: the readout normals come from each generator, the kappa
+        # pairs from child 0 and the thermal uniforms from child 1 of its
+        # spawn(2), each as one draw
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
+        cfg = dataclasses.replace(self.CFG, kappa=kappa, thermal_rate=thermal_rate)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
+        _, *streams = zip(*measurement._noise_blocks(rngs, cfg, 150))
+        xi, gammas, jumps = (None if s[0] is None else np.concatenate(s) for s in streams)
+
+        # fresh seed sequences: spawning advances a sequence's child count
+        refs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
+        children = [g.spawn(2) for g in refs]
+        np.testing.assert_array_equal(
+            xi, np.stack([cfg.readout_sigma * g.standard_normal(150) for g in refs], axis=1)
+        )
+        if kappa:
+            expected = [
+                (cfg.gamma_sigma * g.standard_normal(300)).view(complex) for g, _ in children
+            ]
+            np.testing.assert_array_equal(gammas, np.stack(expected, axis=1))
+        else:
+            assert gammas is None
+        if thermal_rate:
+            expected = [g.random(150) < cfg.thermal_rate * cfg.dt for _, g in children]
+            np.testing.assert_array_equal(jumps, np.stack(expected, axis=1))
+            assert jumps.any()
+        else:
+            assert jumps is None
+
     @pytest.mark.parametrize("block", [16, 1 << 16])  # 10 blocks, one block
     @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
     def test_run_trajectory_leaves_rng_as_one_draw_would(
         self, monkeypatch, block, kappa, thermal_rate
     ):
+        # the kappa and thermal noise come from spawned children, so the
+        # generator itself draws the run's 150 readout normals and no more
         monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
         monkeypatch.setattr(measurement, "_NOISE_FLOOR", 16)
         cfg = dataclasses.replace(self.CFG, kappa=kappa, thermal_rate=thermal_rate)
@@ -1406,8 +1449,4 @@ class TestNoiseBlocks:
         run_trajectory(toy_detector(), None, cfg, duration=1.5, rng=rng)
         ref = np.random.default_rng(11)
         ref.standard_normal(150)
-        if kappa:
-            ref.standard_normal((150, 2))
-        if thermal_rate:
-            ref.random(150)
         assert rng.bit_generator.state == ref.bit_generator.state
