@@ -11,9 +11,10 @@ Subcommands::
 
 The config file is INI-style with [detector], [source], [measurement],
 [output] and optional [sensitivity]/[lattice] sections; '#' starts a
-comment. Every run writes a metadata.json with the fully resolved
-configuration, constants and seeds, sufficient to reproduce the outputs
-byte for byte. All CSV floats use shortest round-trip formatting.
+comment. Every run with a config writes a metadata.json with the fully
+resolved configuration, constants and seeds, sufficient to reproduce the
+outputs byte for byte; `lattice-verify` without `--config` writes none.
+All CSV floats use shortest round-trip formatting.
 
 `simulate` runs its trajectories through `measurement.run_ensemble`'s chunk
 stream and reduction, writing each trajectory's CSV from its chunk. The
@@ -93,31 +94,25 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration files."""
 
 
-_SECTION_KEYS = {
+# Each section's keys, with the unit a number is read in (None: no unit).
+_KEYS = {
     "detector": {
-        "material", "density", "sound_speed", "length", "frequency_hz",
-        "radius", "mass", "mode_index", "quality", "temperature",
+        "material": None, "density": "kg/m^3", "sound_speed": "m/s", "length": "m",
+        "frequency_hz": "Hz", "radius": "m", "mass": "kg", "mode_index": None,
+        "quality": "1", "temperature": "K",
     },
     "source": {
-        "type", "h0", "frequency_hz", "chirp_mass_msun", "nu0_hz",
-        "amplitude_model", "path", "gw_start", "window_start", "window_end",
+        "type": None, "h0": "strain", "frequency_hz": "Hz",
+        "chirp_mass_msun": "solar masses", "nu0_hz": "Hz", "amplitude_model": None,
+        "path": None, "gw_start": "s", "window_start": "s", "window_end": "s",
     },
     "measurement": {
-        "dt", "t_m", "t_meas", "dim", "kappa", "thermal", "seed", "n_traj",
-        "duration",
+        "dt": "s", "t_m": "s", "t_meas": "s", "dim": None, "kappa": "1", "thermal": None,
+        "seed": None, "n_traj": None, "duration": "s",
     },
-    "output": {"directory", "stride"},
-    "sensitivity": {"f_min_hz", "f_max_hz", "n_points"},
-    "lattice": {"n_values"},
-}
-
-_UNITS = {
-    "density": "kg/m^3", "sound_speed": "m/s", "length": "m",
-    "frequency_hz": "Hz", "radius": "m", "mass": "kg", "quality": "1",
-    "temperature": "K", "h0": "strain", "chirp_mass_msun": "solar masses",
-    "nu0_hz": "Hz", "gw_start": "s", "window_start": "s", "window_end": "s",
-    "dt": "s", "t_m": "s", "t_meas": "s", "kappa": "1", "duration": "s",
-    "f_min_hz": "Hz", "f_max_hz": "Hz",
+    "output": {"directory": None, "stride": None},
+    "sensitivity": {"f_min_hz": "Hz", "f_max_hz": "Hz", "n_points": None},
+    "lattice": {"n_values": None},
 }
 
 
@@ -126,12 +121,14 @@ LATTICE_N_VALUES = (19, 39, 79, 159)
 
 
 class _Section:
-    """Validated view of one config section tracking resolved values."""
+    """Validated view of one config section tracking resolved values; an
+    override other than None replaces its key's value once that is read."""
 
-    def __init__(self, name: str, proxy, resolved: dict):
+    def __init__(self, name: str, proxy, resolved: dict, overrides: dict):
         self.name = name
         self.proxy = proxy
         self.resolved = resolved.setdefault(name, {})
+        self.overrides = {key: v for key, v in overrides.items() if v is not None}
 
     def has(self, key: str) -> bool:
         return self.proxy is not None and key in self.proxy
@@ -147,24 +144,25 @@ class _Section:
         """The key's text through `convert`, `default` if absent or empty; recorded.
         A float must be finite."""
         raw = self.raw(key)
+        value = default
         if raw is None or raw == "":
             if required:
                 raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return self.record(key, default)
-        if choices is not None and raw not in choices:
+        elif choices is not None and raw not in choices:
             raise ConfigError(
                 f"[{self.name}] {key} = {raw!r} must be one of {sorted(choices)}"
             )
-        unit = _UNITS.get(key)
-        try:
-            value = convert(raw)
-        except ValueError:
-            hint = f" (expected a number in {unit})" if unit else " (expected a number)"
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not valid{hint}") from None
-        if isinstance(value, float) and not math.isfinite(value):
-            shown = f"{value!r} {unit}" if unit not in (None, "1") else repr(value)
-            raise ConfigError(f"[{self.name}] {key} = {shown} must be finite")
-        return self.record(key, value)
+        else:
+            unit = _KEYS[self.name][key]
+            try:
+                value = convert(raw)
+            except ValueError:
+                hint = f" (expected a number in {unit})" if unit else " (expected a number)"
+                raise ConfigError(f"[{self.name}] {key} = {raw!r} is not valid{hint}") from None
+            if isinstance(value, float) and not math.isfinite(value):
+                shown = f"{value!r} {unit}" if unit not in (None, "1") else repr(value)
+                raise ConfigError(f"[{self.name}] {key} = {shown} must be finite")
+        return self.record(key, self.overrides.get(key, value))
 
 
 @dataclass
@@ -184,65 +182,77 @@ class RunConfig:
     resolved: dict
 
 
-def _build_signal(sec: _Section, omega_hint: float | None):
+def _build_signal(sec: _Section, omega: float):
     kind = sec.value("type", str, required=True, choices={"monochromatic", "chirp", "file"})
+    if kind == "file":
+        return load_strain_series(sec.value("path", str, required=True))
+    h0 = sec.value("h0", required=True)
     if kind == "monochromatic":
-        h0 = sec.value("h0", required=True)
         freq = sec.value("frequency_hz", required=True)
         return MonochromaticWave(h0=h0, nu=2.0 * math.pi * freq)
-    if kind == "chirp":
-        h0 = sec.value("h0", required=True)
-        mc = sec.value("chirp_mass_msun", required=True)
-        nu0 = sec.value("nu0_hz", required=True)
-        model = sec.value(
-            "amplitude_model", str, default="constant", choices={"constant", "nu_two_thirds"}
-        )
-        ref = omega_hint if model == "nu_two_thirds" else None
-        return ChirpSource(
-            chirp_mass=mc * SOLAR_MASS,
-            h0=h0,
-            nu0=2.0 * math.pi * nu0,
-            amplitude_model=model,
-            amplitude_ref=ref,
-        )
-    path = sec.value("path", str, required=True)
-    return load_strain_series(path)
+    mc = sec.value("chirp_mass_msun", required=True)
+    nu0 = sec.value("nu0_hz", required=True)
+    model = sec.value(
+        "amplitude_model", str, default="constant", choices={"constant", "nu_two_thirds"}
+    )
+    return ChirpSource(
+        chirp_mass=mc * SOLAR_MASS, h0=h0, nu0=2.0 * math.pi * nu0, amplitude_model=model,
+        amplitude_ref=omega if model == "nu_two_thirds" else None,
+    )
 
 
-def _signal_chi(signal, window, omega) -> float:
-    """chi of a configured source at omega, for optimal-mass resolution;
-    ConfigError unless chi > 0, or for a chirp whose resonance crossing
-    lies outside the window."""
+def _closed_forms(signal, omega, window):
+    """The closed-form chi of the source that apply to its window, and
+    {method: reason} for those that do not: stationary phase and the
+    whole-crossing chirp form need the crossing s* inside the window."""
+    if isinstance(signal, MonochromaticWave):
+        return [chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0])], {}
     if isinstance(signal, ChirpSource):
         try:
             crossing_in_window(signal, omega, window)
         except ChirpDomainError as exc:
-            raise ConfigError(f"[source] {exc}: no optimal mass for this window") from None
-        chi = chi_chirp_analytic(signal.h0, signal.k, omega).value
-    elif isinstance(signal, MonochromaticWave):
-        chi = chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0]).value
-    else:
-        chi = chi_quadrature(signal, omega, window).value
+            return [], {method: str(exc) for method in ("stationary_phase", "chirp_analytic")}
+        return [chi_stationary_phase(signal, omega, window),
+                chi_chirp_analytic(signal.h0, signal.k, omega)], {}
+    return [], {}
+
+
+def _optimal_detector(spec: DetectorSpec, signal, window):
+    """The detector at the source's optimal mass, and the source's chi: the
+    last closed form that applies, or the quadrature for a sampled strain.
+    ConfigError unless chi > 0, or for a chirp whose resonance crossing
+    lies outside the window."""
+    omega = mode_frequency(spec)
+    closed, omitted = _closed_forms(signal, omega, window)
+    if omitted:
+        reason = next(iter(omitted.values()))
+        raise ConfigError(f"[source] {reason}: no optimal mass for this window")
+    chi = closed[-1].value if closed else chi_quadrature(signal, omega, window).value
     if not chi > 0.0:
         raise ConfigError(f"[source] gives chi = {chi!r}: no finite optimal mass")
-    return chi
+    mass = optimal_mass(spec.material, chi, omega)
+    return dataclasses.replace(spec, mass=mass, geometry_mass_check=False), chi
 
 
-def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
+def parse_config(
+    path: str, materials_path: str | None = None, *, seed=None, n_traj=None
+) -> RunConfig:
     """Parse and validate an INI run configuration.
 
     Unknown keys, missing required keys and type mismatches raise
     ConfigError naming the key and section. All applied defaults are
-    recorded and end up in the run metadata.
+    recorded and end up in the run metadata. `seed` and `n_traj` other
+    than None override [measurement]'s (`simulate --seed/--n-traj`), and
+    are recorded and checked as the config's own values are.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
 
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        unknown = set(parser[name]) - _SECTION_KEYS[name]
+        unknown = set(parser[name]) - _KEYS[name].keys()
         if unknown:
             raise ConfigError(
                 f"unknown key(s) {sorted(unknown)} in section [{name}]"
@@ -251,9 +261,9 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
     resolved: dict = {"config_path": os.path.abspath(path)}
     extra_materials = load_materials(materials_path) if materials_path else None
 
-    def section(name: str) -> _Section:
+    def section(name: str, **overrides) -> _Section:
         proxy = parser[name] if parser.has_section(name) else None
-        return _Section(name, proxy, resolved)
+        return _Section(name, proxy, resolved, overrides)
 
     det = section("detector")
     if not parser.has_section("detector"):
@@ -286,16 +296,22 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
         length = det.value("length", required=True)
     elif det.has("frequency_hz"):
         freq = det.value("frequency_hz", required=True)
-        length = mode_index * math.pi * material.sound_speed / (
-            2.0 * math.pi * freq
+        length = det.record(
+            "length", mode_index * math.pi * material.sound_speed / (2.0 * math.pi * freq)
         )
-        det.record("length", length)
     else:
         raise ConfigError("[detector] needs length or frequency_hz")
 
-    omega = mode_index * math.pi * material.sound_speed / length
+    # mass = optimal builds the geometric bar first: its mode sets omega
+    mass = det.value("mass", lambda raw: raw if raw == "optimal" else float(raw))
+    spec = DetectorSpec(
+        material=material, length=length, radius=radius,
+        mass=None if mass == "optimal" else mass, mode_index=mode_index,
+        quality=quality, temperature=temperature, geometry_mass_check=False,
+    )
+    omega = mode_frequency(spec)
 
-    meas = section("measurement")
+    meas = section("measurement", seed=seed, n_traj=n_traj)
     t_meas = meas.value("t_meas", default=40.0)
     duration = meas.value("duration", default=t_meas)
 
@@ -323,28 +339,11 @@ def parse_config(path: str, materials_path: str | None = None) -> RunConfig:
             )
         window = (w0, w1)
 
-    mass_raw = det.raw("mass")
-    mass = None  # from the geometry
-    if mass_raw == "optimal":
+    if mass == "optimal":
         if signal is None:
             raise ConfigError("[detector] mass = optimal requires a [source]")
-        mass = optimal_mass(material, _signal_chi(signal, window, omega), omega)
+        spec, _ = _optimal_detector(spec, signal, window)
         det.record("mass_resolution", "optimal")
-    elif mass_raw:
-        try:
-            mass = float(mass_raw)
-        except ValueError:
-            mass = math.nan
-        if not math.isfinite(mass):
-            raise ConfigError(
-                f"[detector] mass = {mass_raw!r} must be a finite number in kg "
-                "or 'optimal'"
-            )
-    spec = DetectorSpec(
-        material=material, length=length, radius=radius, mass=mass,
-        mode_index=mode_index, quality=quality, temperature=temperature,
-        geometry_mass_check=False,
-    )
     det.record("mass", spec.mass)
 
     out = section("output")
@@ -498,28 +497,13 @@ def cmd_rates(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def _chi_methods(run: RunConfig, omega: float):
-    """chi of the source by each method that applies to its window, and
-    {method: reason} for the chirp methods that do not: stationary phase
-    and the whole-crossing closed form need the crossing s* in the window."""
-    signal = run.signal
-    if signal is None:
+    """chi of the source by the quadrature and each closed form that applies
+    to its window, and {method: reason} for those that do not."""
+    if run.signal is None:
         raise ConfigError("chi requires a [source] section")
-    window = run.window
-    results = [chi_quadrature(signal, omega, window)]
-    omitted = {}
-    if isinstance(signal, MonochromaticWave):
-        results.append(
-            chi_monochromatic(signal.h0, signal.nu, omega, window[1] - window[0])
-        )
-    if isinstance(signal, ChirpSource):
-        try:
-            crossing_in_window(signal, omega, window)
-        except ChirpDomainError as exc:
-            omitted = {method: str(exc) for method in ("stationary_phase", "chirp_analytic")}
-        else:
-            results.append(chi_stationary_phase(signal, omega, window))
-            results.append(chi_chirp_analytic(signal.h0, signal.k, omega))
-    return results, omitted
+    quadrature = chi_quadrature(run.signal, omega, run.window)
+    closed, omitted = _closed_forms(run.signal, omega, run.window)
+    return [quadrature, *closed], omitted
 
 
 def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
@@ -548,19 +532,15 @@ def cmd_chi(run: RunConfig, outputs: _OutputSet) -> int:
 
 
 def cmd_optimal_mass(run: RunConfig, outputs: _OutputSet) -> int:
-    spec = run.detector
-    omega = mode_frequency(spec)
     if run.signal is None:
         raise ConfigError("optimal-mass requires a [source] section")
-    chi = _signal_chi(run.signal, run.window, omega)
-    mass = optimal_mass(spec.material, chi, omega)
-    tuned = dataclasses.replace(spec, mass=mass, geometry_mass_check=False)
+    tuned, chi = _optimal_detector(run.detector, run.signal, run.window)
     beta = beta_prefactor(tuned) * chi
     _write_csv(
         outputs, "optimal_mass.csv", "quantity,value",
-        [("optimal_mass_kg", "chi", "beta_mag"), (mass, chi, beta)],
+        [("optimal_mass_kg", "chi", "beta_mag"), (tuned.mass, chi, beta)],
     )
-    print(f"optimal mass = {mass:.6g} kg  (|beta| = {beta:.6g})")
+    print(f"optimal mass = {tuned.mass:.6g} kg  (|beta| = {beta:.6g})")
     _write_metadata(outputs, run, "optimal-mass")
     return 0
 
@@ -691,17 +671,10 @@ def main(argv=None) -> int:
     try:
         run = None
         if args.config is not None:
-            run = parse_config(args.config, args.materials)
-            if getattr(args, "seed", None) is not None:
-                run.measurement = dataclasses.replace(
-                    run.measurement, seed=args.seed
-                )
-                run.resolved["measurement"]["seed"] = args.seed
-            if getattr(args, "n_traj", None) is not None:
-                if args.n_traj < 1:
-                    raise ConfigError(f"--n-traj {args.n_traj} must be >= 1")
-                run.n_traj = args.n_traj
-                run.resolved["measurement"]["n_traj"] = args.n_traj
+            run = parse_config(
+                args.config, args.materials,
+                seed=getattr(args, "seed", None), n_traj=getattr(args, "n_traj", None),
+            )
         out_dir = args.out or (run.out_dir if run is not None else "out")
         outputs = _OutputSet(out_dir)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

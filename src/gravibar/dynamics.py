@@ -69,8 +69,8 @@ class ChiResult:
     error_estimate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError(f"chi must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"chi must be finite and >= 0, got {self.value}")
 
 
 def _sinc(x):
@@ -233,6 +233,7 @@ def _quadrature(
     """`oscillatory_integral` over each segment between the non-decreasing
     `cuts` (a window's two edges give one), the strain samples it took and
     the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
+    ValueError if the cuts decrease (a reversed window).
 
     The grid is accepted on the window alone, as for chi, and each segment
     is taken from the same evaluation of it: the Kronrod sums of the panels
@@ -241,6 +242,11 @@ def _quadrature(
     A repeated cut gives an empty segment and 0.
     """
     cuts = np.asarray(cuts, dtype=float)
+    if not (np.diff(cuts) >= 0.0).all():
+        raise ValueError(
+            "integration cuts must not decrease (a window ends at or after its start), "
+            f"got {float(cuts[0])!r} ... {float(cuts[-1])!r}"
+        )
     if isinstance(signal, SampledStrain):
         ts = signal.times
         keep = (ts >= cuts[0]) & (ts <= cuts[-1])

@@ -342,7 +342,8 @@ def _drive(
     Also returns the (time, kind) events of the window,
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
-    `window` (signal time) defaults to `default_window` over the run.
+    `window` (signal time) defaults to `default_window` over the run; a
+    reversed one raises ValueError.
     """
     n_steps = int(round(duration / cfg.dt))
     if n_steps < 1:
@@ -353,6 +354,8 @@ def _drive(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega, duration - gw_start)
+    if not window[1] >= window[0]:
+        raise ValueError(f"window {window} is reversed: its end precedes its start")
     cuts = np.clip(np.arange(n_steps + 1) * cfg.dt - gw_start, *window)
     if cuts[-1] <= cuts[0]:
         return drive, []

@@ -38,23 +38,6 @@ def golden_rule_stimulated(spec: DetectorSpec, n_gravitons: float) -> float:
     return n_gravitons * gamma_spontaneous(spec)
 
 
-def stimulated_rate_wavepacket(spec: DetectorSpec, h0: float) -> float:
-    """Golden-rule stimulated rate for a narrow wavepacket around resonance.
-
-    Gamma = h0^2 M v_s^2 / (4 hbar pi^3), using the reduced single-graviton
-    volume (c/omega)^3 for the density of states.
-    """
-    v_s = spec.material.sound_speed
-    return h0**2 * spec.mass * v_s**2 / (4.0 * HBAR * math.pi**3)
-
-
-def monochromatic_rate(spec: DetectorSpec, h0: float, n_cycles: float) -> float:
-    """Excitation rate of a strictly monochromatic resonant wave after
-    n_cycles cycles: Gamma = h0^2 N_c M v_s^2 / (pi hbar)."""
-    v_s = spec.material.sound_speed
-    return h0**2 * n_cycles * spec.mass * v_s**2 / (math.pi * HBAR)
-
-
 def characteristic_strain(spec: DetectorSpec) -> float:
     """Minimum detectable wavepacket strain h_c = 2 pi sqrt(pi k_B T/(M v_s^2 Q)).
 
@@ -123,23 +106,11 @@ def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> np.ndarray:
     return np.column_stack((frequencies_hz, h_c))
 
 
-def thermal_rate_classical(spec: DetectorSpec) -> float:
-    """Thermal excitation rate with the classical occupation k_B T/(hbar omega).
-
-    gamma_th = omega * nbar / Q -> k_B T / (hbar Q); this is the limit in
-    which the strain-floor balance identities are exact.
-    """
-    return K_B * spec.temperature / (HBAR * spec.quality)
-
-
 __all__ = [
     "characteristic_strain",
     "classical_timedelay",
     "golden_rule_stimulated",
     "graviton_number",
     "min_strain_monochromatic",
-    "monochromatic_rate",
     "sensitivity_curve",
-    "stimulated_rate_wavepacket",
-    "thermal_rate_classical",
 ]

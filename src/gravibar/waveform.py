@@ -102,6 +102,17 @@ def resonance_time(nu0: float, k: float, omega: float) -> float:
     return (3.0 / (8.0 * k)) * (nu0 ** (-8.0 / 3.0) - omega ** (-8.0 / 3.0))
 
 
+def _require_finite(signal, *names: str) -> None:
+    """ValueError naming the first field of `names` that holds nan or inf
+    (an unset optional field, None, passes)."""
+    for name in names:
+        value = getattr(signal, name)
+        bad = np.flatnonzero(~np.isfinite(value)) if value is not None else []
+        if len(bad):
+            at = f" at sample {bad[0]}" if np.ndim(value) else ""
+            raise ValueError(f"{name} must be finite, got {np.ravel(value)[bad[0]]}{at}")
+
+
 @dataclass(frozen=True)
 class MonochromaticWave:
     """h(t) = h0 * sin(nu*t + phi0), supported for all t."""
@@ -111,6 +122,7 @@ class MonochromaticWave:
     phi0: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "h0", "nu", "phi0")
         if self.h0 < 0.0:
             raise ValueError(f"h0 must be >= 0, got {self.h0}")
         if self.nu <= 0.0:
@@ -147,6 +159,7 @@ class ChirpSource:
     amplitude_ref: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "chirp_mass", "h0", "nu0", "amplitude_ref")
         if self.chirp_mass <= 0.0:
             raise ValueError(f"chirp_mass must be > 0, got {self.chirp_mass}")
         if self.h0 < 0.0:
@@ -199,6 +212,7 @@ class SampledStrain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
+        _require_finite(self, "t0", "dt", "h")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.h.ndim != 1 or self.h.size < 3:

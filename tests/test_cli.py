@@ -291,8 +291,9 @@ class TestParseConfig:
         ("temperature = 1e-3", "temperature = nan", "rates"),
         ("radius = 0.5", "radius = nan", "rates"),
         ("radius = 0.5", "radius = 0.5\nmass = nan", "rates"),
+        ("radius = 0.5", "radius = 0.5\nmass = inf", "rates"),
     ], ids=["t_m_nan", "t_m_inf", "t_meas_inf", "kappa_nan", "quality_nan",
-            "temperature_nan", "radius_nan", "mass_nan"])
+            "temperature_nan", "radius_nan", "mass_nan", "mass_inf"])
     def test_non_finite_value_names_its_key(self, tmp_path, capsys, old, new, command):
         # each once ran on (nan or inf readouts, nan rates) or failed with a
         # message about something else
@@ -558,6 +559,28 @@ class TestSimulate:
         names = os.listdir(tmp_path / "c")
         assert sum(1 for n in names if n.startswith("trajectory_")) == 3
 
+    def test_flags_write_what_the_config_keys_write(self, tmp_path):
+        # --seed and --n-traj are read as [measurement] seed and n_traj are
+        text = self.CONFIG.replace("seed = 42", "seed = 7").replace("n_traj = 2", "n_traj = 3")
+        keys = write_config(tmp_path, text, "keys.ini")
+        flags = write_config(tmp_path, self.CONFIG, "flags.ini")
+        assert main(["simulate", "--config", keys, "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", flags, "--out", str(tmp_path / "b"),
+                     "--seed", "7", "--n-traj", "3"]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        assert "trajectory_2.csv" in names and "trajectory_3.csv" not in names
+        metadata = []
+        for name in names:
+            a, b = ((tmp_path / run / name).read_bytes() for run in "ab")
+            if name == "metadata.json":
+                metadata = [json.loads(a), json.loads(b)]
+            else:
+                assert a == b, f"{name} differs between the flags and the keys"
+        paths = [meta["resolved_config"].pop("config_path") for meta in metadata]
+        assert paths == [keys, flags]
+        assert metadata[0] == metadata[1]
+
     def test_summary_columns(self, tmp_path):
         path = write_config(tmp_path, self.CONFIG)
         main(["simulate", "--config", path])
@@ -722,10 +745,13 @@ class TestErrors:
          "mass = optimal"),
         (MONO_CONFIG.replace("radius = 0.5", "radius = 0.5\nmass = heavy"), "rates",
          "[detector] mass = 'heavy'"),
+        (MONO_CONFIG.replace("radius = 0.5", "radius = 0.5\nmass = abc"), "rates",
+         "[detector] mass = 'abc' is not valid (expected a number in kg)"),
         (NO_SOURCE, "chi", "[source]"),
         (NO_SOURCE, "optimal-mass", "[source]"),
     ], ids=["choices", "no_detector", "no_material", "no_length", "optimal_without_source",
-            "mass_not_a_number", "chi_without_source", "optimal_mass_without_source"])
+            "mass_not_a_number", "mass_abc", "chi_without_source",
+            "optimal_mass_without_source"])
     def test_config_error_names_its_key(self, tmp_path, capsys, text, command, named):
         assert main([command, "--config", write_config(tmp_path, text)]) == 2
         assert named in capsys.readouterr().err

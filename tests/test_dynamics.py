@@ -452,6 +452,25 @@ class TestDisplacementBeta:
         assert 0.3 < beta.magnitude < 3.0
 
 
+class TestReversedWindow:
+    # each once gave chi = beta = 0 from zero nodes
+    @pytest.mark.parametrize("signal", [
+        MonochromaticWave(h0=1e-22, nu=OMEGA),
+        SampledStrain(t0=0.0, dt=1e-3, h=np.sin(OMEGA * 1e-3 * np.arange(2000))),
+    ], ids=["monochromatic", "sampled"])
+    def test_rejected(self, beryllium_100hz, signal):
+        with pytest.raises(ValueError, match="must not decrease.* 1.0 ... 0.5"):
+            chi_quadrature(signal, OMEGA, (1.0, 0.5))
+        with pytest.raises(ValueError, match="must not decrease"):
+            displacement_beta(beryllium_100hz, signal, (1.0, 0.5))
+        assert chi_quadrature(signal, OMEGA, (0.5, 0.5)).value == 0.0  # empty: no drive
+
+    def test_chi_result_must_be_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="chi must be finite"):
+                ChiResult(bad, "quadrature")
+
+
 class TestExcitationProbability:
     def test_poisson_maximum(self):
         assert excitation_probability(1.0, 1) == pytest.approx(

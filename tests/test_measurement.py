@@ -422,6 +422,14 @@ class TestRunTrajectory:
         )
         assert rec.events == [(0.0, "gw_window_start"), (1.0, "gw_window_end")]
 
+    def test_reversed_window_rejected(self):
+        # it once clipped every step to the window's end and ran undriven
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        wave = resonant_drive_for_beta(spec, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"window \(0\.9, 0\.2\) is reversed"):
+            run_trajectory(spec, wave, cfg, duration=1.0, window=(0.9, 0.2))
+
     def test_records_follow_stride(self):
         spec = toy_detector()
         cfg = MeasurementConfig(
@@ -850,6 +858,10 @@ class TestDrive:
         window = (-gw_start + lo * duration, -gw_start + (lo + width) * duration)
         if chirp:  # clear of coalescence, where hddot has no finite quadrature
             window = (window[0], min(window[1], signal.coalescence - 1.0))
+        if window[1] < window[0]:  # the cap fell before the start
+            with pytest.raises(ValueError, match="reversed"):
+                measurement._drive(spec, signal, cfg, duration, gw_start, window)
+            return
         drive, events = measurement._drive(spec, signal, cfg, duration, gw_start, window)
         inside = (max(window[0], -gw_start), min(window[1], duration - gw_start))
         if inside[1] <= inside[0]:

@@ -21,12 +21,14 @@ from gravibar.sensitivity import (
     golden_rule_stimulated,
     graviton_number,
     min_strain_monochromatic,
-    monochromatic_rate,
     sensitivity_curve,
+)
+from sensitivity_oracle import (
+    monochromatic_rate,
+    sensitivity_rows,
     stimulated_rate_wavepacket,
     thermal_rate_classical,
 )
-from sensitivity_oracle import sensitivity_rows
 
 OMEGA_100 = 2 * math.pi * 100.0
 

@@ -308,6 +308,37 @@ class TestChirpWindow:
         assert t1 < ns_merger_chirp.coalescence
 
 
+class TestNonFiniteFields:
+    # each once built a signal that gave nan or inf strain: a nan h0 sent the
+    # quadrature through 8.4 M nodes to a convergence error, a nan sample gave
+    # chi = nan, a nan chirp mass gave k = nan
+    CHIRP = dict(chirp_mass=1.19 * SOLAR_MASS, h0=2e-22, nu0=2 * math.pi * 30.0)
+
+    @pytest.mark.parametrize("field", ["h0", "nu", "phi0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_monochromatic(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            MonochromaticWave(**{"h0": 1e-22, "nu": OMEGA, "phi0": 0.0, field: bad})
+
+    @pytest.mark.parametrize("field", ["chirp_mass", "h0", "nu0", "amplitude_ref"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_chirp(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            ChirpSource(**{**self.CHIRP, field: bad}, amplitude_model="nu_two_thirds")
+
+    @pytest.mark.parametrize("field", ["t0", "dt"])
+    def test_sampled_clock(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got nan"):
+            SampledStrain(**{"t0": 0.0, "dt": 1e-3, field: math.nan}, h=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sampled_values_name_the_sample(self, bad):
+        h = np.zeros(5)
+        h[3] = bad
+        with pytest.raises(ValueError, match=rf"^h must be finite, got {bad} at sample 3"):
+            SampledStrain(t0=0.0, dt=1e-3, h=h)
+
+
 class TestStrainFiles:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "strain.txt"
