@@ -118,6 +118,7 @@ _KEYS = {
 
 # Chain sizes N of `lattice-verify` when no [lattice] n_values is given.
 LATTICE_N_VALUES = (19, 39, 79, 159)
+_CSV_ROWS = 4096  # rows formatted at once by `_write_csv`
 
 
 class _Section:
@@ -451,14 +452,20 @@ class _OutputSet:
 
 def _write_csv(outputs: _OutputSet, name: str, header: str, columns) -> None:
     """Write `header`, then the columns side by side: text as it is, numbers
-    in shortest round-trip form."""
-    cells = [
-        col.tolist() if col.dtype.kind == "U" else map(repr, col.astype(float).tolist())
-        for col in map(np.asarray, columns)
-    ]
+    in shortest round-trip form. Rows are formatted and written `_CSV_ROWS`
+    at a time, so no column is ever held whole as Python floats or strings."""
+    columns = [np.asarray(col) for col in columns]
+    n_rows = min(map(len, columns), default=0)
     with outputs.open(name) as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for lo in range(0, n_rows, _CSV_ROWS):
+            block = [col[lo:lo + _CSV_ROWS] for col in columns]
+            cells = [
+                col.tolist() if col.dtype.kind == "U"
+                else map(repr, col.astype(float).tolist())
+                for col in block
+            ]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_metadata(outputs: _OutputSet, run: RunConfig, command: str, **extra):

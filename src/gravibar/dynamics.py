@@ -204,7 +204,10 @@ def _panel_sum(
         a, b = np.searchsorted(panel, [lo, lo + half.size])
         for c in range(a, b, per_block):
             cut = slice(c, min(c + per_block, b))
-            hit, rows = np.unique(panel[cut] - lo, return_inverse=True)
+            # panel[cut] is sorted: the first of each run, and each cut's row
+            hit = panel[cut] - lo
+            first = np.append(True, hit[1:] != hit[:-1])
+            hit, rows = hit[first], np.cumsum(first) - 1
             re, im = parts[:, hit] @ _RUNNING.T
             terms = np.cos(np.multiply.outer(np.arccos(x[cut]), _DEGREES))
             heads[cut] = half[hit][rows] * np.einsum("ck,ck->c", terms, (re + 1j * im)[rows])
@@ -220,7 +223,7 @@ def _sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
 def _merged(grid: np.ndarray) -> np.ndarray:
     """Sorted `grid` less each inner edge within rounding of the edge before
     it or of the last edge: the first and last edges stay exact."""
-    edges = np.unique(grid)
+    edges = np.sort(grid)  # a repeat is within rounding of the edge before it
     tol = _ROUNDING * max(abs(edges[0]), abs(edges[-1]))
     keep = np.append(True, np.diff(edges) > tol) & (edges[-1] - edges > tol)
     keep[[0, -1]] = True
@@ -532,9 +535,9 @@ def optimal_mass(material: Material, chi, omega: float) -> float:
     float or a ChiResult.
     """
     chi_value = chi.value if isinstance(chi, ChiResult) else float(chi)
-    if chi_value <= 0.0:
+    if not chi_value > 0.0:
         raise ValueError("chi must be > 0 for a finite optimal mass")
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     return math.pi**2 * HBAR * omega**3 / (material.sound_speed**2 * chi_value**2)
 

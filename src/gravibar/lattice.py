@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import HBAR
 from .detector import DetectorSpec, Material, mode_frequency
-from .dynamics import displacement_beta
+from .dynamics import _BLOCK_NODES, displacement_beta
 from .waveform import MonochromaticWave, StrainSignal, strain_samples
 
 
@@ -220,6 +220,13 @@ def evolve_chain(
     accumulated over the records. The zero mode (omega_0 = 0) is two
     cumulative sums. Only the requested modes are evaluated; the recorded
     chi and chi_dot agree with stepping every atom up to roundoff.
+
+    The strain and the segment sums are evaluated a block of whole record
+    segments at a time: `_BLOCK_NODES` steps rounded down to a multiple of
+    64 segments, and at least 64. Each block starts from the running sum
+    (z, or the zero mode's v and q) that the one before ended on, added
+    into its first term, so the records are bit for bit those of one block,
+    and the working memory beyond the records does not grow with the window.
     """
     if dt is None:
         dt = max_stable_timestep(chain)
@@ -232,43 +239,67 @@ def evolve_chain(
         raise ChainConfigError(f"record_stride must be >= 1, got {record_stride}")
     t0, t1 = window
     n_steps = int(math.ceil((t1 - t0) / dt))
-    ts = t0 + dt * np.arange(n_steps + 1)
-    _, hddot, _ = strain_samples(signal, ts)
-
-    # the steps up to the last record, one row per record segment, with
-    # the drive at each step's start (lo) and end (hi)
     n_seg = n_steps // record_stride
-    used = n_seg * record_stride
-    lo = hddot[:used].reshape(n_seg, record_stride)
-    hi = hddot[1 : used + 1].reshape(n_seg, record_stride)
+    # whole record segments a block at a time, a multiple of 64 of them, so
+    # that the matrix-vector products see each segment at the same row
+    # offset as in one block and keep its bits
+    per_block = max(64, _BLOCK_NODES // record_stride // 64 * 64)
 
     omega = normal_mode_frequencies(chain)
     half = 0.5 * dt
-    chi: dict[int, np.ndarray] = {}
-    chi_dot: dict[int, np.ndarray] = {}
-    for l in modes:
-        g = float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
-        if omega[l] == 0.0:
-            f = g * hddot[: used + 1]
-            v = np.concatenate(([0.0], np.cumsum(half * (f[:-1] + f[1:]))))
-            q = np.concatenate(([0.0], np.cumsum(dt * (v[:-1] + half * f[:-1]))))
-            chi[l], chi_dot[l] = q[::record_stride], v[::record_stride]
-            continue
-        theta = 2.0 * math.asin(0.5 * float(omega[l]) * dt)
-        c, s = math.cos(theta), math.sin(theta)
-        phasor = np.exp(-1j * theta * np.arange(1, record_stride + 1))
-        seg = np.exp(-1j * theta * record_stride * np.arange(n_seg + 1))
-        # sum_m e^(-i theta (m+1)) over each segment's steps, of the drive
-        # at their starts (a) and ends (b), then of w
-        a = lo @ phasor.real + 1j * (lo @ phasor.imag)
-        b = hi @ phasor.real + 1j * (hi @ phasor.imag)
-        w = g * half * dt * (s * a - 1j * (c * a + b))
-        z = np.zeros(n_seg + 1, dtype=complex)
-        np.cumsum(seg[:-1] * w, out=z[1:])
-        z *= seg.conj()
-        chi[l], chi_dot[l] = z.real / s, -z.imag / dt
+    modes = tuple(dict.fromkeys(modes))  # a repeated mode has one carry
+    g = {l: float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
+         for l in modes}
+    theta = {l: 2.0 * math.asin(0.5 * float(omega[l]) * dt) for l in modes}
+    phasor = {l: np.exp(-1j * theta[l] * np.arange(1, record_stride + 1)) for l in modes}
+    chi = {l: np.empty(n_seg + 1) for l in modes}
+    chi_dot = {l: np.empty(n_seg + 1) for l in modes}
+    carry = dict.fromkeys(modes)  # z, or the zero mode's (v, q), at the block's start
+    for s0 in range(0, max(n_seg, 1), per_block):
+        s1 = min(s0 + per_block, n_seg)
+        steps = np.arange(s0 * record_stride, s1 * record_stride + 1)
+        _, hddot, _ = strain_samples(signal, t0 + dt * steps)
+        # one row per record segment, with the drive at each step's start
+        # (lo) and end (hi)
+        lo = hddot[:-1].reshape(-1, record_stride)
+        hi = hddot[1:].reshape(-1, record_stride)
+        records = slice(s0, s1 + 1)
+        for l in modes:
+            if omega[l] == 0.0:
+                f = g[l] * hddot
+                v_start, q_start = carry[l] or (None, None)
+                v = _running_sum(half * (f[:-1] + f[1:]), v_start)
+                q = _running_sum(dt * (v[:-1] + half * f[:-1]), q_start)
+                chi[l][records], chi_dot[l][records] = q[::record_stride], v[::record_stride]
+                carry[l] = v[-1], q[-1]
+                continue
+            c, s = math.cos(theta[l]), math.sin(theta[l])
+            seg = np.exp(-1j * theta[l] * record_stride * np.arange(s0, s1 + 1))
+            # sum_m e^(-i theta (m+1)) over each segment's steps, of the
+            # drive at their starts (a) and ends (b), then of w
+            a = lo @ phasor[l].real + 1j * (lo @ phasor[l].imag)
+            b = hi @ phasor[l].real + 1j * (hi @ phasor[l].imag)
+            w = g[l] * half * dt * (s * a - 1j * (c * a + b))
+            z = _running_sum(seg[:-1] * w, carry[l])
+            carry[l] = z[-1]
+            z *= seg.conj()
+            chi[l][records], chi_dot[l][records] = z.real / s, -z.imag / dt
 
-    return ChainTrajectory(times=ts[::record_stride], chi=chi, chi_dot=chi_dot)
+    times = t0 + dt * np.arange(0, n_steps + 1, record_stride)
+    return ChainTrajectory(times=times, chi=chi, chi_dot=chi_dot)
+
+
+def _running_sum(terms: np.ndarray, start) -> np.ndarray:
+    """`start`, then the running sums of `terms` from it, added in the order
+    of one cumulative sum over every block: `start` goes into the first
+    term. A `start` of None is rest, 0 with nothing added, which keeps the
+    sign of a zero first term."""
+    out = np.zeros(terms.size + 1, terms.dtype)
+    if start is not None:
+        out[0] = start
+        terms[:1] += start
+    np.cumsum(terms, out=out[1:])
+    return out
 
 
 def mode_coherent_amplitude(

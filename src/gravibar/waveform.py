@@ -33,7 +33,7 @@ def chirp_rate_k(chirp_mass: float) -> float:
     The instantaneous angular frequency of the emitted wave obeys
     dnu/dt = k * nu^(11/3); `chirp_mass` is in kg.
     """
-    if chirp_mass <= 0.0:
+    if not chirp_mass > 0.0:
         raise ValueError(f"chirp_mass must be > 0, got {chirp_mass}")
     return (48.0 / 5.0) * (G * chirp_mass / (2.0 * C_LIGHT**3)) ** (5.0 / 3.0)
 

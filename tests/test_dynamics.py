@@ -532,6 +532,15 @@ class TestOptimalMass:
         with pytest.raises(ValueError, match="chi"):
             optimal_mass(MATERIALS["beryllium"], 0.0, OMEGA)
 
+    # NaN once passed both `<= 0` guards and gave a NaN mass
+    def test_nan_chi_rejected(self):
+        with pytest.raises(ValueError, match="chi must be > 0"):
+            optimal_mass(MATERIALS["beryllium"], math.nan, OMEGA)
+
+    def test_nan_omega_rejected(self):
+        with pytest.raises(ValueError, match="omega must be > 0, got nan"):
+            optimal_mass(MATERIALS["beryllium"], 1e-17, math.nan)
+
     def test_accepts_chi_result(self):
         chi = ChiResult(1e-17, "quadrature", (0.0, 1.0))
         a = optimal_mass(MATERIALS["beryllium"], chi, OMEGA)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chain_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravibar import lattice
 from gravibar.detector import DetectorSpec, Material, mode_frequency
 from gravibar.dynamics import displacement_beta
 from gravibar.lattice import (
@@ -334,6 +336,68 @@ class TestEvolveChain:
         )
         beta = displacement_beta(spec, wave, (0.0, t_end))
         assert alpha_end == pytest.approx(beta.magnitude, rel=0.05)
+
+
+class TestStreamedChain:
+    """`evolve_chain` takes the strain and the segment sums a block of record
+    segments at a time; the block size must not move a bit."""
+
+    @pytest.mark.parametrize("case", ["stride-1", "stride-7", "stride-1000"])
+    @pytest.mark.parametrize("block_nodes", [1, 10**12], ids=["smallest", "one-block"])
+    def test_block_size_keeps_every_bit(self, case, block_nodes, monkeypatch):
+        chain = toy_chain(39)
+        omega1 = float(normal_mode_frequencies(chain)[1])
+        wave = MonochromaticWave(h0=1e-3, nu=1.1 * omega1, phi0=0.3)
+        chirp = ChirpSource.from_solar_masses(3.0, h0=1e-3, nu0=0.7 * omega1)
+        runs = {
+            "stride-1": (wave, (0.1, 3.7), (0, 1, 3), 1),
+            "stride-7": (chirp, (-0.3, 2.9), (0, 1, 2), 7),
+            # 139 segments: three default blocks of at most 64
+            "stride-1000": (chirp, (0.05, 27.5), (1, 5), 1000),
+        }
+        signal, window, modes, stride = runs[case]
+        n_steps = math.ceil((window[1] - window[0]) / max_stable_timestep(chain))
+        # a partial last segment, and more segments than the smallest block
+        assert (stride == 1 or n_steps % stride != 0) and n_steps // stride > 64
+        default = evolve_chain(chain, signal, window, modes=modes, record_stride=stride)
+        monkeypatch.setattr(lattice, "_BLOCK_NODES", block_nodes)
+        got = evolve_chain(chain, signal, window, modes=modes, record_stride=stride)
+        assert got.times.size == n_steps // stride + 1
+        assert got.times.tobytes() == default.times.tobytes()
+        for field in ("chi", "chi_dot"):
+            g, d = getattr(got, field), getattr(default, field)
+            assert list(g) == list(d) == list(modes)
+            for l in modes:
+                np.testing.assert_array_equal(g[l], d[l])
+                assert g[l].tobytes() == d[l].tobytes(), (field, l)
+
+    def test_window_shorter_than_a_segment(self):
+        chain = toy_chain(19)
+        wave = MonochromaticWave(h0=1e-3, nu=3.0)
+        window = (0.25, 0.25 + 5.5 * max_stable_timestep(chain))
+        traj = evolve_chain(chain, wave, window, modes=(0, 1), record_stride=10)
+        np.testing.assert_array_equal(traj.times, [0.25])
+        for l in (0, 1):
+            np.testing.assert_array_equal(traj.chi[l], [0.0])
+            np.testing.assert_array_equal(traj.chi_dot[l], [0.0])
+        with pytest.raises(TypeError, match="not a strain signal"):
+            evolve_chain(chain, "wave", window, record_stride=10)
+
+    def test_long_window_memory_is_bounded(self):
+        # the lattice-verify chain over 2 M steps: arrays of one entry per
+        # step peaked at 47.7 MiB, the blocks stay under one
+        spec = toy_detector_for_chain()
+        chain = ChainSpec.from_detector(spec, 199)
+        wave = MonochromaticWave(h0=1e-3, nu=mode_frequency(spec))
+        window = (0.0, 2_000_000 * max_stable_timestep(chain))
+        tracemalloc.start()
+        try:
+            traj = evolve_chain(chain, wave, window, record_stride=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 20_001
+        assert peak < 8 * 2**20
 
 
 class TestContinuumChecks:

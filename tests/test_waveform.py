@@ -49,6 +49,11 @@ class TestChirpRate:
         with pytest.raises(ValueError):
             chirp_rate_k(0.0)
 
+    def test_nan_rejected(self):
+        # NaN once passed the `<= 0` guard and gave k = nan
+        with pytest.raises(ValueError, match="chirp_mass must be > 0, got nan"):
+            chirp_rate_k(math.nan)
+
 
 class TestChirpFrequency:
     def test_initial_condition(self):
