@@ -185,7 +185,15 @@ def _populations(amps: np.ndarray) -> np.ndarray:
 
 
 def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
-    """Raise TraceUnderflowError at the first NaN or underflowed trace."""
+    """Raise TraceUnderflowError at the first NaN or underflowed trace.
+
+    A step weighs normalized populations p by e^{coef (r - n)^2}, with
+    r = <n> + xi and coef = -dt/(2 t_m). As <n> and n lie in [0, dim - 1],
+    the trace is at least e^{coef (|xi| + dim)^2}, half of it with roundoff
+    to spare, and a unitary D(z) keeps it. So `_run_batch` checks per step
+    only in a noise block where `_trace_floor_holds` fails and on the steps
+    of a thermal jump, which leaves a zero factor out of the top level.
+    """
     if not traces.min() > TRACE_UNDERFLOW:  # a NaN minimum fails too
         bad = int(np.argmin(traces))
         raise TraceUnderflowError(
@@ -193,8 +201,24 @@ def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
         )
 
 
+def _trace_floor_holds(
+    xis: np.ndarray, d: np.ndarray, gammas: np.ndarray | None, coef: float, dim: int
+) -> bool:
+    """Whether no step of a noise block (readout noise `xis`, drive `d`,
+    displacement noise `gammas` or None) can underflow but by a thermal
+    jump: e^{coef (max |xi| + dim)^2} > 2 TRACE_UNDERFLOW, the bound of
+    `_check_traces`, and |z| dim is finite, so each D(z) has finite
+    phases |z| Lambda (|Lambda| < dim). A NaN in the noise or drive fails it.
+    """
+    # Python floats: a product past the largest float is inf, not a warning
+    size = float(np.abs(d).max()) + (0.0 if gammas is None else float(np.abs(gammas).max()))
+    reach = float(np.abs(xis).max()) + dim
+    return coef * reach * reach > math.log(2.0 * TRACE_UNDERFLOW) and math.isfinite(dim * size)
+
+
 def _measure(
-    pops: np.ndarray, xi: np.ndarray, levels: np.ndarray, coef: float, first: int
+    pops: np.ndarray, xi: np.ndarray, levels: np.ndarray, coef: float, first: int,
+    check: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian number measurement of a batch with populations `pops` (n, dim).
 
@@ -202,15 +226,16 @@ def _measure(
     0..dim-1 and `coef` = -dt/(2 t_m). Returns the readouts
     r = tr(N rho) + xi and the updated populations p w^2 / sum(p w^2),
     where w^2 = e^{coef (r - n)^2} is the squared diagonal of M(r) up to
-    its normalization (which cancels). Underflow errors name trajectory
-    `first` + stack index.
+    its normalization (which cancels). With `check`, underflow errors name
+    trajectory `first` + stack index.
     """
     # a dot per row: a gemv's summation order would depend on the row count
     rs = np.vecdot(pops, levels) + xi
     w2 = np.exp(coef * (rs[:, None] - levels) ** 2)
     new = pops * w2
     traces = new.sum(axis=1)
-    _check_traces(traces, "measurement update", first)
+    if check:
+        _check_traces(traces, "measurement update", first)
     new /= traces[:, None]
     return rs, new
 
@@ -224,6 +249,7 @@ def _update(
     phases: tuple | None,
     jumped: np.ndarray | None,
     first: int = 0,
+    check: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a (n, dim, rank) stack of factors A, rho = A A^dag, one step.
 
@@ -235,8 +261,9 @@ def _update(
     with the weights folded into its inner diagonal; a thermal creation
     jump where `jumped`; then one renormalization, which divides A by
     sqrt(norm) and the populations sum_r |A|^2 by the norm. `phases` and
-    `jumped` may be None. Returns the updated stack, its populations and
-    the readouts.
+    `jumped` may be None. With `check` or `jumped`, an underflowed norm
+    raises, naming trajectory `first` + stack index. Returns the updated
+    stack, its populations and the readouts.
     """
     # a dot per row: a gemv's summation order would depend on the row count
     rs = np.vecdot(pops, cache.levels) + xi
@@ -254,7 +281,8 @@ def _update(
     # a thermal jump out of the top Fock level leaves a zero factor
     pops = _populations(amps)
     norms = pops.sum(axis=1)
-    _check_traces(norms, "update", first)
+    if check or jumped is not None:
+        _check_traces(norms, "update", first)
     amps /= np.sqrt(norms)[:, None, None]
     pops /= norms[:, None]
     return amps, pops, rs
@@ -343,8 +371,12 @@ def _drive(
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
     `window` (signal time) defaults to `default_window` over the run; a
-    reversed one raises ValueError.
+    reversed one, or a non-finite `duration` or `gw_start`, raises
+    ValueError.
     """
+    for name, value in (("duration", duration), ("gw_start", gw_start)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     n_steps = int(round(duration / cfg.dt))
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
@@ -576,8 +608,16 @@ def _run_batch(
     reduces the records as they come (jumps by JUMP_THRESHOLD and
     JUMP_HOLD), keeping the per-trajectory series only with `series`: the
     batch holds blocks, not whole runs. Sums and matmuls run per
-    trajectory, so a trajectory's bits do not depend on its batch. Errors
-    name trajectory `first` + index.
+    trajectory, so a trajectory's bits do not depend on its batch.
+
+    Each noise block is tested once by the trace bound
+    e^{coef (|xi| + dim)^2} of `_check_traces` (`_trace_floor_holds`).
+    Only the steps of a block that fails it, a NaN in its noise or drive
+    included, and the steps with a thermal jump check their traces, so the
+    errors and numbers are those of checking every step. As coef xi^2 =
+    -x^2/2 for the standard normal x behind xi, a block at the usual
+    configs fails only for |x| > ~36. Errors name trajectory `first` +
+    index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -608,6 +648,7 @@ def _run_batch(
 
     for lo, xis, gammas, jumps in _noise_blocks(rngs, cfg, n_steps):
         d = drive[lo : lo + len(xis)]
+        check = not _trace_floor_holds(xis, d, gammas, coef, dim)
         phases = at = None  # the phases of the phase block from step lo + 1 + at on
         jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
         for k, xi in enumerate(xis):
@@ -629,11 +670,11 @@ def _run_batch(
                     amps, pops, rs = _update(
                         amps, pops, xi, coef, cache, phases[k - at],
                         jumps[k] if k in jump_steps else None,
-                        first,
+                        first, check,
                     )
                 else:
                     amps = None
-                    rs, pops = _measure(pops, xi, cache.levels, coef, first)
+                    rs, pops = _measure(pops, xi, cache.levels, coef, first, check)
             except TraceUnderflowError as exc:
                 raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
@@ -819,6 +860,8 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if purity_threshold is not None and not 0.0 < purity_threshold <= 1.0:
+        raise ValueError(f"purity_threshold must be in (0, 1], got {purity_threshold}")
     if duration is None:
         duration = cfg.t_meas
     if base_seed is None:

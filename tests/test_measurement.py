@@ -430,6 +430,22 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match=r"window \(0\.9, 0\.2\) is reversed"):
             run_trajectory(spec, wave, cfg, duration=1.0, window=(0.9, 0.2))
 
+    @pytest.mark.parametrize("arg, value", [
+        ("duration", math.nan), ("duration", math.inf), ("duration", -math.inf),
+        ("gw_start", math.nan), ("gw_start", math.inf),
+    ])
+    def test_non_finite_duration_or_gw_start_rejected(self, arg, value):
+        # NaN and inf failed inside int() or as a "reversed" window
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        wave = resonant_drive_for_beta(spec, 0.5, 1.0)
+        kwargs = {"duration": 1.0, arg: value}
+        match = rf"^{arg} must be finite, got {value}$"
+        with pytest.raises(ValueError, match=match):
+            run_trajectory(spec, wave, cfg, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(spec, None, cfg, 2, **kwargs)
+
     def test_records_follow_stride(self):
         spec = toy_detector()
         cfg = MeasurementConfig(
@@ -1237,6 +1253,20 @@ class TestRunEnsemble:
             expected = rec.times[hit[0]] if hit.size else np.nan
             np.testing.assert_equal(crossing, expected)
 
+    @pytest.mark.parametrize("threshold", [math.nan, 1.5, 0.0, -1.0])
+    def test_purity_threshold_outside_unit_interval_rejected(self, threshold):
+        # NaN and 1.5 gave all-NaN crossings, 0 and -1 a crossing at the
+        # first record
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+        with pytest.raises(ValueError, match=r"purity_threshold must be in \(0, 1\]"):
+            run_ensemble(toy_detector(), None, cfg, 2, purity_threshold=threshold)
+        summary = run_ensemble(
+            toy_detector(), None, cfg, 2, purity_threshold=1.0,
+            initial_states=[QuantumState.ground(4)] * 2,
+        )
+        # a ground state is pure from the first record on
+        np.testing.assert_array_equal(summary.purity_first_crossing, summary.times[[0, 0]])
+
     def test_underflow_names_ensemble_trajectory(self):
         # a jump every step: trajectory 10 starts in the top level, so its
         # first thermal jump leaves nothing
@@ -1462,3 +1492,134 @@ class TestNoiseBlocks:
         ref = np.random.default_rng(11)
         ref.standard_normal(150)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestTraceFloor:
+    """Each noise block is tested once for a trace underflow; only a block
+    that fails the test, and the steps with a thermal jump, check their
+    traces step by step."""
+
+    SPEC = toy_detector()
+    # populations 1/2 at n = 0 and n = 29 under coef = -500: every outcome
+    # weighs one of the two levels by e^{-500 * 29^2 / 4} = 0
+    STRONG = MeasurementConfig(dt=1e-2, t_m=1e-5, t_meas=1.0, dim=30)
+    SPLIT = QuantumState.from_diagonal(np.eye(30)[0] / 2 + np.eye(30)[29] / 2)
+
+    @staticmethod
+    def outcome(run):
+        """The fields of a run's result, or its error, as one comparable list."""
+        try:
+            result = run()
+        except TraceUnderflowError as exc:
+            return [str(exc)]
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["ground", "mixed"])
+    @pytest.mark.parametrize(
+        "kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)],
+        ids=["none", "kappa", "thermal", "both"],
+    )
+    @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
+    def test_numbers_held_when_every_step_checks(
+        self, monkeypatch, mixed, kappa, thermal_rate, driven
+    ):
+        # 150 steps in blocks of 16, the window (run time 0.4-1.4 s) across
+        # the reinit at 1 s
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", 16)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", 16)
+        cfg = MeasurementConfig(
+            dt=1e-2, t_m=0.5, t_meas=1.0, dim=6, kappa=kappa,
+            thermal_rate=thermal_rate, record_stride=1,
+        )
+        rng = np.random.default_rng(4)
+        starts = [
+            QuantumState.from_diagonal(rng.dirichlet(np.ones(6))) if mixed
+            else QuantumState.ground(6) for _ in range(3)
+        ]
+        wave = resonant_drive_for_beta(self.SPEC, 0.6, 1.0) if driven else None
+        kwargs = dict(duration=1.5, gw_start=0.4, window=(0.0, 1.0))
+        runs = [
+            lambda: run_ensemble(
+                self.SPEC, wave, cfg, 3, 7, initial_states=starts,
+                purity_threshold=0.6, **kwargs,
+            ),
+            lambda: run_trajectory(
+                self.SPEC, wave, cfg, rng=np.random.default_rng(7),
+                initial_state=starts[0], **kwargs,
+            ),
+        ]
+        held, tests = measurement._trace_floor_holds, []
+
+        def counted(*args):
+            tests.append(held(*args))
+            return tests[-1]
+
+        monkeypatch.setattr(measurement, "_trace_floor_holds", counted)
+        hoisted = [self.outcome(run) for run in runs]
+        assert tests and all(tests)  # every block skipped its per-step checks
+        monkeypatch.setattr(measurement, "_trace_floor_holds", lambda *a: False)
+        for a, b in zip(hoisted, [self.outcome(run) for run in runs]):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("driven, what", [(False, "measurement update"), (True, "update")])
+    def test_underflow_still_raised_without_thermal_jumps(self, driven, what):
+        # undriven starts take population steps (`_measure`), driven ones
+        # factor steps (`_update`); neither has a thermal jump
+        wave = resonant_drive_for_beta(self.SPEC, 0.6, 0.5) if driven else None
+        message = f"trajectory {{}}: {what} trace 0.000e+00 underflowed at t = 0.01 s"
+        with pytest.raises(TraceUnderflowError) as exc:
+            run_trajectory(
+                self.SPEC, wave, self.STRONG, duration=0.5, initial_state=self.SPLIT
+            )
+        assert str(exc.value) == message.format(0)
+        starts = [QuantumState.ground(30), QuantumState.ground(30), self.SPLIT]
+        with pytest.raises(TraceUnderflowError) as exc:
+            run_ensemble(
+                self.SPEC, wave, self.STRONG, 3, duration=0.5, initial_states=starts,
+                purity_threshold=0.99,
+            )
+        assert str(exc.value) == message.format(2)
+
+    def test_block_test_fails_on_large_or_non_finite_inputs(self):
+        coef, xis, d = -5e-3, np.full((4, 3), 10.0), np.zeros(4, dtype=complex)
+        assert measurement._trace_floor_holds(xis, d, None, coef, 10)
+        assert measurement._trace_floor_holds(xis, d, np.ones((4, 3), dtype=complex), coef, 10)
+        # coef (|xi| + dim)^2 down to log(2e-300) = -690.1
+        assert not measurement._trace_floor_holds(xis + 362.0, d, None, coef, 10)
+        for bad in (np.nan, np.inf):
+            assert not measurement._trace_floor_holds(np.where(xis > 0, bad, 0), d, None, coef, 10)
+            assert not measurement._trace_floor_holds(xis, d + bad, None, coef, 10)
+            gammas = np.full((4, 3), complex(bad, 0.0))
+            assert not measurement._trace_floor_holds(xis, d, gammas, coef, 10)
+        # |z| dim past the largest float: D(z)'s phases |z| Lambda overflow
+        assert not measurement._trace_floor_holds(xis, d + 1e308, None, coef, 10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 40),
+        xi=st.floats(-50.0, 50.0),
+        coef=st.floats(-50.0, -1e-4),
+        z=st.complex_numbers(max_magnitude=3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_bound(self, dim, xi, coef, z, seed):
+        # sum_n p_n e^{coef (r - n)^2} >= e^{coef (|xi| + dim)^2} / 2 for
+        # normalized p and r = <n> + xi, and D(z) keeps a factor's norm
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(dim))
+        cache = DisplacementCache(dim)
+        exponents = coef * (p @ cache.levels + xi - cache.levels) ** 2
+        log_bound = math.log(0.5) + coef * (abs(xi) + dim) ** 2
+        with np.errstate(divide="ignore"):  # in log space, where e^x underflows
+            assert np.logaddexp.reduce(np.log(p) + exponents) >= log_bound
+        # as the engine computes it, where the bound is above 0
+        bound = math.exp(log_bound)
+        w = np.exp(0.5 * exponents)
+        amps = (np.sqrt(p) * np.exp(2j * np.pi * rng.random(dim)))[None, :, None]
+        weighed = w[None, :, None] * amps
+        q, rot = cache.phases(z)
+        rotated = cache.rotate(w * q.conj(), rot, amps) * q[:, None]
+        for factor in (weighed, rotated):
+            assert measurement._populations(factor).sum() >= bound
