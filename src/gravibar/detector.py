@@ -16,7 +16,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 
-from .constants import CONSTANTS, G, C_LIGHT, HBAR, K_B
+from .constants import CONSTANTS, G, C_LIGHT, HBAR, K_B, require
 
 
 class DetectorSpecError(ValueError):
@@ -42,10 +42,7 @@ class Material:
     sound_speed: float
 
     def __post_init__(self) -> None:
-        for name in ("density", "sound_speed"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DetectorSpecError(f"{name} must be finite and > 0, got {value}")
+        require(self, DetectorSpecError, positive=("density", "sound_speed"))
 
 
 # Niobium values are the working example of the rate formulas; the other
@@ -102,10 +99,8 @@ class DetectorSpec:
     geometry_mass_check: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("length", "radius", "quality", "temperature"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DetectorSpecError(f"{name} must be finite and > 0, got {value}")
+        require(self, DetectorSpecError,
+                positive=("length", "radius", "mass", "quality", "temperature"))
         if (not isinstance(self.mode_index, numbers.Integral) or self.mode_index < 1
                 or self.mode_index % 2 == 0):
             raise DetectorSpecError(
@@ -113,8 +108,6 @@ class DetectorSpec:
             )
         if self.mass is None:
             object.__setattr__(self, "mass", self.geometric_mass())
-        elif not 0.0 < self.mass < math.inf:
-            raise DetectorSpecError(f"mass must be finite and > 0, got {self.mass}")
         elif self.geometry_mass_check:
             geometric = self.geometric_mass()
             if abs(self.mass - geometric) > MASS_GEOMETRY_RTOL * geometric:
@@ -146,7 +139,7 @@ class DetectorSpec:
         Either `radius` or `mass` fixes the remaining scale; with `mass`
         given the radius follows from the geometry.
         """
-        if frequency <= 0.0:
+        if not frequency > 0.0:
             raise DetectorSpecError(f"frequency must be > 0, got {frequency}")
         length = mode_index * math.pi * material.sound_speed / frequency
         if radius is None:
@@ -196,7 +189,7 @@ def gamma_stimulated(spec: DetectorSpec, h0: float) -> float:
     M*L^2*omega_l^2*h0^2 / (4 * l^4 * pi^5 * hbar). The same rate applies to
     the inverse (stimulated emission) process.
     """
-    if h0 < 0.0:
+    if not h0 >= 0.0:
         raise ValueError(f"h0 must be >= 0, got {h0}")
     v_s = spec.material.sound_speed
     l = spec.mode_index
@@ -209,7 +202,7 @@ def thermal_occupation(temperature: float, omega: float) -> float:
     Overflow-safe: for hbar*omega >> k_B*T the result decays as
     exp(-hbar*omega/(k_B*T)) instead of raising.
     """
-    if temperature <= 0.0 or omega <= 0.0:
+    if not (temperature > 0.0 and omega > 0.0):
         raise ValueError("temperature and omega must be > 0")
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:

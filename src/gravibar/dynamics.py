@@ -230,13 +230,24 @@ def _merged(grid: np.ndarray) -> np.ndarray:
     return edges[keep]
 
 
+def _check_edges(start, end, finite: bool) -> None:
+    """ValueError naming a window edge that is nan, or that is infinite
+    where `finite`: nothing clips a monochromatic wave's window, while a
+    chirp's support, a sampled series and a run clip theirs."""
+    for edge, value in (("start", start), ("end", end)):
+        if math.isnan(value) or finite and math.isinf(value):
+            must = "be finite" if finite else "not be nan"
+            raise ValueError(f"window {edge} must {must}, got {value}")
+
+
 def _quadrature(
     signal: StrainSignal, omega: float, cuts, max_nodes: int = _MAX_NODES,
 ) -> tuple[np.ndarray, int, float | None]:
     """`oscillatory_integral` over each segment between the non-decreasing
     `cuts` (a window's two edges give one), the strain samples it took and
     the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
-    ValueError if the cuts decrease (a reversed window).
+    ValueError if the cuts decrease (a reversed window), if an edge is nan,
+    or if a monochromatic wave's edge is infinite.
 
     The grid is accepted on the window alone, as for chi, and each segment
     is taken from the same evaluation of it: the Kronrod sums of the panels
@@ -245,6 +256,7 @@ def _quadrature(
     A repeated cut gives an empty segment and 0.
     """
     cuts = np.asarray(cuts, dtype=float)
+    _check_edges(cuts[0], cuts[-1], isinstance(signal, MonochromaticWave))
     if not (np.diff(cuts) >= 0.0).all():
         raise ValueError(
             "integration cuts must not decrease (a window ends at or after its start), "

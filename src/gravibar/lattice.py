@@ -19,11 +19,12 @@ sin(l*pi*n/(2(N+1))) across atoms for odd l and cos(...) for even l.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, require
 from .detector import DetectorSpec, Material, mode_frequency
 from .dynamics import _BLOCK_NODES, displacement_beta
 from .waveform import MonochromaticWave, StrainSignal, strain_samples
@@ -47,13 +48,10 @@ class ChainSpec:
     debye_frequency: float
 
     def __post_init__(self) -> None:
-        if self.n_param < 3 or self.n_param % 2 == 0:
-            raise ChainConfigError(
-                f"n_param must be odd and >= 3, got {self.n_param}"
-            )
-        for name in ("atom_mass", "spacing", "debye_frequency"):
-            if getattr(self, name) <= 0.0:
-                raise ChainConfigError(f"{name} must be > 0")
+        if (not isinstance(self.n_param, numbers.Integral) or self.n_param < 3
+                or self.n_param % 2 == 0):
+            raise ChainConfigError(f"n_param must be an odd integer >= 3, got {self.n_param}")
+        require(self, ChainConfigError, positive=("atom_mass", "spacing", "debye_frequency"))
 
     @property
     def n_atoms(self) -> int:
@@ -230,14 +228,20 @@ def evolve_chain(
     """
     if dt is None:
         dt = max_stable_timestep(chain)
+    elif not dt > 0.0:
+        raise ChainConfigError(f"dt must be > 0, got {dt}")
     elif dt > max_stable_timestep(chain):
         raise ChainConfigError(
             f"dt = {dt:.3e} s exceeds the stability limit "
             f"{max_stable_timestep(chain):.3e} s (40 steps per shortest period)"
         )
-    if record_stride < 1:
-        raise ChainConfigError(f"record_stride must be >= 1, got {record_stride}")
+    if not isinstance(record_stride, numbers.Integral) or record_stride < 1:
+        raise ChainConfigError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     t0, t1 = window
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ChainConfigError(f"window {window} must be finite")
+    if t1 < t0:
+        raise ChainConfigError(f"window {window} is reversed: its end precedes its start")
     n_steps = int(math.ceil((t1 - t0) / dt))
     n_seg = n_steps // record_stride
     # whole record segments a block at a time, a multiple of 64 of them, so

@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import require
 from .detector import DetectorSpec, mode_frequency
-from .dynamics import _quadrature, beta_prefactor, default_window
+from .dynamics import _check_edges, _quadrature, beta_prefactor, default_window
 from .fock import (
     TRACE_UNDERFLOW,
     DisplacementCache,
@@ -116,17 +117,10 @@ class MeasurementConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("dt", "t_m", "t_meas", "kappa", "thermal_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_m <= 0.0:
-            raise ValueError(f"t_m must be > 0, got {self.t_m}")
+        require(self, positive=("dt", "t_m"), nonnegative=("kappa", "thermal_rate"),
+                finite=("t_meas",))
         if self.t_meas <= self.dt:
             raise ValueError("t_meas must exceed dt")
-        if self.kappa < 0.0 or self.thermal_rate < 0.0:
-            raise ValueError("kappa and thermal_rate must be >= 0")
 
     @property
     def readout_sigma(self) -> float:
@@ -371,8 +365,8 @@ def _drive(
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
     `window` (signal time) defaults to `default_window` over the run; a
-    reversed one, or a non-finite `duration` or `gw_start`, raises
-    ValueError.
+    reversed one, one with a nan edge, or a non-finite `duration` or
+    `gw_start`, raises ValueError. An infinite edge is clipped to the run.
     """
     for name, value in (("duration", duration), ("gw_start", gw_start)):
         if not math.isfinite(value):
@@ -386,6 +380,7 @@ def _drive(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega, duration - gw_start)
+    _check_edges(*window, finite=False)
     if not window[1] >= window[0]:
         raise ValueError(f"window {window} is reversed: its end precedes its start")
     cuts = np.clip(np.arange(n_steps + 1) * cfg.dt - gw_start, *window)

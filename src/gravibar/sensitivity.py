@@ -21,7 +21,7 @@ def graviton_number(h0: float, nu: float) -> float:
     N = h0^2 c^5 / (32 pi G hbar nu^2): the wave's energy density divided by
     that of one quantum of energy hbar*nu in a box of size c/nu.
     """
-    if h0 <= 0.0 or nu <= 0.0:
+    if not (h0 > 0.0 and nu > 0.0):
         raise ValueError("h0 and nu must be > 0")
     return h0**2 * C_LIGHT**5 / (32.0 * math.pi * G * HBAR * nu**2)
 
@@ -33,7 +33,7 @@ def golden_rule_stimulated(spec: DetectorSpec, n_gravitons: float) -> float:
     the spontaneous coefficient, and with n = graviton_number(h0, omega_l)
     it reproduces the classical-field stimulated rate.
     """
-    if n_gravitons < 0.0:
+    if not n_gravitons >= 0.0:
         raise ValueError(f"n_gravitons must be >= 0, got {n_gravitons}")
     return n_gravitons * gamma_spontaneous(spec)
 
@@ -56,7 +56,7 @@ def min_strain_monochromatic(spec: DetectorSpec, n_cycles: float) -> float:
     h0 = sqrt(pi k_B T / (M v_s^2 Q N_c)); relates to the characteristic
     strain via h_c = 2 pi h0 sqrt(N_c).
     """
-    if n_cycles < 1.0:
+    if not n_cycles >= 1.0:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
     v_s = spec.material.sound_speed
     return math.sqrt(

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import G, C_LIGHT, SOLAR_MASS
+from .constants import G, C_LIGHT, SOLAR_MASS, require
 
 
 class StrainFormatError(ValueError):
@@ -83,7 +83,7 @@ def chirp_phase(nu0: float, k: float, t):
 
 def resonance_crossing_time(k: float, omega: float) -> float:
     """Duration tau = 2*sqrt(2/k)*omega^(-11/6) the chirp spends on resonance."""
-    if k <= 0.0 or omega <= 0.0:
+    if not (k > 0.0 and omega > 0.0):
         raise ValueError("k and omega must be > 0")
     return 2.0 * math.sqrt(2.0 / k) * omega ** (-11.0 / 6.0)
 
@@ -102,17 +102,6 @@ def resonance_time(nu0: float, k: float, omega: float) -> float:
     return (3.0 / (8.0 * k)) * (nu0 ** (-8.0 / 3.0) - omega ** (-8.0 / 3.0))
 
 
-def _require_finite(signal, *names: str) -> None:
-    """ValueError naming the first field of `names` that holds nan or inf
-    (an unset optional field, None, passes)."""
-    for name in names:
-        value = getattr(signal, name)
-        bad = np.flatnonzero(~np.isfinite(value)) if value is not None else []
-        if len(bad):
-            at = f" at sample {bad[0]}" if np.ndim(value) else ""
-            raise ValueError(f"{name} must be finite, got {np.ravel(value)[bad[0]]}{at}")
-
-
 @dataclass(frozen=True)
 class MonochromaticWave:
     """h(t) = h0 * sin(nu*t + phi0), supported for all t."""
@@ -122,11 +111,7 @@ class MonochromaticWave:
     phi0: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "h0", "nu", "phi0")
-        if self.h0 < 0.0:
-            raise ValueError(f"h0 must be >= 0, got {self.h0}")
-        if self.nu <= 0.0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        require(self, positive=("nu",), nonnegative=("h0",), finite=("phi0",))
 
 
 @dataclass(frozen=True)
@@ -159,13 +144,7 @@ class ChirpSource:
     amplitude_ref: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "chirp_mass", "h0", "nu0", "amplitude_ref")
-        if self.chirp_mass <= 0.0:
-            raise ValueError(f"chirp_mass must be > 0, got {self.chirp_mass}")
-        if self.h0 < 0.0:
-            raise ValueError(f"h0 must be >= 0, got {self.h0}")
-        if self.nu0 <= 0.0:
-            raise ValueError(f"nu0 must be > 0, got {self.nu0}")
+        require(self, positive=("chirp_mass", "nu0", "amplitude_ref"), nonnegative=("h0",))
         if self.amplitude_model not in ("constant", "nu_two_thirds"):
             raise ValueError(
                 f"amplitude_model must be 'constant' or 'nu_two_thirds', "
@@ -212,9 +191,7 @@ class SampledStrain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        _require_finite(self, "t0", "dt", "h")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        require(self, positive=("dt",), finite=("t0", "h"))
         if self.h.ndim != 1 or self.h.size < 3:
             raise ValueError("need at least 3 strain samples")
 

@@ -36,9 +36,10 @@ def gamma_spontaneous_geometric(spec: DetectorSpec) -> float:
 
 class TestMaterial:
     def test_invariants(self):
-        with pytest.raises(DetectorSpecError):
-            Material("bad", density=-1.0, sound_speed=5e3)
-        with pytest.raises(DetectorSpecError):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DetectorSpecError, match=f"^density must be .*, got {bad}$"):
+                Material("bad", density=bad, sound_speed=5e3)
+        with pytest.raises(DetectorSpecError, match="^sound_speed must be > 0, got 0.0$"):
             Material("bad", density=8570.0, sound_speed=0.0)
 
     def test_builtin_niobium(self):
@@ -62,10 +63,11 @@ class TestDetectorSpec:
             niobium_bar(mode_index=mode_index)
         assert niobium_bar(mode_index=np.int64(3)).mode_index == 3
 
-    @pytest.mark.parametrize("field", ["length", "radius", "quality", "temperature"])
+    @pytest.mark.parametrize("field", ["length", "radius", "mass", "quality", "temperature"])
     def test_positive_fields(self, field):
-        with pytest.raises(DetectorSpecError):
-            niobium_bar(**{field: -1.0})
+        for bad, rule in ((-1.0, "> 0"), (math.nan, "finite"), (math.inf, "finite")):
+            with pytest.raises(DetectorSpecError, match=f"^{field} must be {rule}, got {bad}$"):
+                niobium_bar(**{field: bad})
 
     def test_mass_defaults_to_geometry(self):
         spec = niobium_bar()

@@ -453,17 +453,45 @@ class TestDisplacementBeta:
 
 
 class TestReversedWindow:
+    MONO = MonochromaticWave(h0=1e-22, nu=OMEGA)
+    SAMPLED = SampledStrain(t0=0.0, dt=1e-3, h=np.sin(OMEGA * 1e-3 * np.arange(2000)))
+
     # each once gave chi = beta = 0 from zero nodes
-    @pytest.mark.parametrize("signal", [
-        MonochromaticWave(h0=1e-22, nu=OMEGA),
-        SampledStrain(t0=0.0, dt=1e-3, h=np.sin(OMEGA * 1e-3 * np.arange(2000))),
-    ], ids=["monochromatic", "sampled"])
+    @pytest.mark.parametrize("signal", [MONO, SAMPLED], ids=["monochromatic", "sampled"])
     def test_rejected(self, beryllium_100hz, signal):
         with pytest.raises(ValueError, match="must not decrease.* 1.0 ... 0.5"):
             chi_quadrature(signal, OMEGA, (1.0, 0.5))
         with pytest.raises(ValueError, match="must not decrease"):
             displacement_beta(beryllium_100hz, signal, (1.0, 0.5))
         assert chi_quadrature(signal, OMEGA, (0.5, 0.5)).value == 0.0  # empty: no drive
+
+    @pytest.mark.parametrize("signal, window, message", [
+        (MONO, (0.0, math.nan), "window end must be finite, got nan"),
+        (MONO, (math.nan, 1.0), "window start must be finite, got nan"),
+        (MONO, (0.0, math.inf), "window end must be finite, got inf"),
+        (MONO, (-math.inf, 1.0), "window start must be finite, got -inf"),
+        (SAMPLED, (0.0, math.nan), "window end must not be nan, got nan"),
+    ], ids=["mono-end-nan", "mono-start-nan", "mono-end-inf", "mono-start-inf",
+            "sampled-end-nan"])
+    def test_bad_edge_named(self, beryllium_100hz, signal, window, message):
+        # a nan edge was reported as cuts that decrease, and an infinite edge
+        # of a monochromatic wave raised OverflowError: nothing clips that
+        # wave's window, while a chirp's or a sampled series' support does
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chi_quadrature(signal, OMEGA, window)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            displacement_beta(beryllium_100hz, signal, window)
+
+    def test_clipped_infinite_edges_kept(self):
+        # the chirp's support and a sampled series' own span clip an
+        # infinite edge, as before
+        chirp = ChirpSource.from_solar_masses(1.19, h0=2e-22, nu0=2 * math.pi * 95.0)
+        t1 = chirp_window(chirp, OMEGA)[1]
+        assert (chi_quadrature(chirp, OMEGA, (-math.inf, t1)).value
+                == chi_quadrature(chirp, OMEGA, (0.0, t1)).value > 0.0)
+        strain = self.SAMPLED
+        assert (chi_quadrature(strain, OMEGA, (-math.inf, math.inf)).value
+                == chi_quadrature(strain, OMEGA, (strain.t0, strain.t_end)).value > 0.0)
 
     def test_chi_result_must_be_finite(self):
         for bad in (math.nan, math.inf):

@@ -49,8 +49,17 @@ class TestChainSpec:
             ChainSpec(n_param=4, atom_mass=1.0, spacing=1.0, debye_frequency=1.0)
         with pytest.raises(ChainConfigError):
             ChainSpec(n_param=1, atom_mass=1.0, spacing=1.0, debye_frequency=1.0)
-        with pytest.raises(ChainConfigError):
-            ChainSpec(n_param=5, atom_mass=-1.0, spacing=1.0, debye_frequency=1.0)
+        # 3.5 built a 4.5-atom chain with 5 mode frequencies
+        for n_param in (3.5, 5.0):
+            with pytest.raises(ChainConfigError, match="n_param must be an odd integer"):
+                ChainSpec(n_param=n_param, atom_mass=1.0, spacing=1.0, debye_frequency=1.0)
+        assert ChainSpec(np.int64(5), atom_mass=1.0, spacing=1.0, debye_frequency=1.0).n_atoms == 6
+        # nan passed the `<= 0` check
+        fields = dict(atom_mass=1.0, spacing=1.0, debye_frequency=1.0)
+        for name in fields:
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(ChainConfigError, match=f"^{name} must be .*, got {bad}$"):
+                    ChainSpec(n_param=5, **{**fields, name: bad})
 
     def test_derived_quantities(self):
         chain = toy_chain(5)
@@ -274,6 +283,19 @@ class TestEvolveChain:
         for stride in (0, -3):
             with pytest.raises(ChainConfigError, match="record_stride"):
                 evolve_chain(chain, wave, (0.0, 1.0), record_stride=stride)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dt=math.nan), dict(dt=0.0), dict(dt=-0.01), dict(window=(1.0, 0.0)),
+        dict(window=(0.0, math.nan)), dict(window=(0.0, math.inf)), dict(record_stride=1.5),
+    ], ids=["dt-nan", "dt-zero", "dt-negative", "window-reversed", "window-nan",
+            "window-inf", "stride-fractional"])
+    def test_bad_argument_named(self, kwargs):
+        # these failed inside int(), np.empty or range(), or divided by zero
+        chain = toy_chain(19)
+        wave = MonochromaticWave(h0=1.0, nu=1.0)
+        (argument,) = kwargs
+        with pytest.raises(ChainConfigError, match=f"^{argument}"):
+            evolve_chain(chain, wave, **{"window": (0.0, 1.0), **kwargs})
 
     def test_resonant_secular_growth(self):
         # envelope oracle: on resonance |alpha(t)| grows linearly following

@@ -84,7 +84,8 @@ class TestConfig:
             ("thermal_rate", math.inf, "thermal_rate must be finite"),
             ("dt", -1e-3, "dt must be > 0"),
             ("t_meas", 1e-3, "t_meas must exceed dt"),
-            ("kappa", -1.0, "kappa and thermal_rate must be >= 0"),
+            ("kappa", -1.0, "kappa must be >= 0"),
+            ("thermal_rate", -1.0, "thermal_rate must be >= 0"),
             ("seed", -1, "seed must be >= 0"),
         ],
     )
@@ -429,6 +430,26 @@ class TestRunTrajectory:
         wave = resonant_drive_for_beta(spec, 0.5, 1.0)
         with pytest.raises(ValueError, match=r"window \(0\.9, 0\.2\) is reversed"):
             run_trajectory(spec, wave, cfg, duration=1.0, window=(0.9, 0.2))
+
+    @pytest.mark.parametrize("edge, window", [
+        ("start", (math.nan, 0.5)), ("end", (0.0, math.nan)),
+    ], ids=["start", "end"])
+    def test_nan_window_edge_named(self, edge, window):
+        # a nan end was reported as a reversed window
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        wave = resonant_drive_for_beta(spec, 0.5, 1.0)
+        with pytest.raises(ValueError, match=rf"^window {edge} must not be nan, got nan$"):
+            run_trajectory(spec, wave, cfg, duration=1.0, window=window)
+
+    def test_infinite_window_clipped_to_the_run(self):
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        wave = resonant_drive_for_beta(spec, 0.5, 1.0)
+        drive, events = measurement._drive(spec, wave, cfg, 1.0, 0.0, (-math.inf, math.inf))
+        assert events == [(0.0, "gw_window_start"), (1.0, "gw_window_end")]
+        default, _ = measurement._drive(spec, wave, cfg, 1.0, 0.0, None)
+        np.testing.assert_allclose(drive, default, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("arg, value", [
         ("duration", math.nan), ("duration", math.inf), ("duration", -math.inf),

@@ -14,6 +14,7 @@ from gravibar.detector import (
     gamma_spontaneous,
     gamma_stimulated,
     mode_frequency,
+    thermal_occupation,
 )
 from gravibar.sensitivity import (
     characteristic_strain,
@@ -23,6 +24,7 @@ from gravibar.sensitivity import (
     min_strain_monochromatic,
     sensitivity_curve,
 )
+from gravibar.waveform import resonance_crossing_time
 from sensitivity_oracle import (
     monochromatic_rate,
     sensitivity_rows,
@@ -31,6 +33,29 @@ from sensitivity_oracle import (
 )
 
 OMEGA_100 = 2 * math.pi * 100.0
+BAR = DetectorSpec.from_frequency(MATERIALS["niobium"], OMEGA_100, radius=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda x: thermal_occupation(x, OMEGA_100), "temperature and omega must be > 0"),
+    (lambda x: thermal_occupation(1e-3, x), "temperature and omega must be > 0"),
+    (lambda x: gamma_stimulated(BAR, x), "h0 must be >= 0, got nan"),
+    (lambda x: resonance_crossing_time(x, OMEGA_100), "k and omega must be > 0"),
+    (lambda x: resonance_crossing_time(1e-9, x), "k and omega must be > 0"),
+    (lambda x: graviton_number(x, OMEGA_100), "h0 and nu must be > 0"),
+    (lambda x: graviton_number(1e-21, x), "h0 and nu must be > 0"),
+    (lambda x: golden_rule_stimulated(BAR, x), "n_gravitons must be >= 0, got nan"),
+    (lambda x: min_strain_monochromatic(BAR, x), "n_cycles must be >= 1, got nan"),
+    (lambda x: DetectorSpec.from_frequency(MATERIALS["niobium"], x, radius=0.5),
+     "frequency must be > 0, got nan"),
+], ids=["thermal_occupation-T", "thermal_occupation-omega", "gamma_stimulated",
+        "resonance_crossing_time-k", "resonance_crossing_time-omega",
+        "graviton_number-h0", "graviton_number-nu", "golden_rule_stimulated",
+        "min_strain_monochromatic", "from_frequency"])
+def test_nan_argument_rejected(call, message):
+    # each returned nan, or for from_frequency blamed the bar's length
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(math.nan)
 
 
 class TestGravitonNumber:

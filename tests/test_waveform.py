@@ -336,6 +336,15 @@ class TestNonFiniteFields:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got nan"):
             SampledStrain(**{"t0": 0.0, "dt": 1e-3, field: math.nan}, h=np.zeros(4))
 
+    @pytest.mark.parametrize("field, bad, rule", [
+        ("chirp_mass", -1.0, "> 0"), ("h0", -1e-22, ">= 0"), ("nu0", 0.0, "> 0"),
+        ("amplitude_ref", 0.0, "> 0"), ("amplitude_ref", -1.0, "> 0"),
+    ])
+    def test_chirp_signs(self, field, bad, rule):
+        # amplitude_ref = 0 gave an infinite envelope, and < 0 a nan one
+        with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {bad}$"):
+            ChirpSource(**{**self.CHIRP, field: bad}, amplitude_model="nu_two_thirds")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_sampled_values_name_the_sample(self, bad):
         h = np.zeros(5)
