@@ -108,9 +108,10 @@ class DetectorSpec:
             )
         if self.mass is None:
             object.__setattr__(self, "mass", self.geometric_mass())
+            require(self, DetectorSpecError, positive=("mass",))
         elif self.geometry_mass_check:
             geometric = self.geometric_mass()
-            if abs(self.mass - geometric) > MASS_GEOMETRY_RTOL * geometric:
+            if not abs(self.mass - geometric) <= MASS_GEOMETRY_RTOL * geometric < math.inf:
                 raise DetectorSpecError(
                     f"mass {self.mass} kg differs from geometric mass "
                     f"{geometric:.4g} kg by more than {MASS_GEOMETRY_RTOL:.0%}; "
@@ -118,8 +119,11 @@ class DetectorSpec:
                 )
 
     def geometric_mass(self) -> float:
-        """Mass implied by the cylinder geometry, rho*pi*R^2*L [kg]."""
-        return self.material.density * math.pi * self.radius**2 * self.length
+        """Mass implied by the cylinder geometry, rho*pi*R^2*L [kg]; inf if R^2 overflows."""
+        try:
+            return self.material.density * math.pi * self.radius**2 * self.length
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def from_frequency(

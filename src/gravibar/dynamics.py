@@ -230,14 +230,18 @@ def _merged(grid: np.ndarray) -> np.ndarray:
     return edges[keep]
 
 
-def _check_edges(start, end, finite: bool) -> None:
-    """ValueError naming a window edge that is nan, or that is infinite
-    where `finite`: nothing clips a monochromatic wave's window, while a
-    chirp's support, a sampled series and a run clip theirs."""
+def _check_window(window, finite: bool, error=ValueError) -> None:
+    """The one rule for a window's edges, applied before any clip or difference:
+    `error` naming an edge that is nan, or infinite where `finite` (nothing
+    clips a monochromatic wave's or a chain's window, while a chirp's support,
+    a sampled series and a run clip theirs), then an end below the start."""
+    start, end = map(float, window)
     for edge, value in (("start", start), ("end", end)):
         if math.isnan(value) or finite and math.isinf(value):
             must = "be finite" if finite else "not be nan"
-            raise ValueError(f"window {edge} must {must}, got {value}")
+            raise error(f"window {edge} must {must}, got {value}")
+    if end < start:
+        raise error(f"window {(start, end)} is reversed: its end precedes its start")
 
 
 def _quadrature(
@@ -246,8 +250,8 @@ def _quadrature(
     """`oscillatory_integral` over each segment between the non-decreasing
     `cuts` (a window's two edges give one), the strain samples it took and
     the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
-    ValueError if the cuts decrease (a reversed window), if an edge is nan,
-    or if a monochromatic wave's edge is infinite.
+    `_check_window` judges the window (cuts[0], cuts[-1]), whose edges must
+    be finite for a monochromatic wave; the inner cuts are `_drive`'s steps.
 
     The grid is accepted on the window alone, as for chi, and each segment
     is taken from the same evaluation of it: the Kronrod sums of the panels
@@ -256,12 +260,7 @@ def _quadrature(
     A repeated cut gives an empty segment and 0.
     """
     cuts = np.asarray(cuts, dtype=float)
-    _check_edges(cuts[0], cuts[-1], isinstance(signal, MonochromaticWave))
-    if not (np.diff(cuts) >= 0.0).all():
-        raise ValueError(
-            "integration cuts must not decrease (a window ends at or after its start), "
-            f"got {float(cuts[0])!r} ... {float(cuts[-1])!r}"
-        )
+    _check_window((cuts[0], cuts[-1]), isinstance(signal, MonochromaticWave))
     if isinstance(signal, SampledStrain):
         ts = signal.times
         keep = (ts >= cuts[0]) & (ts <= cuts[-1])
@@ -357,11 +356,16 @@ def oscillatory_integral(
     return complex(_quadrature(signal, omega, window, max_nodes)[0][0])
 
 
+def _integral_and_chi(signal: StrainSignal, omega: float, window) -> tuple[complex, ChiResult]:
+    """`oscillatory_integral` over the window and the chi it gives."""
+    (integral,), nodes, error = _quadrature(signal, omega, window)
+    window = (float(window[0]), float(window[1]))
+    return complex(integral), ChiResult(float(abs(integral)), "quadrature", window, nodes, error)
+
+
 def chi_quadrature(signal: StrainSignal, omega: float, window: tuple[float, float]) -> ChiResult:
     """chi by direct oscillatory quadrature over the window."""
-    (integral,), nodes, error = _quadrature(signal, omega, window)
-    return ChiResult(float(abs(integral)), "quadrature", (float(window[0]), float(window[1])),
-                     nodes, error)
+    return _integral_and_chi(signal, omega, window)[1]
 
 
 def chi_monochromatic(h0: float, nu: float, omega: float, t: float) -> ChiResult:
@@ -463,17 +467,11 @@ class BetaAmplitude:
     ----------
     value : complex
         beta = -i * prefactor * integral of hddot(s) e^{i omega s} ds.
-    detector : DetectorSpec
-        Detector that received the drive.
-    signal : StrainSignal
-        The drive.
     chi : ChiResult
         The chi from which |beta| derives (same quadrature nodes).
     """
 
     value: complex
-    detector: DetectorSpec
-    signal: StrainSignal
     chi: ChiResult
 
     @property
@@ -518,11 +516,8 @@ def displacement_beta(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega)
-    (integral,), nodes, error = _quadrature(signal, omega, window)
-    chi = ChiResult(float(abs(integral)), "quadrature", (float(window[0]), float(window[1])),
-                    nodes, error)
-    beta = -1j * beta_prefactor(spec) * complex(integral)
-    return BetaAmplitude(value=beta, detector=spec, signal=signal, chi=chi)
+    integral, chi = _integral_and_chi(signal, omega, window)
+    return BetaAmplitude(value=-1j * beta_prefactor(spec) * integral, chi=chi)
 
 
 def excitation_probability(beta: complex, n: int) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import HBAR, require
 from .detector import DetectorSpec, Material, mode_frequency
-from .dynamics import _BLOCK_NODES, displacement_beta
+from .dynamics import _BLOCK_NODES, _check_window, displacement_beta
 from .waveform import MonochromaticWave, StrainSignal, strain_samples
 
 
@@ -237,11 +237,8 @@ def evolve_chain(
         )
     if not isinstance(record_stride, numbers.Integral) or record_stride < 1:
         raise ChainConfigError(f"record_stride must be an integer >= 1, got {record_stride!r}")
+    _check_window(window, finite=True, error=ChainConfigError)
     t0, t1 = window
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ChainConfigError(f"window {window} must be finite")
-    if t1 < t0:
-        raise ChainConfigError(f"window {window} is reversed: its end precedes its start")
     n_steps = int(math.ceil((t1 - t0) / dt))
     n_seg = n_steps // record_stride
     # whole record segments a block at a time, a multiple of 64 of them, so

@@ -56,7 +56,7 @@ import numpy as np
 
 from .constants import require
 from .detector import DetectorSpec, mode_frequency
-from .dynamics import _check_edges, _quadrature, beta_prefactor, default_window
+from .dynamics import _check_window, _quadrature, beta_prefactor, default_window
 from .fock import (
     TRACE_UNDERFLOW,
     DisplacementCache,
@@ -364,9 +364,9 @@ def _drive(
     Also returns the (time, kind) events of the window,
     clipped to the run and none when it covers no step. Step i covers
     [(i-1) dt, i dt] in run time; the signal clock is run time - gw_start.
-    `window` (signal time) defaults to `default_window` over the run; a
-    reversed one, one with a nan edge, or a non-finite `duration` or
-    `gw_start`, raises ValueError. An infinite edge is clipped to the run.
+    `window` (signal time) defaults to `default_window` over the run; a nan
+    edge or a reversed window (`dynamics._check_window`), or a non-finite
+    `duration` or `gw_start`, raises ValueError. An infinite edge is clipped.
     """
     for name, value in (("duration", duration), ("gw_start", gw_start)):
         if not math.isfinite(value):
@@ -380,9 +380,7 @@ def _drive(
     omega = mode_frequency(spec)
     if window is None:
         window = default_window(signal, omega, duration - gw_start)
-    _check_edges(*window, finite=False)
-    if not window[1] >= window[0]:
-        raise ValueError(f"window {window} is reversed: its end precedes its start")
+    _check_window(window, finite=False)
     cuts = np.clip(np.arange(n_steps + 1) * cfg.dt - gw_start, *window)
     if cuts[-1] <= cuts[0]:
         return drive, []

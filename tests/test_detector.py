@@ -69,6 +69,22 @@ class TestDetectorSpec:
             with pytest.raises(DetectorSpecError, match=f"^{field} must be {rule}, got {bad}$"):
                 niobium_bar(**{field: bad})
 
+    @pytest.mark.parametrize("length, radius, message", [
+        (1e300, 1e10, "mass must be finite, got inf"),
+        (1e-300, 1e-300, "mass must be > 0, got 0.0"),
+        (1.0, 1e200, "mass must be finite, got inf"),
+    ], ids=["product-overflows", "product-underflows", "radius-squared-overflows"])
+    def test_derived_mass_checked(self, length, radius, message):
+        # accepted with mass inf and 0.0, and a bare OverflowError from R**2
+        with pytest.raises(DetectorSpecError, match=f"^{message}$"):
+            niobium_bar(length=length, radius=radius)
+
+    def test_stated_mass_against_overflowing_geometry(self):
+        # a bare OverflowError from R**2 before
+        with pytest.raises(DetectorSpecError, match="geometric mass inf kg"):
+            niobium_bar(radius=1e200, mass=10.0)
+        assert niobium_bar(radius=1e200, mass=10.0, geometry_mass_check=False).mass == 10.0
+
     def test_mass_defaults_to_geometry(self):
         spec = niobium_bar()
         assert spec.mass == pytest.approx(8570.0 * math.pi * 0.25, rel=1e-12)

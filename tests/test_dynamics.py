@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from gravibar.dynamics import (
     oscillatory_integral,
     threshold_probability,
 )
+from gravibar.lattice import ChainConfigError, ChainSpec, evolve_chain
+from gravibar.measurement import MeasurementConfig, run_trajectory
 from gravibar.waveform import (
     ChirpDomainError,
     ChirpSource,
@@ -459,9 +462,9 @@ class TestReversedWindow:
     # each once gave chi = beta = 0 from zero nodes
     @pytest.mark.parametrize("signal", [MONO, SAMPLED], ids=["monochromatic", "sampled"])
     def test_rejected(self, beryllium_100hz, signal):
-        with pytest.raises(ValueError, match="must not decrease.* 1.0 ... 0.5"):
+        with pytest.raises(ValueError, match=r"^window \(1\.0, 0\.5\) is reversed"):
             chi_quadrature(signal, OMEGA, (1.0, 0.5))
-        with pytest.raises(ValueError, match="must not decrease"):
+        with pytest.raises(ValueError, match=r"^window \(1\.0, 0\.5\) is reversed"):
             displacement_beta(beryllium_100hz, signal, (1.0, 0.5))
         assert chi_quadrature(signal, OMEGA, (0.5, 0.5)).value == 0.0  # empty: no drive
 
@@ -497,6 +500,78 @@ class TestReversedWindow:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="chi must be finite"):
                 ChiResult(bad, "quadrature")
+
+
+REVERSED = r"window \(1\.0, 0\.5\) is reversed: its end precedes its start"
+# window, then the outcome where an infinite edge is clipped (a chirp's
+# support, a sampled series, a run) and where it must be finite (a
+# monochromatic wave, a chain): a message, "empty" (no drive) or None (driven)
+WINDOWS = {
+    "nan-start": ((math.nan, 1.0), "window start must not be nan, got nan",
+                  "window start must be finite, got nan"),
+    "nan-end": ((0.0, math.nan), "window end must not be nan, got nan",
+                "window end must be finite, got nan"),
+    "inf-start": ((-math.inf, 1.0), None, "window start must be finite, got -inf"),
+    "inf-end": ((0.0, math.inf), None, "window end must be finite, got inf"),
+    "inf-inf": ((math.inf, math.inf), "empty", "window start must be finite, got inf"),
+    "minus-inf-inf": ((-math.inf, -math.inf), "empty", "window start must be finite, got -inf"),
+    "reversed": ((1.0, 0.5), REVERSED, REVERSED),
+    "empty": ((0.5, 0.5), "empty", "empty"),
+}
+SIGNALS = {
+    "chirp": ChirpSource.from_solar_masses(1.19, h0=2e-22, nu0=2 * math.pi * 30.0),
+    "monochromatic": TestReversedWindow.MONO,
+    "sampled": TestReversedWindow.SAMPLED,
+}
+QUADRATURES = ("oscillatory_integral", "chi_quadrature", "displacement_beta")
+WINDOW_CALLERS = [
+    (caller, kind, name)
+    for caller, kind in [*((f, k) for f in QUADRATURES for k in SIGNALS),
+                         ("run_trajectory", "chirp"), ("evolve_chain", "monochromatic")]
+    for name in WINDOWS
+    # a chirp's quadrature up to its coalescence, where hddot diverges, does not converge
+    if not (caller in QUADRATURES and kind == "chirp" and name == "inf-end")
+]
+
+
+def _drive_over(caller, signal, window, spec):
+    """How much `caller` drove over `window`, and the strain nodes it took
+    (None where it does not count them)."""
+    if caller == "oscillatory_integral":
+        return abs(oscillatory_integral(signal, OMEGA, window)), None
+    if caller == "chi_quadrature":
+        chi = chi_quadrature(signal, OMEGA, window)
+        return chi.value, chi.nodes
+    if caller == "displacement_beta":
+        beta = displacement_beta(spec, signal, window)
+        return beta.magnitude, beta.chi.nodes
+    if caller == "run_trajectory":  # a run without drive has no window events
+        cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=3)
+        return len(run_trajectory(spec, signal, cfg, duration=1.0, window=window).events), None
+    chain = ChainSpec(n_param=19, atom_mass=0.5, spacing=0.025, debye_frequency=400.0)
+    return np.abs(evolve_chain(chain, signal, window).chi[1]).max(), None
+
+
+@pytest.mark.parametrize("caller, kind, name", WINDOW_CALLERS)
+def test_one_window_rule(beryllium_100hz, caller, kind, name):
+    # each layer once judged windows in its own words; (inf, inf) on a chirp
+    # raised "integration cuts must not decrease" and leaked a RuntimeWarning
+    window, clipped, finite = WINDOWS[name]
+    outcome = finite if caller == "evolve_chain" or kind == "monochromatic" else clipped
+    error = ChainConfigError if caller == "evolve_chain" else ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome not in (None, "empty"):
+            with pytest.raises(error, match=f"^{outcome}$") as raised:
+                _drive_over(caller, SIGNALS[kind], window, beryllium_100hz)
+            assert raised.type is error
+            return
+        drive, nodes = _drive_over(caller, SIGNALS[kind], window, beryllium_100hz)
+    if outcome == "empty":
+        assert drive == 0
+        assert nodes == (0 if caller in QUADRATURES[1:] else None)
+    else:
+        assert drive > 0
 
 
 class TestExcitationProbability:
