@@ -1,17 +1,20 @@
-"""Physical constants and the one rule for the numbers of an input record.
+"""Physical constants and the one rule for numbers, of records and of arguments.
 
 All quantities are SI. The constants are the single source of truth for
 every module in the package; CODATA 2018 values are used throughout.
 
-Every input record checks its real-valued fields through `require`: a
-number must be finite, then > 0 or >= 0 where the record asks, and nan
-fails every test.
+Every input record checks its fields, and every public function (passing
+its `locals()`) its arguments, through `require`: a number must be finite,
+then > 0 or >= 0 where asked, and nan fails every test; a count must be an
+integer, not a bool, of at least its floor.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
+import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,20 +52,36 @@ K_B = CONSTANTS.k_B
 SOLAR_MASS = 1.989e30
 
 
-def require(record, error=ValueError, *, positive=(), nonnegative=(), finite=()) -> None:
-    """Raise `error` naming the first listed field of `record` that is not
-    finite, or not > 0 (`positive`) or >= 0 (`nonnegative`). None passes; an
-    np.ndarray (under `finite`) is checked, and named, sample by sample."""
-    for name in (*positive, *nonnegative):
-        value = getattr(record, name)
-        if not (value is None or 0.0 < value < math.inf or value == 0.0 and name in nonnegative):
-            rule = (">= 0" if name in nonnegative else "> 0") if math.isfinite(value) else "finite"
-            raise error(f"{name} must be {rule}, got {value}")
-    for name in finite:
-        value = getattr(record, name)
-        if isinstance(value, np.ndarray):
-            bad = np.flatnonzero(~np.isfinite(value))
-            if bad.size:
-                raise error(f"{name} must be finite, got {value.flat[bad[0]]} at sample {bad[0]}")
-        elif not (value is None or -math.inf < value < math.inf):
-            raise error(f"{name} must be finite, got {value}")
+def require(record, error=ValueError, *, positive=(), nonnegative=(), finite=(),
+            integer=None) -> None:
+    """Raise `error` naming the first listed number of `record`, an object or a
+    dict of names to values (a function's `locals()`), that breaks its rule:
+    each of `integer` {name: low} an int, not a bool, >= low; then each of
+    `positive` > 0, of `nonnegative` >= 0 and of `finite` finite (a complex
+    number too). None passes the last three, and an np.ndarray is judged, and
+    named, sample by sample."""
+    value_of = record.__getitem__ if isinstance(record, dict) else partial(getattr, record)
+    for name, low in (integer or {}).items():
+        value = value_of(name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise error(f"{name} must be >= {low}, got {value}")
+    for rule, names in (("> 0", positive), (">= 0", nonnegative), ("finite", finite)):
+        for name in names:
+            value, at = value_of(name), ""
+            if isinstance(value, np.ndarray):  # judged by its first failing sample
+                keeps = _keeps(value, rule)
+                if keeps.all():
+                    continue
+                first = int(np.argmin(keeps))
+                value, at = value.flat[first], f" at sample {first}"
+            if value is not None and not _keeps(value, rule):
+                rule = rule if cmath.isfinite(value) else "finite"
+                raise error(f"{name} must be {rule}, got {value}{at}")
+
+
+def _keeps(value, rule: str):
+    """Whether a number, or each sample of an array, keeps `rule`."""
+    holds = np.isfinite(value) if isinstance(value, np.ndarray) else cmath.isfinite(value)
+    return holds if rule == "finite" else holds & (value > 0.0 if rule == "> 0" else value >= 0.0)

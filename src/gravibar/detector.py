@@ -143,8 +143,7 @@ class DetectorSpec:
         Either `radius` or `mass` fixes the remaining scale; with `mass`
         given the radius follows from the geometry.
         """
-        if not frequency > 0.0:
-            raise DetectorSpecError(f"frequency must be > 0, got {frequency}")
+        require(locals(), DetectorSpecError, positive=("frequency", "mass"))
         length = mode_index * math.pi * material.sound_speed / frequency
         if radius is None:
             if mass is None:
@@ -193,8 +192,7 @@ def gamma_stimulated(spec: DetectorSpec, h0: float) -> float:
     M*L^2*omega_l^2*h0^2 / (4 * l^4 * pi^5 * hbar). The same rate applies to
     the inverse (stimulated emission) process.
     """
-    if not h0 >= 0.0:
-        raise ValueError(f"h0 must be >= 0, got {h0}")
+    require(locals(), nonnegative=("h0",))
     v_s = spec.material.sound_speed
     l = spec.mode_index
     return v_s**2 * spec.mass * h0**2 / (4.0 * l**2 * math.pi**3 * HBAR)
@@ -206,8 +204,7 @@ def thermal_occupation(temperature: float, omega: float) -> float:
     Overflow-safe: for hbar*omega >> k_B*T the result decays as
     exp(-hbar*omega/(k_B*T)) instead of raising.
     """
-    if not (temperature > 0.0 and omega > 0.0):
-        raise ValueError("temperature and omega must be > 0")
+    require(locals(), positive=("temperature", "omega"))
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:
         # 1/(e^x - 1) ~ e^-x; exp underflows gracefully to 0.0

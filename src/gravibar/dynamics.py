@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, require
 from .detector import DetectorSpec, Material, mode_frequency
 from .waveform import (
     ChirpDomainError,
@@ -186,7 +186,7 @@ def _panel_sum(
         block = edges[lo:lo + per_block + 1]
         half = 0.5 * np.diff(block)
         s = (block[:-1, None] + half[:, None] * (1.0 + _KR_NODES)).ravel()
-        _, hddot, _ = strain_samples(signal, s)
+        _, hddot = strain_samples(signal, s)
         # cos and sin cost less than a complex exp of omega*s; taken in place,
         # so a block holds no array beyond its nodes, hddot and parts
         s *= omega
@@ -391,8 +391,7 @@ def chi_chirp_analytic(h0: float, k: float, omega: float) -> ChiResult:
     Equals h0*omega^2*tau/2 with tau the resonance crossing time. Warns when
     omega*tau is not large (fast sweep through resonance).
     """
-    if k <= 0.0 or omega <= 0.0:
-        raise ValueError("k and omega must be > 0")
+    require(locals(), positive=("k", "omega"), nonnegative=("h0",))
     tau = resonance_crossing_time(k, omega)
     if omega * tau < 10.0:
         warnings.warn(
@@ -408,7 +407,9 @@ def crossing_in_window(
     chirp: ChirpSource, omega: float, window: tuple[float, float]
 ) -> float:
     """The instant s* the chirp frequency crosses omega; ChirpDomainError
-    unless it lies inside `window` (or when there is none, omega < nu0)."""
+    unless it lies inside `window` (or when there is none, omega < nu0).
+    `_check_window` judges the window first."""
+    _check_window(window, finite=False)
     s_star = resonance_time(chirp.nu0, chirp.k, omega)
     if not (window[0] <= s_star <= window[1]):
         raise ChirpDomainError(
@@ -492,6 +493,7 @@ def default_window(
       drives the detector (a run's duration - gw_start); a monochromatic
       wave has no natural end, so it raises ValueError without a span.
     """
+    require(locals(), finite=("span",))
     if isinstance(signal, ChirpSource):
         return chirp_window(signal, omega)
     if isinstance(signal, SampledStrain):
@@ -526,8 +528,7 @@ def excitation_probability(beta: complex, n: int) -> float:
     P_n = exp(-|beta|^2) |beta|^(2n) / n!  (Poisson in |beta|^2). The single
     excitation probability peaks at |beta| = 1 with value 1/e.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    require(locals(), integer={"n": 0}, finite=("beta",))
     b2 = abs(beta) ** 2
     if b2 == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -541,12 +542,9 @@ def optimal_mass(material: Material, chi, omega: float) -> float:
     `displacement_beta` with the same chi gives |beta| = 1. `chi` may be a
     float or a ChiResult.
     """
-    chi_value = chi.value if isinstance(chi, ChiResult) else float(chi)
-    if not chi_value > 0.0:
-        raise ValueError("chi must be > 0 for a finite optimal mass")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    return math.pi**2 * HBAR * omega**3 / (material.sound_speed**2 * chi_value**2)
+    chi = chi.value if isinstance(chi, ChiResult) else float(chi)
+    require(locals(), positive=("chi", "omega"))
+    return math.pi**2 * HBAR * omega**3 / (material.sound_speed**2 * chi**2)
 
 
 def optimal_mass_chirp(
@@ -572,6 +570,7 @@ def threshold_probability(
     Exhibits the threshold behavior: negligible for nu well below the mode
     frequency at long times.
     """
+    require(locals(), nonnegative=("h0", "nu", "t"))
     omega = mode_frequency(spec)
     env = float(_sinc((omega - nu) * t / 2.0))
     return (

@@ -226,17 +226,14 @@ def evolve_chain(
     into its first term, so the records are bit for bit those of one block,
     and the working memory beyond the records does not grow with the window.
     """
+    require(locals(), ChainConfigError, positive=("dt",), integer={"record_stride": 1})
     if dt is None:
         dt = max_stable_timestep(chain)
-    elif not dt > 0.0:
-        raise ChainConfigError(f"dt must be > 0, got {dt}")
     elif dt > max_stable_timestep(chain):
         raise ChainConfigError(
             f"dt = {dt:.3e} s exceeds the stability limit "
             f"{max_stable_timestep(chain):.3e} s (40 steps per shortest period)"
         )
-    if not isinstance(record_stride, numbers.Integral) or record_stride < 1:
-        raise ChainConfigError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     _check_window(window, finite=True, error=ChainConfigError)
     t0, t1 = window
     n_steps = int(math.ceil((t1 - t0) / dt))
@@ -259,7 +256,7 @@ def evolve_chain(
     for s0 in range(0, max(n_seg, 1), per_block):
         s1 = min(s0 + per_block, n_seg)
         steps = np.arange(s0 * record_stride, s1 * record_stride + 1)
-        _, hddot, _ = strain_samples(signal, t0 + dt * steps)
+        _, hddot = strain_samples(signal, t0 + dt * steps)
         # one row per record segment, with the drive at each step's start
         # (lo) and end (hi)
         lo = hddot[:-1].reshape(-1, record_stride)
@@ -312,6 +309,7 @@ def mode_coherent_amplitude(
     alpha = sqrt(m_eff omega_l/(2 hbar)) * (chi + i chi_dot/omega_l); its
     modulus compares directly with the displacement amplitude |beta|.
     """
+    require(locals(), ChainConfigError, integer={"l": 1}, finite=("chi", "chi_dot"))
     omega_l = float(normal_mode_frequencies(chain)[l])
     m_eff = chain.total_mass / 2.0
     scale = math.sqrt(m_eff * omega_l / (2.0 * HBAR))

@@ -49,7 +49,6 @@ of 128 MiB (`_CHUNK_BYTES`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,14 +110,8 @@ class MeasurementConfig:
     record_stride: int = 3
 
     def __post_init__(self) -> None:
-        for name, low in (("dim", 2), ("seed", 0), ("record_stride", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        require(self, positive=("dt", "t_m"), nonnegative=("kappa", "thermal_rate"),
-                finite=("t_meas",))
+        require(self, integer={"dim": 2, "seed": 0, "record_stride": 1},
+                positive=("dt", "t_m"), nonnegative=("kappa", "thermal_rate"), finite=("t_meas",))
         if self.t_meas <= self.dt:
             raise ValueError("t_meas must exceed dt")
 
@@ -368,9 +361,7 @@ def _drive(
     edge or a reversed window (`dynamics._check_window`), or a non-finite
     `duration` or `gw_start`, raises ValueError. An infinite edge is clipped.
     """
-    for name, value in (("duration", duration), ("gw_start", gw_start)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require(locals(), finite=("duration", "gw_start"))
     n_steps = int(round(duration / cfg.dt))
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
@@ -851,8 +842,7 @@ def run_ensemble(
     as they come, jumps (as by `detect_jump` with its defaults) included,
     and keeps no per-trajectory series.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    require(locals(), integer={"n_traj": 1})
     if purity_threshold is not None and not 0.0 < purity_threshold <= 1.0:
         raise ValueError(f"purity_threshold must be in (0, 1], got {purity_threshold}")
     if duration is None:

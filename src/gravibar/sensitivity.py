@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .constants import G, C_LIGHT, HBAR, K_B
+from .constants import G, C_LIGHT, HBAR, K_B, require
 from .detector import DetectorSpec, DetectorSpecError, gamma_spontaneous
 
 
@@ -21,8 +21,7 @@ def graviton_number(h0: float, nu: float) -> float:
     N = h0^2 c^5 / (32 pi G hbar nu^2): the wave's energy density divided by
     that of one quantum of energy hbar*nu in a box of size c/nu.
     """
-    if not (h0 > 0.0 and nu > 0.0):
-        raise ValueError("h0 and nu must be > 0")
+    require(locals(), positive=("h0", "nu"))
     return h0**2 * C_LIGHT**5 / (32.0 * math.pi * G * HBAR * nu**2)
 
 
@@ -33,8 +32,7 @@ def golden_rule_stimulated(spec: DetectorSpec, n_gravitons: float) -> float:
     the spontaneous coefficient, and with n = graviton_number(h0, omega_l)
     it reproduces the classical-field stimulated rate.
     """
-    if not n_gravitons >= 0.0:
-        raise ValueError(f"n_gravitons must be >= 0, got {n_gravitons}")
+    require(locals(), nonnegative=("n_gravitons",))
     return n_gravitons * gamma_spontaneous(spec)
 
 
@@ -74,6 +72,7 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     quantum jump faster than this would rule out continuous classical
     energy transfer.
     """
+    require(locals(), positive=("h0", "omega"))
     energy_density = C_LIGHT**2 / (32.0 * math.pi * G) * omega**2 * h0**2
     flux = C_LIGHT / 4.0 * energy_density
     area = math.pi * spec.radius**2
@@ -93,8 +92,7 @@ def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> np.ndarray:
         raise ValueError("frequency grid must be a non-empty 1-D array")
     if np.any(np.diff(frequencies_hz) <= 0.0) and frequencies_hz.size > 1:
         raise ValueError("frequency grid must be ascending")
-    if frequencies_hz[0] <= 0.0:
-        raise DetectorSpecError(f"frequency must be > 0, got {frequencies_hz[0]} Hz")
+    require({"frequency": frequencies_hz}, DetectorSpecError, positive=("frequency",))
     v_s = template.material.sound_speed
     length = template.mode_index * math.pi * v_s / (2.0 * math.pi * frequencies_hz)
     mass = template.material.density * math.pi * template.radius**2 * length

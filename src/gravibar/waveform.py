@@ -33,13 +33,13 @@ def chirp_rate_k(chirp_mass: float) -> float:
     The instantaneous angular frequency of the emitted wave obeys
     dnu/dt = k * nu^(11/3); `chirp_mass` is in kg.
     """
-    if not chirp_mass > 0.0:
-        raise ValueError(f"chirp_mass must be > 0, got {chirp_mass}")
+    require(locals(), positive=("chirp_mass",))
     return (48.0 / 5.0) * (G * chirp_mass / (2.0 * C_LIGHT**3)) ** (5.0 / 3.0)
 
 
 def coalescence_time(nu0: float, k: float) -> float:
     """Time at which the frequency of a chirp starting at nu0 diverges."""
+    require(locals(), positive=("nu0", "k"))
     return 3.0 / (8.0 * k * nu0 ** (8.0 / 3.0))
 
 
@@ -83,8 +83,7 @@ def chirp_phase(nu0: float, k: float, t):
 
 def resonance_crossing_time(k: float, omega: float) -> float:
     """Duration tau = 2*sqrt(2/k)*omega^(-11/6) the chirp spends on resonance."""
-    if not (k > 0.0 and omega > 0.0):
-        raise ValueError("k and omega must be > 0")
+    require(locals(), positive=("k", "omega"))
     return 2.0 * math.sqrt(2.0 / k) * omega ** (-11.0 / 6.0)
 
 
@@ -94,6 +93,7 @@ def resonance_time(nu0: float, k: float, omega: float) -> float:
     Closed-form inversion of the frequency evolution. Raises
     ChirpDomainError when omega < nu0 (the sweep starts above resonance).
     """
+    require(locals(), positive=("nu0", "k", "omega"))
     if omega < nu0:
         raise ChirpDomainError(
             f"resonance omega = {omega:.6g} rad/s is below the initial "
@@ -224,32 +224,27 @@ StrainSignal = Union[MonochromaticWave, ChirpSource, SampledStrain]
 def strain_samples(signal: StrainSignal, ts: np.ndarray):
     """Evaluate `(h, hddot)` of a signal at an array of times.
 
-    Returns arrays (h, hddot, in_support); outside the signal's support
-    h and hddot are 0 and in_support is False. For the chirp the second
-    derivative uses the locally-monochromatic form hddot = -nu(t)^2 h(t);
-    the tests check it against a finite-difference derivative
-    (`tests/strain_oracle.py`).
+    Returns the arrays (h, hddot), both 0 outside the signal's support. For
+    the chirp the second derivative uses the locally-monochromatic form
+    hddot = -nu(t)^2 h(t); the tests check it against a finite-difference
+    derivative (`tests/strain_oracle.py`).
     """
     ts = np.asarray(ts, dtype=float)
     if isinstance(signal, MonochromaticWave):
         h = signal.h0 * np.sin(signal.nu * ts + signal.phi0)
-        return h, -signal.nu**2 * h, np.ones(ts.shape, dtype=bool)
+        return h, -signal.nu**2 * h
     if isinstance(signal, ChirpSource):
         ok = (ts >= 0.0) & (ts < signal.coalescence)
         if ok.all():
-            h, hddot = _chirp_samples(signal, ts)
-            return h, hddot, ok
+            return _chirp_samples(signal, ts)
         h = np.zeros(ts.shape)
         hddot = np.zeros(ts.shape)
         if ok.any():
             h[ok], hddot[ok] = _chirp_samples(signal, ts[ok])
-        return h, hddot, ok
+        return h, hddot
     if isinstance(signal, SampledStrain):
-        ok = (ts >= signal.t0) & (ts <= signal.t_end)
-        times = signal.times
-        h = np.where(ok, np.interp(ts, times, signal.h), 0.0)
-        hddot = np.where(ok, np.interp(ts, times, signal.hddot_samples), 0.0)
-        return h, hddot, ok
+        return tuple(np.interp(ts, signal.times, samples, left=0.0, right=0.0)
+                     for samples in (signal.h, signal.hddot_samples))
     raise TypeError(f"not a strain signal: {signal!r}")
 
 

@@ -66,7 +66,7 @@ def evolve_atoms(
     t0, t1 = window
     n_steps = int(math.ceil((t1 - t0) / dt))
     ts = t0 + dt * np.arange(n_steps + 1)
-    _, hddot, _ = strain_samples(signal, ts)
+    _, hddot = strain_samples(signal, ts)
 
     x = chain.positions
     om2 = chain.debye_frequency**2
@@ -128,7 +128,7 @@ def evolve_modes(
     t0, t1 = window
     n_steps = int(math.ceil((t1 - t0) / dt))
     ts = t0 + dt * np.arange(n_steps + 1)
-    _, hddot, _ = strain_samples(signal, ts)
+    _, hddot = strain_samples(signal, ts)
     drive = hddot.tolist()
 
     omega2 = normal_mode_frequencies(chain) ** 2

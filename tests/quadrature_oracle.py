@@ -54,7 +54,7 @@ def simpson_integral(
     n = max(n + (n % 2), 8)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        _, hddot, _ = strain_samples(signal, s)
+        _, hddot = strain_samples(signal, s)
         return hddot * np.exp(1j * omega * s)
 
     nodes = integrand(np.linspace(t0, t1, n + 1))

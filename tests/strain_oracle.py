@@ -14,10 +14,10 @@ import numpy as np
 from gravibar.waveform import SampledStrain, StrainSignal, strain_samples
 
 
-def sample(signal: StrainSignal, t: float) -> tuple[float, float, bool]:
-    """(h, hddot, in_support) of `signal` at the one time `t`."""
-    h, hddot, ok = strain_samples(signal, np.array([t], dtype=float))
-    return float(h[0]), float(hddot[0]), bool(ok[0])
+def sample(signal: StrainSignal, t: float) -> tuple[float, float]:
+    """(h, hddot) of `signal` at the one time `t`."""
+    h, hddot = strain_samples(signal, np.array([t], dtype=float))
+    return float(h[0]), float(hddot[0])
 
 
 def second_derivative(signal: StrainSignal, t: float, dt: float) -> float:

@@ -101,7 +101,7 @@ class TestChiQuadrature:
             np.sort(np.concatenate(seen)), grid, rtol=1e-15, atol=0.0
         )
 
-        _, hddot, _ = strain_samples(ns_merger_chirp, grid)
+        _, hddot = strain_samples(ns_merger_chirp, grid)
         weights = np.ones(n + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
@@ -266,7 +266,7 @@ class TestPanelQuadratureOracle:
     @staticmethod
     def abs_hddot_integral(signal, window):
         ts = np.linspace(*window, 200_001)
-        _, hddot, _ = strain_samples(signal, ts)
+        _, hddot = strain_samples(signal, ts)
         return float(np.trapezoid(np.abs(hddot), ts))
 
     def assert_agrees(self, signal, omega, window):
@@ -574,6 +574,19 @@ def test_one_window_rule(beryllium_100hz, caller, kind, name):
         assert drive > 0
 
 
+@pytest.mark.parametrize("window, message", [
+    ((math.nan, 55.0), "window start must not be nan, got nan"),
+    ((10.0, math.nan), "window end must not be nan, got nan"),
+    ((55.0, 10.0), r"window \(55\.0, 10\.0\) is reversed: its end precedes its start"),
+], ids=["nan-start", "nan-end", "reversed"])
+def test_crossing_follows_window_rule(window, message):
+    # each once raised "resonance crossing at s* = 53.4464 s lies outside the
+    # window", naming neither the nan edge nor the reversal
+    with pytest.raises(ValueError, match=f"^{message}$") as raised:
+        chi_stationary_phase(SIGNALS["chirp"], OMEGA, window)
+    assert raised.type is ValueError
+
+
 class TestExcitationProbability:
     def test_poisson_maximum(self):
         assert excitation_probability(1.0, 1) == pytest.approx(
@@ -637,11 +650,11 @@ class TestOptimalMass:
 
     # NaN once passed both `<= 0` guards and gave a NaN mass
     def test_nan_chi_rejected(self):
-        with pytest.raises(ValueError, match="chi must be > 0"):
+        with pytest.raises(ValueError, match="chi must be finite, got nan"):
             optimal_mass(MATERIALS["beryllium"], math.nan, OMEGA)
 
     def test_nan_omega_rejected(self):
-        with pytest.raises(ValueError, match="omega must be > 0, got nan"):
+        with pytest.raises(ValueError, match="omega must be finite, got nan"):
             optimal_mass(MATERIALS["beryllium"], 1e-17, math.nan)
 
     def test_accepts_chi_result(self):

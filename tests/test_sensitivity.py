@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravibar.constants import HBAR, K_B
+from gravibar.constants import HBAR, K_B, SOLAR_MASS, require
 from gravibar.detector import (
     DetectorSpec,
     DetectorSpecError,
@@ -16,6 +17,15 @@ from gravibar.detector import (
     mode_frequency,
     thermal_occupation,
 )
+from gravibar.dynamics import (
+    chi_chirp_analytic,
+    default_window,
+    excitation_probability,
+    optimal_mass,
+    threshold_probability,
+)
+from gravibar.lattice import ChainConfigError, ChainSpec, mode_coherent_amplitude
+from gravibar.measurement import MeasurementConfig, run_ensemble
 from gravibar.sensitivity import (
     characteristic_strain,
     classical_timedelay,
@@ -24,7 +34,14 @@ from gravibar.sensitivity import (
     min_strain_monochromatic,
     sensitivity_curve,
 )
-from gravibar.waveform import resonance_crossing_time
+from gravibar.waveform import (
+    MonochromaticWave,
+    SampledStrain,
+    chirp_rate_k,
+    coalescence_time,
+    resonance_crossing_time,
+    resonance_time,
+)
 from sensitivity_oracle import (
     monochromatic_rate,
     sensitivity_rows,
@@ -36,26 +53,109 @@ OMEGA_100 = 2 * math.pi * 100.0
 BAR = DetectorSpec.from_frequency(MATERIALS["niobium"], OMEGA_100, radius=0.5)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda x: thermal_occupation(x, OMEGA_100), "temperature and omega must be > 0"),
-    (lambda x: thermal_occupation(1e-3, x), "temperature and omega must be > 0"),
-    (lambda x: gamma_stimulated(BAR, x), "h0 must be >= 0, got nan"),
-    (lambda x: resonance_crossing_time(x, OMEGA_100), "k and omega must be > 0"),
-    (lambda x: resonance_crossing_time(1e-9, x), "k and omega must be > 0"),
-    (lambda x: graviton_number(x, OMEGA_100), "h0 and nu must be > 0"),
-    (lambda x: graviton_number(1e-21, x), "h0 and nu must be > 0"),
-    (lambda x: golden_rule_stimulated(BAR, x), "n_gravitons must be >= 0, got nan"),
-    (lambda x: min_strain_monochromatic(BAR, x), "n_cycles must be >= 1, got nan"),
-    (lambda x: DetectorSpec.from_frequency(MATERIALS["niobium"], x, radius=0.5),
-     "frequency must be > 0, got nan"),
-], ids=["thermal_occupation-T", "thermal_occupation-omega", "gamma_stimulated",
-        "resonance_crossing_time-k", "resonance_crossing_time-omega",
-        "graviton_number-h0", "graviton_number-nu", "golden_rule_stimulated",
-        "min_strain_monochromatic", "from_frequency"])
-def test_nan_argument_rejected(call, message):
-    # each returned nan, or for from_frequency blamed the bar's length
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call(math.nan)
+CHAIN = ChainSpec.from_detector(BAR, 19)
+K = chirp_rate_k(1.19 * SOLAR_MASS)
+NU0 = 2 * math.pi * 30.0
+QUIET = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
+
+# id: (call, bad value, error class, message naming the argument)
+ARGUMENT_FAULTS = {
+    "thermal_occupation-T": (lambda x: thermal_occupation(x, OMEGA_100), math.nan,
+                             ValueError, "temperature must be finite, got nan"),
+    "thermal_occupation-omega": (lambda x: thermal_occupation(1e-3, x), math.nan,
+                                 ValueError, "omega must be finite, got nan"),
+    "gamma_stimulated": (lambda x: gamma_stimulated(BAR, x), math.nan,
+                         ValueError, "h0 must be finite, got nan"),
+    "resonance_crossing_time-k": (lambda x: resonance_crossing_time(x, OMEGA_100), math.nan,
+                                  ValueError, "k must be finite, got nan"),
+    "resonance_crossing_time-omega": (lambda x: resonance_crossing_time(1e-9, x), math.nan,
+                                      ValueError, "omega must be finite, got nan"),
+    "graviton_number-h0": (lambda x: graviton_number(x, OMEGA_100), math.nan,
+                           ValueError, "h0 must be finite, got nan"),
+    "graviton_number-nu": (lambda x: graviton_number(1e-21, x), math.nan,
+                           ValueError, "nu must be finite, got nan"),
+    "golden_rule_stimulated": (lambda x: golden_rule_stimulated(BAR, x), math.nan,
+                               ValueError, "n_gravitons must be finite, got nan"),
+    "min_strain_monochromatic": (lambda x: min_strain_monochromatic(BAR, x), math.nan,
+                                 ValueError, "n_cycles must be >= 1, got nan"),
+    "from_frequency": (lambda x: DetectorSpec.from_frequency(MATERIALS["niobium"], x, radius=0.5),
+                       math.nan, DetectorSpecError, "frequency must be finite, got nan"),
+    "thermal_occupation-T-inf": (lambda x: thermal_occupation(x, 600.0), math.inf,
+                                 ValueError, "temperature must be finite, got inf"),
+    "classical_timedelay-zero": (lambda x: classical_timedelay(BAR, x, OMEGA_100), 0.0,
+                                 ValueError, r"h0 must be > 0, got 0\.0"),
+    "classical_timedelay-nan": (lambda x: classical_timedelay(BAR, x, OMEGA_100), math.nan,
+                                ValueError, "h0 must be finite, got nan"),
+    "sensitivity_curve-inf": (lambda x: sensitivity_curve(BAR, [10.0, x]), math.inf,
+                              DetectorSpecError, "frequency must be finite, got inf at sample 1"),
+    "gamma_stimulated-inf": (lambda x: gamma_stimulated(BAR, x), math.inf,
+                             ValueError, "h0 must be finite, got inf"),
+    "optimal_mass-inf": (lambda x: optimal_mass(MATERIALS["niobium"], 1.0, x), math.inf,
+                         ValueError, "omega must be finite, got inf"),
+    "threshold_probability": (lambda x: threshold_probability(BAR, x, OMEGA_100, 1.0), math.nan,
+                              ValueError, "h0 must be finite, got nan"),
+    "excitation_probability-beta": (lambda x: excitation_probability(x, 1), math.nan,
+                                    ValueError, "beta must be finite, got nan"),
+    "coalescence_time": (lambda x: coalescence_time(x, K), math.nan,
+                         ValueError, "nu0 must be finite, got nan"),
+    "resonance_time": (lambda x: resonance_time(NU0, K, x), math.nan,
+                       ValueError, "omega must be finite, got nan"),
+    "mode_coherent_amplitude": (lambda x: mode_coherent_amplitude(CHAIN, 1, x, 0.0), math.nan,
+                                ChainConfigError, "chi must be finite, got nan"),
+    "default_window": (lambda x: default_window(MonochromaticWave(1e-22, OMEGA_100), OMEGA_100, x),
+                       math.nan, ValueError, "span must be finite, got nan"),
+    "excitation_probability-n": (lambda x: excitation_probability(1.0, x), 1.5,
+                                 ValueError, r"n must be an integer, got 1\.5"),
+    "run_ensemble-bool": (lambda x: run_ensemble(BAR, None, QUIET, x, duration=0.1), True,
+                          ValueError, "n_traj must be an integer, got True"),
+    "run_ensemble-float": (lambda x: run_ensemble(BAR, None, QUIET, x, duration=0.1), 2.5,
+                           ValueError, r"n_traj must be an integer, got 2\.5"),
+    "chi_chirp_analytic-k": (lambda x: chi_chirp_analytic(2e-22, x, OMEGA_100), math.nan,
+                             ValueError, "k must be finite, got nan"),
+    "chi_chirp_analytic-omega": (lambda x: chi_chirp_analytic(2e-22, K, x), math.nan,
+                                 ValueError, "omega must be finite, got nan"),
+    "chi_chirp_analytic-h0": (lambda x: chi_chirp_analytic(x, K, OMEGA_100), math.nan,
+                              ValueError, "h0 must be finite, got nan"),
+    "from_frequency-mass": (lambda x: DetectorSpec.from_frequency(MATERIALS["niobium"], OMEGA_100,
+                                                                  mass=x),
+                            -1.0, DetectorSpecError, r"mass must be > 0, got -1\.0"),
+    "mode_coherent_amplitude-l": (lambda x: mode_coherent_amplitude(CHAIN, x, 1e-20, 0.0), 0,
+                                  ChainConfigError, "l must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, value, error, message", ARGUMENT_FAULTS.values(),
+                         ids=ARGUMENT_FAULTS.keys())
+def test_nan_argument_rejected(call, value, error, message):
+    # each once returned nan or inf, accepted a non-integer count, raised a
+    # bare ZeroDivisionError or TypeError, leaked a RuntimeWarning, or named
+    # no argument or the wrong one (from_frequency blamed the bar's length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{message}$") as raised:
+            call(value)
+    assert raised.type is error
+
+
+def test_require_rules():
+    # numpy numbers pass like Python ones, None and a finite complex pass
+    require({"x": np.float64(2.0), "n": np.int64(3), "z": None, "beta": 1 + 2j},
+            positive=("x",), finite=("z", "beta"), integer={"n": 3})
+    for record, rules, message in [
+        ({"n": True}, {"integer": {"n": 0}}, "n must be an integer, got True"),
+        ({"n": 3.0}, {"integer": {"n": 0}}, r"n must be an integer, got 3\.0"),
+        ({"n": 2}, {"integer": {"n": 3}}, "n must be >= 3, got 2"),
+        ({"x": -0.5}, {"nonnegative": ("x",)}, r"x must be >= 0, got -0\.5"),
+        ({"x": -math.inf}, {"nonnegative": ("x",)}, "x must be finite, got -inf"),
+        ({"beta": complex(math.nan, 0.0)}, {"finite": ("beta",)}, r"beta must be finite, got \(nan\+0j\)"),
+        ({"a": np.array([[1.0, 2.0], [0.0, 3.0]])}, {"positive": ("a",)},
+         r"a must be > 0, got 0\.0 at sample 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            require(record, **rules)
+    # an empty array breaks no rule: the record's own size check names it
+    with pytest.raises(ValueError, match="^need at least 3 strain samples$"):
+        SampledStrain(t0=0.0, dt=1e-3, h=[])
 
 
 class TestGravitonNumber:
