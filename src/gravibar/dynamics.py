@@ -252,6 +252,7 @@ def _quadrature(
     the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
     `_check_window` judges the window (cuts[0], cuts[-1]), whose edges must
     be finite for a monochromatic wave; the inner cuts are `_drive`'s steps.
+    A chirp window that reaches its coalescence raises ChirpDomainError.
 
     The grid is accepted on the window alone, as for chi, and each segment
     is taken from the same evaluation of it: the Kronrod sums of the panels
@@ -271,7 +272,12 @@ def _quadrature(
         running = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts))
         return np.diff(np.interp(cuts, ts, np.append(0.0, running))), int(ts.size), None
     if isinstance(signal, ChirpSource):
-        cuts = np.clip(cuts, 0.0, signal.coalescence)
+        t_c = signal.coalescence
+        cuts = np.clip(cuts, 0.0, t_c)
+        if cuts[0] < cuts[-1] == t_c:  # no grid can pass: fail before any node
+            raise ChirpDomainError(
+                f"window reaches the coalescence t_c = {t_c:.6g} s, where hddot diverges"
+            )
     out = np.zeros(cuts.size - 1, dtype=complex)
     moved = np.diff(cuts) > 0.0
     if not moved.any():

@@ -310,6 +310,8 @@ def mode_coherent_amplitude(
     modulus compares directly with the displacement amplitude |beta|.
     """
     require(locals(), ChainConfigError, integer={"l": 1}, finite=("chi", "chi_dot"))
+    if l > chain.n_param:
+        raise ChainConfigError(f"mode l must be in [1, {chain.n_param}], got {l}")
     omega_l = float(normal_mode_frequencies(chain)[l])
     m_eff = chain.total_mass / 2.0
     scale = math.sqrt(m_eff * omega_l / (2.0 * HBAR))

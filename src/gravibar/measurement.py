@@ -37,13 +37,13 @@ A reinit returns the run to a ground stretch.
 Ensembles run in batches of trajectories in lockstep. A batch draws its
 noise, computes its displacement phases and reduces its records a block at
 a time: it keeps the sums over the batch of the records, each trajectory's
-jump times (rho11 >= JUMP_THRESHOLD for JUMP_HOLD records) and purity
-crossing, and the per-trajectory series only where they are written
-(`run_trajectory`, `gravibar simulate`). Beyond the summed records, its
-memory does not grow with the length of the run or with the trajectories'
-records, and `run_ensemble` runs the whole ensemble as one batch, split
-into chunks only where the batch's estimated arrays would pass a fixed cap
-of 128 MiB (`_CHUNK_BYTES`).
+jump times and purity crossing, and the per-trajectory series only where
+they are written (`run_trajectory`, `gravibar simulate`). A jump is a run
+of JUMP_HOLD records with rho11 >= JUMP_THRESHOLD, counted across blocks.
+Beyond the summed records, its memory does not grow with the length of the
+run or with the trajectories' records, and `run_ensemble` runs the whole
+ensemble as one batch, split into chunks only where the batch's estimated
+arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
 """
 
 from __future__ import annotations
@@ -383,70 +383,44 @@ def _drive(
     return drive, events
 
 
-# a jump is an excursion of rho11 at or above JUMP_THRESHOLD for at least
-# JUMP_HOLD consecutive records
+# a jump is a run of JUMP_HOLD records of rho11 >= JUMP_THRESHOLD
 JUMP_THRESHOLD = 0.9
 JUMP_HOLD = 3
 
 
-class _Excursions:
-    """Jump detection fed a block of records at a time.
+def _run_starts(flags: np.ndarray, run: np.ndarray, hold: int):
+    """Jumps in a block `flags` (m, n) of records at or above the threshold,
+    given each series' run `run` (n,) of such records before the block.
 
-    For each of n series, the index of the first record of every excursion
-    that stays >= `threshold` for at least `hold` records. Each series'
-    open excursion (its first record and its length so far) carries across
-    blocks, so the starts are those of the whole series.
+    A record's run is its distance to the last record below the threshold
+    in the block or, where there is none, that plus the carried run. An
+    excursion is found at the record whose run equals `hold`; its first
+    record is hold - 1 earlier, possibly in an earlier block. Returns those
+    records' rows and columns and the runs carried out. Only series with a
+    flag in the block are worked on; an empty block carries the runs.
     """
-
-    def __init__(self, n: int, threshold: float, hold: int):
-        if not (0.0 < threshold < 1.0):
-            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        if hold < 1:
-            raise ValueError(f"hold must be >= 1, got {hold}")
-        self.threshold = threshold
-        self.hold = hold
-        self.open_start = np.zeros(n, dtype=np.intp)
-        self.open_len = np.zeros(n, dtype=np.intp)  # 0: no excursion open
-        self.starts: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, block: np.ndarray, first: int) -> None:
-        """Take records first, first + 1, ... of every series, `block` (m, n)."""
-        m = len(block)
-        flags = block >= self.threshold
-        # only series with a flag in the block can start or extend an
-        # excursion; every other open excursion has ended
-        active = np.flatnonzero(flags.any(axis=0))
-        open_start = self.open_start[active]
-        open_len = self.open_len[active]
-        self.open_len[:] = 0
-        if not active.size:
-            return
-        above = np.zeros((active.size, m + 2), dtype=np.int8)
-        above[:, 1:-1] = flags[:, active].T
-        edges = np.diff(above, axis=1)
-        rows, lo = np.nonzero(edges == 1)
-        _, hi = np.nonzero(edges == -1)  # excursion ends pair with starts
-        before = np.where(lo == 0, open_len[rows], 0)
-        start = np.where(before > 0, open_start[rows], first + lo)
-        length = before + hi - lo
-        cols = active[rows]
-        new = (length >= self.hold) & (before < self.hold)
-        for col, idx in zip(cols[new].tolist(), start[new].tolist()):
-            self.starts[col].append(idx)
-        still = hi == m
-        self.open_start[cols[still]] = start[still]
-        self.open_len[cols[still]] = length[still]
+    active = np.flatnonzero(flags.any(axis=0))
+    if not active.size:
+        return active, active, np.zeros_like(run) if len(flags) else run
+    idx = np.arange(len(flags))[:, None]
+    below = np.maximum.accumulate(np.where(flags[:, active], -1, idx), axis=0)
+    runs = idx - below + np.where(below < 0, run[active], 0)
+    rows, at = np.nonzero(runs == hold)
+    run = np.zeros_like(run)
+    run[active] = runs[-1]
+    return rows, active[at], run
 
 
 class _BatchResult:
     """Reductions of a batch's records, taken a block of records at a time.
 
     It keeps times (n_rec,), the populations summed over the batch as
-    diag_sums (n_rec, dim), events, each trajectory's jump times (as by
-    `detect_jump`) and, with a purity threshold, each trajectory's first
-    recorded time its largest population reached it. Only with `series`
-    does it also keep the per-trajectory series: readouts (n_rec, n) and
-    rho00..rho22 as pops (n_rec, 3, n), for `record`.
+    diag_sums (n_rec, dim), events, each trajectory's jump starts (by
+    `detect_jump`'s rule, from the run (n,) each block carries to the next)
+    and, with a purity threshold, each trajectory's first recorded time its
+    largest population reached it. Only with `series` does it also keep the
+    per-trajectory series: readouts (n_rec, n) and rho00..rho22 as pops
+    (n_rec, 3, n), for `record`.
 
     `add` takes the readouts and populations of one record point in turn;
     they are held and reduced a block of records at a time.
@@ -461,7 +435,8 @@ class _BatchResult:
         self.times = times
         self.diag_sums = np.zeros((times.size, dim))
         self.events = list(events)
-        self.excursions = _Excursions(n, JUMP_THRESHOLD, JUMP_HOLD)
+        self.run = np.zeros(n, dtype=np.intp)
+        self.starts: list[list[int]] = [[] for _ in range(n)]
         self.purity_threshold = purity_threshold
         self.purity_crossing = None
         if purity_threshold is not None:
@@ -491,7 +466,9 @@ class _BatchResult:
         self.diag_sums[lo:hi] = held.sum(axis=2)
         if self.pops is not None:
             self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
-        self.excursions.add(held[:, 1], lo)
+        rows, cols, self.run = _run_starts(held[:, 1] >= JUMP_THRESHOLD, self.run, JUMP_HOLD)
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            self.starts[col].append(lo + 1 - JUMP_HOLD + row)
         if self.purity_crossing is not None:
             crossed = held.max(axis=1) >= self.purity_threshold
             fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
@@ -501,7 +478,7 @@ class _BatchResult:
 
     @property
     def jump_times(self) -> list[list[float]]:
-        return [self.times[starts].tolist() for starts in self.excursions.starts]
+        return [self.times[starts].tolist() for starts in self.starts]
 
     def record(self, j: int) -> TrajectoryRecord:
         """The record of the batch's trajectory j; needs the series."""
@@ -732,11 +709,14 @@ def detect_jump(
     Emits one (time, "jump_detected") event per excursion during which
     rho11 stays at or above `threshold` for at least `hold` consecutive
     recorded points; the event time is the first point of the excursion.
+    The run is counted as `_BatchResult` carries it, from zero.
     """
-    excursions = _Excursions(1, threshold, hold)
-    excursions.add(record.rho11[:, None], 0)
-    times = np.asarray(record.times)[excursions.starts[0]]
-    return [(t, "jump_detected") for t in times.tolist()]
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    require(locals(), integer={"hold": 1})
+    flags = np.asarray(record.rho11)[:, None] >= threshold
+    rows = _run_starts(flags, np.zeros(1, dtype=np.intp), hold)[0]
+    return [(t, "jump_detected") for t in np.asarray(record.times)[rows + 1 - hold].tolist()]
 
 
 # the default chunk covers the ensemble while its batch's arrays, as

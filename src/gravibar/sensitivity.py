@@ -8,11 +8,20 @@ into characteristic strain sensitivities comparable across bar designs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .constants import G, C_LIGHT, HBAR, K_B, require
 from .detector import DetectorSpec, DetectorSpecError, gamma_spontaneous
+
+
+def _normal(value: float, what: str, h0: float) -> float:
+    """`value`, a closed form in h0^2 that applies h0 twice (h0^2 alone may
+    underflow), or ValueError naming h0 where it is not a normal float."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"h0 must keep the {what} a normal float, got {h0}")
+    return value
 
 
 def graviton_number(h0: float, nu: float) -> float:
@@ -22,7 +31,8 @@ def graviton_number(h0: float, nu: float) -> float:
     that of one quantum of energy hbar*nu in a box of size c/nu.
     """
     require(locals(), positive=("h0", "nu"))
-    return h0**2 * C_LIGHT**5 / (32.0 * math.pi * G * HBAR * nu**2)
+    return _normal(h0 * (h0 * (C_LIGHT**5 / (32.0 * math.pi * G * HBAR * nu**2))),
+                   "graviton number", h0)
 
 
 def golden_rule_stimulated(spec: DetectorSpec, n_gravitons: float) -> float:
@@ -56,6 +66,7 @@ def min_strain_monochromatic(spec: DetectorSpec, n_cycles: float) -> float:
     """
     if not n_cycles >= 1.0:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
+    require(locals(), finite=("n_cycles",))
     v_s = spec.material.sound_speed
     return math.sqrt(
         math.pi * K_B * spec.temperature
@@ -73,10 +84,10 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     energy transfer.
     """
     require(locals(), positive=("h0", "omega"))
-    energy_density = C_LIGHT**2 / (32.0 * math.pi * G) * omega**2 * h0**2
+    energy_density = C_LIGHT**2 / (32.0 * math.pi * G) * omega**2  # per h0^2
     flux = C_LIGHT / 4.0 * energy_density
     area = math.pi * spec.radius**2
-    return HBAR * omega / (flux * area)
+    return _normal(HBAR * omega / (flux * area) / h0 / h0, "time delay", h0)
 
 
 def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> np.ndarray:

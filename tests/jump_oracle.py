@@ -2,9 +2,9 @@
 
 Walks the series once, counting the current run of points at or above the
 threshold, and emits the run's first time when the run reaches `hold`
-points. It is the reference for the run-length detection of
-`gravibar.measurement._Excursions`, which works on a block of records of
-many series at once.
+points. It is the reference for `gravibar.measurement._run_starts`, which
+counts the same run over a block of records of many series at once and
+carries it to the next block.
 """
 
 from __future__ import annotations

@@ -114,11 +114,14 @@ class TestChiQuadrature:
         "case", ["coalescence", "coalescence_nu_two_thirds", "long_monochromatic"]
     )
     def test_node_cap_bounds_time_and_memory(self, ns_merger_chirp, monkeypatch, case):
-        # windows whose integrand cannot be resolved within max_nodes: a
-        # window reaching past coalescence, where hddot diverges, and 1e8
-        # cycles of a 100 Hz wave; each call must stop at the cap
+        # windows whose integrand cannot be resolved within max_nodes: 1e8
+        # cycles of a 100 Hz wave must stop at the cap, and a window reaching
+        # past coalescence, where hddot diverges, fails before any node (it
+        # once spent the whole cap)
+        error, cap = ChirpDomainError, 0
         if case == "long_monochromatic":
             signal, window = MonochromaticWave(h0=1e-21, nu=OMEGA), (0.0, 1e6)
+            error, cap = QuadratureConvergenceError, 2**23
         else:
             model = "constant" if case == "coalescence" else "nu_two_thirds"
             signal = ChirpSource(ns_merger_chirp.chirp_mass, h0=2e-22,
@@ -136,13 +139,13 @@ class TestChiQuadrature:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(QuadratureConvergenceError):
+            with pytest.raises(error):
                 oscillatory_integral(signal, OMEGA, window)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(evaluated) <= 2**23
+        assert sum(evaluated) <= cap
         assert elapsed < 2.0
         assert peak < 200 * 2**20
 
@@ -529,9 +532,11 @@ WINDOW_CALLERS = [
     for caller, kind in [*((f, k) for f in QUADRATURES for k in SIGNALS),
                          ("run_trajectory", "chirp"), ("evolve_chain", "monochromatic")]
     for name in WINDOWS
-    # a chirp's quadrature up to its coalescence, where hddot diverges, does not converge
-    if not (caller in QUADRATURES and kind == "chirp" and name == "inf-end")
 ]
+# a chirp's quadrature up to its coalescence, where hddot diverges, fails at
+# once (it once spent the whole node budget and named no cause)
+COALESCENCE = (r"window reaches the coalescence t_c = "
+               rf"{SIGNALS['chirp'].coalescence:.6g} s, where hddot diverges")
 
 
 def _drive_over(caller, signal, window, spec):
@@ -559,6 +564,8 @@ def test_one_window_rule(beryllium_100hz, caller, kind, name):
     window, clipped, finite = WINDOWS[name]
     outcome = finite if caller == "evolve_chain" or kind == "monochromatic" else clipped
     error = ChainConfigError if caller == "evolve_chain" else ValueError
+    if caller in QUADRATURES and kind == "chirp" and name == "inf-end":
+        outcome, error = COALESCENCE, ChirpDomainError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if outcome not in (None, "empty"):

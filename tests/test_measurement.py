@@ -1007,12 +1007,24 @@ class TestDiagonalOracle:
 
 class TestDetectJump:
     @staticmethod
-    def whole_series_starts(times, series, threshold, hold):
-        """Jump times of each column of `series`, from one `_Excursions`
-        fed the whole series."""
-        excursions = measurement._Excursions(series.shape[1], threshold, hold)
-        excursions.add(series, 0)
-        return [times[starts].tolist() for starts in excursions.starts]
+    def whole_series_starts(times, series, threshold, hold, cuts=()):
+        """Jump times of each column of `series`, from `_run_starts` fed the
+        blocks between `cuts` (the whole series in one without), its run
+        carried from block to block."""
+        run = np.zeros(series.shape[1], dtype=np.intp)
+        starts = [[] for _ in range(series.shape[1])]
+        for lo, hi in zip([0, *cuts], [*cuts, len(series)]):
+            rows, cols, run = measurement._run_starts(series[lo:hi] >= threshold, run, hold)
+            for row, col in zip(rows, cols):
+                starts[col].append(lo + row + 1 - hold)
+        return [times[idx].tolist() for idx in starts]
+
+    @staticmethod
+    def random_cuts(rng, n_rec, n_blocks):
+        """n_blocks - 1 random cuts, plus a repeated one, so that one block
+        is empty, inside the series where it has two records or more."""
+        empty = rng.integers(1, n_rec) if n_rec > 1 else 0
+        return np.sort([*np.unique(rng.integers(0, n_rec + 1, n_blocks - 1)), empty, empty])
 
     def record_from(self, rho11):
         rho11 = np.asarray(rho11, dtype=float)
@@ -1106,11 +1118,8 @@ class TestDetectJump:
         )
         series[above & (rng.random((n_rec, n)) < 0.1)] = threshold
         times = np.cumsum(rng.uniform(0.01, 0.1, n_rec))
-        cuts = np.unique(rng.integers(0, n_rec + 1, n_blocks - 1))
-        excursions = measurement._Excursions(n, threshold, hold)
-        for lo, hi in zip([0, *cuts], [*cuts, n_rec]):
-            excursions.add(series[lo:hi], lo)
-        blocked = [times[starts].tolist() for starts in excursions.starts]
+        cuts = self.random_cuts(rng, n_rec, n_blocks)
+        blocked = self.whole_series_starts(times, series, threshold, hold, cuts)
         expected = [jump_starts(times, col, threshold, hold) for col in series.T]
         assert blocked == expected
         assert self.whole_series_starts(times, series, threshold, hold) == expected
@@ -1140,11 +1149,8 @@ class TestDetectJump:
                 series[lo:hi, col] = rng.uniform(threshold, 1.0, hi - lo)
         series[rng.random((n_rec, n)) < 0.02] = threshold
         times = np.arange(n_rec, dtype=float)
-        cuts = np.unique(rng.integers(0, n_rec + 1, n_blocks - 1))
-        excursions = measurement._Excursions(n, threshold, hold)
-        for lo, hi in zip([0, *cuts], [*cuts, n_rec]):
-            excursions.add(series[lo:hi], lo)
-        blocked = [times[starts].tolist() for starts in excursions.starts]
+        cuts = self.random_cuts(rng, n_rec, n_blocks)
+        blocked = self.whole_series_starts(times, series, threshold, hold, cuts)
         assert blocked == [
             jump_starts(times, col, threshold, hold) for col in series.T
         ]
@@ -1155,6 +1161,9 @@ class TestDetectJump:
             detect_jump(rec, threshold=1.5)
         with pytest.raises(ValueError):
             detect_jump(rec, hold=0)
+        # a fractional hold acted as the next integer
+        with pytest.raises(ValueError, match=r"^hold must be an integer, got 2\.5$"):
+            detect_jump(rec, hold=2.5)
 
 
 class TestRunEnsemble:

@@ -121,15 +121,25 @@ ARGUMENT_FAULTS = {
                             -1.0, DetectorSpecError, r"mass must be > 0, got -1\.0"),
     "mode_coherent_amplitude-l": (lambda x: mode_coherent_amplitude(CHAIN, x, 1e-20, 0.0), 0,
                                   ChainConfigError, "l must be >= 1, got 0"),
+    "min_strain_monochromatic-inf": (lambda x: min_strain_monochromatic(BAR, x), math.inf,
+                                     ValueError, "n_cycles must be finite, got inf"),
+    "mode_coherent_amplitude-l-high": (lambda x: mode_coherent_amplitude(CHAIN, x, 1.0, 0.0), 99,
+                                       ChainConfigError, r"mode l must be in \[1, 19\], got 99"),
+    "graviton_number-underflow": (lambda x: graviton_number(x, OMEGA_100), 1e-200, ValueError,
+                                  "h0 must keep the graviton number a normal float, got 1e-200"),
+    "classical_timedelay-overflow": (lambda x: classical_timedelay(BAR, x, OMEGA_100), 1e-200,
+                                     ValueError,
+                                     "h0 must keep the time delay a normal float, got 1e-200"),
 }
 
 
 @pytest.mark.parametrize("call, value, error, message", ARGUMENT_FAULTS.values(),
                          ids=ARGUMENT_FAULTS.keys())
 def test_nan_argument_rejected(call, value, error, message):
-    # each once returned nan or inf, accepted a non-integer count, raised a
-    # bare ZeroDivisionError or TypeError, leaked a RuntimeWarning, or named
-    # no argument or the wrong one (from_frequency blamed the bar's length)
+    # each once returned nan, inf or 0, accepted a non-integer count, raised a
+    # bare ZeroDivisionError, IndexError or TypeError, leaked a RuntimeWarning,
+    # or named no argument or the wrong one (from_frequency blamed the bar's
+    # length)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=f"^{message}$") as raised:
@@ -176,6 +186,17 @@ class TestGravitonNumber:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             graviton_number(0.0, OMEGA_100)
+
+    def test_tiny_strain_scales_as_its_square(self):
+        # h0^2 = 1e-320 is subnormal: the count read 1.1e-5 low and the delay
+        # 1.1e-5 high, and at 1e-170 the delay raised ZeroDivisionError
+        scale = (1e-160 / 1e-21) ** 2
+        assert graviton_number(1e-160, OMEGA_100) == pytest.approx(
+            graviton_number(1e-21, OMEGA_100) * scale, rel=1e-12
+        )
+        assert classical_timedelay(BAR, 1e-160, OMEGA_100) == pytest.approx(
+            classical_timedelay(BAR, 1e-21, OMEGA_100) / scale, rel=1e-12
+        )
 
 
 class TestGoldenRule:
