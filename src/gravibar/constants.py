@@ -6,13 +6,18 @@ every module in the package; CODATA 2018 values are used throughout.
 Every input record checks its fields, and every public function (passing
 its `locals()`) its arguments, through `require`: a number must be finite,
 then > 0 or >= 0 where asked, and nan fails every test; a count must be an
-integer, not a bool, of at least its floor.
+integer, not a bool, of at least its floor. A closed form that squares a
+strain or chi takes its arguments as Python floats, squares by
+multiplication, and passes its result through `normal`, which names the
+argument that overflowed or underflowed it.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,6 +84,15 @@ def require(record, error=ValueError, *, positive=(), nonnegative=(), finite=(),
             if value is not None and not _keeps(value, rule):
                 rule = rule if cmath.isfinite(value) else "finite"
                 raise error(f"{name} must be {rule}, got {value}{at}")
+
+
+def normal(value: float, what: str, name: str, arg: float) -> float:
+    """`value`, the `what` of the argument `name` = `arg`, or ValueError naming
+    the argument where `value` is not a normal float: infinite, nan, or below
+    the smallest normal float, 0 included unless `arg` is 0 itself."""
+    if not (sys.float_info.min <= value < math.inf or value == 0.0 == arg):
+        raise ValueError(f"{name} must keep the {what} a normal float, got {arg}")
+    return value
 
 
 def _keeps(value, rule: str):

@@ -16,7 +16,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 
-from .constants import CONSTANTS, G, C_LIGHT, HBAR, K_B, require
+from .constants import CONSTANTS, G, C_LIGHT, HBAR, K_B, normal, require
 
 
 class DetectorSpecError(ValueError):
@@ -193,9 +193,11 @@ def gamma_stimulated(spec: DetectorSpec, h0: float) -> float:
     the inverse (stimulated emission) process.
     """
     require(locals(), nonnegative=("h0",))
+    h0 = float(h0)
     v_s = spec.material.sound_speed
     l = spec.mode_index
-    return v_s**2 * spec.mass * h0**2 / (4.0 * l**2 * math.pi**3 * HBAR)
+    rate = h0 * (h0 * (v_s**2 * spec.mass / (4.0 * l**2 * math.pi**3 * HBAR)))
+    return normal(rate, "stimulated rate", "h0", h0)
 
 
 def thermal_occupation(temperature: float, omega: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, require
+from .constants import HBAR, normal, require
 from .detector import DetectorSpec, Material, mode_frequency
 from .waveform import (
     ChirpDomainError,
@@ -154,7 +154,7 @@ _PANEL_PHASE = 4.0 * math.pi  # two cycles per first-grid panel
 _TOL = 1e-6  # |Kronrod - Gauss| relative to |Kronrod| at which a grid is accepted
 _ROUNDOFF = 1e-12  # differences below this fraction of integral |hddot| ds are roundoff
 _BLOCK_NODES = 16384  # nodes evaluated at once: under a MB at any grid size
-_MAX_NODES = 2**23  # default strain-evaluation budget of one integral
+_MAX_NODES = 2**23  # strain-evaluation budget of one integral
 _ROUNDING = 64 * np.finfo(float).eps  # edges closer than this times |t| coincide
 
 
@@ -244,9 +244,7 @@ def _check_window(window, finite: bool, error=ValueError) -> None:
         raise error(f"window {(start, end)} is reversed: its end precedes its start")
 
 
-def _quadrature(
-    signal: StrainSignal, omega: float, cuts, max_nodes: int = _MAX_NODES,
-) -> tuple[np.ndarray, int, float | None]:
+def _quadrature(signal: StrainSignal, omega: float, cuts) -> tuple[np.ndarray, int, float | None]:
     """`oscillatory_integral` over each segment between the non-decreasing
     `cuts` (a window's two edges give one), the strain samples it took and
     the window's final |Kronrod - Gauss| / |Kronrod| (None if sampled).
@@ -291,14 +289,14 @@ def _quadrature(
     n_panels = n_uniform + max(n_phase - 1, 0)  # bounds the grid's panels
     order, spent, edges = _KR_NODES.size, 0, None
     estimate = complex(math.nan, math.nan)
-    if order <= max_nodes < n_panels * order:
+    if order <= _MAX_NODES < n_panels * order:
         spent, estimate = order, complex(_panel_sum(signal, omega, np.array([t0, t1]))[0][0])
     while True:
         spent += n_panels * order
-        if spent > max_nodes:
+        if spent > _MAX_NODES:
             raise QuadratureConvergenceError(
                 f"oscillatory quadrature did not reach {_TOL:.1e} relative "
-                f"within {max_nodes} nodes",
+                f"within {_MAX_NODES} nodes",
                 estimate,
             )
         if edges is None:
@@ -323,11 +321,7 @@ def _quadrature(
 
 
 def oscillatory_integral(
-    signal: StrainSignal,
-    omega: float,
-    window: tuple[float, float],
-    *,
-    max_nodes: int = _MAX_NODES,
+    signal: StrainSignal, omega: float, window: tuple[float, float]
 ) -> complex:
     """Complex integral of hddot(s)*exp(i*omega*s) over the window.
 
@@ -353,13 +347,13 @@ def oscillatory_integral(
     sides sum to the panel's Kronrod value, and the step boundaries cost no
     strain evaluations.
 
-    `max_nodes` bounds the strain evaluations of the call, the drive's
-    included, in blocks of at most 16 384 nodes. QuadratureConvergenceError
-    is raised before a grid that would pass it is built, carrying the last
-    estimate: the one-panel value if the first panels alone would pass it,
-    nan if not even one panel fits.
+    A budget of 2^23 strain evaluations (`_MAX_NODES`, read at each call)
+    bounds the call, the drive's included, in blocks of at most 16 384
+    nodes. QuadratureConvergenceError is raised before a grid that would
+    pass it is built, carrying the last estimate: the one-panel value if the
+    first panels alone would pass it, nan if not even one panel fits.
     """
-    return complex(_quadrature(signal, omega, window, max_nodes)[0][0])
+    return complex(_quadrature(signal, omega, window)[0][0])
 
 
 def _integral_and_chi(signal: StrainSignal, omega: float, window) -> tuple[complex, ChiResult]:
@@ -531,14 +525,15 @@ def displacement_beta(
 def excitation_probability(beta: complex, n: int) -> float:
     """Probability of finding the mode in Fock state n after displacement beta.
 
-    P_n = exp(-|beta|^2) |beta|^(2n) / n!  (Poisson in |beta|^2). The single
-    excitation probability peaks at |beta| = 1 with value 1/e.
+    P_n = exp(-|beta|^2) |beta|^(2n) / n!  (Poisson in |beta|^2), taken in
+    logs, so a |beta| whose square overflows gives 0. The single excitation
+    probability peaks at |beta| = 1 with value 1/e.
     """
     require(locals(), integer={"n": 0}, finite=("beta",))
-    b2 = abs(beta) ** 2
-    if b2 == 0.0:
+    b = float(abs(beta))
+    if b == 0.0:
         return 1.0 if n == 0 else 0.0
-    return math.exp(-b2 + n * math.log(b2) - math.lgamma(n + 1))
+    return math.exp(-b * b + 2 * n * math.log(b) - math.lgamma(n + 1))
 
 
 def optimal_mass(material: Material, chi, omega: float) -> float:
@@ -550,7 +545,10 @@ def optimal_mass(material: Material, chi, omega: float) -> float:
     """
     chi = chi.value if isinstance(chi, ChiResult) else float(chi)
     require(locals(), positive=("chi", "omega"))
-    return math.pi**2 * HBAR * omega**3 / (material.sound_speed**2 * chi**2)
+    omega = float(omega)
+    den = material.sound_speed**2 * (chi * chi)  # 0 where chi^2 underflows
+    return normal(math.pi**2 * HBAR * omega**3 / den if den else math.inf,
+                  "optimal mass", "chi", chi)
 
 
 def optimal_mass_chirp(
@@ -577,13 +575,13 @@ def threshold_probability(
     frequency at long times.
     """
     require(locals(), nonnegative=("h0", "nu", "t"))
+    h0, nu, t = float(h0), float(nu), float(t)
     omega = mode_frequency(spec)
     env = float(_sinc((omega - nu) * t / 2.0))
-    return (
-        spec.length**2 / (4.0 * math.pi**4)
-        * spec.mass / (omega * HBAR)
-        * h0**2 * nu**4 * t**2 * env**2
-    )
+    p = (spec.length**2 / (4.0 * math.pi**4) * spec.mass / (omega * HBAR)
+         * (nu * nu) * (nu * nu) * (t * t) * (env * env))
+    # no drive or no time is 0 whatever h0
+    return normal(h0 * (h0 * p), "excitation probability", "h0", h0) if nu and t else 0.0
 
 
 __all__ = [

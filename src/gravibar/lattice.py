@@ -209,21 +209,23 @@ def evolve_chain(
 
     One step of it maps (q, v) linearly, with determinant 1, plus a term
     from the drive f = g hddot at the step's two ends (g the coupling
-    above). For omega_l > 0 the map is a rotation by theta,
-    cos(theta) = 1 - omega_l^2 dt^2 / 2: in z = sin(theta) q - i dt v it
-    reads z_(i+1) = e^(i theta) z_i + w_i, with
+    above). For omega_l > 0, as for every mode l in [1, N], the map is a
+    rotation by theta, cos(theta) = 1 - omega_l^2 dt^2 / 2: in
+    z = sin(theta) q - i dt v it reads z_(i+1) = e^(i theta) z_i + w_i, with
     w_i = (dt^2/2) (sin(theta) f_i - i (cos(theta) f_i + f_(i+1))), so
     z_n = e^(i theta n) sum_(j<n) e^(-i theta (j+1)) w_j. The sum is taken
     a record segment at a time against one `record_stride`-long phasor and
-    accumulated over the records. The zero mode (omega_0 = 0) is two
-    cumulative sums. Only the requested modes are evaluated; the recorded
-    chi and chi_dot agree with stepping every atom up to roundoff.
+    accumulated over the records. Only the requested modes are evaluated;
+    the recorded chi and chi_dot agree with stepping every atom up to
+    roundoff. A mode outside [1, N] raises ChainConfigError: the zero mode
+    is a rigid translation, whose drive coupling is only the roundoff of
+    summing symmetric positions.
 
     The strain and the segment sums are evaluated a block of whole record
     segments at a time: `_BLOCK_NODES` steps rounded down to a multiple of
-    64 segments, and at least 64. Each block starts from the running sum
-    (z, or the zero mode's v and q) that the one before ended on, added
-    into its first term, so the records are bit for bit those of one block,
+    64 segments, and at least 64. Each block starts from the running sum z
+    that the one before ended on, added into its first term
+    (`_running_sum`), so the records are bit for bit those of one block,
     and the working memory beyond the records does not grow with the window.
     """
     require(locals(), ChainConfigError, positive=("dt",), integer={"record_stride": 1})
@@ -244,15 +246,17 @@ def evolve_chain(
     per_block = max(64, _BLOCK_NODES // record_stride // 64 * 64)
 
     omega = normal_mode_frequencies(chain)
-    half = 0.5 * dt
     modes = tuple(dict.fromkeys(modes))  # a repeated mode has one carry
+    for l in modes:
+        if not 1 <= l <= chain.n_param:
+            raise ChainConfigError(f"mode l must be in [1, {chain.n_param}], got {l}")
     g = {l: float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
          for l in modes}
     theta = {l: 2.0 * math.asin(0.5 * float(omega[l]) * dt) for l in modes}
     phasor = {l: np.exp(-1j * theta[l] * np.arange(1, record_stride + 1)) for l in modes}
     chi = {l: np.empty(n_seg + 1) for l in modes}
     chi_dot = {l: np.empty(n_seg + 1) for l in modes}
-    carry = dict.fromkeys(modes)  # z, or the zero mode's (v, q), at the block's start
+    carry = dict.fromkeys(modes)  # z at the block's start
     for s0 in range(0, max(n_seg, 1), per_block):
         s1 = min(s0 + per_block, n_seg)
         steps = np.arange(s0 * record_stride, s1 * record_stride + 1)
@@ -263,21 +267,13 @@ def evolve_chain(
         hi = hddot[1:].reshape(-1, record_stride)
         records = slice(s0, s1 + 1)
         for l in modes:
-            if omega[l] == 0.0:
-                f = g[l] * hddot
-                v_start, q_start = carry[l] or (None, None)
-                v = _running_sum(half * (f[:-1] + f[1:]), v_start)
-                q = _running_sum(dt * (v[:-1] + half * f[:-1]), q_start)
-                chi[l][records], chi_dot[l][records] = q[::record_stride], v[::record_stride]
-                carry[l] = v[-1], q[-1]
-                continue
             c, s = math.cos(theta[l]), math.sin(theta[l])
             seg = np.exp(-1j * theta[l] * record_stride * np.arange(s0, s1 + 1))
             # sum_m e^(-i theta (m+1)) over each segment's steps, of the
             # drive at their starts (a) and ends (b), then of w
             a = lo @ phasor[l].real + 1j * (lo @ phasor[l].imag)
             b = hi @ phasor[l].real + 1j * (hi @ phasor[l].imag)
-            w = g[l] * half * dt * (s * a - 1j * (c * a + b))
+            w = g[l] * (0.5 * dt) * dt * (s * a - 1j * (c * a + b))
             z = _running_sum(seg[:-1] * w, carry[l])
             carry[l] = z[-1]
             z *= seg.conj()
@@ -288,10 +284,10 @@ def evolve_chain(
 
 
 def _running_sum(terms: np.ndarray, start) -> np.ndarray:
-    """`start`, then the running sums of `terms` from it, added in the order
-    of one cumulative sum over every block: `start` goes into the first
-    term. A `start` of None is rest, 0 with nothing added, which keeps the
-    sign of a zero first term."""
+    """`start`, the z an `evolve_chain` block starts from, then the running
+    sums of `terms` from it, added in the order of one cumulative sum over
+    every block: `start` goes into the first term. A `start` of None is
+    rest, 0 with nothing added, which keeps the sign of a zero first term."""
     out = np.zeros(terms.size + 1, terms.dtype)
     if start is not None:
         out[0] = start

@@ -48,6 +48,7 @@ arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -300,13 +301,15 @@ def _phases(
     return [(c[k], rot[k], q[k]) if hit else None for k, hit in enumerate(displaced)]
 
 
+# one cache per dimension, shared by every run: nothing writes to its arrays
+_cache = functools.cache(DisplacementCache)
+
+
 def step(
     state: QuantumState,
     cfg: MeasurementConfig,
     dbeta: complex,
     rng: np.random.Generator,
-    *,
-    cache: DisplacementCache | None = None,
 ) -> tuple[QuantumState, float]:
     """Advance one timestep: measure, then displace by the drive increment.
 
@@ -315,13 +318,13 @@ def step(
     gamma to the drive increment, so the step applies one D(dbeta + gamma);
     then the optional thermal creation jump. Draws the readout normal, then
     (with kappa > 0) two noise normals, then (with a thermal rate) one
-    uniform from `rng`. Returns the new state and the readout r.
+    uniform from `rng`. Returns the new state and the readout r. The
+    displacements come from the `DisplacementCache` of cfg.dim that every
+    run of that dimension shares.
     """
-    if cache is None:
-        cache = DisplacementCache(cfg.dim)
-    for name, dim in (("state", state.dim), ("cache", cache.dim)):
-        if dim != cfg.dim:
-            raise ValueError(f"{name} dim {dim} != config dim {cfg.dim}")
+    if state.dim != cfg.dim:
+        raise ValueError(f"state dim {state.dim} != config dim {cfg.dim}")
+    cache = _cache(cfg.dim)
     xi = np.array([cfg.readout_sigma * rng.standard_normal()])
     xs = cfg.gamma_sigma * rng.standard_normal(2) if cfg.kappa > 0.0 else None
     u = rng.random() if cfg.thermal_rate > 0.0 else None
@@ -602,7 +605,7 @@ def _run_batch(
     amps = starts  # factors, None while in the ground state or carrying populations
     pops = None if starts is None else _populations(starts)
     coef = -cfg.dt / (2.0 * cfg.t_m)
-    cache = DisplacementCache(dim)
+    cache = _cache(dim)
     # phases of 1024 trajectory-steps at a time (256 steps of the 4
     # trajectories of `gravibar simulate`): a block's noise phases grow with n
     phase_block = max(1, 1024 // n)
@@ -701,26 +704,22 @@ def run_trajectory(
     return _run_batch(cfg, [rng], drive, events, starts, series=True).record(0)
 
 
-def detect_jump(
-    record: TrajectoryRecord, threshold: float = JUMP_THRESHOLD, hold: int = JUMP_HOLD
-) -> list[tuple[float, str]]:
+def detect_jump(record: TrajectoryRecord) -> list[tuple[float, str]]:
     """Detect sustained excitation of the first excited level.
 
     Emits one (time, "jump_detected") event per excursion during which
-    rho11 stays at or above `threshold` for at least `hold` consecutive
-    recorded points; the event time is the first point of the excursion.
-    The run is counted as `_BatchResult` carries it, from zero.
+    rho11 stays at or above JUMP_THRESHOLD for at least JUMP_HOLD
+    consecutive recorded points; the event time is the first point of the
+    excursion. This is the rule of every ensemble: the run is counted as
+    `_BatchResult` carries it, from zero.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    require(locals(), integer={"hold": 1})
-    flags = np.asarray(record.rho11)[:, None] >= threshold
-    rows = _run_starts(flags, np.zeros(1, dtype=np.intp), hold)[0]
-    return [(t, "jump_detected") for t in np.asarray(record.times)[rows + 1 - hold].tolist()]
+    flags = np.asarray(record.rho11)[:, None] >= JUMP_THRESHOLD
+    rows = _run_starts(flags, np.zeros(1, dtype=np.intp), JUMP_HOLD)[0]
+    return [(t, "jump_detected") for t in np.asarray(record.times)[rows + 1 - JUMP_HOLD].tolist()]
 
 
-# the default chunk covers the ensemble while its batch's arrays, as
-# estimated by `_trajectory_bytes`, stay under this many bytes
+# a chunk covers the ensemble while its batch's arrays, as estimated by
+# `_trajectory_bytes`, stay under this many bytes
 _CHUNK_BYTES = 1 << 27
 
 
@@ -736,28 +735,25 @@ def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: boo
 
 def _ensemble_chunks(
     cfg: MeasurementConfig, drive: np.ndarray, events: list[tuple[float, str]],
-    n_traj: int, base_seed: int, chunk_size: int | None = None,
-    starts: np.ndarray | None = None, purity_threshold: float | None = None,
-    series: bool = False,
+    n_traj: int, base_seed: int, starts: np.ndarray | None = None,
+    purity_threshold: float | None = None, series: bool = False,
 ):
     """Yield (lo, batch): the `_BatchResult` of an ensemble's trajectories
-    lo, lo + 1, ..., `chunk_size` at a time, each driven by the `drive` and
+    lo, lo + 1, ..., a chunk at a time, each driven by the `drive` and
     `events` of `_drive`. Trajectory k runs on the k-th generator spawned
     from `base_seed`, from `starts[k]` (ground state if `starts` is None),
     and errors name it by k.
 
-    The default chunk is the whole ensemble, or as many trajectories as
+    A chunk is the whole ensemble, or as many trajectories as
     `_CHUNK_BYTES` holds by `_trajectory_bytes`. The batches keep the
     per-trajectory series only with `series`.
     """
-    if chunk_size is None:
-        rank = 1 if starts is None else starts.shape[2]
-        n_rec = drive.size // cfg.record_stride
-        per_traj = _trajectory_bytes(cfg, rank, n_rec, series)
-        chunk_size = max(1, min(n_traj, _CHUNK_BYTES // per_traj))
+    rank = 1 if starts is None else starts.shape[2]
+    per_traj = _trajectory_bytes(cfg, rank, drive.size // cfg.record_stride, series)
+    size = max(1, min(n_traj, _CHUNK_BYTES // per_traj))
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
-    for lo in range(0, n_traj, chunk_size):
-        hi = min(lo + chunk_size, n_traj)
+    for lo in range(0, n_traj, size):
+        hi = min(lo + size, n_traj)
         rngs = [np.random.default_rng(s) for s in children[lo:hi]]
         yield lo, _run_batch(
             cfg, rngs, drive, events, None if starts is None else starts[lo:hi],
@@ -819,7 +815,7 @@ def run_ensemble(
     The drive is computed once (`_drive`) for every trajectory. The whole
     ensemble runs as one chunk, split only where its batch would exceed a
     memory cap (`_CHUNK_BYTES`, 128 MiB). Each batch reduces its records
-    as they come, jumps (as by `detect_jump` with its defaults) included,
+    as they come, jumps (by `detect_jump`'s rule) included,
     and keeps no per-trajectory series.
     """
     require(locals(), integer={"n_traj": 1})
@@ -835,9 +831,7 @@ def run_ensemble(
             raise ValueError("need one initial state per trajectory")
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
     drive, events = _drive(spec, signal, cfg, duration, gw_start, window)
-    chunks = _ensemble_chunks(
-        cfg, drive, events, n_traj, base_seed, None, starts, purity_threshold
-    )
+    chunks = _ensemble_chunks(cfg, drive, events, n_traj, base_seed, starts, purity_threshold)
     return _summarize(chunks, n_traj)
 
 

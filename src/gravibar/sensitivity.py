@@ -8,20 +8,11 @@ into characteristic strain sensitivities comparable across bar designs.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from .constants import G, C_LIGHT, HBAR, K_B, require
+from .constants import G, C_LIGHT, HBAR, K_B, normal, require
 from .detector import DetectorSpec, DetectorSpecError, gamma_spontaneous
-
-
-def _normal(value: float, what: str, h0: float) -> float:
-    """`value`, a closed form in h0^2 that applies h0 twice (h0^2 alone may
-    underflow), or ValueError naming h0 where it is not a normal float."""
-    if not sys.float_info.min <= value < math.inf:
-        raise ValueError(f"h0 must keep the {what} a normal float, got {h0}")
-    return value
 
 
 def graviton_number(h0: float, nu: float) -> float:
@@ -31,8 +22,9 @@ def graviton_number(h0: float, nu: float) -> float:
     that of one quantum of energy hbar*nu in a box of size c/nu.
     """
     require(locals(), positive=("h0", "nu"))
-    return _normal(h0 * (h0 * (C_LIGHT**5 / (32.0 * math.pi * G * HBAR * nu**2))),
-                   "graviton number", h0)
+    h0, nu = float(h0), float(nu)
+    return normal(h0 * (h0 * (C_LIGHT**5 / (32.0 * math.pi * G * HBAR * (nu * nu)))),
+                  "graviton number", "h0", h0)
 
 
 def golden_rule_stimulated(spec: DetectorSpec, n_gravitons: float) -> float:
@@ -84,10 +76,11 @@ def classical_timedelay(spec: DetectorSpec, h0: float, omega: float) -> float:
     energy transfer.
     """
     require(locals(), positive=("h0", "omega"))
-    energy_density = C_LIGHT**2 / (32.0 * math.pi * G) * omega**2  # per h0^2
+    h0, omega = float(h0), float(omega)
+    energy_density = C_LIGHT**2 / (32.0 * math.pi * G) * (omega * omega)  # per h0^2
     flux = C_LIGHT / 4.0 * energy_density
     area = math.pi * spec.radius**2
-    return _normal(HBAR * omega / (flux * area) / h0 / h0, "time delay", h0)
+    return normal(HBAR * omega / (flux * area) / h0 / h0, "time delay", "h0", h0)
 
 
 def sensitivity_curve(template: DetectorSpec, frequencies_hz) -> np.ndarray:

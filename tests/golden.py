@@ -9,11 +9,12 @@ the current code (a change that moves numbers on purpose)::
 
 The cases:
 
-- every CLI command on the numpy-only smoke job's configs (`smoke`,
-  `noisy`, `strong`, `reinit`, `file`, `inspiral`, `aliased`): the exit
-  code, every line of every CSV file and every `metadata.json` key except
-  `config_path`. `simulate` on `inspiral` is left out: with no
-  [measurement] it runs 40 s at dim 30, over 2 s alone;
+- every CLI command on seven of the numpy-only smoke job's configs in
+  `tests/configs` (`smoke`, `noisy`, `strong`, `reinit`, `file`,
+  `inspiral`, `aliased`): the exit code, every line of every CSV file and
+  every `metadata.json` key except `config_path`. `simulate` on `inspiral`
+  is left out: with no [measurement] it runs 40 s at dim 30, over 2 s
+  alone;
 - `run_ensemble` at the set-ups of the `fig3-ensemble` (driven and
   drive-off) and `qnd-mixed` benchmark workloads, 8 trajectories and 2
   seeds each: the mean populations summed over blocks of
@@ -53,102 +54,14 @@ from gravibar.measurement import MeasurementConfig, run_ensemble
 from gravibar.waveform import ChirpSource, MonochromaticWave, SampledStrain
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+CONFIG_DIR = os.path.join(os.path.dirname(PATH), "configs")
 RTOL = 1e-12
 POPULATION_FLOOR = 1e-14
 POPULATION_BLOCK = 32
 OMEGA_100 = 2 * math.pi * 100.0
 
-SMOKE = """\
-[detector]
-material = beryllium
-frequency_hz = 100
-mass = 21.73
-radius = 0.0077
-
-[source]
-type = monochromatic
-h0 = 3e-23
-frequency_hz = 100
-
-[measurement]
-dt = 1e-3
-t_m = 0.5
-t_meas = 1.0
-dim = 4
-kappa = 3e-4
-n_traj = 2
-duration = 0.5
-"""
-
-CONFIGS = {
-    "smoke": SMOKE,
-    # smoke plus thermal jumps
-    "noisy": SMOKE.replace("radius = 0.0077\n", "radius = 0.0077\nquality = 3e8\ntemperature = 1e-3\n")
-                  .replace("kappa = 3e-4\n", "kappa = 3e-4\nthermal = on\n"),
-    # coef = -dt/(2 t_m) = -5 at dim 30: every step checks its trace
-    "strong": SMOKE.replace("t_m = 0.5\n", "t_m = 1e-4\n").replace("dim = 4\n", "dim = 30\n"),
-    # reinits at 0.2 s and 0.4 s around the window at 0.3-0.35 s
-    "reinit": SMOKE.replace("kappa = 3e-4\n", "").replace("t_meas = 1.0\n", "t_meas = 0.2\n")
-                   .replace("h0 = 3e-23\n",
-                            "h0 = 3e-23\ngw_start = 0.25\nwindow_start = 0.05\nwindow_end = 0.1\n"),
-    "file": """\
-[detector]
-material = beryllium
-frequency_hz = 100
-radius = 0.5
-mass = optimal
-quality = 3e8
-temperature = 1e-3
-
-[source]
-type = file
-path = strain.txt
-
-[measurement]
-dt = 1e-3
-t_m = 0.5
-t_meas = 1.0
-dim = 8
-thermal = on
-n_traj = 2
-duration = 2.0
-""",
-    # NS-merger chirp over the whole inspiral (t_c = 55.69 s)
-    "inspiral": """\
-[detector]
-material = beryllium
-frequency_hz = 142
-radius = 0.5
-
-[source]
-type = chirp
-h0 = 2e-22
-chirp_mass_msun = 1.19
-nu0_hz = 30
-window_start = 0
-window_end = 55.6
-""",
-    # a resonant 2 500 Hz wave at dt = 10 ms: 25 wave periods per step
-    "aliased": """\
-[detector]
-material = niobium
-length = 1.0
-radius = 0.5
-
-[source]
-type = monochromatic
-h0 = 5e-25
-frequency_hz = 2500
-
-[measurement]
-dt = 1e-2
-t_m = 0.5
-t_meas = 2.0
-dim = 8
-n_traj = 2
-duration = 2.0
-""",
-}
+# seven of the numpy-only CI job's configs, each `configs/<name>.ini`
+CONFIGS = ("smoke", "noisy", "strong", "reinit", "file", "inspiral", "aliased")
 COMMANDS = ("rates", "chi", "optimal-mass", "sensitivity", "simulate", "lattice-verify")
 SKIPPED = {("inspiral", "simulate")}
 
@@ -164,7 +77,8 @@ def _inside(path: str):
 
 
 def _write_strain(path: str) -> None:
-    """A 100 Hz sine under a Gaussian envelope, 2 s at 10 kHz, two columns."""
+    """A 100 Hz sine under a Gaussian envelope, 2 s at 10 kHz, two columns:
+    the `strain.txt` that `configs/file.ini` reads, here and in CI."""
     t = 1e-4 * np.arange(20001)
     h = 1e-22 * np.sin(2 * np.pi * 100 * t) * np.exp(-(((t - 1) / 0.3) ** 2))
     np.savetxt(path, np.column_stack([t, h]))
@@ -187,16 +101,15 @@ def cli_cases() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
         _write_strain("strain.txt")
-        for name, text in CONFIGS.items():
-            with open(f"{name}.ini", "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for name in CONFIGS:
+            config = os.path.join(CONFIG_DIR, f"{name}.ini")
             for command in COMMANDS:
                 if (name, command) in SKIPPED:
                     continue
                 directory = f"{name}-{command}"
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([command, "--config", f"{name}.ini", "--out", directory])
+                    code = cli.main([command, "--config", config, "--out", directory])
                 files = _output(directory) if os.path.isdir(directory) else {}
                 out[f"{name} {command}"] = {"exit": code, "files": files}
     return out

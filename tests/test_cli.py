@@ -815,6 +815,21 @@ class TestErrors:
         assert main([command, "--config", write_config(tmp_path, text)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, code, named", [
+        ("rates", 1, "h0 must keep the stimulated rate a normal float, got 1e+200"),
+        ("optimal-mass", 1, "chi must keep the optimal mass a normal float, got "),
+        ("chi", 0, ""),
+    ], ids=["rates", "optimal-mass", "chi"])
+    def test_overflowing_strain(self, tmp_path, capsys, command, code, named):
+        # each exited 1 with a bare "(34, 'Numerical result out of range')";
+        # chi's excitation probabilities are 0 where |beta|^2 overflows
+        path = write_config(tmp_path, MONO_CONFIG.replace("h0 = 5e-22", "h0 = 1e200"))
+        assert main([command, "--config", path]) == code
+        assert named in capsys.readouterr().err
+        if command == "chi":
+            rows = (tmp_path / "out" / "chi.csv").read_text().splitlines()[1:]
+            assert rows and all(row.split(",")[3:] == ["0.0"] * 4 for row in rows)
+
     def test_unknown_material_message(self, tmp_path, capsys):
         text = MONO_CONFIG.replace("material = niobium", "material = wood")
         path = write_config(tmp_path, text)

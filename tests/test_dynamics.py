@@ -63,10 +63,11 @@ class TestChiQuadrature:
         minus = abs(oscillatory_integral(ns_merger_chirp, -OMEGA, window))
         assert plus == pytest.approx(minus, rel=1e-9)
 
-    def test_convergence_error_carries_estimate(self, ns_merger_chirp):
+    def test_convergence_error_carries_estimate(self, ns_merger_chirp, monkeypatch):
         window = chirp_window(ns_merger_chirp, OMEGA)
+        monkeypatch.setattr(dynamics, "_MAX_NODES", 64)
         with pytest.raises(QuadratureConvergenceError) as info:
-            oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=64)
+            oscillatory_integral(ns_merger_chirp, OMEGA, window)
         assert abs(info.value.last_estimate) > 0.0
 
     def test_empty_window(self):
@@ -114,7 +115,7 @@ class TestChiQuadrature:
         "case", ["coalescence", "coalescence_nu_two_thirds", "long_monochromatic"]
     )
     def test_node_cap_bounds_time_and_memory(self, ns_merger_chirp, monkeypatch, case):
-        # windows whose integrand cannot be resolved within max_nodes: 1e8
+        # windows whose integrand cannot be resolved within the budget: 1e8
         # cycles of a 100 Hz wave must stop at the cap, and a window reaching
         # past coalescence, where hddot diverges, fails before any node (it
         # once spent the whole cap)
@@ -159,24 +160,28 @@ class TestChiQuadrature:
         window = chirp_window(ns_merger_chirp, OMEGA)
         first_grid = chi_quadrature(ns_merger_chirp, OMEGA, window).nodes
         one_panel = dynamics._panel_sum(ns_merger_chirp, OMEGA, np.array(window))[0]
+        whole = oscillatory_integral(ns_merger_chirp, OMEGA, window)
         monkeypatch.setattr(dynamics, "strain_samples", counting)
         # a budget below one 33-node panel: no estimate at all
+        monkeypatch.setattr(dynamics, "_MAX_NODES", 32)
         with pytest.raises(QuadratureConvergenceError) as info:
-            oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=32)
+            oscillatory_integral(ns_merger_chirp, OMEGA, window)
         assert math.isnan(info.value.last_estimate.real)
         assert evaluated == []
         # budgets below the first grid carry the one-panel estimate
-        for max_nodes in (33, 2000, first_grid - 1):
+        for budget in (33, 2000, first_grid - 1):
             evaluated.clear()
+            monkeypatch.setattr(dynamics, "_MAX_NODES", budget)
             with pytest.raises(QuadratureConvergenceError) as info:
-                oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=max_nodes)
+                oscillatory_integral(ns_merger_chirp, OMEGA, window)
             assert info.value.last_estimate == one_panel
-            assert sum(evaluated) <= max_nodes
+            assert sum(evaluated) <= budget
         # a budget of exactly the first grid converges on it
         evaluated.clear()
-        value = oscillatory_integral(ns_merger_chirp, OMEGA, window, max_nodes=first_grid)
+        monkeypatch.setattr(dynamics, "_MAX_NODES", first_grid)
+        value = oscillatory_integral(ns_merger_chirp, OMEGA, window)
         assert sum(evaluated) == first_grid
-        assert value == oscillatory_integral(ns_merger_chirp, OMEGA, window)
+        assert value == whole
 
     def test_inner_cuts_cost_no_strain_evaluations(self, ns_merger_chirp, monkeypatch):
         # a thousand segments are taken from the window's own grid: the
@@ -191,9 +196,9 @@ class TestChiQuadrature:
         first_grid = chi_quadrature(ns_merger_chirp, OMEGA, window).nodes
         whole = oscillatory_integral(ns_merger_chirp, OMEGA, window)
         monkeypatch.setattr(dynamics, "strain_samples", counting)
-        segments, spent, _ = dynamics._quadrature(
-            ns_merger_chirp, OMEGA, np.linspace(*window, 1001), max_nodes=first_grid
-        )
+        monkeypatch.setattr(dynamics, "_MAX_NODES", first_grid)
+        cuts = np.linspace(*window, 1001)
+        segments, spent, _ = dynamics._quadrature(ns_merger_chirp, OMEGA, cuts)
         assert sum(evaluated) == spent == first_grid
         assert abs(segments.sum() - whole) <= 1e-13 * abs(whole)
 
@@ -621,6 +626,12 @@ class TestExcitationProbability:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             excitation_probability(1.0, -1)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_overflowing_square_gives_zero(self, kind):
+        # |beta|^2 = 1e400 raised OverflowError (a RuntimeWarning as an
+        # np.float64): every P_n is 0 to double precision
+        assert [excitation_probability(kind(1e200), n) for n in (0, 1, 5)] == [0.0] * 3
 
 
 class TestOptimalMass:

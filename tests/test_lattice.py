@@ -190,7 +190,7 @@ class TestEvolveChain:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         half_n=st.integers(1, 30),
-        extra_modes=st.lists(st.integers(0, 61), max_size=4),
+        extra_modes=st.lists(st.integers(1, 61), max_size=4),
         stride=st.integers(1, 40),
         offset=st.floats(0.0, 0.4),
         span=st.floats(0.02, 0.25),
@@ -203,7 +203,7 @@ class TestEvolveChain:
         # oracle: velocity-Verlet on every atom, projected onto the modes
         chain = toy_chain(2 * half_n + 1)
         omega1 = float(normal_mode_frequencies(chain)[1])
-        modes = tuple(sorted({1, *(l % (chain.n_param + 1) for l in extra_modes)}))
+        modes = tuple(sorted({1, *(1 + (l - 1) % chain.n_param for l in extra_modes)}))
         if chirp_mass is None:
             signal = MonochromaticWave(h0=1e-3, nu=detune * omega1, phi0=0.3)
         else:
@@ -227,7 +227,7 @@ class TestEvolveChain:
                 assert np.abs(g[l] - r[l]).max() <= 1e-9 * scale, (field, l)
 
     @pytest.mark.parametrize(
-        "case", ["lattice-verify", "zero-mode", "stride-1", "partial-segment"]
+        "case", ["lattice-verify", "even-mode", "stride-1", "partial-segment"]
     )
     def test_matches_modal_loop(self, case):
         # oracle: the same modal velocity-Verlet recursion stepped one step
@@ -242,10 +242,10 @@ class TestEvolveChain:
         runs = {
             # the run of `continuum_checks`: 203 719 steps, a record every 100
             "lattice-verify": (wave, (0.0, 40 * period), (1,), 100),
-            # the zero mode's recursion is a Jordan block; its coupling is
-            # the roundoff of summing symmetric positions, which the
-            # comparison against its own maximum scales out
-            "zero-mode": (chirp, (0.0, 10 * period), (0, 1), 10),
+            # an even mode's coupling is the roundoff of summing symmetric
+            # positions, which the comparison against its own maximum
+            # scales out
+            "even-mode": (chirp, (0.0, 10 * period), (1, 2), 10),
             "stride-1": (wave, (0.2, 4 * period), (1, 2, 3), 1),
             "partial-segment": (chirp, (0.1, 8 * period), (1, 3, 4), 37),
         }
@@ -372,8 +372,8 @@ class TestStreamedChain:
         wave = MonochromaticWave(h0=1e-3, nu=1.1 * omega1, phi0=0.3)
         chirp = ChirpSource.from_solar_masses(3.0, h0=1e-3, nu0=0.7 * omega1)
         runs = {
-            "stride-1": (wave, (0.1, 3.7), (0, 1, 3), 1),
-            "stride-7": (chirp, (-0.3, 2.9), (0, 1, 2), 7),
+            "stride-1": (wave, (0.1, 3.7), (1, 2, 3), 1),
+            "stride-7": (chirp, (-0.3, 2.9), (1, 2, 4), 7),
             # 139 segments: three default blocks of at most 64
             "stride-1000": (chirp, (0.05, 27.5), (1, 5), 1000),
         }
@@ -397,9 +397,9 @@ class TestStreamedChain:
         chain = toy_chain(19)
         wave = MonochromaticWave(h0=1e-3, nu=3.0)
         window = (0.25, 0.25 + 5.5 * max_stable_timestep(chain))
-        traj = evolve_chain(chain, wave, window, modes=(0, 1), record_stride=10)
+        traj = evolve_chain(chain, wave, window, modes=(1, 2), record_stride=10)
         np.testing.assert_array_equal(traj.times, [0.25])
-        for l in (0, 1):
+        for l in (1, 2):
             np.testing.assert_array_equal(traj.chi[l], [0.0])
             np.testing.assert_array_equal(traj.chi_dot[l], [0.0])
         with pytest.raises(TypeError, match="not a strain signal"):

@@ -28,6 +28,8 @@ from gravibar.fock import (
     TraceUnderflowError,
 )
 from gravibar.measurement import (
+    JUMP_HOLD,
+    JUMP_THRESHOLD,
     MeasurementConfig,
     TrajectoryRecord,
     detect_jump,
@@ -59,6 +61,15 @@ def ensemble_chunks(
     """`measurement._ensemble_chunks` of a run, driven by its `_drive`."""
     drive, events = measurement._drive(spec, signal, cfg, duration, gw_start, window)
     return measurement._ensemble_chunks(cfg, drive, events, n_traj, base_seed, **kwargs)
+
+
+def set_chunk(monkeypatch, size, cfg, duration, starts=None, series=False):
+    """Cap `_CHUNK_BYTES` so that `_ensemble_chunks` runs `size` trajectories
+    of a run of `duration` a chunk: `size` times `_trajectory_bytes`."""
+    rank = 1 if starts is None else starts.shape[2]
+    n_rec = int(round(duration / cfg.dt)) // cfg.record_stride
+    per_traj = measurement._trajectory_bytes(cfg, rank, n_rec, series)
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", size * per_traj)
 
 
 def resonant_drive_for_beta(
@@ -214,8 +225,6 @@ class TestStep:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="state dim 5 != config dim 4"):
             step(QuantumState.ground(5), cfg, 0.0, rng)
-        with pytest.raises(ValueError, match="cache dim 5 != config dim 4"):
-            step(QuantumState.ground(4), cfg, 0.0, rng, cache=DisplacementCache(5))
 
     def test_invariants_after_step(self):
         cfg = self.cfg()
@@ -249,10 +258,9 @@ class TestStep:
         a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = a @ a.conj().T
         state = QuantumState(dim, rho / np.trace(rho).real)
-        cache = DisplacementCache(dim)
         for _ in range(20):
             try:
-                state, r = step(state, cfg, dbeta, rng, cache=cache)
+                state, r = step(state, cfg, dbeta, rng)
             except TraceUnderflowError:
                 # only a thermal jump out of the top Fock level is impossible
                 assert state.populations()[-1] > 1.0 - 1e-9
@@ -629,9 +637,9 @@ class TestRunTrajectory:
                 getattr(rec, name), getattr(replay, name), rtol=0, atol=1e-12
             )
         assert rec.events == replay.events
-        assert detect_jump(rec, threshold=0.5, hold=2) == [
+        assert detect_jump(rec) == [
             (t, "jump_detected")
-            for t in jump_starts(rec.times, replay.rho11, 0.5, 2)
+            for t in jump_starts(rec.times, replay.rho11, JUMP_THRESHOLD, JUMP_HOLD)
         ]
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1040,7 +1048,7 @@ class TestDetectJump:
 
     def test_single_event_on_step_function(self):
         series = np.concatenate([np.zeros(10), 0.95 * np.ones(20)])
-        events = detect_jump(self.record_from(series), threshold=0.9, hold=3)
+        events = detect_jump(self.record_from(series))
         assert len(events) == 1
         time, kind = events[0]
         assert kind == "jump_detected"
@@ -1048,13 +1056,13 @@ class TestDetectJump:
 
     def test_short_excursion_filtered(self):
         series = np.concatenate([np.zeros(5), [0.95, 0.95], np.zeros(5)])
-        assert detect_jump(self.record_from(series), hold=3) == []
+        assert detect_jump(self.record_from(series)) == []
 
     def test_two_separate_excursions(self):
         series = np.concatenate(
             [np.zeros(3), 0.95 * np.ones(4), np.zeros(3), 0.97 * np.ones(5)]
         )
-        events = detect_jump(self.record_from(series), hold=3)
+        events = detect_jump(self.record_from(series))
         assert len(events) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1071,7 +1079,8 @@ class TestDetectJump:
     ):
         # runs above the threshold of random lengths, values exactly at the
         # threshold among them, and runs touching the first record (column
-        # 0) and the last (last column)
+        # 0) and the last (last column); `detect_jump` applies the one rule
+        # of the ensembles to column 0
         rng = np.random.default_rng(seed)
         above = np.empty((n_rec, n), dtype=bool)
         above[0] = rng.random(n) < 0.5
@@ -1088,8 +1097,9 @@ class TestDetectJump:
         assert self.whole_series_starts(times, series, threshold, hold) == expected
         rec = TrajectoryRecord(times, series[:, 0], series[:, 0], series[:, 0],
                                series[:, 0])
-        assert detect_jump(rec, threshold, hold) == [
-            (t, "jump_detected") for t in expected[0]
+        assert detect_jump(rec) == [
+            (t, "jump_detected")
+            for t in jump_starts(times, series[:, 0], JUMP_THRESHOLD, JUMP_HOLD)
         ]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1155,16 +1165,6 @@ class TestDetectJump:
             jump_starts(times, col, threshold, hold) for col in series.T
         ]
 
-    def test_parameter_validation(self):
-        rec = self.record_from(np.zeros(5))
-        with pytest.raises(ValueError):
-            detect_jump(rec, threshold=1.5)
-        with pytest.raises(ValueError):
-            detect_jump(rec, hold=0)
-        # a fractional hold acted as the next integer
-        with pytest.raises(ValueError, match=r"^hold must be an integer, got 2\.5$"):
-            detect_jump(rec, hold=2.5)
-
 
 class TestRunEnsemble:
     def test_single_trajectory_matches_run_trajectory(self):
@@ -1182,12 +1182,12 @@ class TestRunEnsemble:
         )
         np.testing.assert_array_equal(summary.mean_rho11, rec.rho11)
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         spec = toy_detector()
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=2.0, dim=8, seed=13)
-        def summary(chunk_size):
-            chunks = ensemble_chunks(spec, None, cfg, 7, 5, 2.0, chunk_size=chunk_size)
-            return measurement._summarize(chunks, 7)
+        def summary(size):
+            set_chunk(monkeypatch, size, cfg, 2.0)
+            return measurement._summarize(ensemble_chunks(spec, None, cfg, 7, 5, 2.0), 7)
 
         a, b = summary(2), summary(7)
         np.testing.assert_array_equal(a.mean_rho00, b.mean_rho00)
@@ -1195,10 +1195,10 @@ class TestRunEnsemble:
 
         # ground starts without a drive only take ground steps; a trajectory
         # that carries factors or populations is the same bits in any chunk
-        def series(signal, cfg, chunk_size, starts=None):
+        def series(signal, cfg, size, starts=None):
+            set_chunk(monkeypatch, size, cfg, 3.0, starts, series=True)
             chunks = ensemble_chunks(
-                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), chunk_size=chunk_size,
-                starts=starts, series=True,
+                spec, signal, cfg, 7, 5, 3.0, 0.5, (0.0, 1.0), starts=starts, series=True,
             )
             return np.concatenate([
                 np.concatenate([b.readouts[:, None], b.pops], axis=1)
@@ -1214,10 +1214,8 @@ class TestRunEnsemble:
         for signal, run_cfg, starts in ((drive, noisy, None), (None, cfg, diagonal)):
             whole = series(signal, run_cfg, 7, starts)
             assert whole.shape == (100, 4, 7)
-            for chunk_size in (1, 3):
-                np.testing.assert_array_equal(
-                    series(signal, run_cfg, chunk_size, starts), whole
-                )
+            for size in (1, 3):
+                np.testing.assert_array_equal(series(signal, run_cfg, size, starts), whole)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -1258,16 +1256,18 @@ class TestRunEnsemble:
         assert batch.pops.sum(axis=1).max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("n_rec", [1, 63, 64, 65, 128, 130])
-    def test_purity_crossing_is_first_record_over_threshold(self, n_rec):
+    def test_purity_crossing_is_first_record_over_threshold(self, n_rec, monkeypatch):
         # records are reduced in blocks; a crossing is still the first
         # recorded time the largest population reaches the threshold
         cfg = MeasurementConfig(
             dt=1e-2, t_m=0.05, t_meas=10.0, dim=3, seed=3, record_stride=2
         )
         starts = [QuantumState.from_diagonal([0.4, 0.35, 0.25])] * 4
+        factors = measurement._start_factors(starts, 3)
+        set_chunk(monkeypatch, 1, cfg, n_rec * 2e-2, factors)
         chunks = ensemble_chunks(
-            toy_detector(), None, cfg, 4, cfg.seed, n_rec * 2e-2, chunk_size=1,
-            starts=measurement._start_factors(starts, 3), purity_threshold=0.95,
+            toy_detector(), None, cfg, 4, cfg.seed, n_rec * 2e-2,
+            starts=factors, purity_threshold=0.95,
         )
         summary = measurement._summarize(chunks, 4)
         assert summary.times.size == n_rec
@@ -1297,7 +1297,7 @@ class TestRunEnsemble:
         # a ground state is pure from the first record on
         np.testing.assert_array_equal(summary.purity_first_crossing, summary.times[[0, 0]])
 
-    def test_underflow_names_ensemble_trajectory(self):
+    def test_underflow_names_ensemble_trajectory(self, monkeypatch):
         # a jump every step: trajectory 10 starts in the top level, so its
         # first thermal jump leaves nothing
         cfg = MeasurementConfig(
@@ -1306,11 +1306,9 @@ class TestRunEnsemble:
         initials = [QuantumState.ground(8) for _ in range(12)]
         initials[10] = QuantumState.from_diagonal(np.eye(8)[7])
         starts = measurement._start_factors(initials, 8)
-        for chunk_size in (4, 64):
-            chunks = ensemble_chunks(
-                toy_detector(), None, cfg, 12, cfg.seed, 2e-2, chunk_size=chunk_size,
-                starts=starts,
-            )
+        for size in (4, 64):
+            set_chunk(monkeypatch, size, cfg, 2e-2, starts)
+            chunks = ensemble_chunks(toy_detector(), None, cfg, 12, cfg.seed, 2e-2, starts=starts)
             with pytest.raises(TraceUnderflowError, match=r"trajectory 10\b"):
                 measurement._summarize(chunks, 12)
 
@@ -1406,7 +1404,7 @@ class TestRunEnsemble:
         visible = sum(k * poisson.pmf(k, mu) for k in (1, 2))
         assert mean_n == pytest.approx(visible, abs=3.0 * math.sqrt(mu / n) + 0.05)
 
-    def test_default_chunk_matches_chunks_of_64(self):
+    def test_default_chunk_matches_chunks_of_64(self, monkeypatch):
         # the whole ensemble in one chunk gives the same detections, jump
         # times and purity crossings as chunks of 64; sums differ by roundoff
         spec = toy_detector()
@@ -1421,10 +1419,12 @@ class TestRunEnsemble:
         )
         wave = resonant_drive_for_beta(spec, 0.8, 1.0)
         one = run_ensemble(spec, wave, cfg, n_traj=150, **kwargs)
+        factors = measurement._start_factors(starts, 6)
+        set_chunk(monkeypatch, 64, cfg, 4.0, factors)
         split = measurement._summarize(
             ensemble_chunks(
-                spec, wave, cfg, 150, cfg.seed, 4.0, 0.5, (0.0, 1.0), chunk_size=64,
-                starts=measurement._start_factors(starts, 6), purity_threshold=0.95,
+                spec, wave, cfg, 150, cfg.seed, 4.0, 0.5, (0.0, 1.0),
+                starts=factors, purity_threshold=0.95,
             ),
             150,
         )

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from gravibar.dynamics import (
     optimal_mass,
     threshold_probability,
 )
-from gravibar.lattice import ChainConfigError, ChainSpec, mode_coherent_amplitude
+from gravibar.lattice import ChainConfigError, ChainSpec, evolve_chain, mode_coherent_amplitude
 from gravibar.measurement import MeasurementConfig, run_ensemble
 from gravibar.sensitivity import (
     characteristic_strain,
@@ -130,8 +131,31 @@ ARGUMENT_FAULTS = {
     "classical_timedelay-overflow": (lambda x: classical_timedelay(BAR, x, OMEGA_100), 1e-200,
                                      ValueError,
                                      "h0 must keep the time delay a normal float, got 1e-200"),
+    "evolve_chain-mode-zero": (lambda x: evolve_chain(CHAIN, MonochromaticWave(1e-22, OMEGA_100),
+                                                      (0.0, 1e-3), modes=(x, 1)),
+                               0, ChainConfigError, r"mode l must be in \[1, 19\], got 0"),
 }
-
+# a strain or chi whose square (or the result) overflows or underflows once
+# raised a bare OverflowError or ZeroDivisionError as a Python float and
+# leaked a RuntimeWarning as an np.float64; each is named, either way
+OVERFLOWS = [
+    ("gamma_stimulated", lambda x: gamma_stimulated(BAR, x), 1e200,
+     "h0 must keep the stimulated rate a normal float"),
+    ("threshold_probability", lambda x: threshold_probability(BAR, x, OMEGA_100, 1.0), 1e200,
+     "h0 must keep the excitation probability a normal float"),
+    ("optimal_mass-high", lambda x: optimal_mass(MATERIALS["niobium"], x, OMEGA_100), 1e200,
+     "chi must keep the optimal mass a normal float"),
+    ("optimal_mass-low", lambda x: optimal_mass(MATERIALS["niobium"], x, OMEGA_100), 1e-200,
+     "chi must keep the optimal mass a normal float"),
+    ("graviton_number-overflow", lambda x: graviton_number(x, OMEGA_100), 1e200,
+     "h0 must keep the graviton number a normal float"),
+    ("classical_timedelay-underflow", lambda x: classical_timedelay(BAR, x, OMEGA_100), 1e-200,
+     "h0 must keep the time delay a normal float"),
+]
+ARGUMENT_FAULTS.update({
+    f"{name}-{kind.__name__}": (call, kind(value), ValueError, re.escape(f"{message}, got {value}"))
+    for kind in (float, np.float64) for name, call, value, message in OVERFLOWS
+})
 
 @pytest.mark.parametrize("call, value, error, message", ARGUMENT_FAULTS.values(),
                          ids=ARGUMENT_FAULTS.keys())
