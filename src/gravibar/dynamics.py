@@ -546,9 +546,10 @@ def optimal_mass(material: Material, chi, omega: float) -> float:
     chi = chi.value if isinstance(chi, ChiResult) else float(chi)
     require(locals(), positive=("chi", "omega"))
     omega = float(omega)
-    den = material.sound_speed**2 * (chi * chi)  # 0 where chi^2 underflows
-    return normal(math.pi**2 * HBAR * omega**3 / den if den else math.inf,
-                  "optimal mass", "chi", chi)
+    # chi divides twice, so that a subnormal chi^2 loses no precision
+    top = normal(math.pi**2 * HBAR * (omega * omega * omega) / material.sound_speed**2,
+                 "optimal mass", "omega", omega)
+    return normal(top / chi / chi, "optimal mass", "chi", chi)
 
 
 def optimal_mass_chirp(

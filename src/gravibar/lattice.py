@@ -248,7 +248,8 @@ def evolve_chain(
     omega = normal_mode_frequencies(chain)
     modes = tuple(dict.fromkeys(modes))  # a repeated mode has one carry
     for l in modes:
-        if not 1 <= l <= chain.n_param:
+        integral = isinstance(l, numbers.Integral) and not isinstance(l, bool)
+        if not (integral and 1 <= l <= chain.n_param):
             raise ChainConfigError(f"mode l must be in [1, {chain.n_param}], got {l}")
     g = {l: float(np.dot(chain.positions, mode_profile(chain, l))) / chain.n_atoms
          for l in modes}

@@ -28,11 +28,24 @@ A run carries only the state each stretch of it needs:
   measurement weights folded into the diagonal before its O^T;
 - population stretch: after the last displacing step of a period M(r) is
   diagonal and nothing follows that reads the coherences, so the
-  populations evolve on their own as p <- p w^2 / sum(p w^2), w the
-  diagonal of M(r) (the number measurement of Jacobs & Steck,
-  arXiv:quant-ph/0611067).
+  populations follow Bayes' rule on the readouts (the number measurement
+  of Jacobs & Steck, arXiv:quant-ph/0611067). The readouts are drawn from
+  the exact outcome law: at the stretch's first step each trajectory
+  draws its level n* by the Born rule, and every readout of the stretch is
+  r = n* + sqrt(t_m/dt) xi. After j steps with summed readout S the
+  populations are p_n ∝ p_n(0) e^{coef (j n^2 - 2 n S)}, coef =
+  -dt/(2 t_m), so the stretch carries n*, S and log p(0) and evaluates
+  the posterior, in log space, only at its record points, a block of
+  records at a time (`_Stretch`). No trace can underflow there.
 
-A reinit returns the run to a ground stretch.
+A reinit returns the run to a ground stretch. A ground step's readout
+sqrt(t_m/dt) xi is that of both rules. Factor steps keep the mean-field
+readout r = <n> + sqrt(t_m/dt) xi, the Euler step of the diffusive
+measurement, right to O(dt): a displaced state is not diagonal, so no
+level can be drawn once for its stretch, and a draw at every step would
+cost a uniform and a cumulative sum per trajectory-step (about a quarter
+of a factor step at `gravibar simulate`'s shape) and move the numbers of
+every run with displacement noise or thermal jumps.
 
 Ensembles run in batches of trajectories in lockstep. A batch draws its
 noise, computes its displacement phases and reduces its records a block at
@@ -172,20 +185,20 @@ def _populations(amps: np.ndarray) -> np.ndarray:
     return np.vecdot(parts, parts)
 
 
-def _check_traces(traces: np.ndarray, what: str, first: int) -> None:
+def _check_traces(traces: np.ndarray, first: int) -> None:
     """Raise TraceUnderflowError at the first NaN or underflowed trace.
 
-    A step weighs normalized populations p by e^{coef (r - n)^2}, with
-    r = <n> + xi and coef = -dt/(2 t_m). As <n> and n lie in [0, dim - 1],
-    the trace is at least e^{coef (|xi| + dim)^2}, half of it with roundoff
-    to spare, and a unitary D(z) keeps it. So `_run_batch` checks per step
-    only in a noise block where `_trace_floor_holds` fails and on the steps
+    A factor step weighs normalized populations p by e^{coef (r - n)^2},
+    with r = <n> + xi and coef = -dt/(2 t_m). As <n> and n lie in
+    [0, dim - 1], the trace is at least e^{coef (|xi| + dim)^2}, half of it
+    with roundoff to spare, and a unitary D(z) keeps it. So `_run_batch`
+    checks per step only in a noise block where `_trace_floor_holds` fails and on the steps
     of a thermal jump, which leaves a zero factor out of the top level.
     """
     if not traces.min() > TRACE_UNDERFLOW:  # a NaN minimum fails too
         bad = int(np.argmin(traces))
         raise TraceUnderflowError(
-            f"trajectory {first + bad}: {what} trace {traces[bad]:.3e} underflowed"
+            f"trajectory {first + bad}: update trace {traces[bad]:.3e} underflowed"
         )
 
 
@@ -204,28 +217,63 @@ def _trace_floor_holds(
     return coef * reach * reach > math.log(2.0 * TRACE_UNDERFLOW) and math.isfinite(dim * size)
 
 
-def _measure(
-    pops: np.ndarray, xi: np.ndarray, levels: np.ndarray, coef: float, first: int,
-    check: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian number measurement of a batch with populations `pops` (n, dim).
+# a population stretch evaluates its posteriors about this many floats
+# (records x dim x trajectories) at a time
+_POSTERIOR_FLOATS = 1 << 15
 
-    `xi` is the readout noise scaled by sqrt(t_m/dt), `levels` the numbers
-    0..dim-1 and `coef` = -dt/(2 t_m). Returns the readouts
-    r = tr(N rho) + xi and the updated populations p w^2 / sum(p w^2),
-    where w^2 = e^{coef (r - n)^2} is the squared diagonal of M(r) up to
-    its normalization (which cancels). With `check`, underflow errors name
-    trajectory `first` + stack index.
+
+class _Stretch:
+    """The carried state of a batch's population stretch.
+
+    At the stretch's first step each trajectory draws its level n* by the
+    Born rule from its populations p (n, dim): n* = #{k : cumsum(p)_k < u},
+    u its uniform of `us`, at most dim - 1. Every readout of the stretch is
+    then r = n* + xi, and after j steps with summed readout S Bayes' rule
+    gives p_n ∝ p_n(0) e^{coef (j n^2 - 2 n S)}, coef = -dt/(2 t_m). The
+    stretch carries log p(0) (dim, n), n*, S and j.
     """
-    # a dot per row: a gemv's summation order would depend on the row count
-    rs = np.vecdot(pops, levels) + xi
-    w2 = np.exp(coef * (rs[:, None] - levels) ** 2)
-    new = pops * w2
-    traces = new.sum(axis=1)
-    if check:
-        _check_traces(traces, "measurement update", first)
-    new /= traces[:, None]
-    return rs, new
+
+    def __init__(self, pops: np.ndarray, us: np.ndarray, coef: float):
+        dim = pops.shape[1]
+        below = np.cumsum(pops, axis=1) < us[:, None]  # a cumsum per row
+        self.level = np.minimum(below.sum(axis=1), dim - 1).astype(float)
+        p0 = pops.T
+        self.log_p0 = np.log(p0, out=np.full(p0.shape, -np.inf), where=p0 > 0.0)
+        self.total = np.zeros(len(pops))
+        self.steps = 0
+        levels = np.arange(dim, dtype=float)
+        self.slope = (-2.0 * coef * levels)[:, None]  # times S
+        self.curve = coef * levels * levels  # times j
+
+    def advance(self, xis: np.ndarray, first: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """Take the steps of the scaled readout noise `xis` (m, n). Returns
+        the readouts (k, n) and populations (k, dim, n) of the record steps
+        first, first + stride, ... among them: log p(0) + coef j n^2 -
+        2 coef n S, less its maximum over the levels, exponentiated and
+        normalized.
+
+        S is summed in step order from the carried sum, the maximum is
+        exact in any order and the level sum is a sequence of in-order
+        adds, so a trajectory's numbers do not depend on its batch or on
+        how its steps are split into blocks.
+        """
+        sums = np.empty((len(xis) + 1, len(self.total)))
+        sums[0] = self.total
+        np.add(xis, self.level, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        self.total = sums[-1].copy()
+        counts = self.steps + np.arange(first + 1, len(xis) + 1, stride)
+        self.steps += len(xis)
+        logw = sums[first + 1 :: stride, None, :] * self.slope
+        logw += (counts[:, None] * self.curve)[:, :, None]
+        logw += self.log_p0
+        logw -= logw.max(axis=1, keepdims=True)
+        pops = np.exp(logw, out=logw)
+        total = pops[:, 0].copy()
+        for k in range(1, pops.shape[1]):
+            total += pops[:, k]
+        pops /= total[:, None]
+        return xis[first::stride] + self.level, pops
 
 
 def _update(
@@ -270,7 +318,7 @@ def _update(
     pops = _populations(amps)
     norms = pops.sum(axis=1)
     if check or jumped is not None:
-        _check_traces(norms, "update", first)
+        _check_traces(norms, first)
     amps /= np.sqrt(norms)[:, None, None]
     pops /= norms[:, None]
     return amps, pops, rs
@@ -318,7 +366,8 @@ def step(
     gamma to the drive increment, so the step applies one D(dbeta + gamma);
     then the optional thermal creation jump. Draws the readout normal, then
     (with kappa > 0) two noise normals, then (with a thermal rate) one
-    uniform from `rng`. Returns the new state and the readout r. The
+    uniform from `rng`. Returns the new state and the readout r, the
+    mean-field r = <n> + sqrt(t_m/dt) xi of a factor step. The
     displacements come from the `DisplacementCache` of cfg.dim that every
     run of that dimension shares.
     """
@@ -425,8 +474,9 @@ class _BatchResult:
     per-trajectory series: readouts (n_rec, n) and rho00..rho22 as pops
     (n_rec, 3, n), for `record`.
 
-    `add` takes the readouts and populations of one record point in turn;
-    they are held and reduced a block of records at a time.
+    `add` takes the readouts and populations of one record point in turn,
+    held and reduced a block of records at a time; `add_block` takes a
+    population stretch's block of records whole.
     """
 
     block = 64
@@ -461,11 +511,23 @@ class _BatchResult:
         if self._next - self._done == len(self._held):
             self.flush()
 
+    def add_block(self, rs: np.ndarray, populations: np.ndarray) -> None:
+        """Take the readouts (m, n) and populations (m, dim, n) of the next
+        m record points at once."""
+        self.flush()
+        if self.readouts is not None:
+            self.readouts[self._next : self._next + len(rs)] = rs
+        self._next += len(rs)
+        self._reduce(populations)
+
     def flush(self) -> None:
-        lo, hi = self._done, self._next
-        if hi == lo:
-            return
-        held = self._held[: hi - lo]
+        if self._next > self._done:
+            self._reduce(self._held[: self._next - self._done])
+
+    def _reduce(self, held: np.ndarray) -> None:
+        """Reduce the populations (m, dim, n) of records _done, _done + 1, ..."""
+        lo = self._done
+        hi = lo + len(held)
         self.diag_sums[lo:hi] = held.sum(axis=2)
         if self.pops is not None:
             self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
@@ -514,12 +576,15 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
     rate). Each source of trajectory k has its own stream: the readout
     normals come from `rngs[k]` and, with kappa or a thermal rate on, the
     pairs of noise normals from child 0 and the uniforms from child 1 of
-    `rngs[k].spawn(2)`, so no stream depends on which other source is on.
-    Drawn a block at a time, each stream reproduces one big draw bit for bit.
+    `rngs[k].spawn(3)`, so no stream depends on which other source is on.
+    Child 2 gives the Born uniforms of the population stretches, drawn by
+    `_run_batch`; a run with kappa or a thermal rate displaces every step,
+    so it has none. Drawn a block at a time, each stream reproduces one big
+    draw bit for bit.
     """
     n = len(rngs)
     block = max(_NOISE_FLOOR, _NOISE_BLOCK // n)
-    if cfg.kappa > 0.0 or cfg.thermal_rate > 0.0:
+    if cfg.kappa > 0.0 or cfg.thermal_rate > 0.0:  # children 0 and 1 of spawn(3)
         kappa, thermal = zip(*(g.spawn(2) for g in rngs))
     for lo in range(0, n_steps, block):
         m = min(block, n_steps - lo)
@@ -557,31 +622,35 @@ def _run_batch(
     displacing step (0 if none). Each step is, by the state it finds (see
     the module docstring):
 
-    - a ground step if none is carried (`pops` is None after a ground
-      start or a reinit) and it does not displace: the readout is
+    - a ground step if no state is carried (after a ground start or a
+      reinit) and it does not displace: the readout is
       sqrt(t_m/dt) * xi and the record holds rho00 = 1;
     - else a factor step up to its period's `last`: `_update` on the
       (n, dim, rank) factor stack A, taken from the ground state if none
       is carried;
-    - else a population step: the factors are dropped and `_measure`
-      updates their (n, dim) populations until the reinit or the end.
+    - else a population step: the factors are dropped, each trajectory
+      draws its level n* from its populations with a uniform of its Born
+      stream (child 2 of `rngs[k].spawn(3)`, spawned when the batch first
+      enters a population stretch), and `_Stretch` takes the stretch's
+      steps up to the reinit or the end, a block of records at a time:
+      about _POSTERIOR_FLOATS floats of (records, dim, n) posteriors per
+      block, which `_BatchResult.add_block` takes whole.
 
-    The stretches differ in what they carry; their numbers agree to
-    roundoff. The noise (`_noise_blocks`) and the displacement phases
-    (`_phases`) come a block of steps at a time, and `_BatchResult`
-    reduces the records as they come (jumps by JUMP_THRESHOLD and
-    JUMP_HOLD), keeping the per-trajectory series only with `series`: the
-    batch holds blocks, not whole runs. Sums and matmuls run per
-    trajectory, so a trajectory's bits do not depend on its batch.
+    The noise (`_noise_blocks`) and the displacement phases (`_phases`)
+    come a block of steps at a time, and `_BatchResult` reduces the
+    records as they come (jumps by JUMP_THRESHOLD and JUMP_HOLD), keeping
+    the per-trajectory series only with `series`: the batch holds blocks,
+    not whole runs. Sums and matmuls run per trajectory, so a trajectory's
+    bits do not depend on its batch or on how its steps fall into blocks.
 
     Each noise block is tested once by the trace bound
     e^{coef (|xi| + dim)^2} of `_check_traces` (`_trace_floor_holds`).
-    Only the steps of a block that fails it, a NaN in its noise or drive
-    included, and the steps with a thermal jump check their traces, so the
-    errors and numbers are those of checking every step. As coef xi^2 =
-    -x^2/2 for the standard normal x behind xi, a block at the usual
-    configs fails only for |x| > ~36. Errors name trajectory `first` +
-    index.
+    Only the factor steps of a block that fails it, a NaN in its noise or
+    drive included, and the steps with a thermal jump check their traces,
+    so the errors and numbers are those of checking every step. As coef
+    xi^2 = -x^2/2 for the standard normal x behind xi, a block at the
+    usual configs fails only for |x| > ~36. Errors name trajectory
+    `first` + index.
     """
     n = len(rngs)
     dim = cfg.dim
@@ -610,17 +679,49 @@ def _run_batch(
     # trajectories of `gravibar simulate`): a block's noise phases grow with n
     phase_block = max(1, 1024 // n)
 
+    stretch = born = None  # the population stretch, the Born streams
+    stride = cfg.record_stride
+    # records per posterior block
+    per_block = max(1, _POSTERIOR_FLOATS // (dim * n))
+
     for lo, xis, gammas, jumps in _noise_blocks(rngs, cfg, n_steps):
         d = drive[lo : lo + len(xis)]
         check = not _trace_floor_holds(xis, d, gammas, coef, dim)
         phases = at = None  # the phases of the phase block from step lo + 1 + at on
         jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
-        for k, xi in enumerate(xis):
+        k = 0
+        while k < len(xis):
             i = lo + 1 + k
+            if stretch is not None or (pops is not None and i > last[(i - 1) // steps_per_reinit]):
+                if stretch is None:
+                    if born is None:
+                        born = [g.spawn(3)[2] for g in rngs]
+                    stretch = _Stretch(pops, np.array([g.random() for g in born]), coef)
+                    amps = pops = None
+                # steps i .. end, to the period's end or the noise block's, up
+                # to per_block records at a time
+                end = min(lo + len(xis), ((i - 1) // steps_per_reinit + 1) * steps_per_reinit)
+                reinit = end % steps_per_reinit == 0 and end < n_steps
+                while i <= end:
+                    rec = i + (-i) % stride  # the first record step
+                    top = min(end, rec + (per_block - 1) * stride)
+                    rs, block = stretch.advance(xis[i - lo - 1 : top - lo], rec - i, stride)
+                    if len(rs):
+                        if reinit and top == end and end % stride == 0:
+                            block[-1] = ground.T  # the reinit's record
+                        result.add_block(rs, block)
+                    i = top + 1
+                k = end - lo
+                if reinit:
+                    stretch = None
+                    events.append((end * cfg.dt, "reinit"))
+                continue
+
+            xi = xis[k]
             try:
                 if pops is None and not displacing[i]:
                     rs = xi
-                elif i <= last[(i - 1) // steps_per_reinit]:
+                else:
                     if pops is None:
                         amps = ground[:, :, None].astype(complex)
                         pops = ground
@@ -636,9 +737,6 @@ def _run_batch(
                         jumps[k] if k in jump_steps else None,
                         first, check,
                     )
-                else:
-                    amps = None
-                    rs, pops = _measure(pops, xi, cache.levels, coef, first, check)
             except TraceUnderflowError as exc:
                 raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
 
@@ -646,8 +744,9 @@ def _run_batch(
                 amps = pops = None
                 events.append((i * cfg.dt, "reinit"))
 
-            if i % cfg.record_stride == 0:
+            if i % stride == 0:
                 result.add(rs, ground if pops is None else pops)
+            k += 1
 
     result.flush()
     events.sort(key=lambda ev: ev[0])
@@ -693,7 +792,11 @@ def run_trajectory(
     With ``signal=None`` the run is measurement-only. Identical (cfg, rng
     seed) give identical records. The readout noise comes from `rng`
     (default: the generator of cfg.seed), left as after the run's n_steps
-    normals, and the kappa and thermal noise from `rng.spawn(2)`.
+    normals, the kappa and thermal noise from children 0 and 1 of
+    `rng.spawn(3)` and the Born levels of the population stretches from
+    child 2 (see `_noise_blocks`). Readouts are mean-field,
+    <n> + sqrt(t_m/dt) xi, on factor steps and n* + sqrt(t_m/dt) xi, n*
+    drawn by the Born rule once a stretch, on population steps.
     """
     if duration is None:
         duration = cfg.t_meas
@@ -807,9 +910,9 @@ def run_ensemble(
     """Run n_traj independent trajectories and reduce them.
 
     Per-trajectory generators are spawned from `base_seed` (default
-    cfg.seed), each spawning its kappa and thermal streams, so the ensemble
-    is reproducible and each trajectory, in any chunk, matches a single
-    `run_trajectory` with the same generator. `initial_states` may supply
+    cfg.seed), each spawning its kappa, thermal and Born streams, so the
+    ensemble is reproducible and each trajectory, in any chunk, matches a
+    single `run_trajectory` with the same generator. `initial_states` may supply
     one starting state per trajectory (ground state otherwise).
 
     The drive is computed once (`_drive`) for every trajectory. The whole

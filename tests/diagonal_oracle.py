@@ -9,10 +9,11 @@ readout S = sum(r) dt = n t + sqrt(t_m) W(t):
 
     p_n(t) ∝ p_n(0) exp((2 n S - n^2 t) / (2 t_m)).
 
-This is exact for any dt (no time-discretization error) and samples readouts
-from the exact POVM rather than the engine's mean-field r = <n> + sigma xi,
-so it is an independent oracle for the density-matrix engine. It shares no
-code with the engine.
+This is exact for any dt (no time-discretization error), and it samples
+readouts from the exact POVM: a level drawn once by the Born rule, then
+r = n + sigma xi. The engine's population stretches sample the same law;
+this module computes it in independent code, sharing none with the engine,
+so it is an independent oracle for the engine.
 """
 
 from __future__ import annotations

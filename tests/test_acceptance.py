@@ -263,7 +263,9 @@ def test_criterion_9_purification_time(qnd_ensemble):
     populations follow Bayes' rule on the integrated readout, so
     `diagonal_oracle.simulate` runs the same ensemble exactly: same starts,
     dt, t_m, threshold and horizon, 4 oracle runs per start, readouts drawn
-    from the exact POVM rather than the engine's mean-field <n> + sigma*xi.
+    from the exact POVM. The engine's population stretches draw them by the
+    same law (one Born-rule level, then n + sigma*xi), and the oracle
+    computes it in independent code.
     With the `MeasurementConfig.t_m` convention the log-likelihood ratio
     between adjacent levels grows as t/(2*t_m); the oracle purifies ~0.92
     of the runs by 20*t_m and 95% only at ~22*t_m. The engine must agree

@@ -675,6 +675,13 @@ class TestOptimalMass:
         with pytest.raises(ValueError, match="omega must be finite, got nan"):
             optimal_mass(MATERIALS["beryllium"], 1e-17, math.nan)
 
+    def test_exact_where_chi_squared_is_subnormal(self):
+        # chi^2 below the smallest normal float once lost 1.1e-5 of the mass
+        # at chi = 3e-160; M scales as chi^-2 exactly
+        material = MATERIALS["niobium"]
+        low, high = optimal_mass(material, 3e-160, OMEGA), optimal_mass(material, 3e-150, OMEGA)
+        assert low == pytest.approx(high * 1e20, rel=1e-14)
+
     def test_accepts_chi_result(self):
         chi = ChiResult(1e-17, "quadrature", (0.0, 1.0))
         a = optimal_mass(MATERIALS["beryllium"], chi, OMEGA)

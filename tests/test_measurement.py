@@ -508,7 +508,8 @@ class TestRunTrajectory:
         # a drive over the whole run, with and without noise, and on a run
         # that crosses all three stretch kinds: ground steps up to the
         # window, factor steps in it, population steps up to the reinit at
-        # 0.6 s, ground steps after it
+        # 0.6 s (against the oracle posterior of their readouts), ground
+        # steps after it
         spec = toy_detector()
         wave = resonant_drive_for_beta(spec, 0.7, 1.0)
         cases = [
@@ -524,7 +525,7 @@ class TestRunTrajectory:
             rec = run_trajectory(
                 spec, wave, cfg, duration=1.0, gw_start=gw_start, window=window
             )
-            replay = replay_with_step(spec, wave, cfg, 1.0, gw_start, window)
+            replay = replay_with_step(spec, wave, cfg, 1.0, gw_start, window, engine=rec)
             np.testing.assert_allclose(replay.rho11, rec.rho11, atol=1e-12)
             assert rec.events == replay.events
         # the noisy case has thermal jumps, and the last one a reinit
@@ -598,8 +599,9 @@ class TestRunTrajectory:
     def test_stretches_match_step_replay(
         self, placement, reinit, width, t_m, start, kappa, thermal, seed
     ):
-        # the engine's ground, factor and population stretches against a
-        # plain step() replay, for drive windows before, across and after a
+        # the engine's ground and factor stretches against a plain step()
+        # replay and its population stretches against the oracle posterior
+        # of their readouts, for drive windows before, across and after a
         # reinit and touching the first and last step of the run
         spec = toy_detector()
         wave = resonant_drive_for_beta(spec, 0.7, 1.0)
@@ -630,7 +632,7 @@ class TestRunTrajectory:
             window=window, initial_state=initial,
         )
         replay = replay_with_step(
-            spec, wave, cfg, duration, gw_start, window, initial
+            spec, wave, cfg, duration, gw_start, window, initial, engine=rec
         )
         for name in ("readout", "rho00", "rho11", "rho22"):
             np.testing.assert_allclose(
@@ -654,10 +656,9 @@ class TestRunTrajectory:
     def test_each_step_takes_its_stretch(
         self, placement, reinit, width, ground_start, kappa, thermal
     ):
-        # a factor step where a population step would do gives the same
-        # numbers to roundoff, so only the calls show which stretch a step
-        # took: between two records, `_update` (factor), `_measure`
-        # (population) or neither (ground)
+        # the calls show which stretch a step took: before its record,
+        # `_update` (factor), `_Stretch.advance` (population, a block of
+        # records at a time, each taken by `add_block`) or neither (ground)
         spec = toy_detector()
         n_steps = 60
         lo, hi = {
@@ -693,28 +694,32 @@ class TestRunTrajectory:
 
         log = []
 
-        def logged(kind, fn):
+        def logged(kind, fn, count=lambda args, out: 1):
             def wrapper(*args, **kwargs):
-                log.append(kind)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                log.extend([kind] * count(args, out))
+                return out
             return wrapper
 
+        Batch = measurement._BatchResult
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measurement, "_update", logged("factor", measurement._update))
-            mp.setattr(measurement, "_measure", logged("population", measurement._measure))
-            mp.setattr(measurement._BatchResult, "add", logged(None, measurement._BatchResult.add))
+            mp.setattr(measurement._Stretch, "advance", logged(
+                "population", measurement._Stretch.advance, lambda args, out: len(out[0])))
+            mp.setattr(Batch, "add", logged(None, Batch.add))
+            mp.setattr(Batch, "add_block", logged(
+                None, Batch.add_block, lambda args, out: len(args[1])))
             run_trajectory(
                 spec, wave, cfg, duration=n_steps * cfg.dt, gw_start=gw_start,
                 window=window, initial_state=initial,
             )
-        kinds, kind = [], "ground"
+        kinds, pending = [], []
         for entry in log:
             if entry is None:
-                kinds.append(kind)
-                kind = "ground"
+                kinds.append(pending.pop(0) if pending else "ground")
             else:
-                kind = entry
-        assert kinds == expected
+                pending.append(entry)
+        assert kinds == expected and not pending
 
 
 def step_drive(spec, wave, cfg, i, gw_start, window):
@@ -773,20 +778,28 @@ def replay_with_operators(spec, wave, cfg, duration, gw_start, window, initial=N
     return np.array(rows)
 
 
-def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
-    """Replay `run_trajectory`'s noise through the public step().
+def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None, engine=None):
+    """Replay `run_trajectory`'s noise through the public step(), and each
+    population stretch through `diagonal_oracle.posterior` of the readouts
+    of the record `engine` (record_stride 1).
 
     Draws the noise the way the engine does: the readout normals from the
-    default generator of `cfg.seed`, the noise normals and the thermal
-    uniforms from its two spawned children. Drives with closed-form
-    increments restricted to `window`, and reinitializes every t_meas.
+    default generator of `cfg.seed`, the noise normals, the thermal
+    uniforms and the Born uniforms from children 0, 1 and 2 of its
+    spawn(3). Drives with closed-form increments restricted to `window`,
+    and reinitializes every t_meas. A population stretch runs from a
+    period's last displacing step to its end, from the replayed state at
+    its first step: its readouts must be one level n* plus the readout
+    noise, n* drawn from that state's populations by the Born rule.
     Returns the record and its events.
     """
     n_steps = int(round(duration / cfg.dt))
     steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
     rng = np.random.default_rng(cfg.seed)
-    kappa, thermal = rng.spawn(2)
-    readout = iter(rng.standard_normal(n_steps))
+    kappa, thermal, born = rng.spawn(3)
+    normals = rng.standard_normal(n_steps)
+    xis = cfg.readout_sigma * normals
+    readout = iter(normals)
     gamma = iter(kappa.standard_normal((n_steps, 2)) if cfg.kappa else ())
     uniforms = iter(thermal.random(n_steps) if cfg.thermal_rate else ())
 
@@ -797,18 +810,40 @@ def replay_with_step(spec, wave, cfg, duration, gw_start, window, initial=None):
         def random(self, size=None):
             return next(uniforms)
 
+    drives = [step_drive(spec, wave, cfg, i, gw_start, window) for i in range(1, n_steps + 1)]
+    displacing = [bool(cfg.kappa or cfg.thermal_rate or z) for z in drives]
+    last = {}  # each period's last displacing step
+    for i, flag in enumerate(displacing, start=1):
+        if flag:
+            last[(i - 1) // steps_per_reinit] = i
+
     replay = Replay()
     state = initial if initial is not None else QuantumState.ground(cfg.dim)
+    carried = initial is not None  # as the engine carries a state
     events = [
         (max(gw_start + window[0], 0.0), "gw_window_start"),
         (min(gw_start + window[1], duration), "gw_window_end"),
     ]
-    rows = []
+    rows, stretch = [], None
     for i in range(1, n_steps + 1):
-        dbeta = step_drive(spec, wave, cfg, i, gw_start, window)
-        state, r = step(state, cfg, dbeta, replay)
+        carried |= displacing[i - 1]
+        if carried and i > last.get((i - 1) // steps_per_reinit, 0):
+            if stretch is None:  # p0, n*, S and j of the stretch
+                p0 = state.populations()
+                level = min(int((np.cumsum(p0) < born.random()).sum()), cfg.dim - 1)
+                stretch = [p0, level, 0.0, 0]
+            p0, level, total, j = stretch
+            r = engine.readout[i - 1]
+            assert r == level + xis[i - 1], f"step {i}: readout off level {level}"
+            stretch[2:] = total + r, j + 1
+            pops = posterior(p0, np.array(stretch[2] * cfg.dt), stretch[3] * cfg.dt, cfg.t_m)
+            state = QuantumState.from_diagonal(pops)
+            next(readout)
+        else:
+            state, r = step(state, cfg, drives[i - 1], replay)
         if i % steps_per_reinit == 0 and i < n_steps:
             state = QuantumState.ground(cfg.dim)
+            carried, stretch = False, None
             events.append((i * cfg.dt, "reinit"))
         if i % cfg.record_stride == 0:
             rows.append([i * cfg.dt, r, *state.populations()[:3]])
@@ -997,6 +1032,33 @@ class TestDiagonalOracle:
         np.testing.assert_allclose(
             np.column_stack([rec.rho00, rec.rho11, rec.rho22]), expected,
             rtol=1e-9, atol=0.0,
+        )
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 9),
+        concentration=st.floats(1.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_born_draw_follows_populations(self, dim, concentration, seed):
+        # a population stretch's readouts sit at a level drawn from its
+        # populations: over an ensemble of one diagonal start, the share of
+        # first readouts at level k is p_k to 3 sigma. The readout noise,
+        # sqrt(t_m/dt) = 1e-3, leaves the level to rounding
+        p = np.random.default_rng(seed).dirichlet(np.full(dim, concentration))
+        cfg = MeasurementConfig(dt=1e-2, t_m=1e-8, t_meas=1.0, dim=dim, record_stride=1)
+        n_traj = 1500
+        starts = measurement._start_factors([QuantumState.from_diagonal(p)], dim)
+        (_, batch), = ensemble_chunks(
+            toy_detector(), None, cfg, n_traj, seed, cfg.dt,
+            starts=np.repeat(starts, n_traj, axis=0), series=True,
+        )
+        levels = np.rint(batch.readouts[0]).astype(int)
+        np.testing.assert_allclose(batch.readouts[0], levels, rtol=0, atol=1e-2)
+        share = np.bincount(levels, minlength=dim) / n_traj
+        sigma = np.sqrt(p * (1.0 - p) / n_traj)
+        assert np.all(np.abs(share - p) <= 3.0 * sigma), (
+            f"max deviation {np.max(np.abs(share - p) / sigma):.2f} sigma"
         )
 
     def test_mean_posterior_is_martingale(self):
@@ -1338,11 +1400,11 @@ class TestRunEnsemble:
 
         def never(*args, **kwargs):
             calls.append(1)
-            raise AssertionError("_measure called before the starts were checked")
+            raise AssertionError("a stretch began before the starts were checked")
 
         # undriven, noiseless starts run as a population stretch, which
-        # measures through _measure
-        monkeypatch.setattr(measurement, "_measure", never)
+        # begins with a `_Stretch`
+        monkeypatch.setattr(measurement, "_Stretch", never)
         cfg = MeasurementConfig(dt=1e-2, t_m=0.5, t_meas=1.0, dim=4)
         starts = [QuantumState.ground(4) for _ in range(200)]
         starts[150] = QuantumState(4, np.diag([1.5, -0.5, 0.0, 0.0]))
@@ -1471,6 +1533,32 @@ class TestNoiseBlocks:
         monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
         np.testing.assert_array_equal(self.series(), whole)
 
+    @pytest.mark.parametrize("block, floor, floats", [(7, 3, 1 << 15), (64, 16, 1), (1, 1, 100)])
+    def test_blocks_do_not_change_population_records(self, monkeypatch, block, floor, floats):
+        # a population stretch carries its summed readout from noise block
+        # to noise block and from one block of posteriors to the next: 150
+        # steps of diagonal starts, a record every other step, across a
+        # reinit at step 100 and into a second stretch after a drive
+        cfg = dataclasses.replace(self.CFG, kappa=0.0, thermal_rate=0.0, record_stride=2)
+        spec = toy_detector()
+        rng = np.random.default_rng(2)
+        starts = measurement._start_factors(
+            [QuantumState.from_diagonal(rng.dirichlet(np.ones(8))) for _ in range(3)], 8
+        )
+
+        def series():
+            (_, batch), = ensemble_chunks(
+                spec, resonant_drive_for_beta(spec, 0.6, 0.1), cfg, 3, 5, 1.5, 1.05,
+                (0.0, 0.1), starts=starts, series=True,
+            )
+            return np.concatenate([batch.readouts[:, None], batch.pops], axis=1)
+
+        whole = series()  # one noise block, one block of posteriors a stretch
+        monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
+        monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
+        monkeypatch.setattr(measurement, "_POSTERIOR_FLOATS", floats)
+        np.testing.assert_array_equal(series(), whole)
+
     @pytest.mark.parametrize("block, floor", [(1 << 16, 256), (64, 16), (7, 3), (1, 1)])
     @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
     def test_each_source_keeps_its_own_stream(
@@ -1479,7 +1567,7 @@ class TestNoiseBlocks:
         # whichever other source is on and however the steps fall into
         # blocks: the readout normals come from each generator, the kappa
         # pairs from child 0 and the thermal uniforms from child 1 of its
-        # spawn(2), each as one draw
+        # spawn(3), each as one draw, and the Born uniforms from child 2
         monkeypatch.setattr(measurement, "_NOISE_BLOCK", block)
         monkeypatch.setattr(measurement, "_NOISE_FLOOR", floor)
         cfg = dataclasses.replace(self.CFG, kappa=kappa, thermal_rate=thermal_rate)
@@ -1506,6 +1594,22 @@ class TestNoiseBlocks:
             assert jumps.any()
         else:
             assert jumps is None
+        if kappa or thermal_rate:
+            return
+        # only quiet runs have population stretches: here diagonal starts
+        # up to the reinit at step 100, one Born uniform each, then ground
+        # steps
+        p = np.random.default_rng(6).dirichlet(np.ones(cfg.dim), size=3)
+        starts = measurement._start_factors([QuantumState.from_diagonal(q) for q in p], cfg.dim)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
+        batch = measurement._run_batch(
+            cfg, rngs, np.zeros(150, dtype=complex), [], starts, series=True
+        )
+        refs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
+        us = np.array([g.spawn(3)[2].random() for g in refs])
+        levels = (np.cumsum(p, axis=1) < us[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(batch.readouts[:100], levels + xi[:100])
+        np.testing.assert_array_equal(batch.readouts[100:], xi[100:])
 
     @pytest.mark.parametrize("block", [16, 1 << 16])  # 10 blocks, one block
     @pytest.mark.parametrize("kappa, thermal_rate", [(0.0, 0.0), (0.05, 0.0), (0.0, 2.0), (0.05, 2.0)])
@@ -1593,12 +1697,10 @@ class TestTraceFloor:
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
-    @pytest.mark.parametrize("driven, what", [(False, "measurement update"), (True, "update")])
-    def test_underflow_still_raised_without_thermal_jumps(self, driven, what):
-        # undriven starts take population steps (`_measure`), driven ones
-        # factor steps (`_update`); neither has a thermal jump
-        wave = resonant_drive_for_beta(self.SPEC, 0.6, 0.5) if driven else None
-        message = f"trajectory {{}}: {what} trace 0.000e+00 underflowed at t = 0.01 s"
+    def test_underflow_still_raised_without_thermal_jumps(self):
+        # driven starts take factor steps (`_update`), none with a thermal jump
+        wave = resonant_drive_for_beta(self.SPEC, 0.6, 0.5)
+        message = "trajectory {}: update trace 0.000e+00 underflowed at t = 0.01 s"
         with pytest.raises(TraceUnderflowError) as exc:
             run_trajectory(
                 self.SPEC, wave, self.STRONG, duration=0.5, initial_state=self.SPLIT
@@ -1611,6 +1713,26 @@ class TestTraceFloor:
                 purity_threshold=0.99,
             )
         assert str(exc.value) == message.format(2)
+
+    def test_strong_population_stretch_stays_finite(self):
+        # undriven, the split start is a population stretch: its readouts
+        # sit at a level drawn by the Born rule and its posterior is taken
+        # in log space, so nothing underflows. The first record decides the
+        # level for good: rho00 is 0 or 1
+        rec = run_trajectory(
+            self.SPEC, None, self.STRONG, duration=0.5, initial_state=self.SPLIT
+        )
+        assert rec.rho00[0] in (0.0, 1.0)
+        np.testing.assert_array_equal(rec.rho00, rec.rho00[0])
+        starts = [QuantumState.ground(30), self.SPLIT, self.SPLIT]
+        summary = run_ensemble(
+            self.SPEC, None, self.STRONG, 3, duration=0.5, initial_states=starts,
+            purity_threshold=0.99,
+        )
+        pops = summary.mean_populations
+        assert np.isfinite(pops).all()
+        np.testing.assert_allclose(pops.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(summary.purity_first_crossing, summary.times[[0, 0, 0]])
 
     def test_block_test_fails_on_large_or_non_finite_inputs(self):
         coef, xis, d = -5e-3, np.full((4, 3), 10.0), np.zeros(4, dtype=complex)

@@ -134,6 +134,10 @@ ARGUMENT_FAULTS = {
     "evolve_chain-mode-zero": (lambda x: evolve_chain(CHAIN, MonochromaticWave(1e-22, OMEGA_100),
                                                       (0.0, 1e-3), modes=(x, 1)),
                                0, ChainConfigError, r"mode l must be in \[1, 19\], got 0"),
+    # a fractional mode passed the range check and raised a bare IndexError
+    "evolve_chain-mode-fractional": (lambda x: evolve_chain(
+        CHAIN, MonochromaticWave(1e-22, OMEGA_100), (0.0, 1e-3), modes=(x,)),
+        1.5, ChainConfigError, r"mode l must be in \[1, 19\], got 1\.5"),
 }
 # a strain or chi whose square (or the result) overflows or underflows once
 # raised a bare OverflowError or ZeroDivisionError as a Python float and
@@ -147,6 +151,8 @@ OVERFLOWS = [
      "chi must keep the optimal mass a normal float"),
     ("optimal_mass-low", lambda x: optimal_mass(MATERIALS["niobium"], x, OMEGA_100), 1e-200,
      "chi must keep the optimal mass a normal float"),
+    ("optimal_mass-omega", lambda x: optimal_mass(MATERIALS["niobium"], 1e-17, x), 1e120,
+     "omega must keep the optimal mass a normal float"),
     ("graviton_number-overflow", lambda x: graviton_number(x, OMEGA_100), 1e200,
      "h0 must keep the graviton number a normal float"),
     ("classical_timedelay-underflow", lambda x: classical_timedelay(BAR, x, OMEGA_100), 1e-200,
