@@ -361,7 +361,7 @@ def parse_config(
         seed=meas.value("seed", int, default=0),
         record_stride=out.value("stride", int, default=3),
     )
-    n_steps = int(round(duration / cfg.dt))
+    n_steps = cfg.steps(duration)
     if n_steps < 1:
         raise ConfigError(
             f"[measurement] duration = {duration!r} s must cover at least one step "
@@ -558,7 +558,7 @@ def cmd_simulate(run: RunConfig, outputs: _OutputSet) -> int:
         run.detector, run.signal, cfg, run.duration, run.gw_start, run.window
     )
     # the largest |beta| the drive builds in a reinit period
-    period = int(round(cfg.t_meas / cfg.dt))
+    period = cfg.steps(cfg.t_meas)
     parts = np.split(drive, np.arange(period, drive.size, period))
     beta = max(np.abs(np.cumsum(part)).max() for part in parts)
     if problem := check_truncation(beta, cfg.dim):

@@ -14,38 +14,40 @@ tracked; number-basis populations are invariant under it. `_drive` computes
 a run's increments once, each step's by the quadrature of chi and beta, and
 every batch of the run and the CLI's truncation guard read that one array.
 
-A run carries only the state each stretch of it needs:
+A run's stretches are listed once, before its first step (`_schedule`):
+they depend only on which steps displace, by the drive, displacement noise
+or thermal jumps. Each reinit period holds, in order, any of
 
-- ground stretch: the ground state with no displacement on the step. It is
+- a ground stretch, up to its first displacing step: the ground state is
   an exact fixed point of the measurement, so no state is carried and the
-  readout is sqrt(t_m/dt) * xi;
-- factor stretch: from the first displacing step of a reinit period (drive,
-  displacement noise or thermal jumps) to its last one, each state is a
-  factor A, rho = A A^dag, with its populations sum_r |A|^2 as
+  readout is sqrt(t_m/dt) * xi. A run from other states has none in its
+  first period;
+- a factor stretch, from there to its last displacing step: each state is
+  a factor A, rho = A A^dag, with its populations sum_r |A|^2 as
   renormalized, so that no recorded population exceeds 1. Each step
   applies its displacement D(z) = Q O e^{-i|z| Lambda} O^T Q^dag whole,
   through the real eigenbasis of `DisplacementCache`, with the
   measurement weights folded into the diagonal before its O^T;
-- population stretch: after the last displacing step of a period M(r) is
-  diagonal and nothing follows that reads the coherences, so the
-  populations follow Bayes' rule on the readouts (the number measurement
-  of Jacobs & Steck, arXiv:quant-ph/0611067). The readouts are drawn from
-  the exact outcome law: at the stretch's first step each trajectory
-  draws its level n* by the Born rule, and every readout of the stretch is
+- a population stretch, to the period's end: M(r) is diagonal and nothing
+  follows that reads the coherences, so the populations follow Bayes' rule
+  on the readouts (the number measurement of Jacobs & Steck,
+  arXiv:quant-ph/0611067). The readouts are drawn from the exact outcome
+  law: at the stretch's first step each trajectory draws its level n* by
+  the Born rule, and every readout of the stretch is
   r = n* + sqrt(t_m/dt) xi. After j steps with summed readout S the
   populations are p_n ∝ p_n(0) e^{coef (j n^2 - 2 n S)}, coef =
   -dt/(2 t_m), so the stretch carries n*, S and log p(0) and evaluates
   the posterior, in log space, only at its record points, a block of
   records at a time (`_Stretch`). No trace can underflow there.
 
-A reinit returns the run to a ground stretch. A ground step's readout
-sqrt(t_m/dt) xi is that of both rules. Factor steps keep the mean-field
-readout r = <n> + sqrt(t_m/dt) xi, the Euler step of the diffusive
-measurement, right to O(dt): a displaced state is not diagonal, so no
-level can be drawn once for its stretch, and a draw at every step would
-cost a uniform and a cumulative sum per trajectory-step (about a quarter
-of a factor step at `gravibar simulate`'s shape) and move the numbers of
-every run with displacement noise or thermal jumps.
+A reinit drops the carried state. A ground step's readout sqrt(t_m/dt) xi
+is that of both rules. Factor steps keep the mean-field readout
+r = <n> + sqrt(t_m/dt) xi, the Euler step of the diffusive measurement,
+right to O(dt): a displaced state is not diagonal, so no level can be
+drawn once for its stretch, and a draw at every step would cost a uniform
+and a cumulative sum per trajectory-step (about a quarter of a factor step
+at `gravibar simulate`'s shape) and move the numbers of every run with
+displacement noise or thermal jumps.
 
 Ensembles run in batches of trajectories in lockstep. A batch draws its
 noise, computes its displacement phases and reduces its records a block at
@@ -128,6 +130,10 @@ class MeasurementConfig:
                 positive=("dt", "t_m"), nonnegative=("kappa", "thermal_rate"), finite=("t_meas",))
         if self.t_meas <= self.dt:
             raise ValueError("t_meas must exceed dt")
+
+    def steps(self, duration: float) -> int:
+        """The whole number of steps of dt nearest `duration`."""
+        return int(round(duration / self.dt))
 
     @property
     def readout_sigma(self) -> float:
@@ -414,7 +420,7 @@ def _drive(
     `duration` or `gw_start`, raises ValueError. An infinite edge is clipped.
     """
     require(locals(), finite=("duration", "gw_start"))
-    n_steps = int(round(duration / cfg.dt))
+    n_steps = cfg.steps(duration)
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
     drive = np.zeros(n_steps, dtype=complex)
@@ -433,6 +439,12 @@ def _drive(
         (min(gw_start + window[1], duration), "gw_window_end"),
     ]
     return drive, events
+
+
+def _check_stride(cfg: MeasurementConfig, drive: np.ndarray) -> None:
+    """Raise ValueError where a run of the increments `drive` records nothing."""
+    if cfg.record_stride > drive.size:
+        raise ValueError(f"record_stride = {cfg.record_stride} exceeds the run's {drive.size} steps")
 
 
 # a jump is a run of JUMP_HOLD records of rho11 >= JUMP_THRESHOLD
@@ -464,7 +476,8 @@ def _run_starts(flags: np.ndarray, run: np.ndarray, hold: int):
 
 
 class _BatchResult:
-    """Reductions of a batch's records, taken a block of records at a time.
+    """Reductions of a batch's records, which `add` takes a block at a
+    time: the records of one piece of `_run_batch`, whatever its kind.
 
     It keeps times (n_rec,), the populations summed over the batch as
     diag_sums (n_rec, dim), events, each trajectory's jump starts (by
@@ -473,13 +486,7 @@ class _BatchResult:
     largest population reached it. Only with `series` does it also keep the
     per-trajectory series: readouts (n_rec, n) and rho00..rho22 as pops
     (n_rec, 3, n), for `record`.
-
-    `add` takes the readouts and populations of one record point in turn,
-    held and reduced a block of records at a time; `add_block` takes a
-    population stretch's block of records whole.
     """
-
-    block = 64
 
     def __init__(
         self, times: np.ndarray, n: int, dim: int, purity_threshold: float | None,
@@ -498,36 +505,16 @@ class _BatchResult:
         if series:
             self.readouts = np.empty((times.size, n))
             self.pops = np.zeros((times.size, 3, n))
-        # held as (m, dim, n), so that each reduction over the batch runs
-        # along contiguous rows
-        self._held = np.empty((min(self.block, times.size), dim, n))
-        self._done = self._next = 0
+        self.taken = 0  # records so far
 
-    def add(self, rs: np.ndarray, populations: np.ndarray) -> None:
+    def add(self, rs: np.ndarray, held: np.ndarray) -> None:
+        """Take the readouts (m, n) and the populations (m, dim, n), C-ordered
+        so that each sum over the batch runs along a row, of the next m > 0
+        records."""
+        lo = self.taken
+        hi = self.taken = lo + len(held)
         if self.readouts is not None:
-            self.readouts[self._next] = rs
-        self._held[self._next - self._done] = populations.T
-        self._next += 1
-        if self._next - self._done == len(self._held):
-            self.flush()
-
-    def add_block(self, rs: np.ndarray, populations: np.ndarray) -> None:
-        """Take the readouts (m, n) and populations (m, dim, n) of the next
-        m record points at once."""
-        self.flush()
-        if self.readouts is not None:
-            self.readouts[self._next : self._next + len(rs)] = rs
-        self._next += len(rs)
-        self._reduce(populations)
-
-    def flush(self) -> None:
-        if self._next > self._done:
-            self._reduce(self._held[: self._next - self._done])
-
-    def _reduce(self, held: np.ndarray) -> None:
-        """Reduce the populations (m, dim, n) of records _done, _done + 1, ..."""
-        lo = self._done
-        hi = lo + len(held)
+            self.readouts[lo:hi] = rs
         self.diag_sums[lo:hi] = held.sum(axis=2)
         if self.pops is not None:
             self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
@@ -539,7 +526,6 @@ class _BatchResult:
             fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
             first = lo + crossed.argmax(axis=0)
             self.purity_crossing[fresh] = self.times[first[fresh]]
-        self._done = hi
 
     @property
     def jump_times(self) -> list[list[float]]:
@@ -601,6 +587,36 @@ def _noise_blocks(rngs: list[np.random.Generator], cfg: MeasurementConfig, n_ste
         yield lo, xi, gammas, jumps
 
 
+def _schedule(
+    cfg: MeasurementConfig, drive: np.ndarray, started: bool
+) -> list[tuple[str, int, int]]:
+    """The nonempty stretches (kind, lo, hi) of a run of the increments
+    `drive`, in order: steps lo + 1 .. hi are "ground", "factor" or
+    "population" (see the module docstring). A step displaces if kappa or
+    the thermal rate is on or its increment is nonzero. A period without
+    one is all ground, but period 0 of a run `started` from other states,
+    which is all population.
+    """
+    n_steps = drive.size
+    period = cfg.steps(cfg.t_meas)
+    hits = np.flatnonzero((drive != 0.0) | (cfg.kappa > 0.0 or cfg.thermal_rate > 0.0))
+    lows = np.arange(0, n_steps, period)
+    highs = np.minimum(lows + period, n_steps)
+    first, last = highs.copy(), lows.copy()  # a period without a hit is all ground
+    np.minimum.at(first, hits // period, hits)
+    np.maximum.at(last, hits // period, hits + 1)
+    if started:
+        first[0] = 0
+    return [
+        (kind, start, end)
+        for lo, a, b, hi in zip(lows.tolist(), first.tolist(), last.tolist(), highs.tolist())
+        for kind, start, end in (
+            ("ground", lo, a), ("factor", a, b), ("population", max(a, b), hi)
+        )
+        if start < end
+    ]
+
+
 def _run_batch(
     cfg: MeasurementConfig,
     rngs: list[np.random.Generator],
@@ -617,31 +633,24 @@ def _run_batch(
     `_drive`; the run has one step per increment. The batch starts in the
     ground state, or from the factor stack `starts` of `_start_factors`
     (one factor per trajectory), and is reinitialized to the ground state
-    every t_meas. A step displaces if kappa or the thermal rate is on or
-    its increment is nonzero, and `last` holds each reinit period's last
-    displacing step (0 if none). Each step is, by the state it finds (see
-    the module docstring):
+    every t_meas. It walks the stretches of `_schedule` and the noise
+    blocks of `_noise_blocks` together, a piece at a time. A piece lies in
+    one stretch and one noise block, holds at most one block of records
+    (about _POSTERIOR_FLOATS floats of (records, dim, n) populations) and
+    runs by its stretch's kind:
 
-    - a ground step if no state is carried (after a ground start or a
-      reinit) and it does not displace: the readout is
-      sqrt(t_m/dt) * xi and the record holds rho00 = 1;
-    - else a factor step up to its period's `last`: `_update` on the
-      (n, dim, rank) factor stack A, taken from the ground state if none
-      is carried;
-    - else a population step: the factors are dropped, each trajectory
-      draws its level n* from its populations with a uniform of its Born
-      stream (child 2 of `rngs[k].spawn(3)`, spawned when the batch first
-      enters a population stretch), and `_Stretch` takes the stretch's
-      steps up to the reinit or the end, a block of records at a time:
-      about _POSTERIOR_FLOATS floats of (records, dim, n) posteriors per
-      block, which `_BatchResult.add_block` takes whole.
+    - ground: the readouts are the xi rows and the records rho00 = 1;
+    - factor: `_update` step by step on the (n, dim, rank) factor stack A,
+      taken from the ground state where the stretch starts without one;
+    - population: `_Stretch.advance`, on the levels each trajectory drew at
+      the stretch's start with a uniform of its Born stream (child 2 of
+      `rngs[k].spawn(3)`, spawned at the batch's first such stretch).
 
-    The noise (`_noise_blocks`) and the displacement phases (`_phases`)
-    come a block of steps at a time, and `_BatchResult` reduces the
-    records as they come (jumps by JUMP_THRESHOLD and JUMP_HOLD), keeping
-    the per-trajectory series only with `series`: the batch holds blocks,
-    not whole runs. Sums and matmuls run per trajectory, so a trajectory's
-    bits do not depend on its batch or on how its steps fall into blocks.
+    `_BatchResult.add` reduces each piece's readouts and populations, and
+    keeps the per-trajectory series only with `series`. A piece that ends
+    at a reinit records the ground state there and drops the carried state.
+    Sums and matmuls run per trajectory, so a trajectory's bits do not
+    depend on its batch or on how its steps fall into blocks.
 
     Each noise block is tested once by the trace bound
     e^{coef (|xi| + dim)^2} of `_check_traces` (`_trace_floor_holds`).
@@ -655,101 +664,87 @@ def _run_batch(
     n = len(rngs)
     dim = cfg.dim
     n_steps = drive.size
-    steps_per_reinit = int(round(cfg.t_meas / cfg.dt))
-
-    n_rec = n_steps // cfg.record_stride
-    times = cfg.dt * cfg.record_stride * np.arange(1, n_rec + 1)
+    period = cfg.steps(cfg.t_meas)
+    stride = cfg.record_stride
+    times = cfg.dt * stride * np.arange(1, n_steps // stride + 1)
     result = _BatchResult(times, n, dim, purity_threshold, events, series)
-    events = result.events
-
-    displacing = np.full(n_steps + 1, cfg.kappa > 0.0 or cfg.thermal_rate > 0.0)
-    displacing[1:] |= drive != 0.0
-    hits = 1 + np.flatnonzero(displacing[1:])
-    last = np.zeros((n_steps - 1) // steps_per_reinit + 1, dtype=np.intp)
-    np.maximum.at(last, (hits - 1) // steps_per_reinit, hits)
-    displacing, last = displacing.tolist(), last.tolist()
-
-    ground = np.zeros((n, dim))
-    ground[:, 0] = 1.0
-    amps = starts  # factors, None while in the ground state or carrying populations
-    pops = None if starts is None else _populations(starts)
+    # records per piece, and the records of a ground piece
+    per_block = max(1, _POSTERIOR_FLOATS // (dim * n))
+    grounds = np.zeros((per_block, dim, n))
+    grounds[:, 0] = 1.0
     coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = _cache(dim)
     # phases of 1024 trajectory-steps at a time (256 steps of the 4
     # trajectories of `gravibar simulate`): a block's noise phases grow with n
     phase_block = max(1, 1024 // n)
 
-    stretch = born = None  # the population stretch, the Born streams
-    stride = cfg.record_stride
-    # records per posterior block
-    per_block = max(1, _POSTERIOR_FLOATS // (dim * n))
-
-    for lo, xis, gammas, jumps in _noise_blocks(rngs, cfg, n_steps):
-        d = drive[lo : lo + len(xis)]
-        check = not _trace_floor_holds(xis, d, gammas, coef, dim)
-        phases = at = None  # the phases of the phase block from step lo + 1 + at on
-        jump_steps = set() if jumps is None else set(np.flatnonzero(jumps.any(axis=1)).tolist())
-        k = 0
-        while k < len(xis):
-            i = lo + 1 + k
-            if stretch is not None or (pops is not None and i > last[(i - 1) // steps_per_reinit]):
-                if stretch is None:
-                    if born is None:
-                        born = [g.spawn(3)[2] for g in rngs]
-                    stretch = _Stretch(pops, np.array([g.random() for g in born]), coef)
-                    amps = pops = None
-                # steps i .. end, to the period's end or the noise block's, up
-                # to per_block records at a time
-                end = min(lo + len(xis), ((i - 1) // steps_per_reinit + 1) * steps_per_reinit)
-                reinit = end % steps_per_reinit == 0 and end < n_steps
-                while i <= end:
-                    rec = i + (-i) % stride  # the first record step
-                    top = min(end, rec + (per_block - 1) * stride)
-                    rs, block = stretch.advance(xis[i - lo - 1 : top - lo], rec - i, stride)
-                    if len(rs):
-                        if reinit and top == end and end % stride == 0:
-                            block[-1] = ground.T  # the reinit's record
-                        result.add_block(rs, block)
-                    i = top + 1
-                k = end - lo
-                if reinit:
-                    stretch = None
-                    events.append((end * cfg.dt, "reinit"))
-                continue
-
-            xi = xis[k]
-            try:
-                if pops is None and not displacing[i]:
-                    rs = xi
-                else:
-                    if pops is None:
-                        amps = ground[:, :, None].astype(complex)
-                        pops = ground
-                    if at != k - k % phase_block:
-                        at = k - k % phase_block
-                        phases = None  # one block of phases alive at a time
-                        phases = _phases(
-                            cache, d[at : at + phase_block],
-                            None if gammas is None else gammas[at : at + phase_block],
-                        )
-                    amps, pops, rs = _update(
-                        amps, pops, xi, coef, cache, phases[k - at],
-                        jumps[k] if k in jump_steps else None,
-                        first, check,
+    def factor_piece(k0: int, k1: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Steps lo + 1 + k0 .. lo + k1 of the factors, and their m records."""
+        nonlocal amps, pops, phases, at
+        rs_out, held = np.empty((m, n)), np.empty((m, dim, n))
+        j = 0
+        try:
+            for k in range(k0, k1):
+                if at != k - k % phase_block:
+                    at = k - k % phase_block
+                    phases = None  # one block of phases alive at a time
+                    phases = _phases(
+                        cache, d[at : at + phase_block],
+                        None if gammas is None else gammas[at : at + phase_block],
                     )
-            except TraceUnderflowError as exc:
-                raise TraceUnderflowError(f"{exc} at t = {i * cfg.dt:.6g} s") from None
+                amps, pops, rs = _update(
+                    amps, pops, xis[k], coef, cache, phases[k - at],
+                    jumps[k] if k in jump_steps else None, first, check,
+                )
+                if (lo + k + 1) % stride == 0:
+                    rs_out[j] = rs
+                    held[j] = pops.T
+                    j += 1
+        except TraceUnderflowError as exc:
+            raise TraceUnderflowError(f"{exc} at t = {(lo + k + 1) * cfg.dt:.6g} s") from None
+        return rs_out, held
 
-            if i % steps_per_reinit == 0 and i < n_steps:
-                amps = pops = None
-                events.append((i * cfg.dt, "reinit"))
+    amps = starts  # factors, None in the ground state or a population stretch
+    pops = None if starts is None else _populations(starts)
+    stretch = born = None  # the population stretch, the Born streams
+    blocks = _noise_blocks(rngs, cfg, n_steps)
+    hi = 0  # the end of the noise block
+    for kind, a, b in _schedule(cfg, drive, starts is not None):
+        if kind == "factor" and amps is None:
+            amps, pops = np.tile(np.eye(dim, 1, dtype=complex), (n, 1, 1)), grounds[0].T
+        elif kind == "population":
+            if born is None:
+                born = [g.spawn(3)[2] for g in rngs]
+            stretch = _Stretch(pops, np.array([g.random() for g in born]), coef)
+            amps = pops = None
+        while a < b:  # one piece: steps a + 1 .. top
+            if a == hi:
+                lo, xis, gammas, jumps = next(blocks)
+                hi = lo + len(xis)
+                d = drive[lo:hi]
+                check = not _trace_floor_holds(xis, d, gammas, coef, dim)
+                phases = at = None  # the phases of the phase block from step lo + 1 + at on
+                jump_steps = set() if jumps is None else set(
+                    np.flatnonzero(jumps.any(axis=1)).tolist())
+            rec = a + 1 + (-a - 1) % stride  # the piece's first record step
+            top = min(b, hi, rec + (per_block - 1) * stride)
+            m = top // stride - a // stride
+            if kind == "ground":
+                rs, held = xis[rec - lo - 1 : top - lo : stride], grounds[:m]
+            elif kind == "factor":
+                rs, held = factor_piece(a - lo, top - lo, m)
+            else:
+                rs, held = stretch.advance(xis[a - lo : top - lo], rec - a - 1, stride)
+            if top % period == 0 and top < n_steps:
+                if top % stride == 0:
+                    held[-1] = grounds[0]  # the reinit's record
+                amps = pops = stretch = None
+                result.events.append((top * cfg.dt, "reinit"))
+            if m:
+                result.add(rs, held)
+            a = top
 
-            if i % stride == 0:
-                result.add(rs, ground if pops is None else pops)
-            k += 1
-
-    result.flush()
-    events.sort(key=lambda ev: ev[0])
+    result.events.sort(key=lambda ev: ev[0])
     return result
 
 
@@ -804,6 +799,7 @@ def run_trajectory(
         rng = np.random.default_rng(cfg.seed)
     starts = None if initial_state is None else _start_factors([initial_state], cfg.dim)
     drive, events = _drive(spec, signal, cfg, duration, gw_start, window)
+    _check_stride(cfg, drive)
     return _run_batch(cfg, [rng], drive, events, starts, series=True).record(0)
 
 
@@ -827,12 +823,12 @@ _CHUNK_BYTES = 1 << 27
 
 
 def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: bool) -> int:
-    """Rough bound on what a batch holds per trajectory: its share of a
-    block of held records and of their reductions, its factors and their
-    temporaries, two noise blocks of each stream at the floor size and,
-    with `series`, its series. (Batches under _NOISE_BLOCK / _NOISE_FLOOR
-    trajectories draw longer noise blocks, a few MB in all.)"""
-    floats = 2 * _BatchResult.block * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
+    """Rough bound on what a batch holds per trajectory: a record of a block
+    of records and its reductions, its factors and their temporaries, two
+    noise blocks of each stream at the floor size and, with `series`, its
+    series. (A batch adds _POSTERIOR_FLOATS of records, and one under
+    _NOISE_BLOCK / _NOISE_FLOOR trajectories longer noise blocks: a few MB.)"""
+    floats = 2 * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
     return 8 * (floats + (4 * n_rec if series else 0))
 
 
@@ -934,6 +930,7 @@ def run_ensemble(
             raise ValueError("need one initial state per trajectory")
         starts = _start_factors(initial_states, cfg.dim)  # fail before running
     drive, events = _drive(spec, signal, cfg, duration, gw_start, window)
+    _check_stride(cfg, drive)
     chunks = _ensemble_chunks(cfg, drive, events, n_traj, base_seed, starts, purity_threshold)
     return _summarize(chunks, n_traj)
 

@@ -475,6 +475,20 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match=match):
             run_ensemble(spec, None, cfg, 2, **kwargs)
 
+    def test_stride_longer_than_the_run_rejected(self):
+        # 5 steps, a record every 10th: no record, a detection fraction of 0
+        # and NaN purity crossings were returned without a word
+        spec = toy_detector()
+        cfg = MeasurementConfig(dt=1e-2, t_meas=0.05, dim=4, record_stride=10)
+        match = r"^record_stride = 10 exceeds the run's 5 steps$"
+        with pytest.raises(ValueError, match=match):
+            run_trajectory(spec, None, cfg, duration=0.05)
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(spec, None, cfg, 2, duration=0.05, purity_threshold=0.9)
+        # a stride of exactly the run records its last step
+        rec = run_trajectory(spec, None, dataclasses.replace(cfg, record_stride=5), duration=0.05)
+        np.testing.assert_allclose(rec.times, [0.05])
+
     def test_records_follow_stride(self):
         spec = toy_detector()
         cfg = MeasurementConfig(
@@ -657,8 +671,8 @@ class TestRunTrajectory:
         self, placement, reinit, width, ground_start, kappa, thermal
     ):
         # the calls show which stretch a step took: before its record,
-        # `_update` (factor), `_Stretch.advance` (population, a block of
-        # records at a time, each taken by `add_block`) or neither (ground)
+        # `_update` (factor), `_Stretch.advance` (population) or neither
+        # (ground); `_BatchResult.add` takes each piece's block of records
         spec = toy_detector()
         n_steps = 60
         lo, hi = {
@@ -706,9 +720,7 @@ class TestRunTrajectory:
             mp.setattr(measurement, "_update", logged("factor", measurement._update))
             mp.setattr(measurement._Stretch, "advance", logged(
                 "population", measurement._Stretch.advance, lambda args, out: len(out[0])))
-            mp.setattr(Batch, "add", logged(None, Batch.add))
-            mp.setattr(Batch, "add_block", logged(
-                None, Batch.add_block, lambda args, out: len(args[1])))
+            mp.setattr(Batch, "add", logged(None, Batch.add, lambda args, out: len(args[1])))
             run_trajectory(
                 spec, wave, cfg, duration=n_steps * cfg.dt, gw_start=gw_start,
                 window=window, initial_state=initial,
@@ -720,6 +732,11 @@ class TestRunTrajectory:
             else:
                 pending.append(entry)
         assert kinds == expected and not pending
+        # the schedule lists the same kinds, stretch by stretch, none empty
+        drive, _ = measurement._drive(spec, wave, cfg, n_steps * cfg.dt, gw_start, window)
+        schedule = measurement._schedule(cfg, drive, not ground_start)
+        assert all(lo < hi for _, lo, hi in schedule)
+        assert [kind for kind, lo, hi in schedule for _ in range(lo, hi)] == expected
 
 
 def step_drive(spec, wave, cfg, i, gw_start, window):
