@@ -51,14 +51,15 @@ displacement noise or thermal jumps.
 
 Ensembles run in batches of trajectories in lockstep. A batch draws its
 noise, computes its displacement phases and reduces its records a block at
-a time: it keeps the sums over the batch of the records, each trajectory's
+a time, levels outermost, (dim, records, n): a pass over a level then runs
+along one contiguous row, and no entry's arithmetic or order depends on the
+layout. It keeps the sums over the batch of the records, each trajectory's
 jump times and purity crossing, and the per-trajectory series only where
 they are written (`run_trajectory`, `gravibar simulate`). A jump is a run
 of JUMP_HOLD records with rho11 >= JUMP_THRESHOLD, counted across blocks.
 Beyond the summed records, its memory does not grow with the length of the
-run or with the trajectories' records, and `run_ensemble` runs the whole
-ensemble as one batch, split into chunks only where the batch's estimated
-arrays would pass a fixed cap of 128 MiB (`_CHUNK_BYTES`).
+run or its records, and `run_ensemble` runs the whole ensemble as one batch,
+split into chunks only where its arrays would pass 128 MiB (`_CHUNK_BYTES`).
 """
 
 from __future__ import annotations
@@ -223,8 +224,7 @@ def _trace_floor_holds(
     return coef * reach * reach > math.log(2.0 * TRACE_UNDERFLOW) and math.isfinite(dim * size)
 
 
-# a population stretch evaluates its posteriors about this many floats
-# (records x dim x trajectories) at a time
+# each piece of a batch holds about this many floats of (dim, records, n) records
 _POSTERIOR_FLOATS = 1 << 15
 
 
@@ -236,32 +236,32 @@ class _Stretch:
     u its uniform of `us`, at most dim - 1. Every readout of the stretch is
     then r = n* + xi, and after j steps with summed readout S Bayes' rule
     gives p_n ∝ p_n(0) e^{coef (j n^2 - 2 n S)}, coef = -dt/(2 t_m). The
-    stretch carries log p(0) (dim, n), n*, S and j.
+    stretch carries log p(0) (dim, 1, n), n*, S and j.
     """
 
     def __init__(self, pops: np.ndarray, us: np.ndarray, coef: float):
         dim = pops.shape[1]
         below = np.cumsum(pops, axis=1) < us[:, None]  # a cumsum per row
         self.level = np.minimum(below.sum(axis=1), dim - 1).astype(float)
-        p0 = pops.T
+        p0 = pops.T[:, None]
         self.log_p0 = np.log(p0, out=np.full(p0.shape, -np.inf), where=p0 > 0.0)
         self.total = np.zeros(len(pops))
         self.steps = 0
-        levels = np.arange(dim, dtype=float)
-        self.slope = (-2.0 * coef * levels)[:, None]  # times S
-        self.curve = coef * levels * levels  # times j
+        levels = np.arange(dim, dtype=float)[:, None]
+        self.slope = (-2.0 * coef * levels)[:, None]  # (dim, 1, 1), times S
+        self.curve = coef * levels * levels  # (dim, 1), times j
 
     def advance(self, xis: np.ndarray, first: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
         """Take the steps of the scaled readout noise `xis` (m, n). Returns
-        the readouts (k, n) and populations (k, dim, n) of the record steps
+        the readouts (k, n) and populations (dim, k, n) of the record steps
         first, first + stride, ... among them: log p(0) + coef j n^2 -
         2 coef n S, less its maximum over the levels, exponentiated and
         normalized.
 
         S is summed in step order from the carried sum, the maximum is
         exact in any order and the level sum is a sequence of in-order
-        adds, so a trajectory's numbers do not depend on its batch or on
-        how its steps are split into blocks.
+        adds of whole (k, n) rows, so a trajectory's numbers do not depend
+        on its batch or on how its steps are split into blocks.
         """
         sums = np.empty((len(xis) + 1, len(self.total)))
         sums[0] = self.total
@@ -270,15 +270,15 @@ class _Stretch:
         self.total = sums[-1].copy()
         counts = self.steps + np.arange(first + 1, len(xis) + 1, stride)
         self.steps += len(xis)
-        logw = sums[first + 1 :: stride, None, :] * self.slope
-        logw += (counts[:, None] * self.curve)[:, :, None]
+        logw = sums[first + 1 :: stride] * self.slope
+        logw += (self.curve * counts)[:, :, None]
         logw += self.log_p0
-        logw -= logw.max(axis=1, keepdims=True)
+        logw -= logw.max(axis=0)
         pops = np.exp(logw, out=logw)
-        total = pops[:, 0].copy()
-        for k in range(1, pops.shape[1]):
-            total += pops[:, k]
-        pops /= total[:, None]
+        total = pops[0].copy()
+        for row in pops[1:]:
+            total += row
+        pops /= total
         return xis[first::stride] + self.level, pops
 
 
@@ -508,21 +508,21 @@ class _BatchResult:
         self.taken = 0  # records so far
 
     def add(self, rs: np.ndarray, held: np.ndarray) -> None:
-        """Take the readouts (m, n) and the populations (m, dim, n), C-ordered
-        so that each sum over the batch runs along a row, of the next m > 0
-        records."""
+        """Take the readouts (m, n) and the populations (dim, m, n) of the
+        next m > 0 records: each level's flags, maxima and sums over the
+        batch run along its rows of n, which are contiguous."""
         lo = self.taken
-        hi = self.taken = lo + len(held)
+        hi = self.taken = lo + held.shape[1]
         if self.readouts is not None:
             self.readouts[lo:hi] = rs
-        self.diag_sums[lo:hi] = held.sum(axis=2)
+        self.diag_sums[lo:hi] = held.sum(axis=2).T
         if self.pops is not None:
-            self.pops[lo:hi, : min(3, held.shape[1])] = held[:, :3]
-        rows, cols, self.run = _run_starts(held[:, 1] >= JUMP_THRESHOLD, self.run, JUMP_HOLD)
+            self.pops[lo:hi, : min(3, len(held))] = held[:3].transpose(1, 0, 2)
+        rows, cols, self.run = _run_starts(held[1] >= JUMP_THRESHOLD, self.run, JUMP_HOLD)
         for row, col in zip(rows.tolist(), cols.tolist()):
             self.starts[col].append(lo + 1 - JUMP_HOLD + row)
         if self.purity_crossing is not None:
-            crossed = held.max(axis=1) >= self.purity_threshold
+            crossed = held.max(axis=0) >= self.purity_threshold
             fresh = crossed.any(axis=0) & np.isnan(self.purity_crossing)
             first = lo + crossed.argmax(axis=0)
             self.purity_crossing[fresh] = self.times[first[fresh]]
@@ -636,7 +636,7 @@ def _run_batch(
     every t_meas. It walks the stretches of `_schedule` and the noise
     blocks of `_noise_blocks` together, a piece at a time. A piece lies in
     one stretch and one noise block, holds at most one block of records
-    (about _POSTERIOR_FLOATS floats of (records, dim, n) populations) and
+    (about _POSTERIOR_FLOATS floats of (dim, records, n) populations) and
     runs by its stretch's kind:
 
     - ground: the readouts are the xi rows and the records rho00 = 1;
@@ -670,8 +670,8 @@ def _run_batch(
     result = _BatchResult(times, n, dim, purity_threshold, events, series)
     # records per piece, and the records of a ground piece
     per_block = max(1, _POSTERIOR_FLOATS // (dim * n))
-    grounds = np.zeros((per_block, dim, n))
-    grounds[:, 0] = 1.0
+    grounds = np.zeros((dim, per_block, n))
+    grounds[0] = 1.0
     coef = -cfg.dt / (2.0 * cfg.t_m)
     cache = _cache(dim)
     # phases of 1024 trajectory-steps at a time (256 steps of the 4
@@ -681,7 +681,7 @@ def _run_batch(
     def factor_piece(k0: int, k1: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Steps lo + 1 + k0 .. lo + k1 of the factors, and their m records."""
         nonlocal amps, pops, phases, at
-        rs_out, held = np.empty((m, n)), np.empty((m, dim, n))
+        rs_out, held = np.empty((m, n)), np.empty((dim, m, n))
         j = 0
         try:
             for k in range(k0, k1):
@@ -698,7 +698,7 @@ def _run_batch(
                 )
                 if (lo + k + 1) % stride == 0:
                     rs_out[j] = rs
-                    held[j] = pops.T
+                    held[:, j] = pops.T
                     j += 1
         except TraceUnderflowError as exc:
             raise TraceUnderflowError(f"{exc} at t = {(lo + k + 1) * cfg.dt:.6g} s") from None
@@ -711,7 +711,7 @@ def _run_batch(
     hi = 0  # the end of the noise block
     for kind, a, b in _schedule(cfg, drive, starts is not None):
         if kind == "factor" and amps is None:
-            amps, pops = np.tile(np.eye(dim, 1, dtype=complex), (n, 1, 1)), grounds[0].T
+            amps, pops = np.tile(np.eye(dim, 1, dtype=complex), (n, 1, 1)), grounds[:, 0].T
         elif kind == "population":
             if born is None:
                 born = [g.spawn(3)[2] for g in rngs]
@@ -730,14 +730,14 @@ def _run_batch(
             top = min(b, hi, rec + (per_block - 1) * stride)
             m = top // stride - a // stride
             if kind == "ground":
-                rs, held = xis[rec - lo - 1 : top - lo : stride], grounds[:m]
+                rs, held = xis[rec - lo - 1 : top - lo : stride], grounds[:, :m]
             elif kind == "factor":
                 rs, held = factor_piece(a - lo, top - lo, m)
             else:
                 rs, held = stretch.advance(xis[a - lo : top - lo], rec - a - 1, stride)
             if top % period == 0 and top < n_steps:
                 if top % stride == 0:
-                    held[-1] = grounds[0]  # the reinit's record
+                    held[:, -1] = grounds[:, 0]  # the reinit's record
                 amps = pops = stretch = None
                 result.events.append((top * cfg.dt, "reinit"))
             if m:
@@ -824,10 +824,10 @@ _CHUNK_BYTES = 1 << 27
 
 def _trajectory_bytes(cfg: MeasurementConfig, rank: int, n_rec: int, series: bool) -> int:
     """Rough bound on what a batch holds per trajectory: a record of a block
-    of records and its reductions, its factors and their temporaries, two
-    noise blocks of each stream at the floor size and, with `series`, its
-    series. (A batch adds _POSTERIOR_FLOATS of records, and one under
-    _NOISE_BLOCK / _NOISE_FLOOR trajectories longer noise blocks: a few MB.)"""
+    of (dim, records, n) records and its reductions, its factors and their
+    temporaries, two noise blocks of each stream at the floor size and, with
+    `series`, its series. (A batch adds _POSTERIOR_FLOATS of records, and one
+    under _NOISE_BLOCK / _NOISE_FLOOR trajectories longer noise blocks.)"""
     floats = 2 * cfg.dim + 8 * cfg.dim * rank + 10 * _NOISE_FLOOR
     return 8 * (floats + (4 * n_rec if series else 0))
 

@@ -66,3 +66,52 @@ def simulate(
             first[live[done]] = k * dt
             live, logp0 = live[~done], logp0[~done]
     return s, first
+
+
+def born_level(p: np.ndarray, u: float) -> int:
+    """The level n* = #{k : p_0 + ... + p_k < u}, summed in order, at most
+    dim - 1 (roundoff can leave the sum below u)."""
+    total, count = 0.0, 0
+    for q in p.tolist():
+        total += q
+        count += total < u
+    return min(count, len(p) - 1)
+
+
+def stretch_records(
+    p0: np.ndarray, level: int, total: float, steps: int, xis: np.ndarray,
+    first: int, stride: int, coef: float,
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """One trajectory of a population stretch, alone and in the engine's
+    order of operations, for a bit-for-bit check of its block evaluation.
+
+    From the summed readout `total` after `steps` steps, each step of the
+    readout noise `xis` (m,) adds xi + level to the sum S. At the record
+    steps first, first + stride, ... (0-based) the log posterior over the
+    levels n is (S slope_n + j curve_n) + log p0_n, with slope_n =
+    -2 coef n and curve_n = coef n^2 at the j-th step of the stretch; its
+    maximum is subtracted, it is exponentiated, summed level by level in
+    order, and each level divided by the sum. Python floats do the
+    scalar arithmetic, so no numpy reduction or layout enters but np.log
+    and np.exp. Returns the readouts (k,), the populations (k, dim) and the
+    carried (total, steps).
+    """
+    dim = len(p0)
+    log_p0 = np.full(dim, -np.inf)
+    log_p0[p0 > 0.0] = np.log(p0[p0 > 0.0])
+    slope = [-2.0 * coef * float(n) for n in range(dim)]
+    curve = [coef * float(n) * float(n) for n in range(dim)]
+    readouts, pops = [], []
+    for i, xi in enumerate(xis.tolist()):
+        total += xi + level
+        if i >= first and (i - first) % stride == 0:
+            j = steps + i + 1
+            logw = [total * a + b * j + c for a, b, c in zip(slope, curve, log_p0.tolist())]
+            top = max(logw)
+            w = np.exp(np.array([x - top for x in logw])).tolist()
+            norm = w[0]
+            for x in w[1:]:
+                norm += x
+            readouts.append(xi + level)
+            pops.append([x / norm for x in w])
+    return np.array(readouts), np.array(pops).reshape(-1, dim), total, steps + len(xis)

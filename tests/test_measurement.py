@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from diagonal_oracle import posterior, simulate
+from diagonal_oracle import born_level, posterior, simulate, stretch_records
 from fock_oracle import (
     apply_normalized,
     coherent_state,
@@ -1090,6 +1090,50 @@ class TestDiagonalOracle:
         assert np.all(np.abs(mean - p0) <= 3.0 * sigma), (
             f"max drift ratio {np.max(np.abs(mean - p0) / sigma):.2f} sigma"
         )
+
+
+class TestStretch:
+    """`_Stretch.advance` against `diagonal_oracle.stretch_records`, which
+    takes each trajectory alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 30),
+        n=st.integers(1, 64),
+        stride=st.integers(1, 4),
+        offsets=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        lengths=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        coef=st.sampled_from([-2.5e-4, -5e-4, -5e-3, -5.0, -500.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_advance_matches_each_trajectory_alone(
+        self, dim, n, stride, offsets, lengths, zero_share, coef, seed
+    ):
+        # two successive blocks carry S and j; a share of the populations
+        # is exactly 0, never all of a trajectory's
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(dim), size=n)
+        dead = rng.random((n, dim)) < zero_share
+        dead[np.arange(n), rng.integers(dim, size=n)] = False
+        p[dead] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        us = rng.random(n)
+        stretch = measurement._Stretch(p, us, coef)
+        levels = [born_level(p[t], us[t]) for t in range(n)]
+        np.testing.assert_array_equal(stretch.level, levels)
+        carried = [(0.0, 0)] * n
+        for offset, m in zip(offsets, lengths):
+            xis = math.sqrt(-0.5 / coef) * rng.standard_normal((m, n))
+            rs, pops = stretch.advance(xis, offset % stride, stride)
+            assert pops.shape == (dim, len(rs), n) and pops.flags.c_contiguous
+            for t in range(n):
+                ref_rs, ref_pops, *carried[t] = stretch_records(
+                    p[t], levels[t], *carried[t], xis[:, t], offset % stride, stride, coef
+                )
+                np.testing.assert_array_equal(rs[:, t], ref_rs)
+                np.testing.assert_array_equal(pops[:, :, t].T, ref_pops)
+            np.testing.assert_array_equal(stretch.total, [total for total, _ in carried])
 
 
 class TestDetectJump:
